@@ -28,7 +28,7 @@ namespace {
 
 struct KillPoint {
   const char* label;
-  uint32_t pass;  // engine pass index; 2-layer model => 4 passes per epoch
+  uint32_t pass;  // engine pass index; 2-layer model => 3 passes per epoch
 };
 
 struct BenchCase {
@@ -89,7 +89,7 @@ Result<BenchCase> RunCase(DatasetId id, const KillPoint& kill, uint32_t gpus) {
   DGCL_ASSIGN_OR_RETURN(ElasticTrainingSession session,
                         ElasticTrainingSession::Create(ctx, dataset.graph, features, labels,
                                                        num_classes, trainer_options));
-  const uint32_t epochs = kill.pass / (2 * trainer_options.num_layers) + 1;
+  const uint32_t epochs = kill.pass / (2 * trainer_options.num_layers - 1) + 1;
   for (uint32_t e = 0; e < epochs; ++e) {
     DGCL_ASSIGN_OR_RETURN(EpochResult result, session.TrainEpoch());
     (void)result;
@@ -115,8 +115,8 @@ int Run(int argc, char** argv) {
 
   const KillPoint kKillPoints[] = {
       {"fwd-early", 1},   // epoch 0, layer 1 forward
-      {"bwd", 3},         // epoch 0, backward
-      {"epoch1-mid", 5},  // epoch 1, layer 1 forward
+      {"bwd", 2},         // epoch 0, layer 1 backward
+      {"epoch1-mid", 4},  // epoch 1, layer 1 forward
   };
   const DatasetId kDatasets[] = {DatasetId::kReddit, DatasetId::kComOrkut,
                                  DatasetId::kWebGoogle, DatasetId::kWikiTalk};

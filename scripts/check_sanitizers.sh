@@ -7,8 +7,9 @@
 # conformance suite (TSan is the gate for the per-chunk ready-flag protocol:
 # sender release-stores into op_chunks_done, receiver acquire-loads and reads
 # the staged rows), the straggler and
-# dead-peer timeout paths, the simulator/trainer (both fan work out on the
-# shared pool), the engine-trace cost audit, the lock-free telemetry
+# dead-peer timeout paths, the simulator (fans work out on the shared pool)
+# and the trainer (one persistent worker thread per device, handed each
+# pass step under a mutex), the engine-trace cost audit, the lock-free telemetry
 # recorder, and the elastic-recovery protocol (engine post-mortems, mid-epoch
 # kills, re-plan + resume) including a reduced-budget slice of the
 # fault-schedule fuzz suite (DGCL_FUZZ_SEEDS below; the full 200-seed sweep

@@ -1,5 +1,6 @@
 #include "gnn/layers.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/logging.h"
@@ -152,8 +153,8 @@ struct Linear {
     return out;
   }
 
-  // Accumulates dw/db; returns dx.
-  EmbeddingMatrix Backward(const EmbeddingMatrix& x, const EmbeddingMatrix& dout) {
+  // Accumulates dw/db.
+  void AccumulateGrads(const EmbeddingMatrix& x, const EmbeddingMatrix& dout) {
     EmbeddingMatrix dw_now;
     GemmTransposeA(x, dout, dw_now);
     AddInPlace(dw, dw_now);
@@ -161,6 +162,10 @@ struct Linear {
     for (uint32_t c = 0; c < db_now.size(); ++c) {
       db.data[c] += db_now[c];
     }
+  }
+
+  // dx = dout * w^T.
+  EmbeddingMatrix InputGrad(const EmbeddingMatrix& dout) const {
     EmbeddingMatrix dx;
     GemmTransposeB(dout, w, dx);
     return dx;
@@ -173,8 +178,8 @@ struct Linear {
     for (size_t i = 0; i < b.data.size(); ++i) {
       b.data[i] -= lr * db.data[i];
     }
-    dw = EmbeddingMatrix::Zero(w.rows, w.dim);
-    db = EmbeddingMatrix::Zero(1, b.dim);
+    std::fill(dw.data.begin(), dw.data.end(), 0.0f);
+    std::fill(db.data.begin(), db.data.end(), 0.0f);
   }
 };
 
@@ -189,13 +194,6 @@ class GcnLayer final : public GnnLayer {
     return out;
   }
 
-  EmbeddingMatrix Backward(const LocalGraph& graph, const EmbeddingMatrix& grad_out) override {
-    EmbeddingMatrix dz = grad_out;
-    ReluBackwardInPlace(dz, mask_);
-    EmbeddingMatrix dagg = linear_.Backward(agg_, dz);
-    return ScatterMeanWithSelfBackward(graph, dagg);
-  }
-
   void Step(float lr) override { linear_.Step(lr); }
   std::vector<EmbeddingMatrix*> Params() override { return {&linear_.w, &linear_.b}; }
   std::vector<EmbeddingMatrix*> Grads() override { return {&linear_.dw, &linear_.db}; }
@@ -203,6 +201,17 @@ class GcnLayer final : public GnnLayer {
   uint32_t dim_out() const override { return linear_.w.dim; }
 
  private:
+  EmbeddingMatrix BackwardImpl(const LocalGraph& graph, const EmbeddingMatrix& grad_out,
+                               bool input_grad) override {
+    EmbeddingMatrix dz = grad_out;
+    ReluBackwardInPlace(dz, mask_);
+    linear_.AccumulateGrads(agg_, dz);
+    if (!input_grad) {
+      return {};
+    }
+    return ScatterMeanWithSelfBackward(graph, linear_.InputGrad(dz));
+  }
+
   Linear linear_;
   EmbeddingMatrix agg_;
   EmbeddingMatrix mask_;
@@ -227,22 +236,6 @@ class CommNetLayer final : public GnnLayer {
     return out;
   }
 
-  EmbeddingMatrix Backward(const LocalGraph& graph, const EmbeddingMatrix& grad_out) override {
-    EmbeddingMatrix dz = grad_out;
-    ReluBackwardInPlace(dz, mask_);
-    EmbeddingMatrix dlocal = self_.Backward(locals_, dz);
-    EmbeddingMatrix dagg = comm_.Backward(agg_, dz);
-    EmbeddingMatrix dslots = ScatterMeanNeighborsBackward(graph, dagg);
-    for (uint32_t i = 0; i < graph.num_compute; ++i) {
-      float* row = dslots.Row(i);
-      const float* lrow = dlocal.Row(i);
-      for (uint32_t c = 0; c < dslots.dim; ++c) {
-        row[c] += lrow[c];
-      }
-    }
-    return dslots;
-  }
-
   void Step(float lr) override {
     self_.Step(lr);
     comm_.Step(lr);
@@ -253,6 +246,27 @@ class CommNetLayer final : public GnnLayer {
   uint32_t dim_out() const override { return self_.w.dim; }
 
  private:
+  EmbeddingMatrix BackwardImpl(const LocalGraph& graph, const EmbeddingMatrix& grad_out,
+                               bool input_grad) override {
+    EmbeddingMatrix dz = grad_out;
+    ReluBackwardInPlace(dz, mask_);
+    self_.AccumulateGrads(locals_, dz);
+    comm_.AccumulateGrads(agg_, dz);
+    if (!input_grad) {
+      return {};
+    }
+    EmbeddingMatrix dlocal = self_.InputGrad(dz);
+    EmbeddingMatrix dslots = ScatterMeanNeighborsBackward(graph, comm_.InputGrad(dz));
+    for (uint32_t i = 0; i < graph.num_compute; ++i) {
+      float* row = dslots.Row(i);
+      const float* lrow = dlocal.Row(i);
+      for (uint32_t c = 0; c < dslots.dim; ++c) {
+        row[c] += lrow[c];
+      }
+    }
+    return dslots;
+  }
+
   Linear self_;
   Linear comm_;
   EmbeddingMatrix locals_;
@@ -281,12 +295,28 @@ class GinLayer final : public GnnLayer {
     return out;
   }
 
-  EmbeddingMatrix Backward(const LocalGraph& graph, const EmbeddingMatrix& grad_out) override {
+  void Step(float lr) override {
+    mlp1_.Step(lr);
+    mlp2_.Step(lr);
+  }
+  std::vector<EmbeddingMatrix*> Params() override { return {&mlp1_.w, &mlp1_.b, &mlp2_.w, &mlp2_.b}; }
+  std::vector<EmbeddingMatrix*> Grads() override { return {&mlp1_.dw, &mlp1_.db, &mlp2_.dw, &mlp2_.db}; }
+  uint32_t dim_in() const override { return mlp1_.w.rows; }
+  uint32_t dim_out() const override { return mlp2_.w.dim; }
+
+ private:
+  EmbeddingMatrix BackwardImpl(const LocalGraph& graph, const EmbeddingMatrix& grad_out,
+                               bool input_grad) override {
     EmbeddingMatrix dz2 = grad_out;
     ReluBackwardInPlace(dz2, mask2_);
-    EmbeddingMatrix dhidden = mlp2_.Backward(hidden_, dz2);
+    mlp2_.AccumulateGrads(hidden_, dz2);
+    EmbeddingMatrix dhidden = mlp2_.InputGrad(dz2);
     ReluBackwardInPlace(dhidden, mask1_);
-    EmbeddingMatrix dsum = mlp1_.Backward(sum_input_, dhidden);
+    mlp1_.AccumulateGrads(sum_input_, dhidden);
+    if (!input_grad) {
+      return {};
+    }
+    EmbeddingMatrix dsum = mlp1_.InputGrad(dhidden);
     EmbeddingMatrix dslots = ScatterSumNeighborsBackward(graph, dsum);
     for (uint32_t i = 0; i < graph.num_compute; ++i) {
       float* row = dslots.Row(i);
@@ -298,16 +328,6 @@ class GinLayer final : public GnnLayer {
     return dslots;
   }
 
-  void Step(float lr) override {
-    mlp1_.Step(lr);
-    mlp2_.Step(lr);
-  }
-  std::vector<EmbeddingMatrix*> Params() override { return {&mlp1_.w, &mlp1_.b, &mlp2_.w, &mlp2_.b}; }
-  std::vector<EmbeddingMatrix*> Grads() override { return {&mlp1_.dw, &mlp1_.db, &mlp2_.dw, &mlp2_.db}; }
-  uint32_t dim_in() const override { return mlp1_.w.rows; }
-  uint32_t dim_out() const override { return mlp2_.w.dim; }
-
- private:
   static constexpr float kEps = 0.1f;
 
   Linear mlp1_;
@@ -389,7 +409,27 @@ class GatLayer final : public GnnLayer {
     return out;
   }
 
-  EmbeddingMatrix Backward(const LocalGraph& graph, const EmbeddingMatrix& grad_out) override {
+  void Step(float lr) override {
+    for (size_t i = 0; i < w_.data.size(); ++i) {
+      w_.data[i] -= lr * dw_.data[i];
+    }
+    for (size_t i = 0; i < a_src_.data.size(); ++i) {
+      a_src_.data[i] -= lr * da_src_.data[i];
+      a_dst_.data[i] -= lr * da_dst_.data[i];
+    }
+    std::fill(dw_.data.begin(), dw_.data.end(), 0.0f);
+    std::fill(da_src_.data.begin(), da_src_.data.end(), 0.0f);
+    std::fill(da_dst_.data.begin(), da_dst_.data.end(), 0.0f);
+  }
+
+  std::vector<EmbeddingMatrix*> Params() override { return {&w_, &a_src_, &a_dst_}; }
+  std::vector<EmbeddingMatrix*> Grads() override { return {&dw_, &da_src_, &da_dst_}; }
+  uint32_t dim_in() const override { return w_.rows; }
+  uint32_t dim_out() const override { return w_.dim; }
+
+ private:
+  EmbeddingMatrix BackwardImpl(const LocalGraph& graph, const EmbeddingMatrix& grad_out,
+                               bool input_grad) override {
     EmbeddingMatrix dpre = grad_out;
     ReluBackwardInPlace(dpre, relu_mask_);
     EmbeddingMatrix dz = EmbeddingMatrix::Zero(graph.num_slots, z_.dim);
@@ -446,30 +486,14 @@ class GatLayer final : public GnnLayer {
     EmbeddingMatrix dw_now;
     GemmTransposeA(slots_in_, dz, dw_now);
     AddInPlace(dw_, dw_now);
+    if (!input_grad) {
+      return {};
+    }
     EmbeddingMatrix dslots;
     GemmTransposeB(dz, w_, dslots);
     return dslots;
   }
 
-  void Step(float lr) override {
-    for (size_t i = 0; i < w_.data.size(); ++i) {
-      w_.data[i] -= lr * dw_.data[i];
-    }
-    for (size_t i = 0; i < a_src_.data.size(); ++i) {
-      a_src_.data[i] -= lr * da_src_.data[i];
-      a_dst_.data[i] -= lr * da_dst_.data[i];
-    }
-    dw_ = EmbeddingMatrix::Zero(w_.rows, w_.dim);
-    da_src_ = EmbeddingMatrix::Zero(1, w_.dim);
-    da_dst_ = EmbeddingMatrix::Zero(1, w_.dim);
-  }
-
-  std::vector<EmbeddingMatrix*> Params() override { return {&w_, &a_src_, &a_dst_}; }
-  std::vector<EmbeddingMatrix*> Grads() override { return {&dw_, &da_src_, &da_dst_}; }
-  uint32_t dim_in() const override { return w_.rows; }
-  uint32_t dim_out() const override { return w_.dim; }
-
- private:
   static constexpr float kLeakySlope = 0.2f;
 
   EmbeddingMatrix w_;

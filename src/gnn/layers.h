@@ -8,7 +8,9 @@
 // Forward consumes a slot matrix (locals + remotes, post-allgather) and
 // produces local rows; Backward consumes local-row gradients and produces a
 // slot-matrix gradient whose remote rows must be routed back to their owners
-// by the backward allgather.
+// by the backward allgather. The first layer's slot gradient would be the
+// gradient of the input features, which nobody consumes: BackwardParamsOnly
+// skips computing it (and so the trainer skips its backward allgather).
 
 #ifndef DGCL_GNN_LAYERS_H_
 #define DGCL_GNN_LAYERS_H_
@@ -33,11 +35,18 @@ class GnnLayer {
 
   // `grad_out` has num_compute rows; returns num_slots rows of input grads.
   // Accumulates parameter gradients internally.
-  virtual EmbeddingMatrix Backward(const LocalGraph& graph, const EmbeddingMatrix& grad_out) = 0;
+  EmbeddingMatrix Backward(const LocalGraph& graph, const EmbeddingMatrix& grad_out) {
+    return BackwardImpl(graph, grad_out, /*input_grad=*/true);
+  }
 
-  // SGD step with the accumulated (externally averaged) gradients, then
-  // clears them. `grads` must come from ExportGrads-compatible layers when
-  // synchronizing across devices.
+  // Backward that only accumulates the parameter gradients: Grads() ends up
+  // bitwise equal to what Backward leaves, but no input gradient is formed.
+  void BackwardParamsOnly(const LocalGraph& graph, const EmbeddingMatrix& grad_out) {
+    BackwardImpl(graph, grad_out, /*input_grad=*/false);
+  }
+
+  // SGD step with the accumulated (externally synchronized) gradients, then
+  // zeroes them in place.
   virtual void Step(float lr) = 0;
 
   // Flat views of parameters and their gradients for cross-device averaging.
@@ -46,6 +55,12 @@ class GnnLayer {
 
   virtual uint32_t dim_in() const = 0;
   virtual uint32_t dim_out() const = 0;
+
+ private:
+  // Accumulates parameter gradients; returns the slot gradient when
+  // `input_grad`, an empty matrix otherwise.
+  virtual EmbeddingMatrix BackwardImpl(const LocalGraph& graph, const EmbeddingMatrix& grad_out,
+                                       bool input_grad) = 0;
 };
 
 // Factory: one layer of `model` mapping dim_in -> dim_out, weights drawn

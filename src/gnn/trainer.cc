@@ -1,6 +1,12 @@
 #include "gnn/trainer.h"
 
 #include <algorithm>
+#include <condition_variable>
+#include <exception>
+#include <functional>
+#include <mutex>
+#include <thread>
+#include <utility>
 
 #include "common/ids.h"
 #include "common/logging.h"
@@ -10,11 +16,20 @@
 namespace dgcl {
 namespace {
 
-// Rows [0, n) of `m` as a copy (drops forwarded-extra slot rows).
-EmbeddingMatrix TrimRows(const EmbeddingMatrix& m, uint32_t n) {
-  EmbeddingMatrix out = EmbeddingMatrix::Zero(n, m.dim);
-  std::copy(m.data.begin(), m.data.begin() + static_cast<size_t>(n) * m.dim, out.data.begin());
-  return out;
+// Keeps rows [0, n) of `m` in place (drops forwarded-extra slot rows).
+void ShrinkRows(EmbeddingMatrix& m, uint32_t n) {
+  m.rows = n;
+  m.data.resize(static_cast<size_t>(n) * m.dim);
+}
+
+// A graph.num_slots-row slot matrix holding `locals` (num_compute rows) in
+// its local rows and zeros in its remote rows.
+EmbeddingMatrix LocalRowsAsSlots(const LocalGraph& graph, const EmbeddingMatrix& locals) {
+  EmbeddingMatrix slots = EmbeddingMatrix::Zero(graph.num_slots, locals.dim);
+  std::copy(locals.data.begin(),
+            locals.data.begin() + static_cast<size_t>(graph.num_compute) * locals.dim,
+            slots.data.begin());
+  return slots;
 }
 
 uint32_t CountLabeled(const std::vector<uint32_t>& labels) {
@@ -75,9 +90,9 @@ Result<EpochResult> MiniBatchModel::Pass(bool train, const LocalGraph& block,
   // Fully-local forward: each layer's output rows are the next layer's slot
   // rows directly (the InferenceForward schedule, kept inline here because
   // backward needs the stack's cached activations).
-  EmbeddingMatrix acts = inputs;
-  for (auto& layer : layers_) {
-    acts = layer->Forward(block, acts);
+  EmbeddingMatrix acts = layers_[0]->Forward(block, inputs);
+  for (size_t l = 1; l < layers_.size(); ++l) {
+    acts = layers_[l]->Forward(block, acts);
   }
 
   EpochResult result;
@@ -95,9 +110,10 @@ Result<EpochResult> MiniBatchModel::Pass(bool train, const LocalGraph& block,
   AddInPlace(head_dw_, dw);
   EmbeddingMatrix dacts;
   GemmTransposeB(dlogits, head_w_, dacts);
-  for (uint32_t l = static_cast<uint32_t>(layers_.size()); l-- > 0;) {
+  for (size_t l = layers_.size(); l-- > 1;) {
     dacts = layers_[l]->Backward(block, dacts);
   }
+  layers_[0]->BackwardParamsOnly(block, dacts);  // nobody consumes d(inputs)
   for (auto& layer : layers_) {
     layer->Step(options_.learning_rate);
   }
@@ -159,6 +175,90 @@ Status MiniBatchModel::ImportReplica(const ReplicaWeights& weights) {
   return Status::Ok();
 }
 
+// One persistent thread per device. Run(body) hands body(d) to thread d and
+// returns once every thread has finished its call, so device d's math always
+// runs on the same thread: nothing hops between cores, and the matrices a
+// device allocates stay in one thread's malloc arena. An exception thrown by a body
+// is rethrown by Run on the calling thread, as a sequential loop would.
+class DistributedTrainer::DeviceWorkers {
+ public:
+  explicit DeviceWorkers(uint32_t devices) {
+    threads_.reserve(devices);
+    for (uint32_t d = 0; d < devices; ++d) {
+      threads_.emplace_back([this, d] { Loop(d); });
+    }
+  }
+  DeviceWorkers(const DeviceWorkers&) = delete;  // the threads hold `this`
+  DeviceWorkers& operator=(const DeviceWorkers&) = delete;
+
+  ~DeviceWorkers() {
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      stop_ = true;
+    }
+    start_.notify_all();
+    for (std::thread& t : threads_) {
+      t.join();
+    }
+  }
+
+  void Run(const std::function<void(uint32_t)>& body) {
+    std::unique_lock<std::mutex> lock(mutex_);
+    body_ = &body;
+    running_ = threads_.size();
+    ++generation_;
+    start_.notify_all();
+    done_.wait(lock, [this] { return running_ == 0; });
+    body_ = nullptr;
+    if (error_) {
+      std::rethrow_exception(std::exchange(error_, nullptr));
+    }
+  }
+
+ private:
+  void Loop(uint32_t device) {
+    uint64_t seen = 0;
+    std::unique_lock<std::mutex> lock(mutex_);
+    while (true) {
+      start_.wait(lock, [&] { return stop_ || generation_ != seen; });
+      if (stop_) {
+        return;
+      }
+      seen = generation_;
+      const std::function<void(uint32_t)>& body = *body_;
+      lock.unlock();
+      std::exception_ptr error;
+      try {
+        body(device);
+      } catch (...) {
+        error = std::current_exception();
+      }
+      lock.lock();
+      if (error && !error_) {
+        error_ = error;
+      }
+      if (--running_ == 0) {
+        done_.notify_one();
+      }
+    }
+  }
+
+  std::mutex mutex_;
+  std::condition_variable start_;
+  std::condition_variable done_;
+  const std::function<void(uint32_t)>* body_ = nullptr;
+  uint64_t generation_ = 0;  // bumped once per Run
+  size_t running_ = 0;       // workers still inside the current Run's body
+  std::exception_ptr error_;  // first exception of the current Run
+  bool stop_ = false;
+  std::vector<std::thread> threads_;  // last: started once the state above exists
+};
+
+DistributedTrainer::DistributedTrainer() = default;
+DistributedTrainer::DistributedTrainer(DistributedTrainer&&) noexcept = default;
+DistributedTrainer& DistributedTrainer::operator=(DistributedTrainer&&) noexcept = default;
+DistributedTrainer::~DistributedTrainer() = default;
+
 Result<DistributedTrainer> DistributedTrainer::Create(
     const CsrGraph& graph, const CommRelation& relation, const AllgatherEngine& engine,
     const EmbeddingMatrix& features, const std::vector<uint32_t>& labels, uint32_t num_classes,
@@ -206,6 +306,7 @@ Result<DistributedTrainer> DistributedTrainer::Create(
     trainer.head_w_.push_back(RandomWeights(options.hidden_dim, num_classes, rng));
     trainer.head_dw_.push_back(EmbeddingMatrix::Zero(options.hidden_dim, num_classes));
   }
+  trainer.workers_ = std::make_unique<DeviceWorkers>(devices);
   return trainer;
 }
 
@@ -219,16 +320,19 @@ Result<EpochResult> DistributedTrainer::Pass(bool train, EmbeddingMatrix* all_lo
     // parameter-gradient accumulations behind (weights are only touched by
     // the all-or-nothing synchronized step, so *they* are always clean).
     // Re-zero so a retried epoch reproduces a fresh one exactly.
-    for (uint32_t d = 0; d < devices; ++d) {
-      for (uint32_t l = 0; l < options_.num_layers; ++l) {
-        for (EmbeddingMatrix* g : layers_[d][l]->Grads()) {
+    workers_->Run([&](uint32_t d) {
+      for (auto& layer : layers_[d]) {
+        for (EmbeddingMatrix* g : layer->Grads()) {
           std::fill(g->data.begin(), g->data.end(), 0.0f);
         }
       }
       std::fill(head_dw_[d].data.begin(), head_dw_[d].data.end(), 0.0f);
-    }
+    });
   }
-  std::vector<EmbeddingMatrix> acts = local_features_;
+  // `inputs` holds the activations entering layer l: the local features
+  // themselves (read in place) for layer 0, then each layer's output `acts`.
+  std::vector<EmbeddingMatrix> acts(devices);
+  const std::vector<EmbeddingMatrix>* inputs = &local_features_;
 
   // cd-r: a training epoch is stale when it is not a multiple of r and a
   // fresh exchange has already populated the remote-row cache; it reuses the
@@ -238,7 +342,7 @@ Result<EpochResult> DistributedTrainer::Pass(bool train, EmbeddingMatrix* all_lo
                      (train_epochs_ % options_.aggregate_every_r) != 0 &&
                      !stale_remote_.empty();
 
-  for (uint32_t l = 0; l < options_.num_layers; ++l) {
+  for (uint32_t l = 0; l < options_.num_layers; ++l, inputs = &acts) {
     const EmbeddingCheckpoint* ckpt =
         (hooks.checkpoints != nullptr && hooks.restore) ? hooks.checkpoints->Find(l) : nullptr;
     if (ckpt != nullptr) {
@@ -248,7 +352,7 @@ Result<EpochResult> DistributedTrainer::Pass(bool train, EmbeddingMatrix* all_lo
       // allgather is skipped. Local compute still runs below, keeping every
       // layer's backward cache exact.
       DGCL_TSPAN1("recovery", "recovery.restore.layer", "layer", l);
-      for (uint32_t d = 0; d < devices; ++d) {
+      workers_->Run([&](uint32_t d) {
         EmbeddingMatrix trimmed =
             EmbeddingMatrix::Zero(local_graphs_[d].num_slots, ckpt->acts.dim);
         uint32_t row = 0;
@@ -259,43 +363,41 @@ Result<EpochResult> DistributedTrainer::Pass(bool train, EmbeddingMatrix* all_lo
           std::copy(ckpt->acts.Row(v), ckpt->acts.Row(v) + ckpt->acts.dim, trimmed.Row(row++));
         }
         acts[d] = layers_[d][l]->Forward(local_graphs_[d], trimmed);
-      }
+      });
       continue;
     }
     if (hooks.checkpoints != nullptr && l >= 1 && hooks.checkpoints->ShouldCheckpoint(l) &&
         hooks.checkpoints->Find(l) == nullptr) {
       // Snapshot the boundary *before* attempting the allgather: if the
-      // exchange below dies, the retry resumes from this very layer.
+      // exchange below dies, the retry resumes from this very layer. Devices
+      // own disjoint rows of the snapshot.
       DGCL_TSPAN1("recovery", "recovery.checkpoint.save", "layer", l);
       const uint32_t dim = layers_[0][l]->dim_in();
       EmbeddingMatrix global =
           EmbeddingMatrix::Zero(static_cast<uint32_t>(relation_->source.size()), dim);
-      for (uint32_t d = 0; d < devices; ++d) {
+      workers_->Run([&](uint32_t d) {
         const auto& locals = relation_->local_vertices[d];
         for (uint32_t i = 0; i < locals.size(); ++i) {
           std::copy(acts[d].Row(i), acts[d].Row(i) + dim, global.Row(locals[i]));
         }
-      }
+      });
       hooks.checkpoints->Save(l, std::move(global));
     }
     if (stale) {
       // Stale epoch: slot inputs are fresh local rows plus the remote rows
       // cached at the last exchange; no communication for this layer.
       DGCL_TSPAN1("trainer", "layer.stale_reuse", "layer", l);
-      for (uint32_t d = 0; d < devices; ++d) {
+      workers_->Run([&](uint32_t d) {
         const LocalGraph& g = local_graphs_[d];
         const EmbeddingMatrix& cached = stale_remote_[l][d];
-        EmbeddingMatrix trimmed = EmbeddingMatrix::Zero(g.num_slots, acts[d].dim);
-        std::copy(acts[d].data.begin(),
-                  acts[d].data.begin() + static_cast<size_t>(g.num_compute) * acts[d].dim,
-                  trimmed.data.begin());
+        EmbeddingMatrix trimmed = LocalRowsAsSlots(g, (*inputs)[d]);
         std::copy(cached.data.begin(), cached.data.end(),
                   trimmed.data.begin() + static_cast<size_t>(g.num_compute) * trimmed.dim);
         acts[d] = layers_[d][l]->Forward(g, trimmed);
-      }
+      });
       continue;
     }
-    std::vector<EmbeddingMatrix> trimmed_slots(devices);
+    std::vector<EmbeddingMatrix> slots(devices);
     if (engine_->options().overlap.num_chunks > 1) {
       // Overlapped exchange: consume each chunk as its flag publishes — the
       // first stage of aggregation (materializing the compute-side slot
@@ -309,17 +411,12 @@ Result<EpochResult> DistributedTrainer::Pass(bool train, EmbeddingMatrix* all_lo
       // because reassociating it per arrival order would break that
       // guarantee.
       DGCL_TSPAN1("trainer", "layer.allgather.overlap", "layer", l);
-      for (uint32_t d = 0; d < devices; ++d) {
-        const LocalGraph& g = local_graphs_[d];
-        trimmed_slots[d] = EmbeddingMatrix::Zero(g.num_slots, acts[d].dim);
-        std::copy(acts[d].data.begin(),
-                  acts[d].data.begin() + static_cast<size_t>(g.num_compute) * acts[d].dim,
-                  trimmed_slots[d].data.begin());
-      }
+      workers_->Run(
+          [&](uint32_t d) { slots[d] = LocalRowsAsSlots(local_graphs_[d], (*inputs)[d]); });
       auto on_chunk = [&](const ChunkArrival& a) {
         const TransferOp& op = engine_->plan().ops[a.op];
         const LocalGraph& g = local_graphs_[a.device];
-        EmbeddingMatrix& t = trimmed_slots[a.device];
+        EmbeddingMatrix& t = slots[a.device];
         for (uint32_t i = a.row_begin; i < a.row_end; ++i) {
           const uint32_t slot = engine_->SlotOf(a.device, op.vertices[i]);
           if (slot < g.num_slots) {
@@ -327,29 +424,25 @@ Result<EpochResult> DistributedTrainer::Pass(bool train, EmbeddingMatrix* all_lo
           }
         }
       };
-      std::vector<EmbeddingMatrix> slots;
-      DGCL_ASSIGN_OR_RETURN(slots, engine_->Forward(acts, on_chunk));
+      // The returned matrices are the ones already consumed chunk by chunk.
+      DGCL_RETURN_IF_ERROR(engine_->Forward(*inputs, on_chunk).status());
     } else {
-      std::vector<EmbeddingMatrix> slots;
-      {
-        DGCL_TSPAN1("trainer", "layer.allgather", "layer", l);
-        DGCL_ASSIGN_OR_RETURN(slots, engine_->Forward(acts));
-      }
-      for (uint32_t d = 0; d < devices; ++d) {
-        trimmed_slots[d] = TrimRows(slots[d], local_graphs_[d].num_slots);
-      }
+      DGCL_TSPAN1("trainer", "layer.allgather", "layer", l);
+      DGCL_ASSIGN_OR_RETURN(slots, engine_->Forward(*inputs));
     }
     DGCL_TSPAN1("trainer", "layer.compute", "layer", l);
-    for (uint32_t d = 0; d < devices; ++d) {
+    if (train && options_.aggregate_every_r > 1 && stale_remote_.empty()) {
+      stale_remote_.resize(options_.num_layers, std::vector<EmbeddingMatrix>(devices));
+    }
+    // The workers shrink and read `slots`; this thread, which allocated it
+    // inside the engine, frees it at the end of the layer.
+    workers_->Run([&](uint32_t d) {
       const LocalGraph& g = local_graphs_[d];
-      EmbeddingMatrix& trimmed = trimmed_slots[d];
+      EmbeddingMatrix& trimmed = slots[d];
+      ShrinkRows(trimmed, g.num_slots);
       if (train && options_.aggregate_every_r > 1) {
         // Refresh the cache the stale epochs will reuse until the next
         // exchange.
-        if (stale_remote_.empty()) {
-          stale_remote_.resize(options_.num_layers,
-                               std::vector<EmbeddingMatrix>(devices));
-        }
         const uint32_t remotes = g.num_slots - g.num_compute;
         EmbeddingMatrix cached = EmbeddingMatrix::Zero(remotes, trimmed.dim);
         std::copy(trimmed.data.begin() + static_cast<size_t>(g.num_compute) * trimmed.dim,
@@ -357,7 +450,7 @@ Result<EpochResult> DistributedTrainer::Pass(bool train, EmbeddingMatrix* all_lo
         stale_remote_[l][d] = std::move(cached);
       }
       acts[d] = layers_[d][l]->Forward(g, trimmed);
-    }
+    });
   }
 
   // Classification head and loss.
@@ -368,66 +461,74 @@ Result<EpochResult> DistributedTrainer::Pass(bool train, EmbeddingMatrix* all_lo
   if (total_labeled == 0) {
     return Status::FailedPrecondition("no labeled vertices");
   }
-
-  EpochResult result;
-  std::vector<EmbeddingMatrix> dlogits(devices);
-  std::vector<EmbeddingMatrix> logits(devices);
-  double weighted_accuracy = 0.0;
+  // Device d's share of the labeled vertices: rescales its per-device mean
+  // loss (and gradient) to the global mean.
+  std::vector<double> share(devices);
   for (uint32_t d = 0; d < devices; ++d) {
-    Gemm(acts[d], head_w_[d], logits[d]);
-    const uint32_t counted = CountLabeled(local_labels_[d]);
-    EmbeddingMatrix grad;
-    const double device_loss = SoftmaxCrossEntropy(logits[d], local_labels_[d], grad);
-    const double share = static_cast<double>(counted) / total_labeled;
-    result.loss += device_loss * share;
-    weighted_accuracy += Accuracy(logits[d], local_labels_[d]) * share;
-    // Rescale from per-device mean to the global mean.
-    ScaleInPlace(grad, static_cast<float>(share));
-    dlogits[d] = std::move(grad);
+    share[d] = static_cast<double>(CountLabeled(local_labels_[d])) / total_labeled;
   }
-  result.accuracy = weighted_accuracy;
-
   if (all_logits != nullptr) {
     *all_logits = EmbeddingMatrix::Zero(
         static_cast<uint32_t>(relation_->source.size()), num_classes_);
-    for (uint32_t d = 0; d < devices; ++d) {
+  }
+
+  // Head forward, loss, and (training) head backward, per device.
+  std::vector<double> loss(devices);
+  std::vector<double> accuracy(devices);
+  std::vector<EmbeddingMatrix> dacts(devices);
+  workers_->Run([&](uint32_t d) {
+    EmbeddingMatrix logits;
+    Gemm(acts[d], head_w_[d], logits);
+    EmbeddingMatrix dlogits;
+    loss[d] = SoftmaxCrossEntropy(logits, local_labels_[d], dlogits);
+    accuracy[d] = Accuracy(logits, local_labels_[d]);
+    if (all_logits != nullptr) {
       const auto& locals = relation_->local_vertices[d];
       for (uint32_t i = 0; i < locals.size(); ++i) {
-        std::copy(logits[d].Row(i), logits[d].Row(i) + num_classes_,
-                  all_logits->Row(locals[i]));
+        std::copy(logits.Row(i), logits.Row(i) + num_classes_, all_logits->Row(locals[i]));
       }
     }
+    if (!train) {
+      return;
+    }
+    ScaleInPlace(dlogits, static_cast<float>(share[d]));
+    EmbeddingMatrix dw;
+    GemmTransposeA(acts[d], dlogits, dw);
+    AddInPlace(head_dw_[d], dw);
+    GemmTransposeB(dlogits, head_w_[d], dacts[d]);
+  });
+  EpochResult result;
+  for (uint32_t d = 0; d < devices; ++d) {
+    result.loss += loss[d] * share[d];
+    result.accuracy += accuracy[d] * share[d];
   }
   if (!train) {
     return result;
   }
 
-  // Backward through the head.
-  std::vector<EmbeddingMatrix> dacts(devices);
-  for (uint32_t d = 0; d < devices; ++d) {
-    EmbeddingMatrix dw;
-    GemmTransposeA(acts[d], dlogits[d], dw);
-    AddInPlace(head_dw_[d], dw);
-    GemmTransposeB(dlogits[d], head_w_[d], dacts[d]);
-  }
-
-  // Backward through the GNN layers, routing remote gradients home.
+  // Backward through the GNN layers, routing remote gradients home. Layer 0
+  // accumulates only its parameter gradients: the input-feature gradient is
+  // never consumed, so it is neither formed nor exchanged.
   for (uint32_t l = options_.num_layers; l-- > 0;) {
     std::vector<EmbeddingMatrix> dslots(devices);
     {
       DGCL_TSPAN1("trainer", "layer.bwd.compute", "layer", l);
-      for (uint32_t d = 0; d < devices; ++d) {
+      workers_->Run([&](uint32_t d) {
+        if (l == 0) {
+          layers_[d][0]->BackwardParamsOnly(local_graphs_[d], dacts[d]);
+          return;
+        }
         dslots[d] = layers_[d][l]->Backward(local_graphs_[d], dacts[d]);
-      }
+        if (stale) {
+          // cd-r: the delayed remote-gradient contributions are dropped;
+          // every owner keeps the gradient its own compute produced for its
+          // local rows, and no exchange runs.
+          ShrinkRows(dslots[d], local_graphs_[d].num_compute);
+          dacts[d] = std::move(dslots[d]);
+        }
+      });
     }
-    if (stale) {
-      // cd-r: the delayed remote-gradient contributions are dropped; every
-      // owner keeps the gradient its own compute produced for its local
-      // rows, and no exchange runs.
-      DGCL_TSPAN1("trainer", "layer.bwd.stale_local", "layer", l);
-      for (uint32_t d = 0; d < devices; ++d) {
-        dacts[d] = TrimRows(dslots[d], local_graphs_[d].num_compute);
-      }
+    if (l == 0 || stale) {
       continue;
     }
     DGCL_TSPAN1("trainer", "layer.bwd.allgather", "layer", l);
@@ -479,7 +580,7 @@ Result<EpochResult> DistributedTrainer::Pass(bool train, EmbeddingMatrix* all_lo
     for (size_t i = 0; i < head_w_[d].data.size(); ++i) {
       head_w_[d].data[i] -= options_.learning_rate * head_dw_[d].data[i];
     }
-    head_dw_[d] = EmbeddingMatrix::Zero(options_.hidden_dim, num_classes_);
+    std::fill(head_dw_[d].data.begin(), head_dw_[d].data.end(), 0.0f);
   }
   return result;
 }

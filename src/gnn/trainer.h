@@ -4,13 +4,20 @@
 // for each layer, run graphAllgather to materialize remote embeddings, do the
 // graph aggregation + DNN update on local rows, and drop the remote rows
 // before the next dense op. The backward pass routes remote-vertex gradients
-// back to their owners through the same plan in reverse. Model weights are
-// replicated and gradient-averaged across devices every step (the paper
-// defers this to Horovod/DDP; GNN weights are small).
+// back to their owners through the same plan in reverse; the first layer's
+// input gradient is never formed, so an L-layer epoch runs 2L-1 engine passes
+// (L forward, L-1 backward). Model weights are replicated and
+// gradient-summed across devices every step (the paper defers this to
+// Horovod/DDP; GNN weights are small).
 //
-// Device math runs sequentially in the calling thread (the per-device model
-// state is identical either way); the embedding exchange itself runs on the
-// threaded AllgatherEngine with the decentralized flag protocol.
+// Device math runs in parallel, as on one GPU per device: the trainer owns
+// one persistent worker thread per device, and device d's layer compute,
+// slot preparation, head, loss and backward always run on worker d. The
+// devices meet only in the engine passes (the threaded AllgatherEngine with
+// the decentralized flag protocol, driven from the calling thread) and in
+// the reductions, which run on the calling thread in device order: the loss
+// and accuracy sums and the gradient sync. Results are therefore bitwise
+// independent of thread scheduling.
 
 #ifndef DGCL_GNN_TRAINER_H_
 #define DGCL_GNN_TRAINER_H_
@@ -123,6 +130,10 @@ class MiniBatchModel {
 
 class DistributedTrainer {
  public:
+  DistributedTrainer(DistributedTrainer&&) noexcept;
+  DistributedTrainer& operator=(DistributedTrainer&&) noexcept;
+  ~DistributedTrainer();  // joins the device workers
+
   // `features`: one row per global vertex. `labels`: per global vertex, in
   // [0, num_classes) or kInvalidId for unlabeled. The relation/engine define
   // the device layout; all must outlive the trainer.
@@ -157,10 +168,13 @@ class DistributedTrainer {
   Status ImportReplica(const ReplicaWeights& weights);
 
  private:
-  DistributedTrainer() = default;
+  class DeviceWorkers;
 
-  // Runs forward to logits per device; when `grads` is non-null also runs
-  // backward and fills per-layer gradient averaging + step.
+  DistributedTrainer();
+
+  // Runs forward to logits per device. With `train`, also runs backward,
+  // synchronizes the gradients and steps every replica; with `all_logits`,
+  // gathers every device's logits into one matrix by global vertex id.
   Result<EpochResult> Pass(bool train, EmbeddingMatrix* all_logits,
                            const EpochHooks& hooks = {});
 
@@ -183,6 +197,10 @@ class DistributedTrainer {
   // the last fresh exchange. Empty until the first fresh epoch populates it.
   uint64_t train_epochs_ = 0;
   std::vector<std::vector<EmbeddingMatrix>> stale_remote_;  // [layer][device]
+
+  // Worker d runs device d's math. Heap-held so the trainer stays movable:
+  // the worker threads keep the DeviceWorkers' address.
+  std::unique_ptr<DeviceWorkers> workers_;
 };
 
 }  // namespace dgcl

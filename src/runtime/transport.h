@@ -75,9 +75,12 @@ struct FaultInjection {
   // time out and the collective fails with a Status instead of hanging.
   uint32_t dead_device = kInvalidId;
   // First engine pass (counting Forward and Backward calls from 0) at which
-  // `dead_device` dies; earlier passes run healthy. Models a mid-epoch kill:
-  // with a 2-layer model, dead_from_pass = 2 kills the device entering layer
-  // 1's forward allgather.
+  // `dead_device` dies; earlier passes run healthy. Models a mid-epoch kill.
+  // A DistributedTrainer epoch of an L-layer model runs 2L-1 passes: the
+  // forward allgathers of layers 0..L-1, then the backward allgathers of
+  // layers L-1..1 (layer 0's input gradient is never exchanged). With
+  // L = 2, epoch e runs passes 3e (layer 0 forward), 3e+1 (layer 1 forward)
+  // and 3e+2 (layer 1 backward).
   uint32_t dead_from_pass = 0;
 
   Status Validate() const;

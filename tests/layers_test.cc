@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include "comm/relation.h"
 #include "graph/generators.h"
+#include "partition/partitioner.h"
 
 namespace dgcl {
 namespace {
@@ -175,6 +177,42 @@ TEST_P(LayerGradSweep, StepReducesObjectiveOnToyProblem) {
     layer->Step(lr);
   }
   EXPECT_LT(final_loss, initial * 0.7) << GnnModelName(GetParam());
+}
+
+// The trainer runs layer 0's backward parameter-gradients-only (the input
+// gradient is never consumed). It must leave Grads() bitwise equal to the
+// full Backward, also when accumulating on top of an earlier step, and on a
+// partitioned device graph whose remote slots have no rows of their own.
+TEST_P(LayerGradSweep, ParamsOnlyBackwardMatchesFullBackwardGrads) {
+  Rng rng(31);
+  CsrGraph g = GenerateErdosRenyi(40, 120, rng);
+  HashPartitioner hash;
+  CommRelation relation = *BuildCommRelation(g, *hash.Partition(g, 2));
+  LocalGraph lg = BuildLocalGraph(g, relation, 0);
+  ASSERT_GT(lg.num_slots, lg.num_compute);
+  const uint32_t dim_in = 5;
+  const uint32_t dim_out = 3;
+  Rng full_rng(37);
+  Rng params_rng(37);
+  auto full = MakeLayer(GetParam(), dim_in, dim_out, full_rng);
+  auto params_only = MakeLayer(GetParam(), dim_in, dim_out, params_rng);
+  for (int step = 0; step < 2; ++step) {
+    EmbeddingMatrix x = RandomWeights(lg.num_slots, dim_in, rng);
+    EmbeddingMatrix grad = RandomWeights(lg.num_compute, dim_out, rng);
+    full->Forward(lg, x);
+    params_only->Forward(lg, x);
+    full->Backward(lg, grad);
+    params_only->BackwardParamsOnly(lg, grad);
+    const std::vector<EmbeddingMatrix*> want = full->Grads();
+    const std::vector<EmbeddingMatrix*> got = params_only->Grads();
+    ASSERT_EQ(want.size(), got.size());
+    for (size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(want[i]->data, got[i]->data)
+          << GnnModelName(GetParam()) << " grad " << i << " step " << step;
+    }
+    full->Step(0.1f);
+    params_only->Step(0.1f);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Models, LayerGradSweep,

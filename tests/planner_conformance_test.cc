@@ -171,7 +171,7 @@ TEST(PlannerRegistryTest, BuiltinsRegistered) {
 
 TEST(PlannerRegistryTest, RejectsBadRegistrations) {
   auto& reg = PlannerRegistry::Global();
-  auto factory = [](const PlannerOptions& o) { return std::unique_ptr<Planner>(); };
+  auto factory = [](const PlannerOptions&) { return std::unique_ptr<Planner>(); };
   EXPECT_FALSE(reg.Register("", factory).ok());
   EXPECT_FALSE(reg.Register("auto", factory).ok());
   EXPECT_FALSE(reg.Register("spst", factory).ok());  // duplicate

@@ -446,9 +446,9 @@ TEST(ElasticTrainingTest, SurvivesMidEpochDeathWithMatchingLossTrajectory) {
   options.recovery.enabled = true;
   options.recovery.checkpoint_every_n_layers = 1;
   options.engine.faults.dead_device = 2;
-  // 2 layers => 4 passes/epoch. Pass 5 is epoch 1's second forward
-  // allgather: a genuine mid-epoch kill.
-  options.engine.faults.dead_from_pass = 5;
+  // 2 layers => 3 passes/epoch (forward 0, forward 1, backward 1). Pass 4 is
+  // epoch 1's second forward allgather: a genuine mid-epoch kill.
+  options.engine.faults.dead_from_pass = 4;
   options.engine.transport.wait_timeout_micros = kFastTimeoutMicros;
   auto ctx = DgclContext::Init(BuildPaperTopology(8), options);
   ASSERT_TRUE(ctx.ok());

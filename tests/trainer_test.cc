@@ -147,6 +147,88 @@ TEST(TrainerTest, DistributedMatchesSingleDevice) {
   }
 }
 
+void ExpectReplicasEqual(DistributedTrainer& trainer, uint32_t devices, int epoch) {
+  const ReplicaWeights ref = trainer.ExportReplica(0);
+  for (uint32_t d = 1; d < devices; ++d) {
+    const ReplicaWeights replica = trainer.ExportReplica(d);
+    ASSERT_EQ(replica.layers.size(), ref.layers.size());
+    for (size_t l = 0; l < ref.layers.size(); ++l) {
+      ASSERT_EQ(replica.layers[l].size(), ref.layers[l].size());
+      for (size_t p = 0; p < ref.layers[l].size(); ++p) {
+        EXPECT_EQ(replica.layers[l][p].data, ref.layers[l][p].data)
+            << "epoch " << epoch << " device " << d << " layer " << l << " param " << p;
+      }
+    }
+    EXPECT_EQ(replica.head.data, ref.head.data) << "epoch " << epoch << " device " << d;
+  }
+}
+
+// Each device's math runs on its own persistent worker thread. With 8
+// devices (more workers than a small host has cores) the replicas must still
+// step in lockstep: after every epoch every replica's weights are bitwise
+// equal to device 0's, in barrier mode and in overlapped (chunked) engine
+// mode, and both modes train the same loss trajectory bit for bit.
+TEST(TrainerTest, EightDeviceReplicasStayBitwiseEqual) {
+  constexpr uint32_t kDevices = 8;
+  World w = World::Make(kDevices, 79);
+  std::vector<std::vector<double>> trajectories;
+  for (uint32_t chunks : {1u, 4u}) {
+    EngineOptions engine_options;
+    engine_options.overlap.num_chunks = chunks;
+    auto engine = AllgatherEngine::Create(w.relation, w.plan, w.topo, engine_options);
+    ASSERT_TRUE(engine.ok());
+    TrainerOptions opts;
+    opts.hidden_dim = 12;
+    opts.learning_rate = 0.5f;
+    auto trainer = DistributedTrainer::Create(w.graph, w.relation, *engine, w.features,
+                                              w.labels, w.num_classes, opts);
+    ASSERT_TRUE(trainer.ok());
+    std::vector<double>& losses = trajectories.emplace_back();
+    for (int epoch = 0; epoch < 5; ++epoch) {
+      auto r = trainer->TrainEpoch();
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      losses.push_back(r->loss);
+      ExpectReplicasEqual(*trainer, kDevices, epoch);
+    }
+  }
+  EXPECT_EQ(trajectories[0], trajectories[1]) << "overlapped exchange changed the math";
+}
+
+// The trainer owns its device workers through a pointer, so moving it keeps
+// the same threads working for the new owner, move-assignment joins the
+// target's old workers, and destroying a moved-from trainer is a no-op.
+TEST(TrainerTest, MovedTrainerKeepsTrainingAndJoinsWorkers) {
+  World w = World::Make(4, 83);
+  auto engine = AllgatherEngine::Create(w.relation, w.plan, w.topo);
+  ASSERT_TRUE(engine.ok());
+  TrainerOptions opts;
+  opts.hidden_dim = 8;
+  auto make = [&] {
+    return DistributedTrainer::Create(w.graph, w.relation, *engine, w.features, w.labels,
+                                      w.num_classes, opts);
+  };
+  auto reference = make();
+  auto created = make();
+  ASSERT_TRUE(reference.ok());
+  ASSERT_TRUE(created.ok());
+  auto expect_same_epoch = [&](DistributedTrainer& trainer) {
+    auto got = trainer.TrainEpoch();
+    auto want = reference->TrainEpoch();
+    ASSERT_TRUE(got.ok());
+    ASSERT_TRUE(want.ok());
+    EXPECT_EQ(got->loss, want->loss);
+  };
+  expect_same_epoch(*created);
+  {
+    DistributedTrainer moved = std::move(*created);
+    expect_same_epoch(moved);
+    auto target = make();
+    ASSERT_TRUE(target.ok());
+    *target = std::move(moved);
+    expect_same_epoch(*target);
+  }  // joins the workers; `moved` is empty by now
+}
+
 TEST(TrainerTest, RejectsBadInputs) {
   World w = World::Make(2, 43);
   auto engine = AllgatherEngine::Create(w.relation, w.plan, w.topo);
