@@ -5,7 +5,7 @@
 // Cells are scored by the discrete-event NetworkSim allgather time of the
 // compiled plan; the cost-model estimate is reported alongside so the
 // auto-selector's ranking signal can be compared against the simulator.
-// Small embeddings are latency-bound (fewer stages win: p2p / flat trees),
+// Small embeddings are latency-bound (fewer stages win: p2p),
 // large embeddings are contention-bound (SPST's load-aware routing wins) —
 // the table makes the crossover explicit, and the JSON records feed
 // BENCH_planner_family.json via --json (scripts/reproduce.sh).
@@ -118,7 +118,7 @@ void RunSweep(std::vector<bench::JsonRecord>& records) {
           rec.AddNumber("cost_model_ms", cell.cost_ms);
           rec.AddNumber("simulated_ms", cell.sim_ms);
           rec.AddInt("winner", strategy == winner ? 1 : 0);
-          rec.AddString("auto_selected", auto_pick);
+          rec.AddString("auto_pick", auto_pick);
           records.push_back(std::move(rec));
         }
         std::printf("%s", table.Render(dataset.name + " / " + tc.name + " / dim " +

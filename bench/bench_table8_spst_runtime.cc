@@ -54,12 +54,6 @@ SpstOptions PerVertexOptions() {
   return opts;
 }
 
-SpstOptions ParallelOptions() {
-  SpstOptions opts;
-  opts.num_threads = 0;  // hardware concurrency; plan is bit-identical anyway
-  return opts;
-}
-
 // One measured planning run: wall time of BuildCommClasses + PlanClasses
 // (what an end-to-end BuildCommInfo pays for planning) plus the cost-model
 // estimate of the expanded per-vertex plan.
@@ -129,7 +123,7 @@ void PrintSummaryTable(const std::optional<std::string>& json_path) {
   std::vector<bench::JsonRecord> records;
   TablePrinter table({"GPUs", "Reddit", "Com-Orkut", "Web-Google", "Wiki-Talk"});
   TablePrinter compare({"Dataset", "GPUs", "batched ms", "per-vertex ms", "speedup",
-                        "parallel ms", "cost delta", "classes", "vertices"});
+                        "cost delta", "classes", "vertices"});
   for (uint32_t gpus : kGpuCounts) {
     std::vector<std::string> row = {TablePrinter::FmtInt(gpus)};
     for (DatasetId id : kDatasets) {
@@ -138,9 +132,8 @@ void PrintSummaryTable(const std::optional<std::string>& json_path) {
       const double bytes = bench::BenchDataset(id).feature_dim * 4.0;
       PlanMeasurement batched = MeasurePlanning(rel, topo, bytes, SpstOptions{});
       PlanMeasurement per_vertex = MeasurePlanning(rel, topo, bytes, PerVertexOptions());
-      PlanMeasurement parallel = MeasurePlanning(rel, topo, bytes, ParallelOptions());
       row.push_back(batched.ok ? TablePrinter::Fmt(batched.planning_ms / 1e3, 3) : "n/a");
-      if (!batched.ok || !per_vertex.ok || !parallel.ok) {
+      if (!batched.ok || !per_vertex.ok) {
         continue;
       }
       const double speedup =
@@ -154,7 +147,6 @@ void PrintSummaryTable(const std::optional<std::string>& json_path) {
                       TablePrinter::Fmt(batched.planning_ms, 2),
                       TablePrinter::Fmt(per_vertex.planning_ms, 2),
                       TablePrinter::Fmt(speedup, 1) + "x",
-                      TablePrinter::Fmt(parallel.planning_ms, 2),
                       TablePrinter::Fmt(cost_delta * 100.0, 2) + "%",
                       TablePrinter::FmtInt(classes.classes.size()),
                       TablePrinter::FmtInt(rel.VerticesWithDestinations().size())});
@@ -165,7 +157,6 @@ void PrintSummaryTable(const std::optional<std::string>& json_path) {
       rec.AddNumber("plan_cost_ms", batched.plan_cost_ms);
       rec.AddNumber("planning_ms_per_vertex", per_vertex.planning_ms);
       rec.AddNumber("plan_cost_ms_per_vertex", per_vertex.plan_cost_ms);
-      rec.AddNumber("planning_ms_parallel", parallel.planning_ms);
       rec.AddNumber("speedup", speedup);
       rec.AddNumber("cost_delta", cost_delta);
       rec.AddInt("num_classes", classes.classes.size());
@@ -181,10 +172,7 @@ void PrintSummaryTable(const std::optional<std::string>& json_path) {
       "~110s for Com-Orkut at 16 GPUs; our graphs are scale-reduced so absolute\n"
       "numbers are proportionally smaller. Batched class planning plans one tree\n"
       "per class chunk instead of per vertex; \"cost delta\" is the cost-model\n"
-      "difference of the resulting plans (positive = batched plan is costlier).\n"
-      "\"parallel ms\" re-plans with num_threads = hardware concurrency — the\n"
-      "plan is bit-identical to the single-threaded column by construction\n"
-      "(bench_plan_parallel sweeps thread counts and verifies this).\n");
+      "difference of the resulting plans (positive = batched plan is costlier).\n");
   if (json_path) {
     Status s = bench::WriteJsonRecords(*json_path, records);
     if (s.ok()) {

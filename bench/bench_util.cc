@@ -106,7 +106,10 @@ std::string JsonEscape(const std::string& s) {
 }  // namespace
 
 void JsonRecord::AddString(const std::string& key, const std::string& value) {
-  fields.emplace_back(key, "\"" + JsonEscape(value) + "\"");
+  std::string quoted = "\"";
+  quoted += JsonEscape(value);
+  quoted += '"';
+  fields.emplace_back(key, std::move(quoted));
 }
 
 void JsonRecord::AddNumber(const std::string& key, double value) {

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Builds the repo twice — under ThreadSanitizer and AddressSanitizer — and
 # runs the concurrency-sensitive test binaries under each: the thread pool,
-# the speculative parallel planner (determinism + property suites), the
-# allgather engine, the transport/coordination layer (connection retry and
+# the planner determinism and property suites (the class builder, plan
+# compiler and simulator fan work out on the shared pool), the allgather
+# engine, the transport/coordination layer (connection retry and
 # fault-injection state shared across device threads), the chunked-overlap
 # conformance suite (TSan is the gate for the per-chunk ready-flag protocol:
 # sender release-stores into op_chunks_done, receiver acquire-loads and reads

@@ -52,7 +52,7 @@ cd "$(dirname "$0")/.."
 TIER="${1:-all}"
 
 build() {
-  cmake -B build -S . >/dev/null
+  cmake -B build -S . -DCMAKE_CXX_FLAGS=-Werror >/dev/null
   cmake --build build -j "$(nproc)"
 }
 

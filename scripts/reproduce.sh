@@ -11,7 +11,6 @@ ctest --test-dir build 2>&1 | tee test_output.txt
 for b in build/bench/*; do
   case "$(basename "$b")" in
     bench_table8_spst_runtime) "$b" --json BENCH_table8.json ;;
-    bench_plan_parallel) "$b" --json BENCH_plan_parallel.json ;;
     bench_recovery) "$b" --json BENCH_recovery.json ;;
     bench_overlap) "$b" --json BENCH_overlap.json ;;
     bench_serving) "$b" --json BENCH_serving.json ;;
@@ -26,7 +25,7 @@ done 2>&1 | tee bench_output.txt
 # the round-trip importer gets exercised on every reproduction run.
 build/tools/dgcl_trace summarize TRACE_fig7.json
 echo "done: see test_output.txt, bench_output.txt, BENCH_table8.json,"
-echo "BENCH_plan_parallel.json, BENCH_recovery.json (per-phase recovery MTTR"
+echo "BENCH_recovery.json (per-phase recovery MTTR"
 echo "vs full restart), BENCH_planner_family.json (strategy crossover map),"
 echo "BENCH_overlap.json (hidden vs exposed communication per chunk count),"
 echo "BENCH_serving.json (serving-tier tail latency, cache hit rates and"
@@ -36,6 +35,4 @@ echo "digests — and the kill-one-replica-per-shard-under-load contract),"
 echo "BENCH_minibatch.json (batched vs unbatched remote-fetch p99 and"
 echo "bytes-on-wire, plus sampled mini-batch training per sampler strategy)"
 echo "and TRACE_fig7.json (Chrome-trace; load it at"
-echo "ui.perfetto.dev or summarize with build/tools/dgcl_trace). To vet the"
-echo "parallel planner under TSan/ASan, run scripts/check_sanitizers.sh"
-echo "(separate build trees, not rerun here)."
+echo "ui.perfetto.dev or summarize with build/tools/dgcl_trace)."

@@ -2,6 +2,9 @@
 
 #include <cstring>
 #include <fstream>
+#include <string>
+
+#include "common/bytes_left.h"
 
 namespace dgcl {
 namespace {
@@ -83,6 +86,13 @@ Result<CompiledPlan> LoadCompiledPlan(const Topology& topo, const std::string& p
   CompiledPlan plan;
   plan.num_devices = header.num_devices;
   plan.num_stages = header.num_stages;
+  // Smallest possible op record: link, stage, substage, vertex count.
+  constexpr uint64_t kOpHeaderBytes =
+      sizeof(LinkId) + sizeof(uint32_t) + sizeof(uint32_t) + sizeof(uint64_t);
+  if (header.num_ops > BytesLeft(in) / kOpHeaderBytes) {
+    return Status::InvalidArgument(path + ": op count " + std::to_string(header.num_ops) +
+                                   " exceeds the file size");
+  }
   plan.ops.reserve(header.num_ops);
   for (uint64_t i = 0; i < header.num_ops; ++i) {
     TransferOp op;
@@ -96,6 +106,10 @@ Result<CompiledPlan> LoadCompiledPlan(const Topology& topo, const std::string& p
     }
     op.src = topo.link(op.link).src;
     op.dst = topo.link(op.link).dst;
+    if (count > BytesLeft(in) / sizeof(VertexId)) {
+      return Status::InvalidArgument(path + ": op vertex count " + std::to_string(count) +
+                                     " exceeds the file size");
+    }
     op.vertices.resize(count);
     in.read(reinterpret_cast<char*>(op.vertices.data()),
             static_cast<std::streamsize>(count * sizeof(VertexId)));

@@ -101,11 +101,4 @@ ThreadPool& ThreadPool::Shared() {
   return *pool;
 }
 
-uint32_t ThreadPool::ResolveThreadCount(uint32_t requested) {
-  if (requested != 0) {
-    return requested;
-  }
-  return std::max(1u, std::thread::hardware_concurrency());
-}
-
 }  // namespace dgcl

@@ -52,10 +52,6 @@ class ThreadPool {
   // Created on first use; never destroyed before exit.
   static ThreadPool& Shared();
 
-  // Maps a user-facing thread-count knob to an effective count:
-  // 0 -> hardware concurrency (>= 1), anything else verbatim.
-  static uint32_t ResolveThreadCount(uint32_t requested);
-
  private:
   void WorkerLoop();
 

@@ -43,14 +43,13 @@
 namespace dgcl {
 
 struct DgclOptions {
-  // Strategy selection and per-strategy planner knobs. planner.strategy
-  // names a PlannerRegistry entry ("spst" by default; "p2p", "swap", "ring",
-  // "broadcast-1d", "broadcast-1.5d") or "auto" to plan with every
-  // registered strategy and commit the cost-model winner (the per-candidate
-  // scores land in PlanArtifacts::selection). planner.spst carries the SPST
-  // knobs, including max_class_units (the class-batching chunk bound; 0
-  // recovers per-vertex planning for ablations) and num_threads (parallel
-  // planning; the plan is bit-identical for every thread count).
+  // Strategy selection and SPST planner knobs. planner.strategy names a
+  // PlannerRegistry entry ("spst" by default; "p2p", "ring", "swap") or
+  // "auto" to plan with every registered strategy and commit the cost-model
+  // winner (the per-candidate scores land in PlanArtifacts::selection).
+  // planner.spst carries the SPST knobs, including max_class_units (the
+  // class-batching chunk bound; 0 recovers per-vertex planning for
+  // ablations).
   // (The pre-PR-6 top-level `spst` spelling is gone; set planner.spst. Init
   // validates the planner block and fails with an actionable error before
   // any planning runs.)

@@ -5,7 +5,10 @@
 #include <cstring>
 #include <fstream>
 #include <sstream>
+#include <string>
 #include <unordered_map>
+
+#include "common/bytes_left.h"
 
 namespace dgcl {
 namespace {
@@ -112,6 +115,15 @@ Result<CsrGraph> LoadBinary(const std::string& path) {
   in.read(reinterpret_cast<char*>(&m), sizeof(m));
   if (!in || n > 0xFFFFFFFFull) {
     return Status::InvalidArgument(path + ": corrupt header");
+  }
+  const uint64_t left = BytesLeft(in);
+  if (n + 1 > left / sizeof(EdgeIndex)) {
+    return Status::InvalidArgument(path + ": vertex count " + std::to_string(n) +
+                                   " exceeds the file size");
+  }
+  if (m > (left - (n + 1) * sizeof(EdgeIndex)) / sizeof(VertexId)) {
+    return Status::InvalidArgument(path + ": edge count " + std::to_string(m) +
+                                   " exceeds the file size");
   }
   std::vector<EdgeIndex> offsets(n + 1);
   std::vector<VertexId> targets(m);

@@ -2,14 +2,14 @@
 
 #include <bit>
 
-#include "planner/class_parallel.h"
+#include "planner/per_class.h"
 
 namespace dgcl {
 
 Result<ClassPlan> PeerToPeerPlanner::PlanClasses(const CommClasses& classes,
                                                  const Topology& topo, double bytes_per_unit) {
-  return internal::PlanClassesParallel(
-      classes, topo, bytes_per_unit, num_threads_, name(),
+  return internal::PlanEachClass(
+      classes, topo, bytes_per_unit, name(),
       [&topo](const CommClass& cls, ClassTree& tree) {
         DeviceMask mask = cls.mask;
         while (mask != 0) {
@@ -28,8 +28,8 @@ Result<ClassPlan> PeerToPeerPlanner::PlanClasses(const CommClasses& classes,
 Result<ClassPlan> RingPlanner::PlanClasses(const CommClasses& classes, const Topology& topo,
                                            double bytes_per_unit) {
   const uint32_t n = classes.num_devices;
-  return internal::PlanClassesParallel(
-      classes, topo, bytes_per_unit, num_threads_, name(),
+  return internal::PlanEachClass(
+      classes, topo, bytes_per_unit, name(),
       [&topo, n](const CommClass& cls, ClassTree& tree) {
         // Walk the ring src -> src+1 -> ... until all destinations are passed.
         uint32_t current = cls.source;
@@ -52,8 +52,8 @@ Result<ClassPlan> RingPlanner::PlanClasses(const CommClasses& classes, const Top
 
 Result<ClassPlan> SwapPlanner::PlanClasses(const CommClasses& classes, const Topology& topo,
                                            double bytes_per_unit) {
-  return internal::PlanClassesParallel(
-      classes, topo, bytes_per_unit, num_threads_, name(),
+  return internal::PlanEachClass(
+      classes, topo, bytes_per_unit, name(),
       [&topo](const CommClass& cls, ClassTree& tree) {
         // The staging hub: the lowest device id sharing the source's
         // (machine, socket) — the stand-in for the socket's host staging

@@ -16,10 +16,7 @@
 //
 // All three are oblivious to load, so they plan one tree per equivalence
 // class with no chunking; the expanded per-vertex trees are identical to
-// what per-vertex planning produced. Classes are independent, so the
-// planners fan the work out over the shared thread pool (num_threads != 1)
-// with slot-indexed writes — the plan is bit-identical for every thread
-// count. Replication is not a link-level planner (it restructures the
+// what per-vertex planning produced. Replication is not a link-level planner (it restructures the
 // computation instead); it is modeled in src/sim/.
 
 #ifndef DGCL_PLANNER_BASELINES_H_
@@ -31,39 +28,23 @@ namespace dgcl {
 
 class PeerToPeerPlanner final : public Planner {
  public:
-  // 1 = serial (default), 0 = hardware concurrency, else that many workers.
-  explicit PeerToPeerPlanner(uint32_t num_threads = 1) : num_threads_(num_threads) {}
-
   Result<ClassPlan> PlanClasses(const CommClasses& classes, const Topology& topo,
                                 double bytes_per_unit) override;
   std::string name() const override { return "p2p"; }
-
- private:
-  uint32_t num_threads_;
 };
 
 class RingPlanner final : public Planner {
  public:
-  explicit RingPlanner(uint32_t num_threads = 1) : num_threads_(num_threads) {}
-
   Result<ClassPlan> PlanClasses(const CommClasses& classes, const Topology& topo,
                                 double bytes_per_unit) override;
   std::string name() const override { return "ring"; }
-
- private:
-  uint32_t num_threads_;
 };
 
 class SwapPlanner final : public Planner {
  public:
-  explicit SwapPlanner(uint32_t num_threads = 1) : num_threads_(num_threads) {}
-
   Result<ClassPlan> PlanClasses(const CommClasses& classes, const Topology& topo,
                                 double bytes_per_unit) override;
   std::string name() const override { return "swap"; }
-
- private:
-  uint32_t num_threads_;
 };
 
 }  // namespace dgcl

@@ -21,7 +21,6 @@ double CostModel::HopSeconds(uint32_t stage, ConnId conn, uint64_t extra_units) 
 
 void CostModel::AddTransfer(LinkId link, uint32_t stage, uint64_t units) {
   DGCL_CHECK_LT(stage, max_stages_);
-  ++epoch_;
   double new_stage_max = stage_seconds_[stage];
   for (ConnId hop : topo_->link(link).hops) {
     loads_[stage][hop] += units;

@@ -48,13 +48,6 @@ class CostModel {
   uint32_t max_stages() const { return max_stages_; }
   double bytes_per_unit() const { return bytes_per_unit_; }
 
-  // Commit counter: incremented by every AddTransfer. Two models that
-  // evolved from the same state share an epoch iff they saw the same number
-  // of commits, which is how the parallel planner detects snapshot drift
-  // (a speculative plan computed at epoch e is exact iff the shared model is
-  // still at epoch e when the plan's turn to commit comes).
-  uint64_t epoch() const { return epoch_; }
-
   // Traffic (vertex units) on a connection at a stage.
   uint64_t HopLoad(uint32_t stage, ConnId conn) const { return loads_[stage][conn]; }
 
@@ -73,7 +66,6 @@ class CostModel {
   std::vector<std::vector<uint64_t>> loads_;  // [stage][conn], vertex units
   std::vector<double> stage_seconds_;         // max over conns per stage
   double total_seconds_ = 0.0;
-  uint64_t epoch_ = 0;
 };
 
 // Replays a class plan's trees (in order) through a fresh cost model and

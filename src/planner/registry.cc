@@ -6,45 +6,20 @@
 #include "planner/baselines.h"
 
 namespace dgcl {
-namespace {
-
-std::string NormalizeName(const std::string& name) {
-  return name == "peer-to-peer" ? "p2p" : name;
-}
-
-}  // namespace
 
 Status PlannerOptions::Validate() const {
-  if (strategy.empty()) {
-    return Status::InvalidArgument(
-        "PlannerOptions::strategy is empty; pick a registered strategy (" +
-        [] {
-          std::string names;
-          for (const std::string& n : PlannerRegistry::Global().Names()) {
-            names += names.empty() ? n : ", " + n;
-          }
-          return names;
-        }() +
-        ") or \"auto\"");
+  if (IsAuto() || PlannerRegistry::Global().Contains(strategy)) {
+    return Status::Ok();
   }
-  if (auto_select && strategy != "auto" && strategy != "spst") {
-    // "spst" is the default spelling, so auto_select=true with an untouched
-    // strategy field means auto; any other explicit strategy contradicts it.
-    return Status::InvalidArgument("PlannerOptions::auto_select is set but strategy forces \"" +
-                                   strategy +
-                                   "\"; drop one of the two (auto_select selects the cost-model "
-                                   "winner across every registered strategy)");
+  std::string names;
+  for (const std::string& n : PlannerRegistry::Global().Names()) {
+    names += names.empty() ? n : ", " + n;
   }
-  if (strategy != "auto" && !PlannerRegistry::Global().Contains(NormalizeName(strategy))) {
-    std::string names;
-    for (const std::string& n : PlannerRegistry::Global().Names()) {
-      names += names.empty() ? n : ", " + n;
-    }
-    return Status::InvalidArgument("unknown planner strategy \"" + strategy +
-                                   "\"; registered strategies: " + names + ", or \"auto\"");
-  }
-  DGCL_RETURN_IF_ERROR(broadcast.Validate());
-  return Status::Ok();
+  const std::string problem =
+      strategy.empty() ? "PlannerOptions::strategy is empty"
+                       : "unknown planner strategy \"" + strategy + "\"";
+  return Status::InvalidArgument(problem + "; registered strategies: " + names +
+                                 ", or \"auto\"");
 }
 
 PlannerRegistry& PlannerRegistry::Global() {
@@ -57,20 +32,14 @@ PlannerRegistry& PlannerRegistry::Global() {
     must("spst", [](const PlannerOptions& o) -> std::unique_ptr<Planner> {
       return std::make_unique<SpstPlanner>(o.spst);
     });
-    must("p2p", [](const PlannerOptions& o) -> std::unique_ptr<Planner> {
-      return std::make_unique<PeerToPeerPlanner>(o.spst.num_threads);
+    must("p2p", [](const PlannerOptions&) -> std::unique_ptr<Planner> {
+      return std::make_unique<PeerToPeerPlanner>();
     });
-    must("ring", [](const PlannerOptions& o) -> std::unique_ptr<Planner> {
-      return std::make_unique<RingPlanner>(o.spst.num_threads);
+    must("ring", [](const PlannerOptions&) -> std::unique_ptr<Planner> {
+      return std::make_unique<RingPlanner>();
     });
-    must("swap", [](const PlannerOptions& o) -> std::unique_ptr<Planner> {
-      return std::make_unique<SwapPlanner>(o.spst.num_threads);
-    });
-    must("broadcast-1d", [](const PlannerOptions& o) -> std::unique_ptr<Planner> {
-      return std::make_unique<BlockBroadcastPlanner>(BroadcastVariant::k1D, o.broadcast);
-    });
-    must("broadcast-1.5d", [](const PlannerOptions& o) -> std::unique_ptr<Planner> {
-      return std::make_unique<BlockBroadcastPlanner>(BroadcastVariant::k1_5D, o.broadcast);
+    must("swap", [](const PlannerOptions&) -> std::unique_ptr<Planner> {
+      return std::make_unique<SwapPlanner>();
     });
     return r;
   }();
@@ -95,7 +64,7 @@ Status PlannerRegistry::Register(const std::string& name, PlannerFactory factory
 
 bool PlannerRegistry::Contains(const std::string& name) const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return factories_.count(NormalizeName(name)) != 0;
+  return factories_.count(name) != 0;
 }
 
 Result<std::unique_ptr<Planner>> PlannerRegistry::Create(const std::string& name,
@@ -103,7 +72,7 @@ Result<std::unique_ptr<Planner>> PlannerRegistry::Create(const std::string& name
   PlannerFactory factory;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    auto it = factories_.find(NormalizeName(name));
+    auto it = factories_.find(name);
     if (it == factories_.end()) {
       std::string names;
       for (const auto& [n, f] : factories_) {

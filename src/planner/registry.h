@@ -2,8 +2,8 @@
 //
 // Every communication-planning algorithm is registered by name in the
 // process-wide PlannerRegistry; callers pick one with
-// PlannerOptions::strategy ("spst", "p2p", "swap", "ring", "broadcast-1d",
-// "broadcast-1.5d", or "auto" for cost-model-driven selection — see
+// PlannerOptions::strategy ("spst", "p2p", "swap", "ring", or "auto" for
+// cost-model-driven selection — see
 // sim/planner_select.h) instead of instantiating a concrete planner class.
 // DgclContext::BuildCommInfo, Recover and tools/dgcl_plan all resolve
 // strategies through this registry, so a new planner becomes available to
@@ -24,7 +24,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "planner/block_broadcast.h"
 #include "planner/planner.h"
 #include "planner/spst.h"
 
@@ -37,17 +36,13 @@ namespace dgcl {
 // per-candidate scores as a SelectionReport).
 struct PlannerOptions {
   std::string strategy = "spst";
-  SpstOptions spst;            // consumed by the "spst" strategy
-  BroadcastOptions broadcast;  // consumed by the "broadcast-*" strategies
-  // Convenience alias for strategy = "auto" (the two spellings must agree:
-  // auto_select together with a forced non-auto strategy is rejected).
-  bool auto_select = false;
+  SpstOptions spst;  // consumed by the "spst" strategy
 
-  bool IsAuto() const { return auto_select || strategy == "auto"; }
+  bool IsAuto() const { return strategy == "auto"; }
 
-  // Rejects empty/unknown strategy names and contradictory knobs with
-  // actionable messages; called by DgclOptions::Validate at Init so a bad
-  // config never reaches the planning pipeline.
+  // Rejects empty/unknown strategy names with an actionable message that
+  // lists the registered strategies; called by DgclOptions::Validate at Init
+  // so a bad config never reaches the planning pipeline.
   Status Validate() const;
 };
 
@@ -56,7 +51,7 @@ using PlannerFactory = std::function<std::unique_ptr<Planner>(const PlannerOptio
 class PlannerRegistry {
  public:
   // The process-wide registry, pre-populated with the built-in strategies:
-  // spst, p2p, swap, ring, broadcast-1d, broadcast-1.5d.
+  // p2p, ring, spst, swap.
   static PlannerRegistry& Global();
 
   // Fails with kInvalidArgument on duplicate, empty or reserved ("auto")
@@ -65,8 +60,7 @@ class PlannerRegistry {
 
   bool Contains(const std::string& name) const;
 
-  // Instantiates the named strategy. "peer-to-peer" is accepted as an alias
-  // of "p2p" (the planner's pre-registry display name).
+  // Instantiates the named strategy.
   Result<std::unique_ptr<Planner>> Create(const std::string& name,
                                           const PlannerOptions& options) const;
 

@@ -1,11 +1,7 @@
 #include "planner/spst.h"
 
 #include <algorithm>
-#include <atomic>
-#include <bit>
-#include <condition_variable>
 #include <limits>
-#include <mutex>
 #include <queue>
 
 #include "common/logging.h"
@@ -16,21 +12,6 @@ namespace dgcl {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
-
-// A recorded cost-model interaction of one chunk's tree growth. The search
-// reads the model only through IncrementalCost and writes it only through
-// AddTransfer, so the op sequence captures the chunk's entire data
-// dependency on the shared model: if every recorded query reproduces its
-// value against a later model state (with the recorded commits replayed
-// in between), the search would have unfolded identically from that state
-// and the speculative tree is exactly what a serial run would build.
-struct ModelOp {
-  LinkId link = kInvalidId;
-  uint32_t stage = 0;
-  double queried_cost = 0.0;  // kQuery only
-  enum : uint8_t { kQuery, kCommit } kind = kQuery;
-};
-using OpLog = std::vector<ModelOp>;
 
 // One shortest-path search over the (device, depth) layered graph, routing
 // `units` vertex embeddings at once (a whole class chunk).
@@ -44,12 +25,10 @@ using OpLog = std::vector<ModelOp>;
 // On success appends the path's edges to `tree_edges`, records new depths in
 // `depth_in_tree`, commits the units to `model` and returns the reached
 // device; returns kInvalidId when no target is reachable within `max_depth`.
-// When `log` is non-null every model read/write is recorded (speculative
-// planning); logging never changes the computation.
 uint32_t GrowTreeOneStep(const Topology& topo, CostModel& model, double hop_epsilon,
                          uint32_t max_depth, DeviceMask remaining, uint64_t units,
                          std::vector<uint32_t>& depth_in_tree,
-                         std::vector<TreeEdge>& tree_edges, OpLog* log) {
+                         std::vector<TreeEdge>& tree_edges) {
   const uint32_t num_devices = topo.num_devices();
   const uint32_t layers = max_depth + 1;
   const uint32_t num_nodes = num_devices * layers;
@@ -95,11 +74,7 @@ uint32_t GrowTreeOneStep(const Topology& topo, CostModel& model, double hop_epsi
         continue;  // a tree is a tree: never enter a device twice
       }
       const uint32_t next = node_of(link.dst, depth + 1);
-      const double cost = model.IncrementalCost(link_id, depth, units);
-      if (log != nullptr) {
-        log->push_back({link_id, depth, cost, ModelOp::kQuery});
-      }
-      const double weight = cost + edge_epsilon;
+      const double weight = model.IncrementalCost(link_id, depth, units) + edge_epsilon;
       if (dist[node] + weight < dist[next]) {
         dist[next] = dist[node] + weight;
         parent_node[next] = node;
@@ -155,9 +130,6 @@ uint32_t GrowTreeOneStep(const Topology& topo, CostModel& model, double hop_epsi
     depth_in_tree[device] = depth;
     tree_edges.push_back(TreeEdge{link_id, depth - 1});
     model.AddTransfer(link_id, depth - 1, units);
-    if (log != nullptr) {
-      log->push_back({link_id, depth - 1, 0.0, ModelOp::kCommit});
-    }
   }
   return walk.back().first;
 }
@@ -222,7 +194,7 @@ struct PlanContext {
 // Grows one chunk's whole tree against `model` (committing its traffic).
 // `depth_in_tree` is caller-provided scratch sized to num_devices.
 Status PlanChunkTree(const PlanContext& ctx, const Chunk& chunk, CostModel& model,
-                     std::vector<uint32_t>& depth_in_tree, ClassTree& tree, OpLog* log) {
+                     std::vector<uint32_t>& depth_in_tree, ClassTree& tree) {
   const CommClass& cls = ctx.classes->classes[chunk.class_id];
   tree.class_id = chunk.class_id;
   tree.first = chunk.first;
@@ -233,11 +205,11 @@ Status PlanChunkTree(const PlanContext& ctx, const Chunk& chunk, CostModel& mode
   DeviceMask remaining = cls.mask;
   while (remaining != 0) {
     uint32_t reached = GrowTreeOneStep(*ctx.topo, model, ctx.hop_epsilon, ctx.capped_depth,
-                                       remaining, chunk.count, depth_in_tree, tree.edges, log);
+                                       remaining, chunk.count, depth_in_tree, tree.edges);
     if (reached == kInvalidId && ctx.capped_depth < ctx.full_depth) {
       // Depth cap too tight for this tree shape; retry with the full bound.
       reached = GrowTreeOneStep(*ctx.topo, model, ctx.hop_epsilon, ctx.full_depth, remaining,
-                                chunk.count, depth_in_tree, tree.edges, log);
+                                chunk.count, depth_in_tree, tree.edges);
     }
     if (reached == kInvalidId) {
       return Status::Internal("destination unreachable in communication topology");
@@ -247,35 +219,10 @@ Status PlanChunkTree(const PlanContext& ctx, const Chunk& chunk, CostModel& mode
   return Status::Ok();
 }
 
-// Replays a chunk's recorded model interactions against `model`. Returns
-// true iff every query reproduces its recorded value, in which case `model`
-// has also absorbed the chunk's commits (it equals the serial post-chunk
-// state bit-for-bit). On false, `model` is partially mutated — callers use a
-// scratch copy.
-bool ReplayChunk(CostModel& model, const OpLog& log, uint64_t units) {
-  for (const ModelOp& op : log) {
-    if (op.kind == ModelOp::kCommit) {
-      model.AddTransfer(op.link, op.stage, units);
-    } else if (model.IncrementalCost(op.link, op.stage, units) != op.queried_cost) {
-      return false;
-    }
-  }
-  return true;
-}
-
-// One chunk's speculative planning result, published by a worker.
-struct SpecSlot {
-  uint64_t epoch = 0;  // shared-model epoch the snapshot was taken at
-  Status status = Status::Ok();
-  ClassTree tree;
-  OpLog log;
-};
-
 }  // namespace
 
 Result<ClassPlan> SpstPlanner::PlanClasses(const CommClasses& classes, const Topology& topo,
                                            double bytes_per_unit) {
-  stats_ = {};
   if (classes.num_devices != topo.num_devices()) {
     return Status::InvalidArgument("relation/topology device count mismatch");
   }
@@ -316,201 +263,18 @@ Result<ClassPlan> SpstPlanner::PlanClasses(const CommClasses& classes, const Top
     rng.Shuffle(order);
   }
   plan.trees.reserve(order.size());
-  stats_.chunks = order.size();
-  DGCL_TSPAN2("planner", "plan_classes", "chunks", order.size(), "threads",
-              ThreadPool::ResolveThreadCount(options_.num_threads));
+  DGCL_TSPAN1("planner", "plan_classes", "chunks", order.size());
 
+  // Plan and commit chunk by chunk: each tree is grown against the model
+  // that already carries every earlier chunk's traffic.
   CostModel model(topo, ctx.full_depth, bytes_per_unit);
   std::vector<uint32_t> depth_in_tree(classes.num_devices, kInvalidId);
-
-  const uint32_t threads = ThreadPool::ResolveThreadCount(options_.num_threads);
-  if (threads <= 1 || order.size() <= 1) {
-    // Serial path: plan and commit chunk by chunk.
-    for (const Chunk& chunk : order) {
-      ClassTree tree;
-      DGCL_RETURN_IF_ERROR(PlanChunkTree(ctx, chunk, model, depth_in_tree, tree, nullptr));
-      plan.trees.push_back(std::move(tree));
-    }
-    stats_.exact_commits = stats_.chunks;
-    plan.planned_cost_seconds = model.TotalSeconds();
-    return plan;
-  }
-
-  // Serial warm-up prefix: the first chunks of an empty model raise the
-  // stage-0 bottleneck on nearly every commit, so speculative replays of
-  // them are almost guaranteed to fail validation. Committing a short
-  // prefix serially (identical to the serial planner, so the plan is
-  // unchanged) lets workers snapshot a model whose bottlenecks have
-  // stabilized. See DESIGN.md §"Parallel planning".
-  const size_t n = order.size();
-  size_t warmup = 0;
-  if (options_.warmup_fraction > 0.0) {
-    warmup = static_cast<size_t>(options_.warmup_fraction * static_cast<double>(n));
-    warmup = std::min(std::max<size_t>(warmup, 1), n);
-  }
-  {
-    DGCL_TSPAN1("planner", "warmup.prefix", "chunks", warmup);
-    for (size_t i = 0; i < warmup; ++i) {
-      ClassTree tree;
-      DGCL_RETURN_IF_ERROR(PlanChunkTree(ctx, order[i], model, depth_in_tree, tree, nullptr));
-      plan.trees.push_back(std::move(tree));
-    }
-  }
-  stats_.warmup_commits = warmup;
-  stats_.exact_commits += warmup;
-
-  // Parallel path. Workers race ahead planning chunks against snapshots of
-  // the shared model; this thread is the committer and walks the chunks in
-  // serial order, folding each result in only once it is provably the tree
-  // the serial planner would have produced at that point (see DESIGN.md,
-  // "Parallel planning"). Invariant: after folding in chunk i, `model` is
-  // bit-identical to the serial planner's model after its chunk i.
-  std::vector<SpecSlot> slots(n);
-  std::vector<char> ready(n, 0);
-  std::mutex ready_mutex;
-  std::condition_variable ready_cv;
-  std::mutex model_mutex;  // guards writes to `model` vs. worker snapshots
-  std::atomic<uint64_t> next_chunk{warmup};
-  std::atomic<bool> cancel{false};
-  const uint32_t num_workers =
-      static_cast<uint32_t>(std::min<uint64_t>(threads, n - warmup));
-  std::atomic<uint32_t> live_workers{num_workers};
-  std::mutex workers_mutex;
-  std::condition_variable workers_cv;
-
-  // Bounded speculation window: a worker does not start chunk i until the
-  // committer has folded in chunk i - window. Without the bound, workers can
-  // race arbitrarily far ahead of the committer (especially when commits are
-  // slow replans), taking snapshots so stale that replay validation is
-  // hopeless — the window keeps drift to a few chunks' worth of commits and
-  // caps the speculative work thrown away. Scheduling only: never affects
-  // the committed plan.
-  const uint64_t window = options_.speculation_window != 0
-                              ? options_.speculation_window
-                              : static_cast<uint64_t>(num_workers) * 2;
-  std::atomic<uint64_t> committed_count{warmup};
-  std::mutex window_mutex;
-  std::condition_variable window_cv;
-
-  auto worker = [&] {
-    CostModel local(topo, ctx.full_depth, bytes_per_unit);
-    std::vector<uint32_t> scratch_depth(classes.num_devices, kInvalidId);
-    for (;;) {
-      const uint64_t i = next_chunk.fetch_add(1, std::memory_order_relaxed);
-      if (i >= n || cancel.load(std::memory_order_relaxed)) {
-        break;
-      }
-      if (i >= committed_count.load(std::memory_order_acquire) + window) {
-        std::unique_lock<std::mutex> lock(window_mutex);
-        window_cv.wait(lock, [&] {
-          return i < committed_count.load(std::memory_order_acquire) + window ||
-                 cancel.load(std::memory_order_relaxed);
-        });
-        if (cancel.load(std::memory_order_relaxed)) {
-          break;
-        }
-      }
-      SpecSlot slot;
-      {
-        std::lock_guard<std::mutex> lock(model_mutex);
-        local = model;  // snapshot (committer is the only writer)
-      }
-      slot.epoch = local.epoch();
-      {
-        DGCL_TSPAN1("planner", "chunk.plan", "chunk", i);
-        slot.status = PlanChunkTree(ctx, order[i], local, scratch_depth, slot.tree, &slot.log);
-      }
-      {
-        std::lock_guard<std::mutex> lock(ready_mutex);
-        slots[i] = std::move(slot);
-        ready[i] = 1;
-      }
-      ready_cv.notify_all();
-    }
-    if (live_workers.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      std::lock_guard<std::mutex> lock(workers_mutex);
-      workers_cv.notify_all();
-    }
-  };
-  ThreadPool& pool = options_.pool != nullptr ? *options_.pool : ThreadPool::Shared();
-  for (uint32_t t = 0; t < num_workers; ++t) {
-    pool.Submit(worker);
-  }
-
-  CostModel scratch(topo, ctx.full_depth, bytes_per_unit);
-  Status failure = Status::Ok();
-  for (size_t i = warmup; i < n; ++i) {
-    SpecSlot slot;
-    {
-      std::unique_lock<std::mutex> lock(ready_mutex);
-      ready_cv.wait(lock, [&] { return ready[i] != 0; });
-      slot = std::move(slots[i]);
-    }
-    if (!slot.status.ok()) {
-      failure = slot.status;
-      break;
-    }
-    const uint64_t units = order[i].count;
-    bool committed = false;
-    if (slot.epoch == model.epoch()) {
-      // Snapshot still current: the speculative tree is exact by definition.
-      std::lock_guard<std::mutex> lock(model_mutex);
-      for (const TreeEdge& e : slot.tree.edges) {
-        model.AddTransfer(e.link, e.stage, units);
-      }
-      ++stats_.exact_commits;
-      committed = true;
-    } else if (model.epoch() - slot.epoch <= options_.max_snapshot_staleness) {
-      // Drifted: replay the recorded interactions against the live state.
-      // Reading `model` without the lock is safe — only this thread writes.
-      DGCL_TSPAN1("planner", "chunk.replay", "chunk", i);
-      scratch = model;
-      if (ReplayChunk(scratch, slot.log, units)) {
-        std::lock_guard<std::mutex> lock(model_mutex);
-        std::swap(model, scratch);  // scratch == live state + this chunk
-        ++stats_.replay_commits;
-        committed = true;
-      }
-    }
-    if (!committed) {
-      // Too stale or diverged: plan this chunk for real at its serial slot.
-      DGCL_TSPAN1("planner", "chunk.replan", "chunk", i);
-      std::lock_guard<std::mutex> lock(model_mutex);
-      slot.status = PlanChunkTree(ctx, order[i], model, depth_in_tree, slot.tree, nullptr);
-      ++stats_.replans;
-    }
-    if (!slot.status.ok()) {
-      failure = slot.status;
-      break;
-    }
-    plan.trees.push_back(std::move(slot.tree));
-    {
-      std::lock_guard<std::mutex> lock(window_mutex);
-      committed_count.store(i + 1, std::memory_order_release);
-    }
-    window_cv.notify_all();
-  }
-
-  // Tear down: stop further claims and wait for in-flight workers, which
-  // reference this frame's state.
-  cancel.store(true, std::memory_order_relaxed);
-  next_chunk.store(n, std::memory_order_relaxed);
-  {
-    std::lock_guard<std::mutex> lock(window_mutex);
-  }
-  window_cv.notify_all();
-  {
-    std::unique_lock<std::mutex> lock(workers_mutex);
-    workers_cv.wait(lock, [&] { return live_workers.load(std::memory_order_acquire) == 0; });
-  }
-  if (!failure.ok()) {
-    return failure;
+  for (const Chunk& chunk : order) {
+    ClassTree tree;
+    DGCL_RETURN_IF_ERROR(PlanChunkTree(ctx, chunk, model, depth_in_tree, tree));
+    plan.trees.push_back(std::move(tree));
   }
   plan.planned_cost_seconds = model.TotalSeconds();
-  DGCL_TCOUNT("planner", "spst.exact_commits", stats_.exact_commits);
-  DGCL_TCOUNT("planner", "spst.replay_commits", stats_.replay_commits);
-  DGCL_TCOUNT("planner", "spst.replans", stats_.replans);
-  DGCL_TCOUNT("planner", "spst.warmup_commits", stats_.warmup_commits);
   return plan;
 }
 

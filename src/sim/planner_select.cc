@@ -90,7 +90,7 @@ Result<ClassPlan> PlanWithStrategy(const PlannerOptions& options, const CommClas
   }
 
   const std::vector<std::string> names = PlannerRegistry::Global().Names();
-  DGCL_TSPAN1("planner", "auto_select", "candidates", names.size());
+  DGCL_TSPAN1("planner", "select_strategy", "candidates", names.size());
   Result<ClassPlan> best = Status::FailedPrecondition("no registered planner strategies");
   size_t best_index = 0;
   for (const std::string& name : names) {

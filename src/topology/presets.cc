@@ -68,7 +68,10 @@ MachineConns AddMachine(Topology& topo, uint32_t machine, const MachineConfig& c
   for (uint32_t g = 0; g < config.num_gpus; ++g) {
     const uint32_t socket = g / gpus_per_socket;
     Device dev;
-    dev.name = "m" + std::to_string(machine) + ".gpu" + std::to_string(g);
+    dev.name = "m";
+    dev.name += std::to_string(machine);
+    dev.name += ".gpu";
+    dev.name += std::to_string(g);
     dev.machine = machine;
     dev.socket = socket;
     dev.pcie_switch = machine * 8 + g / 2;

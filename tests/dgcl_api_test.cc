@@ -168,14 +168,7 @@ TEST(DgclApiTest, InitValidatesOptions) {
   }
   {
     DgclOptions options;
-    options.planner.strategy = "ring";
-    options.planner.auto_select = true;  // contradictory knobs
-    EXPECT_EQ(DgclContext::Init(BuildPaperTopology(4), options).status().code(),
-              StatusCode::kInvalidArgument);
-  }
-  {
-    DgclOptions options;
-    options.planner.broadcast.fanout = 0;
+    options.planner.strategy = "";
     EXPECT_EQ(DgclContext::Init(BuildPaperTopology(4), options).status().code(),
               StatusCode::kInvalidArgument);
   }
@@ -185,16 +178,16 @@ TEST(DgclApiTest, PlannerStrategyFlowsThroughThePipeline) {
   Rng rng(21);
   CsrGraph graph = GenerateErdosRenyi(80, 260, rng);
   DgclOptions options;
-  options.planner.strategy = "broadcast-1d";
+  options.planner.strategy = "swap";
   auto ctx = DgclContext::Init(BuildPaperTopology(4), options);
   ASSERT_TRUE(ctx.ok());
   ASSERT_TRUE(ctx->BuildCommInfo(graph).ok());
   const PlanArtifacts& a = ctx->artifacts();
-  EXPECT_EQ(a.class_plan.planner_name, "broadcast-1d");
-  EXPECT_EQ(a.compiled.planner_name, "broadcast-1d");
+  EXPECT_EQ(a.class_plan.planner_name, "swap");
+  EXPECT_EQ(a.compiled.planner_name, "swap");
   EXPECT_TRUE(ValidatePlan(a.plan, a.relation, ctx->topology()).ok());
   ASSERT_EQ(a.selection.candidates.size(), 1u);
-  EXPECT_EQ(a.selection.selected_strategy, "broadcast-1d");
+  EXPECT_EQ(a.selection.selected_strategy, "swap");
 }
 
 TEST(DgclApiTest, AutoSelectCommitsWinnerAndRecordsScorecard) {

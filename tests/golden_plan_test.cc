@@ -1,7 +1,7 @@
 // Golden-plan corpus: byte-exact serialized plans for representative
 // configurations, pinned in tests/golden/. The planner is deterministic by
-// contract (fixed seeds, deterministic tie-breaks, thread-count-invariant
-// speculative commits), so any byte drift in these files is a semantic
+// contract (fixed seeds, deterministic tie-breaks, one serial commit order),
+// so any byte drift in these files is a semantic
 // planner change — intentional changes regenerate the corpus with
 //
 //   ./golden_plan_test --regenerate

@@ -108,6 +108,34 @@ TEST_F(GraphIoTest, BinaryRejectsTruncation) {
   EXPECT_FALSE(LoadBinary(path).ok());
 }
 
+// A binary graph header (magic, n, m) followed by `tail`.
+std::string CraftedBinaryGraph(uint64_t n, uint64_t m, const std::string& tail) {
+  const char magic[8] = {'D', 'G', 'C', 'L', 'G', '1', 0, 0};
+  std::string bytes(magic, sizeof(magic));
+  bytes.append(reinterpret_cast<const char*>(&n), sizeof(n));
+  bytes.append(reinterpret_cast<const char*>(&m), sizeof(m));
+  return bytes + tail;
+}
+
+TEST_F(GraphIoTest, BinaryRejectsVertexCountBeyondFileSize) {
+  std::string path = Create("huge_n.bin", CraftedBinaryGraph(0xFFFFFFFFull, 0, ""));
+  auto loaded = LoadBinary(path);
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(loaded.status().message().find("vertex count"), std::string::npos);
+}
+
+TEST_F(GraphIoTest, BinaryRejectsEdgeCountBeyondFileSize) {
+  // n = 1 with its two offsets present, but m = 2^60 edges claimed.
+  const uint64_t offsets[2] = {0, 0};
+  std::string path =
+      Create("huge_m.bin", CraftedBinaryGraph(1, uint64_t{1} << 60,
+                                              std::string(reinterpret_cast<const char*>(offsets),
+                                                          sizeof(offsets))));
+  auto loaded = LoadBinary(path);
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(loaded.status().message().find("edge count"), std::string::npos);
+}
+
 TEST_F(GraphIoTest, EmptyGraphRoundTrips) {
   auto g = CsrGraph::FromEdges(0, {}, true);
   ASSERT_TRUE(g.ok());

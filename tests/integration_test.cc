@@ -92,9 +92,12 @@ INSTANTIATE_TEST_SUITE_P(Pipelines, PipelineSweep,
                                            PipelineParam{16, 5, true},
                                            PipelineParam{16, 6, false}),
                          [](const auto& info) {
-                           return "g" + std::to_string(info.param.gpus) + "s" +
-                                  std::to_string(info.param.seed) +
-                                  (info.param.dense ? "dense" : "sparse");
+                           std::string name = "g";
+                           name += std::to_string(info.param.gpus);
+                           name += 's';
+                           name += std::to_string(info.param.seed);
+                           name += info.param.dense ? "dense" : "sparse";
+                           return name;
                          });
 
 TEST(IntegrationTest, SimulatedTimeCorrelatesWithEstimate) {

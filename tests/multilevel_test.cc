@@ -78,8 +78,11 @@ INSTANTIATE_TEST_SUITE_P(Sizes, MultilevelSweep,
                                            SweepParam{1000, 16}, SweepParam{5000, 8},
                                            SweepParam{5000, 16}),
                          [](const auto& info) {
-                           return "n" + std::to_string(info.param.vertices) + "k" +
-                                  std::to_string(info.param.parts);
+                           std::string name = "n";
+                           name += std::to_string(info.param.vertices);
+                           name += 'k';
+                           name += std::to_string(info.param.parts);
+                           return name;
                          });
 
 TEST(MultilevelTest, RmatGraphBalanced) {

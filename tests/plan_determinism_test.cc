@@ -1,8 +1,6 @@
-// Bit-determinism of parallel planning: the speculative planner must produce
-// byte-identical plans for every thread count and across repeated runs —
-// the whole point of the snapshot/commit/replay scheme — and the runtime
-// results (engine forward/backward) must therefore be independent of
-// planner threading too.
+// Run-to-run bit-determinism of planning: repeated SPST runs must produce
+// byte-identical class plans and compiled plans, and the runtime results
+// (engine forward/backward) built from them must be byte-identical too.
 
 #include <string>
 #include <vector>
@@ -11,7 +9,6 @@
 
 #include "comm/compiled_plan.h"
 #include "common/rng.h"
-#include "common/thread_pool.h"
 #include "graph/generators.h"
 #include "partition/multilevel.h"
 #include "planner/cost_model.h"
@@ -85,119 +82,36 @@ std::string CompiledPlanBytes(const CompiledPlan& plan) {
   return out;
 }
 
-Result<ClassPlan> PlanWithThreads(const Workload& w, uint32_t num_threads, double bytes,
-                                  SpstPlanStats* stats = nullptr) {
+Result<ClassPlan> Plan(const Workload& w, double bytes) {
   SpstOptions opts;
-  opts.num_threads = num_threads;
-  // Small chunks => many work items => deep speculation pipelines even on
-  // the small test graphs, maximizing drift (the interesting regime).
+  // Small chunks => many work items, so every run commits thousands of
+  // trees against an evolving cost model.
   opts.max_class_units = 4;
   opts.min_chunks = 0;
   SpstPlanner planner(opts);
-  auto plan = planner.PlanClasses(w.classes, w.topo, bytes);
-  if (stats != nullptr) {
-    *stats = planner.last_stats();
-  }
-  return plan;
+  return planner.PlanClasses(w.classes, w.topo, bytes);
 }
 
-TEST(PlanDeterminismTest, ByteIdenticalAcrossThreadCountsAndRuns) {
+TEST(PlanDeterminismTest, ByteIdenticalAcrossRuns) {
   for (uint32_t gpus : {4u, 8u}) {
     Workload w = Workload::Make(gpus, 160, /*seed=*/77);
     const double bytes = 256.0;
-    auto reference = PlanWithThreads(w, 1, bytes);
+    auto reference = Plan(w, bytes);
     ASSERT_TRUE(reference.ok());
     const std::string ref_class_bytes = ClassPlanBytes(*reference);
     const std::string ref_compiled_bytes =
         CompiledPlanBytes(CompilePlan(*reference, w.classes, w.topo));
     ASSERT_FALSE(ref_class_bytes.empty());
-    for (uint32_t threads : {1u, 2u, 8u}) {
-      for (int run = 0; run < 2; ++run) {
-        SpstPlanStats stats;
-        auto plan = PlanWithThreads(w, threads, bytes, &stats);
-        ASSERT_TRUE(plan.ok()) << plan.status().ToString();
-        EXPECT_EQ(ClassPlanBytes(*plan), ref_class_bytes)
-            << "plan diverged at threads=" << threads << " run=" << run;
-        EXPECT_EQ(CompiledPlanBytes(CompilePlan(*plan, w.classes, w.topo)),
-                  ref_compiled_bytes);
-        EXPECT_EQ(stats.exact_commits + stats.replay_commits + stats.replans, stats.chunks);
-      }
+    for (int run = 0; run < 3; ++run) {
+      auto plan = Plan(w, bytes);
+      ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+      EXPECT_EQ(ClassPlanBytes(*plan), ref_class_bytes) << "plan diverged at run=" << run;
+      EXPECT_EQ(CompiledPlanBytes(CompilePlan(*plan, w.classes, w.topo)), ref_compiled_bytes);
     }
   }
 }
 
-TEST(PlanDeterminismTest, WarmupFractionNeverChangesThePlan) {
-  Workload w = Workload::Make(8, 160, /*seed=*/77);
-  const double bytes = 256.0;
-  auto reference = PlanWithThreads(w, 1, bytes);
-  ASSERT_TRUE(reference.ok());
-  const std::string ref_bytes = ClassPlanBytes(*reference);
-  for (double fraction : {0.0, 0.05, 0.5, 1.0}) {
-    SpstOptions opts;
-    opts.num_threads = 4;
-    opts.max_class_units = 4;
-    opts.min_chunks = 0;
-    opts.warmup_fraction = fraction;
-    SpstPlanner planner(opts);
-    auto plan = planner.PlanClasses(w.classes, w.topo, bytes);
-    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
-    EXPECT_EQ(ClassPlanBytes(*plan), ref_bytes) << "warmup_fraction=" << fraction;
-    const SpstPlanStats& stats = planner.last_stats();
-    EXPECT_EQ(stats.exact_commits + stats.replay_commits + stats.replans, stats.chunks);
-    EXPECT_LE(stats.warmup_commits, stats.exact_commits);
-    if (fraction == 0.0) {
-      EXPECT_EQ(stats.warmup_commits, 0u);
-    } else {
-      EXPECT_GE(stats.warmup_commits, 1u);
-    }
-    if (fraction == 1.0) {
-      // Full warm-up degenerates to the serial algorithm.
-      EXPECT_EQ(stats.warmup_commits, stats.chunks);
-      EXPECT_EQ(stats.replans, 0u);
-      EXPECT_EQ(stats.replay_commits, 0u);
-    }
-  }
-}
-
-TEST(PlanDeterminismTest, DedicatedPoolMatchesSharedPool) {
-  Workload w = Workload::Make(8, 120, /*seed=*/78);
-  const double bytes = 128.0;
-  auto reference = PlanWithThreads(w, 1, bytes);
-  ASSERT_TRUE(reference.ok());
-  ThreadPool pool(3);
-  SpstOptions opts;
-  opts.num_threads = 3;
-  opts.max_class_units = 4;
-  opts.min_chunks = 0;
-  opts.pool = &pool;
-  SpstPlanner planner(opts);
-  auto plan = planner.PlanClasses(w.classes, w.topo, bytes);
-  ASSERT_TRUE(plan.ok());
-  EXPECT_EQ(ClassPlanBytes(*plan), ClassPlanBytes(*reference));
-}
-
-TEST(PlanDeterminismTest, ZeroStalenessForcesReplansButSamePlan) {
-  // max_snapshot_staleness = 0 disables replay acceptance entirely: every
-  // drifted chunk is re-planned at its slot. Slow but still bit-identical —
-  // the knob may never affect the output.
-  Workload w = Workload::Make(8, 120, /*seed=*/79);
-  const double bytes = 64.0;
-  auto reference = PlanWithThreads(w, 1, bytes);
-  ASSERT_TRUE(reference.ok());
-  SpstOptions opts;
-  opts.num_threads = 4;
-  opts.max_class_units = 4;
-  opts.min_chunks = 0;
-  opts.max_snapshot_staleness = 0;
-  SpstPlanner planner(opts);
-  auto plan = planner.PlanClasses(w.classes, w.topo, bytes);
-  ASSERT_TRUE(plan.ok());
-  EXPECT_EQ(ClassPlanBytes(*plan), ClassPlanBytes(*reference));
-  const SpstPlanStats& stats = planner.last_stats();
-  EXPECT_EQ(stats.replay_commits, 0u);
-}
-
-TEST(PlanDeterminismTest, EngineResultsIndependentOfPlannerThreads) {
+TEST(PlanDeterminismTest, EngineResultsIdenticalAcrossRuns) {
   Workload w = Workload::Make(8, 140, /*seed=*/80);
   const double bytes = 128.0;
   const uint32_t dim = 3;
@@ -216,8 +130,8 @@ TEST(PlanDeterminismTest, EngineResultsIndependentOfPlannerThreads) {
 
   std::vector<std::vector<EmbeddingMatrix>> forwards;
   std::vector<std::vector<EmbeddingMatrix>> backwards;
-  for (uint32_t threads : {1u, 2u, 8u}) {
-    auto plan = PlanWithThreads(w, threads, bytes);
+  for (int run = 0; run < 3; ++run) {
+    auto plan = Plan(w, bytes);
     ASSERT_TRUE(plan.ok());
     CompiledPlan compiled = CompilePlan(*plan, w.classes, w.topo);
     AssignBackwardSubstages(compiled);

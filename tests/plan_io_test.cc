@@ -94,5 +94,44 @@ TEST(PlanIoTest, RejectsTruncatedPayload) {
   EXPECT_FALSE(loaded.ok());
 }
 
+// Writes a 32-byte plan header matching `topo`, followed by `tail`.
+std::string WriteCraftedPlan(const std::string& name, const Topology& topo, uint64_t num_ops,
+                             const std::string& tail) {
+  const char magic[8] = {'D', 'G', 'C', 'L', 'P', '1', 0, 0};
+  const uint32_t fields[4] = {topo.num_devices(), topo.num_links(), topo.num_connections(),
+                              /*num_stages=*/1};
+  std::string bytes(magic, sizeof(magic));
+  bytes.append(reinterpret_cast<const char*>(fields), sizeof(fields));
+  bytes.append(reinterpret_cast<const char*>(&num_ops), sizeof(num_ops));
+  bytes += tail;
+  const std::string path = TempPath(name);
+  std::ofstream(path, std::ios::binary) << bytes;
+  return path;
+}
+
+TEST(PlanIoTest, RejectsOpCountBeyondFileSize) {
+  Topology topo = BuildPaperTopology(4);
+  const std::string path =
+      WriteCraftedPlan("huge_ops.bin", topo, uint64_t{1} << 61, /*tail=*/"");
+  auto loaded = LoadCompiledPlan(topo, path);
+  std::remove(path.c_str());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(loaded.status().message().find("op count"), std::string::npos);
+}
+
+TEST(PlanIoTest, RejectsOpVertexCountBeyondFileSize) {
+  Topology topo = BuildPaperTopology(4);
+  // One op on link 0, stage 0, substage 0, claiming 2^60 vertices.
+  const uint32_t op_fields[3] = {0, 0, 0};
+  const uint64_t count = uint64_t{1} << 60;
+  std::string op(reinterpret_cast<const char*>(op_fields), sizeof(op_fields));
+  op.append(reinterpret_cast<const char*>(&count), sizeof(count));
+  const std::string path = WriteCraftedPlan("huge_vertices.bin", topo, 1, op);
+  auto loaded = LoadCompiledPlan(topo, path);
+  std::remove(path.c_str());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(loaded.status().message().find("vertex count"), std::string::npos);
+}
+
 }  // namespace
 }  // namespace dgcl

@@ -1,7 +1,7 @@
 // Conformance suite over every PlannerRegistry strategy: whatever is
 // registered — built-in or added later — must produce valid plans, compile
 // identically via the class and per-vertex paths, be deterministic across
-// runs and thread counts, and carry its provenance through plan_io. New
+// runs, and carry its provenance through plan_io. New
 // planners get all of this for free by registering a factory.
 
 #include <cstdio>
@@ -44,13 +44,6 @@ Workload MakeWorkload(uint32_t num_gpus, uint32_t machines = 1, uint64_t seed = 
   return w;
 }
 
-PlannerOptions OptionsWithThreads(uint32_t threads) {
-  PlannerOptions o;
-  o.spst.num_threads = threads;
-  o.broadcast.num_threads = threads;
-  return o;
-}
-
 bool SamePlan(const ClassPlan& a, const ClassPlan& b) {
   if (a.num_devices != b.num_devices || a.trees.size() != b.trees.size() ||
       a.planner_name != b.planner_name) {
@@ -89,7 +82,7 @@ class PlannerConformanceTest : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(PlannerConformanceTest, ProducesValidPlans) {
   for (const Workload& w : {MakeWorkload(8), MakeWorkload(4, 2, 3)}) {
-    auto planner = PlannerRegistry::Global().Create(GetParam(), OptionsWithThreads(1));
+    auto planner = PlannerRegistry::Global().Create(GetParam(), PlannerOptions{});
     ASSERT_TRUE(planner.ok());
     auto plan = (*planner)->PlanClasses(w.classes, w.topo, 1024);
     ASSERT_TRUE(plan.ok()) << plan.status().ToString();
@@ -103,7 +96,7 @@ TEST_P(PlannerConformanceTest, ProducesValidPlans) {
 
 TEST_P(PlannerConformanceTest, ClassCompileMatchesExpandedCompile) {
   Workload w = MakeWorkload(8, 1, 7);
-  auto planner = PlannerRegistry::Global().Create(GetParam(), OptionsWithThreads(1));
+  auto planner = PlannerRegistry::Global().Create(GetParam(), PlannerOptions{});
   ASSERT_TRUE(planner.ok());
   auto plan = (*planner)->PlanClasses(w.classes, w.topo, 1024);
   ASSERT_TRUE(plan.ok());
@@ -114,23 +107,23 @@ TEST_P(PlannerConformanceTest, ClassCompileMatchesExpandedCompile) {
   EXPECT_TRUE(ValidateCompiledPlan(direct, w.relation, w.topo).ok());
 }
 
-TEST_P(PlannerConformanceTest, DeterministicAcrossRunsAndThreads) {
+TEST_P(PlannerConformanceTest, DeterministicAcrossRuns) {
   Workload w = MakeWorkload(8, 1, 11);
-  auto plan_with = [&](uint32_t threads) {
-    auto planner = PlannerRegistry::Global().Create(GetParam(), OptionsWithThreads(threads));
+  auto plan_once = [&] {
+    auto planner = PlannerRegistry::Global().Create(GetParam(), PlannerOptions{});
     EXPECT_TRUE(planner.ok());
     auto plan = (*planner)->PlanClasses(w.classes, w.topo, 1024);
     EXPECT_TRUE(plan.ok());
     return std::move(plan).value();
   };
-  ClassPlan first = plan_with(1);
-  EXPECT_TRUE(SamePlan(first, plan_with(1)));
-  EXPECT_TRUE(SamePlan(first, plan_with(4)));
+  ClassPlan first = plan_once();
+  EXPECT_TRUE(SamePlan(first, plan_once()));
+  EXPECT_TRUE(SamePlan(first, plan_once()));
 }
 
 TEST_P(PlannerConformanceTest, PlanIoRoundTripPreservesProvenance) {
   Workload w = MakeWorkload(8, 1, 13);
-  auto planner = PlannerRegistry::Global().Create(GetParam(), OptionsWithThreads(1));
+  auto planner = PlannerRegistry::Global().Create(GetParam(), PlannerOptions{});
   ASSERT_TRUE(planner.ok());
   auto plan = (*planner)->PlanClasses(w.classes, w.topo, 1024);
   ASSERT_TRUE(plan.ok());
@@ -159,14 +152,8 @@ INSTANTIATE_TEST_SUITE_P(AllStrategies, PlannerConformanceTest,
                          ::testing::ValuesIn(PlannerRegistry::Global().Names()), SafeName);
 
 TEST(PlannerRegistryTest, BuiltinsRegistered) {
-  const std::vector<std::string> names = PlannerRegistry::Global().Names();
-  EXPECT_GE(names.size(), 6u);
-  for (const char* required :
-       {"spst", "p2p", "swap", "ring", "broadcast-1d", "broadcast-1.5d"}) {
-    EXPECT_TRUE(PlannerRegistry::Global().Contains(required)) << required;
-  }
-  // Display-name alias of the pre-registry API.
-  EXPECT_TRUE(PlannerRegistry::Global().Contains("peer-to-peer"));
+  EXPECT_EQ(PlannerRegistry::Global().Names(),
+            (std::vector<std::string>{"p2p", "ring", "spst", "swap"}));
 }
 
 TEST(PlannerRegistryTest, RejectsBadRegistrations) {
@@ -188,24 +175,25 @@ TEST(PlannerOptionsTest, ValidateRejectsBadConfigs) {
   EXPECT_FALSE(s.ok());
   EXPECT_NE(s.message().find("spst"), std::string::npos);  // lists strategies
 
-  o.strategy = "does-not-exist";
-  s = o.Validate();
-  EXPECT_FALSE(s.ok());
-  EXPECT_NE(s.message().find("does-not-exist"), std::string::npos);
+  // Unknown names, the removed peer-to-peer alias and the deleted
+  // broadcast strategies all fail, naming the input and listing exactly the
+  // registered strategies.
+  for (const char* bad : {"does-not-exist", "peer-to-peer", "broadcast-1d", "broadcast-1.5d"}) {
+    o.strategy = bad;
+    s = o.Validate();
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << bad;
+    EXPECT_NE(s.message().find(std::string("\"") + bad + "\""), std::string::npos) << bad;
+    EXPECT_NE(s.message().find("registered strategies: p2p, ring, spst, swap, or \"auto\""),
+              std::string::npos)
+        << s.message();
+  }
 
-  o.strategy = "broadcast-1d";
-  o.broadcast.fanout = 0;
-  EXPECT_FALSE(o.Validate().ok());
-  o.broadcast.fanout = 1;
-  EXPECT_TRUE(o.Validate().ok());
-
-  // auto_select with a forced strategy is contradictory; with the default
-  // or explicit "auto" spelling it is fine.
-  o.auto_select = true;
-  EXPECT_FALSE(o.Validate().ok());
+  for (const std::string& good : PlannerRegistry::Global().Names()) {
+    o.strategy = good;
+    EXPECT_TRUE(o.Validate().ok()) << good;
+    EXPECT_FALSE(o.IsAuto());
+  }
   o.strategy = "auto";
-  EXPECT_TRUE(o.Validate().ok());
-  o.strategy = "spst";
   EXPECT_TRUE(o.Validate().ok());
   EXPECT_TRUE(o.IsAuto());
 }
@@ -242,79 +230,14 @@ TEST(AutoSelectTest, PicksCostModelWinnerAndReportsAllCandidates) {
 TEST(AutoSelectTest, ForcedStrategyReportsOneCandidate) {
   Workload w = MakeWorkload(4, 1, 19);
   PlannerOptions o;
-  o.strategy = "broadcast-1.5d";
+  o.strategy = "swap";
   SelectionReport report;
   auto plan = PlanWithStrategy(o, w.classes, w.topo, 1024, &report);
   ASSERT_TRUE(plan.ok());
-  EXPECT_EQ(plan->planner_name, "broadcast-1.5d");
+  EXPECT_EQ(plan->planner_name, "swap");
   ASSERT_EQ(report.candidates.size(), 1u);
   EXPECT_TRUE(report.candidates[0].selected);
-  EXPECT_EQ(report.selected_strategy, "broadcast-1.5d");
-}
-
-TEST(BlockBroadcastTest, BinomialBoundsSourceFanOutPerStage) {
-  // One class: device 0 must reach the 7 other devices. The binomial tree
-  // gives the source ceil(log2(8)) = 3 children (one per round), not 7.
-  Workload w = MakeWorkload(8, 1, 23);
-  CommRelation rel;
-  rel.num_devices = 8;
-  rel.source.assign(1, 0);
-  rel.dest_mask.assign(1, DeviceMask{0xFE});
-  rel.local_vertices.resize(8);
-  rel.remote_vertices.resize(8);
-  rel.local_vertices[0].push_back(0);
-  for (uint32_t d = 1; d < 8; ++d) {
-    rel.remote_vertices[d].push_back(0);
-  }
-  CommClasses classes = BuildCommClasses(rel);
-  auto planner = PlannerRegistry::Global().Create("broadcast-1d", PlannerOptions{});
-  ASSERT_TRUE(planner.ok());
-  auto plan = (*planner)->PlanClasses(classes, w.topo, 1024);
-  ASSERT_TRUE(plan.ok());
-  ASSERT_EQ(plan->trees.size(), 1u);
-  uint32_t source_edges = 0;
-  for (const TreeEdge& e : plan->trees[0].edges) {
-    if (w.topo.link(e.link).src == 0) {
-      ++source_edges;
-    }
-  }
-  EXPECT_EQ(source_edges, 3u);
-  EXPECT_EQ(plan->NumStages(), 3u);
-  CommPlan expanded = ExpandClassPlan(*plan, classes);
-  EXPECT_TRUE(ValidatePlan(expanded, rel, w.topo).ok());
-}
-
-TEST(BlockBroadcastTest, OnePointFiveDCrossesMachinesOncePerGroup) {
-  // 2 machines x 4 GPUs; device 0 reaches everyone. The 1.5D schedule sends
-  // exactly one copy to the remote machine (its leader), so exactly one tree
-  // edge crosses machines.
-  MachineConfig config;
-  config.num_gpus = 4;
-  Topology topo = BuildCluster(2, config);
-  CommRelation rel;
-  rel.num_devices = 8;
-  rel.source.assign(1, 0);
-  rel.dest_mask.assign(1, DeviceMask{0xFE});
-  rel.local_vertices.resize(8);
-  rel.remote_vertices.resize(8);
-  rel.local_vertices[0].push_back(0);
-  for (uint32_t d = 1; d < 8; ++d) {
-    rel.remote_vertices[d].push_back(0);
-  }
-  CommClasses classes = BuildCommClasses(rel);
-  auto planner = PlannerRegistry::Global().Create("broadcast-1.5d", PlannerOptions{});
-  ASSERT_TRUE(planner.ok());
-  auto plan = (*planner)->PlanClasses(classes, topo, 1024);
-  ASSERT_TRUE(plan.ok());
-  uint32_t cross_machine = 0;
-  for (const TreeEdge& e : plan->trees[0].edges) {
-    const Link& link = topo.link(e.link);
-    if (topo.device(link.src).machine != topo.device(link.dst).machine) {
-      ++cross_machine;
-    }
-  }
-  EXPECT_EQ(cross_machine, 1u);
-  EXPECT_TRUE(ValidatePlan(ExpandClassPlan(*plan, classes), rel, topo).ok());
+  EXPECT_EQ(report.selected_strategy, "swap");
 }
 
 }  // namespace

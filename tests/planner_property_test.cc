@@ -1,7 +1,7 @@
 // Planner property suite: invariants every produced class plan must satisfy,
 // checked over seeded-random relations × random strongly-connected
 // topologies (the fuzz-sweep generator) and over the planner's own option
-// space (chunking on/off, shuffle on/off, serial and parallel planning).
+// space (chunking on/off, shuffle on/off, chunk-size bound).
 //
 // Core invariants (DESIGN.md §"Invariants under test"):
 //  * every class tree is rooted at the class source: each edge leaves a
@@ -122,8 +122,7 @@ TEST_P(PlannerPropertySweep, SpstInvariantsAcrossOptionSpace) {
   variants[2].shuffle = false;
   variants[3].max_class_units = 8;
   variants[3].min_chunks = 0;
-  variants[4].num_threads = 3;  // speculative parallel path
-  variants[4].max_class_units = 4;
+  variants[4].max_class_units = 4;  // many small chunks
   variants[4].min_chunks = 0;
   for (const SpstOptions& opts : variants) {
     SpstPlanner planner(opts);
@@ -133,10 +132,6 @@ TEST_P(PlannerPropertySweep, SpstInvariantsAcrossOptionSpace) {
     // The per-vertex expansion must also validate against the relation.
     CommPlan expanded = ExpandClassPlan(*plan, w.classes);
     ASSERT_TRUE(ValidatePlan(expanded, w.relation, w.topo).ok());
-    // Parallel path accounting: every chunk was committed exactly once.
-    const SpstPlanStats& stats = planner.last_stats();
-    EXPECT_EQ(stats.chunks, plan->trees.size());
-    EXPECT_EQ(stats.exact_commits + stats.replay_commits + stats.replans, stats.chunks);
   }
 }
 
@@ -147,12 +142,12 @@ TEST_P(PlannerPropertySweep, BaselineInvariants) {
   // directed ring); peer-to-peer needs a full mesh, so only check it when
   // every class's direct links exist — skipping is fine, the fuzz sweep
   // covers validity elsewhere.
-  RingPlanner ring(2);
+  RingPlanner ring;
   auto ring_plan = ring.PlanClasses(w.classes, w.topo, bytes);
   ASSERT_TRUE(ring_plan.ok());
   CheckClassPlan(*ring_plan, w.classes, w.topo, bytes);
 
-  PeerToPeerPlanner p2p(2);
+  PeerToPeerPlanner p2p;
   auto p2p_plan = p2p.PlanClasses(w.classes, w.topo, bytes);
   if (p2p_plan.ok()) {
     CheckClassPlan(*p2p_plan, w.classes, w.topo, bytes);

@@ -18,12 +18,27 @@
 
 namespace dgcl {
 
+// `prefix` followed by `n` in decimal ("d3", "bus0").
+inline std::string Numbered(const char* prefix, uint32_t n) {
+  std::string name = prefix;
+  name += std::to_string(n);
+  return name;
+}
+
+// "c<i>_<j>": the name of the direct connection from device i to device j.
+inline std::string ConnName(uint32_t i, uint32_t j) {
+  std::string name = Numbered("c", i);
+  name += '_';
+  name += std::to_string(j);
+  return name;
+}
+
 // A random topology: a directed ring guarantees strong connectivity; random
 // extra direct links with random media create shortcuts and contention.
 // (void return so gtest ASSERTs can be used inside.)
 inline void BuildRandomTopology(uint32_t devices, Rng& rng, Topology& topo) {
   for (uint32_t d = 0; d < devices; ++d) {
-    topo.AddDevice({"d" + std::to_string(d), 0, d % 2, d / 2});
+    topo.AddDevice({Numbered("d", d), 0, d % 2, d / 2});
   }
   auto random_type = [&rng]() {
     constexpr LinkType kTypes[] = {LinkType::kNvLink2, LinkType::kNvLink1, LinkType::kPcie,
@@ -32,15 +47,15 @@ inline void BuildRandomTopology(uint32_t devices, Rng& rng, Topology& topo) {
   };
   // Shared contention domains: a handful of "buses" some links pass through.
   std::vector<ConnId> buses;
-  for (int b = 0; b < 3; ++b) {
-    buses.push_back(topo.AddConnection({"bus" + std::to_string(b), random_type(), 0.0}));
+  for (uint32_t b = 0; b < 3; ++b) {
+    buses.push_back(topo.AddConnection({Numbered("bus", b), random_type(), 0.0}));
   }
   auto add_link = [&](uint32_t i, uint32_t j) {
     if (topo.LinkBetween(i, j) != kInvalidId) {
       return;
     }
     ConnId direct = topo.AddConnection(
-        {"c" + std::to_string(i) + "_" + std::to_string(j), random_type(), 0.0});
+        {ConnName(i, j), random_type(), 0.0});
     std::vector<ConnId> hops = {direct};
     if (rng.UniformDouble() < 0.4) {
       hops.push_back(buses[rng.UniformInt(buses.size())]);  // multi-hop link
@@ -67,7 +82,7 @@ inline void BuildRandomTopology(uint32_t devices, Rng& rng, Topology& topo) {
 // the full Init -> BuildCommInfo -> train -> recover pipeline.
 inline void BuildRandomFullyConnectedTopology(uint32_t devices, Rng& rng, Topology& topo) {
   for (uint32_t d = 0; d < devices; ++d) {
-    topo.AddDevice({"d" + std::to_string(d), 0, d % 2, d / 2});
+    topo.AddDevice({Numbered("d", d), 0, d % 2, d / 2});
   }
   auto random_type = [&rng]() {
     constexpr LinkType kTypes[] = {LinkType::kNvLink2, LinkType::kNvLink1, LinkType::kPcie,
@@ -75,8 +90,8 @@ inline void BuildRandomFullyConnectedTopology(uint32_t devices, Rng& rng, Topolo
     return kTypes[rng.UniformInt(6)];
   };
   std::vector<ConnId> buses;
-  for (int b = 0; b < 3; ++b) {
-    buses.push_back(topo.AddConnection({"bus" + std::to_string(b), random_type(), 0.0}));
+  for (uint32_t b = 0; b < 3; ++b) {
+    buses.push_back(topo.AddConnection({Numbered("bus", b), random_type(), 0.0}));
   }
   for (uint32_t i = 0; i < devices; ++i) {
     for (uint32_t j = 0; j < devices; ++j) {
@@ -84,7 +99,7 @@ inline void BuildRandomFullyConnectedTopology(uint32_t devices, Rng& rng, Topolo
         continue;
       }
       ConnId direct = topo.AddConnection(
-          {"c" + std::to_string(i) + "_" + std::to_string(j), random_type(), 0.0});
+          {ConnName(i, j), random_type(), 0.0});
       std::vector<ConnId> hops = {direct};
       if (rng.UniformDouble() < 0.4) {
         hops.push_back(buses[rng.UniformInt(buses.size())]);

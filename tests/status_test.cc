@@ -42,9 +42,9 @@ TEST(StatusCodeNameTest, CoversEveryCode) {
 }
 
 TEST(ResultTest, HoldsValue) {
-  Result<int> r(42);
+  Result<std::string> r(std::string("value"));
   ASSERT_TRUE(r.ok());
-  EXPECT_EQ(*r, 42);
+  EXPECT_EQ(*r, "value");
   EXPECT_TRUE(r.status().ok());
 }
 
