@@ -10,7 +10,6 @@
 
 #include "common/ids.h"
 #include "common/logging.h"
-#include "runtime/allreduce.h"
 #include "telemetry/trace.h"
 
 namespace dgcl {
@@ -20,16 +19,6 @@ namespace {
 void ShrinkRows(EmbeddingMatrix& m, uint32_t n) {
   m.rows = n;
   m.data.resize(static_cast<size_t>(n) * m.dim);
-}
-
-// A graph.num_slots-row slot matrix holding `locals` (num_compute rows) in
-// its local rows and zeros in its remote rows.
-EmbeddingMatrix LocalRowsAsSlots(const LocalGraph& graph, const EmbeddingMatrix& locals) {
-  EmbeddingMatrix slots = EmbeddingMatrix::Zero(graph.num_slots, locals.dim);
-  std::copy(locals.data.begin(),
-            locals.data.begin() + static_cast<size_t>(graph.num_compute) * locals.dim,
-            slots.data.begin());
-  return slots;
 }
 
 uint32_t CountLabeled(const std::vector<uint32_t>& labels) {
@@ -44,6 +33,103 @@ uint32_t CountLabeled(const std::vector<uint32_t>& labels) {
 
 }  // namespace
 
+Status ValidateLabels(const std::vector<uint32_t>& labels, uint32_t num_classes) {
+  for (size_t i = 0; i < labels.size(); ++i) {
+    if (labels[i] != kInvalidId && labels[i] >= num_classes) {
+      return Status::InvalidArgument("label " + std::to_string(labels[i]) + " at row " +
+                                     std::to_string(i) + " is out of range for " +
+                                     std::to_string(num_classes) + " classes");
+    }
+  }
+  return Status::Ok();
+}
+
+ModelReplica ModelReplica::Create(uint32_t feature_dim, uint32_t num_classes,
+                                  const TrainerOptions& options) {
+  ModelReplica replica;
+  Rng rng(options.weight_seed);
+  uint32_t dim_in = feature_dim;
+  for (uint32_t l = 0; l < options.num_layers; ++l) {
+    replica.layers.push_back(MakeLayer(options.model, dim_in, options.hidden_dim, rng));
+    dim_in = options.hidden_dim;
+  }
+  replica.head_w = RandomWeights(options.hidden_dim, num_classes, rng);
+  replica.head_dw = EmbeddingMatrix::Zero(options.hidden_dim, num_classes);
+  return replica;
+}
+
+std::vector<EmbeddingMatrix*> ModelReplica::Grads() {
+  std::vector<EmbeddingMatrix*> grads;
+  for (auto& layer : layers) {
+    for (EmbeddingMatrix* g : layer->Grads()) {
+      grads.push_back(g);
+    }
+  }
+  grads.push_back(&head_dw);
+  return grads;
+}
+
+void ModelReplica::ZeroGrads() {
+  for (EmbeddingMatrix* g : Grads()) {
+    std::fill(g->data.begin(), g->data.end(), 0.0f);
+  }
+}
+
+void ModelReplica::Step(float learning_rate) {
+  for (auto& layer : layers) {
+    layer->Step(learning_rate);
+  }
+  for (size_t i = 0; i < head_w.data.size(); ++i) {
+    head_w.data[i] -= learning_rate * head_dw.data[i];
+  }
+  std::fill(head_dw.data.begin(), head_dw.data.end(), 0.0f);
+}
+
+ReplicaWeights ModelReplica::Export() {
+  ReplicaWeights weights;
+  weights.layers.reserve(layers.size());
+  for (auto& layer : layers) {
+    std::vector<EmbeddingMatrix> params;
+    for (EmbeddingMatrix* p : layer->Params()) {
+      params.push_back(*p);
+    }
+    weights.layers.push_back(std::move(params));
+  }
+  weights.head = head_w;
+  return weights;
+}
+
+Status ModelReplica::Import(const ReplicaWeights& weights) {
+  if (weights.layers.size() != layers.size()) {
+    return Status::InvalidArgument("ImportReplica: layer count mismatch");
+  }
+  for (size_t l = 0; l < layers.size(); ++l) {
+    std::vector<EmbeddingMatrix*> params = layers[l]->Params();
+    if (params.size() != weights.layers[l].size()) {
+      return Status::InvalidArgument("ImportReplica: param count mismatch at layer " +
+                                     std::to_string(l));
+    }
+    for (size_t g = 0; g < params.size(); ++g) {
+      if (params[g]->rows != weights.layers[l][g].rows ||
+          params[g]->dim != weights.layers[l][g].dim) {
+        return Status::InvalidArgument("ImportReplica: shape mismatch at layer " +
+                                       std::to_string(l));
+      }
+    }
+  }
+  if (head_w.rows != weights.head.rows || head_w.dim != weights.head.dim) {
+    return Status::InvalidArgument("ImportReplica: head shape mismatch");
+  }
+  for (size_t l = 0; l < layers.size(); ++l) {
+    std::vector<EmbeddingMatrix*> params = layers[l]->Params();
+    for (size_t g = 0; g < params.size(); ++g) {
+      *params[g] = weights.layers[l][g];
+    }
+  }
+  head_w = weights.head;
+  return Status::Ok();
+}
+
 Result<MiniBatchModel> MiniBatchModel::Create(uint32_t feature_dim, uint32_t num_classes,
                                               TrainerOptions options) {
   if (feature_dim == 0 || num_classes == 0 || options.num_layers == 0) {
@@ -52,14 +138,7 @@ Result<MiniBatchModel> MiniBatchModel::Create(uint32_t feature_dim, uint32_t num
   MiniBatchModel model;
   model.options_ = options;
   model.num_classes_ = num_classes;
-  Rng rng(options.weight_seed);
-  uint32_t dim_in = feature_dim;
-  for (uint32_t l = 0; l < options.num_layers; ++l) {
-    model.layers_.push_back(MakeLayer(options.model, dim_in, options.hidden_dim, rng));
-    dim_in = options.hidden_dim;
-  }
-  model.head_w_ = RandomWeights(options.hidden_dim, num_classes, rng);
-  model.head_dw_ = EmbeddingMatrix::Zero(options.hidden_dim, num_classes);
+  model.replica_ = ModelReplica::Create(feature_dim, num_classes, options);
   return model;
 }
 
@@ -75,29 +154,26 @@ Result<EpochResult> MiniBatchModel::Pass(bool train, const LocalGraph& block,
   if (inputs.rows != block.num_slots || labels.size() != block.num_compute) {
     return Status::InvalidArgument("inputs/labels must cover every block row");
   }
+  DGCL_RETURN_IF_ERROR(ValidateLabels(labels, num_classes_));
   if (CountLabeled(labels) == 0) {
     return Status::FailedPrecondition("no labeled vertices in the block");
   }
   if (train) {
     // Clear any partial accumulations a failed earlier step left behind.
-    for (auto& layer : layers_) {
-      for (EmbeddingMatrix* g : layer->Grads()) {
-        std::fill(g->data.begin(), g->data.end(), 0.0f);
-      }
-    }
-    std::fill(head_dw_.data.begin(), head_dw_.data.end(), 0.0f);
+    replica_.ZeroGrads();
   }
   // Fully-local forward: each layer's output rows are the next layer's slot
   // rows directly (the InferenceForward schedule, kept inline here because
   // backward needs the stack's cached activations).
-  EmbeddingMatrix acts = layers_[0]->Forward(block, inputs);
-  for (size_t l = 1; l < layers_.size(); ++l) {
-    acts = layers_[l]->Forward(block, acts);
+  std::vector<std::unique_ptr<GnnLayer>>& layers = replica_.layers;
+  EmbeddingMatrix acts = layers[0]->Forward(block, inputs);
+  for (size_t l = 1; l < layers.size(); ++l) {
+    acts = layers[l]->Forward(block, acts);
   }
 
   EpochResult result;
   EmbeddingMatrix logits;
-  Gemm(acts, head_w_, logits);
+  Gemm(acts, replica_.head_w, logits);
   EmbeddingMatrix dlogits;
   result.loss = SoftmaxCrossEntropy(logits, labels, dlogits);
   result.accuracy = Accuracy(logits, labels);
@@ -107,20 +183,14 @@ Result<EpochResult> MiniBatchModel::Pass(bool train, const LocalGraph& block,
 
   EmbeddingMatrix dw;
   GemmTransposeA(acts, dlogits, dw);
-  AddInPlace(head_dw_, dw);
+  AddInPlace(replica_.head_dw, dw);
   EmbeddingMatrix dacts;
-  GemmTransposeB(dlogits, head_w_, dacts);
-  for (size_t l = layers_.size(); l-- > 1;) {
-    dacts = layers_[l]->Backward(block, dacts);
+  GemmTransposeB(dlogits, replica_.head_w, dacts);
+  for (size_t l = layers.size(); l-- > 1;) {
+    dacts = layers[l]->Backward(block, dacts);
   }
-  layers_[0]->BackwardParamsOnly(block, dacts);  // nobody consumes d(inputs)
-  for (auto& layer : layers_) {
-    layer->Step(options_.learning_rate);
-  }
-  for (size_t i = 0; i < head_w_.data.size(); ++i) {
-    head_w_.data[i] -= options_.learning_rate * head_dw_.data[i];
-  }
-  std::fill(head_dw_.data.begin(), head_dw_.data.end(), 0.0f);
+  layers[0]->BackwardParamsOnly(block, dacts);  // nobody consumes d(inputs)
+  replica_.Step(options_.learning_rate);
   return result;
 }
 
@@ -135,44 +205,10 @@ Result<EpochResult> MiniBatchModel::Evaluate(const LocalGraph& block,
   return Pass(/*train=*/false, block, inputs, labels);
 }
 
-ReplicaWeights MiniBatchModel::ExportReplica() {
-  ReplicaWeights weights;
-  weights.layers.reserve(layers_.size());
-  for (auto& layer : layers_) {
-    std::vector<EmbeddingMatrix> params;
-    for (EmbeddingMatrix* p : layer->Params()) {
-      params.push_back(*p);
-    }
-    weights.layers.push_back(std::move(params));
-  }
-  weights.head = head_w_;
-  return weights;
-}
+ReplicaWeights MiniBatchModel::ExportReplica() { return replica_.Export(); }
 
 Status MiniBatchModel::ImportReplica(const ReplicaWeights& weights) {
-  if (weights.layers.size() != layers_.size()) {
-    return Status::InvalidArgument("ImportReplica: layer count mismatch");
-  }
-  for (size_t l = 0; l < layers_.size(); ++l) {
-    std::vector<EmbeddingMatrix*> params = layers_[l]->Params();
-    if (params.size() != weights.layers[l].size()) {
-      return Status::InvalidArgument("ImportReplica: param count mismatch at layer " +
-                                     std::to_string(l));
-    }
-    for (size_t g = 0; g < params.size(); ++g) {
-      if (params[g]->rows != weights.layers[l][g].rows ||
-          params[g]->dim != weights.layers[l][g].dim) {
-        return Status::InvalidArgument("ImportReplica: shape mismatch at layer " +
-                                       std::to_string(l));
-      }
-      *params[g] = weights.layers[l][g];
-    }
-  }
-  if (head_w_.rows != weights.head.rows || head_w_.dim != weights.head.dim) {
-    return Status::InvalidArgument("ImportReplica: head shape mismatch");
-  }
-  head_w_ = weights.head;
-  return Status::Ok();
+  return replica_.Import(weights);
 }
 
 // One persistent thread per device. Run(body) hands body(d) to thread d and
@@ -269,10 +305,7 @@ Result<DistributedTrainer> DistributedTrainer::Create(
   if (options.num_layers == 0 || num_classes == 0) {
     return Status::InvalidArgument("need at least one layer and one class");
   }
-  if (options.aggregate_every_r == 0) {
-    return Status::InvalidArgument(
-        "aggregate_every_r must be >= 1 (1 = synchronous, r = exchange every r-th epoch)");
-  }
+  DGCL_RETURN_IF_ERROR(ValidateLabels(labels, num_classes));
   DistributedTrainer trainer;
   trainer.relation_ = &relation;
   trainer.engine_ = &engine;
@@ -283,7 +316,7 @@ Result<DistributedTrainer> DistributedTrainer::Create(
   trainer.local_graphs_.reserve(devices);
   trainer.local_features_.reserve(devices);
   trainer.local_labels_.resize(devices);
-  trainer.layers_.resize(devices);
+  trainer.replicas_.reserve(devices);
   for (uint32_t d = 0; d < devices; ++d) {
     trainer.local_graphs_.push_back(BuildLocalGraph(graph, relation, d));
     const auto& locals = relation.local_vertices[d];
@@ -296,15 +329,7 @@ Result<DistributedTrainer> DistributedTrainer::Create(
     for (VertexId v : locals) {
       trainer.local_labels_[d].push_back(labels[v]);
     }
-    // Identical weight replica per device: fresh identically-seeded Rng.
-    Rng rng(options.weight_seed);
-    uint32_t dim_in = features.dim;
-    for (uint32_t l = 0; l < options.num_layers; ++l) {
-      trainer.layers_[d].push_back(MakeLayer(options.model, dim_in, options.hidden_dim, rng));
-      dim_in = options.hidden_dim;
-    }
-    trainer.head_w_.push_back(RandomWeights(options.hidden_dim, num_classes, rng));
-    trainer.head_dw_.push_back(EmbeddingMatrix::Zero(options.hidden_dim, num_classes));
+    trainer.replicas_.push_back(ModelReplica::Create(features.dim, num_classes, options));
   }
   trainer.workers_ = std::make_unique<DeviceWorkers>(devices);
   return trainer;
@@ -320,27 +345,12 @@ Result<EpochResult> DistributedTrainer::Pass(bool train, EmbeddingMatrix* all_lo
     // parameter-gradient accumulations behind (weights are only touched by
     // the all-or-nothing synchronized step, so *they* are always clean).
     // Re-zero so a retried epoch reproduces a fresh one exactly.
-    workers_->Run([&](uint32_t d) {
-      for (auto& layer : layers_[d]) {
-        for (EmbeddingMatrix* g : layer->Grads()) {
-          std::fill(g->data.begin(), g->data.end(), 0.0f);
-        }
-      }
-      std::fill(head_dw_[d].data.begin(), head_dw_[d].data.end(), 0.0f);
-    });
+    workers_->Run([&](uint32_t d) { replicas_[d].ZeroGrads(); });
   }
   // `inputs` holds the activations entering layer l: the local features
   // themselves (read in place) for layer 0, then each layer's output `acts`.
   std::vector<EmbeddingMatrix> acts(devices);
   const std::vector<EmbeddingMatrix>* inputs = &local_features_;
-
-  // cd-r: a training epoch is stale when it is not a multiple of r and a
-  // fresh exchange has already populated the remote-row cache; it reuses the
-  // cached rows and skips both directions of communication. Eval passes are
-  // always fresh.
-  const bool stale = train && options_.aggregate_every_r > 1 &&
-                     (train_epochs_ % options_.aggregate_every_r) != 0 &&
-                     !stale_remote_.empty();
 
   for (uint32_t l = 0; l < options_.num_layers; ++l, inputs = &acts) {
     const EmbeddingCheckpoint* ckpt =
@@ -362,7 +372,7 @@ Result<EpochResult> DistributedTrainer::Pass(bool train, EmbeddingMatrix* all_lo
         for (VertexId v : relation_->remote_vertices[d]) {
           std::copy(ckpt->acts.Row(v), ckpt->acts.Row(v) + ckpt->acts.dim, trimmed.Row(row++));
         }
-        acts[d] = layers_[d][l]->Forward(local_graphs_[d], trimmed);
+        acts[d] = replicas_[d].layers[l]->Forward(local_graphs_[d], trimmed);
       });
       continue;
     }
@@ -372,7 +382,7 @@ Result<EpochResult> DistributedTrainer::Pass(bool train, EmbeddingMatrix* all_lo
       // exchange below dies, the retry resumes from this very layer. Devices
       // own disjoint rows of the snapshot.
       DGCL_TSPAN1("recovery", "recovery.checkpoint.save", "layer", l);
-      const uint32_t dim = layers_[0][l]->dim_in();
+      const uint32_t dim = replicas_[0].layers[l]->dim_in();
       EmbeddingMatrix global =
           EmbeddingMatrix::Zero(static_cast<uint32_t>(relation_->source.size()), dim);
       workers_->Run([&](uint32_t d) {
@@ -383,73 +393,18 @@ Result<EpochResult> DistributedTrainer::Pass(bool train, EmbeddingMatrix* all_lo
       });
       hooks.checkpoints->Save(l, std::move(global));
     }
-    if (stale) {
-      // Stale epoch: slot inputs are fresh local rows plus the remote rows
-      // cached at the last exchange; no communication for this layer.
-      DGCL_TSPAN1("trainer", "layer.stale_reuse", "layer", l);
-      workers_->Run([&](uint32_t d) {
-        const LocalGraph& g = local_graphs_[d];
-        const EmbeddingMatrix& cached = stale_remote_[l][d];
-        EmbeddingMatrix trimmed = LocalRowsAsSlots(g, (*inputs)[d]);
-        std::copy(cached.data.begin(), cached.data.end(),
-                  trimmed.data.begin() + static_cast<size_t>(g.num_compute) * trimmed.dim);
-        acts[d] = layers_[d][l]->Forward(g, trimmed);
-      });
-      continue;
-    }
-    std::vector<EmbeddingMatrix> slots(devices);
-    if (engine_->options().overlap.num_chunks > 1) {
-      // Overlapped exchange: consume each chunk as its flag publishes — the
-      // first stage of aggregation (materializing the compute-side slot
-      // matrix) runs while later chunks are still on the wire, instead of
-      // after the pass barrier. Each callback fires on the receiving
-      // device's pass thread and writes only that device's matrix, so
-      // callbacks race neither with each other nor with this thread (which
-      // blocks in Forward until every pass thread has joined). Rows land via
-      // the same copies the barrier path makes, so the result is
-      // bit-identical; the neighbor-sum itself still runs after the pass
-      // because reassociating it per arrival order would break that
-      // guarantee.
-      DGCL_TSPAN1("trainer", "layer.allgather.overlap", "layer", l);
-      workers_->Run(
-          [&](uint32_t d) { slots[d] = LocalRowsAsSlots(local_graphs_[d], (*inputs)[d]); });
-      auto on_chunk = [&](const ChunkArrival& a) {
-        const TransferOp& op = engine_->plan().ops[a.op];
-        const LocalGraph& g = local_graphs_[a.device];
-        EmbeddingMatrix& t = slots[a.device];
-        for (uint32_t i = a.row_begin; i < a.row_end; ++i) {
-          const uint32_t slot = engine_->SlotOf(a.device, op.vertices[i]);
-          if (slot < g.num_slots) {
-            std::copy(a.output->Row(slot), a.output->Row(slot) + a.dim, t.Row(slot));
-          }
-        }
-      };
-      // The returned matrices are the ones already consumed chunk by chunk.
-      DGCL_RETURN_IF_ERROR(engine_->Forward(*inputs, on_chunk).status());
-    } else {
+    std::vector<EmbeddingMatrix> slots;
+    {
       DGCL_TSPAN1("trainer", "layer.allgather", "layer", l);
       DGCL_ASSIGN_OR_RETURN(slots, engine_->Forward(*inputs));
     }
     DGCL_TSPAN1("trainer", "layer.compute", "layer", l);
-    if (train && options_.aggregate_every_r > 1 && stale_remote_.empty()) {
-      stale_remote_.resize(options_.num_layers, std::vector<EmbeddingMatrix>(devices));
-    }
     // The workers shrink and read `slots`; this thread, which allocated it
     // inside the engine, frees it at the end of the layer.
     workers_->Run([&](uint32_t d) {
       const LocalGraph& g = local_graphs_[d];
-      EmbeddingMatrix& trimmed = slots[d];
-      ShrinkRows(trimmed, g.num_slots);
-      if (train && options_.aggregate_every_r > 1) {
-        // Refresh the cache the stale epochs will reuse until the next
-        // exchange.
-        const uint32_t remotes = g.num_slots - g.num_compute;
-        EmbeddingMatrix cached = EmbeddingMatrix::Zero(remotes, trimmed.dim);
-        std::copy(trimmed.data.begin() + static_cast<size_t>(g.num_compute) * trimmed.dim,
-                  trimmed.data.end(), cached.data.begin());
-        stale_remote_[l][d] = std::move(cached);
-      }
-      acts[d] = layers_[d][l]->Forward(g, trimmed);
+      ShrinkRows(slots[d], g.num_slots);
+      acts[d] = replicas_[d].layers[l]->Forward(g, slots[d]);
     });
   }
 
@@ -478,7 +433,7 @@ Result<EpochResult> DistributedTrainer::Pass(bool train, EmbeddingMatrix* all_lo
   std::vector<EmbeddingMatrix> dacts(devices);
   workers_->Run([&](uint32_t d) {
     EmbeddingMatrix logits;
-    Gemm(acts[d], head_w_[d], logits);
+    Gemm(acts[d], replicas_[d].head_w, logits);
     EmbeddingMatrix dlogits;
     loss[d] = SoftmaxCrossEntropy(logits, local_labels_[d], dlogits);
     accuracy[d] = Accuracy(logits, local_labels_[d]);
@@ -494,8 +449,8 @@ Result<EpochResult> DistributedTrainer::Pass(bool train, EmbeddingMatrix* all_lo
     ScaleInPlace(dlogits, static_cast<float>(share[d]));
     EmbeddingMatrix dw;
     GemmTransposeA(acts[d], dlogits, dw);
-    AddInPlace(head_dw_[d], dw);
-    GemmTransposeB(dlogits, head_w_[d], dacts[d]);
+    AddInPlace(replicas_[d].head_dw, dw);
+    GemmTransposeB(dlogits, replicas_[d].head_w, dacts[d]);
   });
   EpochResult result;
   for (uint32_t d = 0; d < devices; ++d) {
@@ -515,20 +470,13 @@ Result<EpochResult> DistributedTrainer::Pass(bool train, EmbeddingMatrix* all_lo
       DGCL_TSPAN1("trainer", "layer.bwd.compute", "layer", l);
       workers_->Run([&](uint32_t d) {
         if (l == 0) {
-          layers_[d][0]->BackwardParamsOnly(local_graphs_[d], dacts[d]);
+          replicas_[d].layers[0]->BackwardParamsOnly(local_graphs_[d], dacts[d]);
           return;
         }
-        dslots[d] = layers_[d][l]->Backward(local_graphs_[d], dacts[d]);
-        if (stale) {
-          // cd-r: the delayed remote-gradient contributions are dropped;
-          // every owner keeps the gradient its own compute produced for its
-          // local rows, and no exchange runs.
-          ShrinkRows(dslots[d], local_graphs_[d].num_compute);
-          dacts[d] = std::move(dslots[d]);
-        }
+        dslots[d] = replicas_[d].layers[l]->Backward(local_graphs_[d], dacts[d]);
       });
     }
-    if (l == 0 || stale) {
+    if (l == 0) {
       continue;
     }
     DGCL_TSPAN1("trainer", "layer.bwd.allgather", "layer", l);
@@ -538,49 +486,24 @@ Result<EpochResult> DistributedTrainer::Pass(bool train, EmbeddingMatrix* all_lo
   // Gradient synchronization (allreduce-sum) across replicas, then step.
   // Each device's parameter gradient is a *partial sum* over its local
   // vertices of the globally-normalized loss, so the reduce is a sum, not a
-  // mean — summing reproduces the single-device gradient exactly.
+  // mean — summing reproduces the single-device gradient exactly. The sum
+  // runs in device order, so every replica steps with the same gradient.
   DGCL_TSPAN("trainer", "grad.sync");
-  auto sync = [&](std::vector<EmbeddingMatrix*> replicas) -> Status {
-    if (options_.use_ring_allreduce) {
-      DGCL_ASSIGN_OR_RETURN(AllReduceStats stats, RingAllReduceSum(std::move(replicas)));
-      (void)stats;
-      return Status::Ok();
+  std::vector<std::vector<EmbeddingMatrix*>> grads;
+  grads.reserve(devices);
+  for (ModelReplica& replica : replicas_) {
+    grads.push_back(replica.Grads());
+  }
+  for (size_t g = 0; g < grads[0].size(); ++g) {
+    for (uint32_t d = 1; d < devices; ++d) {
+      AddInPlace(*grads[0][g], *grads[d][g]);
     }
     for (uint32_t d = 1; d < devices; ++d) {
-      AddInPlace(*replicas[0], *replicas[d]);
-    }
-    for (uint32_t d = 1; d < devices; ++d) {
-      *replicas[d] = *replicas[0];
-    }
-    return Status::Ok();
-  };
-  for (uint32_t l = 0; l < options_.num_layers; ++l) {
-    const size_t grads_per_layer = layers_[0][l]->Grads().size();
-    for (size_t g = 0; g < grads_per_layer; ++g) {
-      std::vector<EmbeddingMatrix*> replicas;
-      replicas.reserve(devices);
-      for (uint32_t d = 0; d < devices; ++d) {
-        replicas.push_back(layers_[d][l]->Grads()[g]);
-      }
-      DGCL_RETURN_IF_ERROR(sync(std::move(replicas)));
-    }
-    for (uint32_t d = 0; d < devices; ++d) {
-      layers_[d][l]->Step(options_.learning_rate);
+      *grads[d][g] = *grads[0][g];
     }
   }
-  {
-    std::vector<EmbeddingMatrix*> replicas;
-    replicas.reserve(devices);
-    for (uint32_t d = 0; d < devices; ++d) {
-      replicas.push_back(&head_dw_[d]);
-    }
-    DGCL_RETURN_IF_ERROR(sync(std::move(replicas)));
-  }
-  for (uint32_t d = 0; d < devices; ++d) {
-    for (size_t i = 0; i < head_w_[d].data.size(); ++i) {
-      head_w_[d].data[i] -= options_.learning_rate * head_dw_[d].data[i];
-    }
-    std::fill(head_dw_[d].data.begin(), head_dw_[d].data.end(), 0.0f);
+  for (ModelReplica& replica : replicas_) {
+    replica.Step(options_.learning_rate);
   }
   return result;
 }
@@ -588,54 +511,21 @@ Result<EpochResult> DistributedTrainer::Pass(bool train, EmbeddingMatrix* all_lo
 Result<EpochResult> DistributedTrainer::TrainEpoch() { return TrainEpoch(EpochHooks{}); }
 
 Result<EpochResult> DistributedTrainer::TrainEpoch(const EpochHooks& hooks) {
-  Result<EpochResult> result = Pass(/*train=*/true, nullptr, hooks);
-  if (result.ok()) {
-    ++train_epochs_;  // only completed epochs advance the cd-r schedule
-  }
-  return result;
+  return Pass(/*train=*/true, nullptr, hooks);
 }
 
 Result<EpochResult> DistributedTrainer::Evaluate() { return Pass(/*train=*/false, nullptr); }
 
 ReplicaWeights DistributedTrainer::ExportReplica(uint32_t device) {
-  DGCL_CHECK(device < layers_.size());
-  ReplicaWeights weights;
-  weights.layers.reserve(options_.num_layers);
-  for (uint32_t l = 0; l < options_.num_layers; ++l) {
-    std::vector<EmbeddingMatrix> params;
-    for (EmbeddingMatrix* p : layers_[device][l]->Params()) {
-      params.push_back(*p);
-    }
-    weights.layers.push_back(std::move(params));
-  }
-  weights.head = head_w_[device];
-  return weights;
+  DGCL_CHECK(device < replicas_.size());
+  return replicas_[device].Export();
 }
 
 Status DistributedTrainer::ImportReplica(const ReplicaWeights& weights) {
-  if (weights.layers.size() != options_.num_layers) {
-    return Status::InvalidArgument("ImportReplica: layer count mismatch");
-  }
-  for (uint32_t d = 0; d < layers_.size(); ++d) {
-    for (uint32_t l = 0; l < options_.num_layers; ++l) {
-      std::vector<EmbeddingMatrix*> params = layers_[d][l]->Params();
-      if (params.size() != weights.layers[l].size()) {
-        return Status::InvalidArgument("ImportReplica: param count mismatch at layer " +
-                                       std::to_string(l));
-      }
-      for (size_t g = 0; g < params.size(); ++g) {
-        if (params[g]->rows != weights.layers[l][g].rows ||
-            params[g]->dim != weights.layers[l][g].dim) {
-          return Status::InvalidArgument("ImportReplica: shape mismatch at layer " +
-                                         std::to_string(l));
-        }
-        *params[g] = weights.layers[l][g];
-      }
-    }
-    if (head_w_[d].rows != weights.head.rows || head_w_[d].dim != weights.head.dim) {
-      return Status::InvalidArgument("ImportReplica: head shape mismatch");
-    }
-    head_w_[d] = weights.head;
+  // Every replica has the same shapes, so a mismatch fails on the first one
+  // before any weight is written.
+  for (ModelReplica& replica : replicas_) {
+    DGCL_RETURN_IF_ERROR(replica.Import(weights));
   }
   return Status::Ok();
 }

@@ -6,9 +6,12 @@
 // before the next dense op. The backward pass routes remote-vertex gradients
 // back to their owners through the same plan in reverse; the first layer's
 // input gradient is never formed, so an L-layer epoch runs 2L-1 engine passes
-// (L forward, L-1 backward). Model weights are replicated and
-// gradient-summed across devices every step (the paper defers this to
-// Horovod/DDP; GNN weights are small).
+// (L forward, L-1 backward). There is one schedule: every epoch exchanges
+// fresh embeddings before every layer, and the trainer takes each pass's
+// finished slot matrices however the engine chunks its transfers. Model
+// weights are replicated (one ModelReplica per device) and gradient-summed
+// across devices every step (the paper defers this to Horovod/DDP; GNN
+// weights are small).
 //
 // Device math runs in parallel, as on one GPU per device: the trainer owns
 // one persistent worker thread per device, and device d's layer compute,
@@ -34,24 +37,13 @@
 
 namespace dgcl {
 
+// Model and optimizer settings of DistributedTrainer and MiniBatchModel.
 struct TrainerOptions {
   GnnModel model = GnnModel::kGcn;
-  uint32_t num_layers = 2;
-  uint32_t hidden_dim = 16;
-  float learning_rate = 0.5f;
+  uint32_t num_layers = 2;     // GNN layers before the classification head
+  uint32_t hidden_dim = 16;    // output width of every GNN layer
+  float learning_rate = 0.5f;  // plain SGD
   uint64_t weight_seed = 123;  // identical across devices (replicated model)
-  // Synchronize gradients with the ring all-reduce (runtime/allreduce.h)
-  // instead of a naive sequential sum. Same result up to float summation
-  // order; this is what Horovod/DDP would do on real hardware (§6.3).
-  bool use_ring_allreduce = false;
-
-  // DistGNN-style cd-r delayed remote aggregation: cross-partition
-  // allgathers run only every r-th training epoch; the r-1 epochs in
-  // between reuse the remote slot rows cached at the last exchange (local
-  // rows stay fresh) and skip the backward allgather, dropping the delayed
-  // remote-gradient contributions. 1 (default) = fully synchronous — the
-  // exact paper schedule. Evaluate/Logits always exchange fresh embeddings.
-  uint32_t aggregate_every_r = 1;
 };
 
 struct EpochResult {
@@ -82,6 +74,36 @@ struct EpochHooks {
   bool restore = false;
 };
 
+// InvalidArgument unless every label is kInvalidId (unlabeled) or in
+// [0, num_classes).
+Status ValidateLabels(const std::vector<uint32_t>& labels, uint32_t num_classes);
+
+// One live copy of the model: the GNN layer stack, the classification head
+// and the head's gradient. MiniBatchModel holds one; DistributedTrainer holds
+// one per device.
+struct ModelReplica {
+  // Draws the layer stack (feature_dim -> hidden_dim -> ... -> hidden_dim),
+  // then the head (hidden_dim -> num_classes), from one Rng seeded with
+  // options.weight_seed: equal options give bitwise-equal replicas.
+  static ModelReplica Create(uint32_t feature_dim, uint32_t num_classes,
+                             const TrainerOptions& options);
+
+  // Every parameter gradient, layer by layer, then the head's.
+  std::vector<EmbeddingMatrix*> Grads();
+  void ZeroGrads();
+  // SGD step of the layers and the head with the accumulated gradients,
+  // which are zero afterwards.
+  void Step(float learning_rate);
+
+  ReplicaWeights Export();
+  // Overwrites the weights. Shapes must match; on error nothing is written.
+  Status Import(const ReplicaWeights& weights);
+
+  std::vector<std::unique_ptr<GnnLayer>> layers;
+  EmbeddingMatrix head_w;
+  EmbeddingMatrix head_dw;
+};
+
 // Single-replica model for sampled mini-batch training: the same layer
 // stack + classification head as DistributedTrainer, but each Step runs
 // forward/backward/SGD on one fully-local sampled block (num_slots ==
@@ -93,10 +115,9 @@ struct EpochHooks {
 // service/minibatch_trainer.h).
 class MiniBatchModel {
  public:
-  // Same weight initialization as DistributedTrainer::Create with one
-  // device: identically-seeded stacks produce identical replicas, so a
-  // MiniBatchModel and a full-graph trainer with equal options start from
-  // the same weights.
+  // Same weight initialization as every replica of DistributedTrainer::Create
+  // (both use ModelReplica::Create), so a MiniBatchModel and a full-graph
+  // trainer with equal options start from the same weights.
   static Result<MiniBatchModel> Create(uint32_t feature_dim, uint32_t num_classes,
                                        TrainerOptions options);
 
@@ -123,9 +144,7 @@ class MiniBatchModel {
 
   TrainerOptions options_;
   uint32_t num_classes_ = 0;
-  std::vector<std::unique_ptr<GnnLayer>> layers_;
-  EmbeddingMatrix head_w_;
-  EmbeddingMatrix head_dw_;
+  ModelReplica replica_;
 };
 
 class DistributedTrainer {
@@ -156,8 +175,8 @@ class DistributedTrainer {
   Result<EmbeddingMatrix> Logits();
 
   // Introspection (tests, replica-consistency checks).
-  GnnLayer& layer(uint32_t device, uint32_t index) { return *layers_[device][index]; }
-  const EmbeddingMatrix& head_weights(uint32_t device) const { return head_w_[device]; }
+  GnnLayer& layer(uint32_t device, uint32_t index) { return *replicas_[device].layers[index]; }
+  const EmbeddingMatrix& head_weights(uint32_t device) const { return replicas_[device].head_w; }
 
   // Snapshot of `device`'s replica weights (== every replica's: weights only
   // ever change inside a fully-completed synchronized step, so at any failure
@@ -186,17 +205,7 @@ class DistributedTrainer {
   std::vector<LocalGraph> local_graphs_;                  // per device
   std::vector<EmbeddingMatrix> local_features_;           // per device
   std::vector<std::vector<uint32_t>> local_labels_;       // per device
-  // layers_[d][l]: layer l of device d's replica.
-  std::vector<std::vector<std::unique_ptr<GnnLayer>>> layers_;
-  // Classification head (dense, local rows only), replicated per device.
-  std::vector<EmbeddingMatrix> head_w_;
-  std::vector<EmbeddingMatrix> head_dw_;
-
-  // cd-r state (aggregate_every_r > 1): completed training epochs, and the
-  // remote slot rows [num_local, num_slots) cached per (layer, device) at
-  // the last fresh exchange. Empty until the first fresh epoch populates it.
-  uint64_t train_epochs_ = 0;
-  std::vector<std::vector<EmbeddingMatrix>> stale_remote_;  // [layer][device]
+  std::vector<ModelReplica> replicas_;                    // per device
 
   // Worker d runs device d's math. Heap-held so the trainer stays movable:
   // the worker threads keep the DeviceWorkers' address.

@@ -79,8 +79,9 @@ enum class ConsumePolicy : uint8_t { kEager, kInOrder };
 // Chunked/overlapped execution (§6.1 flag protocol, extended). With
 // num_chunks > 1 each op's rows are split into near-equal chunks; the sender
 // publishes a per-chunk flag as soon as that chunk's rows are staged, so the
-// receiver (and the trainer, via Forward's ChunkConsumer overload) starts
-// consuming while later chunks are still on the wire. Like every other
+// receiver (and any caller of Forward's ChunkConsumer overload, such as the
+// overlap audit) starts consuming while later chunks are still on the wire.
+// The trainer takes the finished slot matrices either way. Like every other
 // EngineOptions knob, this never changes what a pass delivers — outputs stay
 // bit-identical to barrier (num_chunks == 1) execution.
 struct OverlapOptions {

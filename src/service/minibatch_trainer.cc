@@ -36,6 +36,7 @@ Result<std::unique_ptr<MiniBatchTrainer>> MiniBatchTrainer::Create(
   if (labels.size() != service->store().graph().num_vertices()) {
     return Status::InvalidArgument("labels must cover every vertex");
   }
+  DGCL_RETURN_IF_ERROR(ValidateLabels(labels, num_classes));
   DGCL_ASSIGN_OR_RETURN(
       MiniBatchModel model,
       MiniBatchModel::Create(service->options().feature_dim, num_classes, options.trainer));

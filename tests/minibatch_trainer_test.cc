@@ -80,6 +80,12 @@ TEST(MiniBatchTrainerTest, ValidateRejectsBadOptions) {
   EXPECT_NE(result.status().message().find("uniform"), std::string::npos)
       << result.status().message();
 
+  std::vector<uint32_t> bad_labels = w.labels;
+  bad_labels[5] = 9;  // neither kInvalidId nor < num_classes
+  auto bad_label = MiniBatchTrainer::Create(service->get(), bad_labels, 4, TrainOptions());
+  ASSERT_FALSE(bad_label.ok());
+  EXPECT_EQ(bad_label.status().code(), StatusCode::kInvalidArgument);
+
   std::vector<uint32_t> short_labels(10, 0);
   EXPECT_FALSE(MiniBatchTrainer::Create(service->get(), short_labels, 4, TrainOptions()).ok());
 
