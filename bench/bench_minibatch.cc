@@ -17,9 +17,10 @@
 // feeds back into EpochOptions::fetch_batch_bytes_factor.
 //
 // Phase 2 (trainer loop): MiniBatchTrainer over the serving tier on the
-// community fixture, once per registered sampler strategy — epochs of
-// sampled mini-batch SGD, reporting the full-graph loss/accuracy before and
-// after plus wall time per epoch.
+// community fixture, once per sampling strategy (a fresh service with
+// ServiceOptions::sampler set to it) — epochs of sampled mini-batch SGD,
+// reporting the full-graph loss/accuracy before and after plus wall time
+// per epoch.
 //
 // Usage: bench_minibatch [--json out.json] [--trace out.json]
 
@@ -227,8 +228,9 @@ int Run(int argc, char** argv) {
   constexpr uint32_t kEpochs = 15;
   TablePrinter train_table({"Strategy", "Epochs", "Loss before", "Loss after", "Accuracy",
                             "ms/epoch"});
-  for (const std::string& strategy : SamplerRegistry::Global().Names()) {
+  for (const std::string& strategy : SamplerNames()) {
     ServiceOptions options = fixture.Options();
+    options.sampler = strategy;
     options.fetch.enabled = true;
     options.fetch.window_micros = 200;
     auto service = GraphService::Create(fixture.graph, options, &fixture.features);
@@ -241,7 +243,6 @@ int Run(int argc, char** argv) {
     train_options.trainer.learning_rate = 0.3f;
     train_options.batch_seeds = 48;
     train_options.batches_per_epoch = 8;
-    train_options.sampler = strategy;
     train_options.sample = {2, 6, 0x5eed};
     auto trainer = MiniBatchTrainer::Create(service->get(), fixture.labels,
                                             fixture.num_classes, train_options);

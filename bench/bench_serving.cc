@@ -371,8 +371,7 @@ int Run(int argc, char** argv) {
   double r1_rps = 0.0;
   double r2_rps = 0.0;
   {
-    TablePrinter replica_table(
-        {"Replicas", "Routing", "Offered", "Completed", "Unavail", "req/s", "Digest"});
+    TablePrinter replica_table({"Replicas", "Offered", "Completed", "Unavail", "req/s", "Digest"});
     for (uint32_t replicas : {1u, 2u, 3u}) {
       auto service = GraphService::Create(dataset.graph, ReplicaOptions(replicas));
       if (!service.ok()) {
@@ -395,15 +394,13 @@ int Run(int argc, char** argv) {
       char digest_hex[32];
       std::snprintf(digest_hex, sizeof(digest_hex), "%016llx",
                     static_cast<unsigned long long>(load.digest));
-      replica_table.AddRow({std::to_string(replicas), "round-robin",
-                            std::to_string(kReplicaRequests), std::to_string(load.completed),
-                            std::to_string(load.unavailable), TablePrinter::Fmt(rps, 0),
-                            digest_hex});
+      replica_table.AddRow({std::to_string(replicas), std::to_string(kReplicaRequests),
+                            std::to_string(load.completed), std::to_string(load.unavailable),
+                            TablePrinter::Fmt(rps, 0), digest_hex});
       bench::JsonRecord record;
       record.AddString("phase", "replica-sweep");
       record.AddInt("shards", 4);
       record.AddInt("replicas", replicas);
-      record.AddString("routing", "round-robin");
       record.AddInt("offered", kReplicaRequests);
       record.AddInt("completed", load.completed);
       record.AddInt("unavailable", load.unavailable);

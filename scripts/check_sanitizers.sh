@@ -22,7 +22,7 @@
 # accounting — exercised by minibatch_trainer_test's concurrent-coalescing
 # case and the conformance suite's pooled fleets). The replica layer rides
 # the same gate: replica_conformance_test and the serving kill-schedule fuzz
-# put the lock-free router (alive-mask/cursor/in-flight atomics) under
+# put the lock-free router (alive-mask/cursor/routed atomics) under
 # concurrent Submit while KillReplica drains queues onto survivors, and
 # fetch_batcher_test hammers the gap-close leader loop directly.
 # Separate build trees (build-tsan/, build-asan/) so the main build stays

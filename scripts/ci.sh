@@ -20,15 +20,15 @@
 #                             widths — a subset of `unit`, runnable alone
 #                             when iterating on src/service/)
 #   5. sampling tier          ctest -L sampling (the sampler family and the
-#                             mini-batch training path: registry conformance
-#                             over every strategy, determinism across pool
+#                             mini-batch training path: conformance over
+#                             every strategy, determinism across pool
 #                             widths, loss-trajectory acceptance, checkpoint
 #                             recovery, and cross-request fetch batching — a
 #                             subset of `serving`, runnable alone when
 #                             iterating on samplers or the trainer feed)
 #   6. replicas tier          ctest -L replicas (the shard-replica layer:
-#                             byte-identity conformance over R × routing ×
-#                             pool width, replica-aware failover and
+#                             byte-identity conformance over R × pool
+#                             width, replica-aware failover and
 #                             last-replica death, and the serving
 #                             kill-schedule fuzz — a subset of serving+fuzz,
 #                             runnable alone when iterating on replica_set

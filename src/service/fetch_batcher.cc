@@ -10,6 +10,11 @@ Status FetchBatchOptions::Validate() const {
   if (enabled && window_micros == 0) {
     return Status::InvalidArgument("fetch.window_micros must be > 0 when batching is enabled");
   }
+  if (enabled && close_gap_micros < 1) {
+    return Status::InvalidArgument(
+        "fetch.close_gap_micros must be > 0 when batching is enabled (set it to "
+        "window_micros to hold the whole window)");
+  }
   if (enabled && max_rows == 0) {
     return Status::InvalidArgument("fetch.max_rows must be > 0 when batching is enabled");
   }
@@ -62,27 +67,24 @@ Status FetchBatcher::Fetch(uint32_t owner, uint32_t home, size_t rows,
 
   if (leader) {
     // Hold the batch open for joiners until it fills, the hard window cap
-    // expires, or — with arrival-gap close — no new rows arrive for one gap.
+    // expires, or no new rows arrive for one gap. The gap deadline is
+    // clamped to the window, so gap >= window holds the whole window.
     const auto flush_by =
         std::chrono::steady_clock::now() + std::chrono::microseconds(options_.window_micros);
-    if (options_.close_gap_micros == 0) {
-      ch.cv.wait_until(lock, flush_by, [&] { return batch->rows >= options_.max_rows; });
-    } else {
-      size_t seen_rows = batch->rows;
-      while (batch->rows < options_.max_rows) {
-        const auto now = std::chrono::steady_clock::now();
-        if (now >= flush_by) {
-          break;
-        }
-        const auto gap_by = now + std::chrono::microseconds(options_.close_gap_micros);
-        ch.cv.wait_until(lock, gap_by < flush_by ? gap_by : flush_by, [&] {
-          return batch->rows >= options_.max_rows || batch->rows != seen_rows;
-        });
-        if (batch->rows == seen_rows) {
-          break;  // one full gap with no arrivals: close the batch
-        }
-        seen_rows = batch->rows;
+    size_t seen_rows = batch->rows;
+    while (batch->rows < options_.max_rows) {
+      const auto now = std::chrono::steady_clock::now();
+      if (now >= flush_by) {
+        break;
       }
+      const auto gap_by = now + std::chrono::microseconds(options_.close_gap_micros);
+      ch.cv.wait_until(lock, gap_by < flush_by ? gap_by : flush_by, [&] {
+        return batch->rows >= options_.max_rows || batch->rows != seen_rows;
+      });
+      if (batch->rows == seen_rows) {
+        break;  // one full gap (or the rest of the window) with no arrivals
+      }
+      seen_rows = batch->rows;
     }
     // Close the batch: later arrivals start a fresh one (possibly while this
     // Transmit is still on the wire; the connection mutex inside `transmit`

@@ -56,7 +56,7 @@ struct FetchBatchOptions {
   // arrived for this long, instead of sitting out the full window — an idle
   // channel pays ~one gap of latency, not one window (the 500µs-window
   // latency cliff in BENCH_minibatch.json was exactly that fixed hold).
-  // 0 = legacy behavior: hold the batch open for the whole window.
+  // Must be > 0 when enabled; >= window_micros holds the whole window.
   uint64_t close_gap_micros = 50;
   // A batch reaching this many rows flushes immediately.
   size_t max_rows = 256;

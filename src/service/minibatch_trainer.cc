@@ -19,10 +19,6 @@ Status MiniBatchTrainerOptions::Validate() const {
   if (sample.fanout == 0) {
     return Status::InvalidArgument("sample.fanout must be >= 1");
   }
-  if (!sampler.empty() && !SamplerRegistry::Global().Contains(sampler)) {
-    return Status::InvalidArgument("unknown sampler \"" + sampler + "\"; registered samplers: " +
-                                   SamplerRegistry::NamesForError());
-  }
   return Status::Ok();
 }
 
@@ -68,7 +64,6 @@ Result<EpochResult> MiniBatchTrainer::TrainEpoch() {
       // batch), so every epoch visits fresh mini-batches and a retried epoch
       // re-samples the very same ones.
       request.sample.seed = MixSeed(options_.sample.seed, epochs_, b);
-      request.sampler = options_.sampler;
       request.return_features = true;
       return request;
     };

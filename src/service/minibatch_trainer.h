@@ -1,16 +1,16 @@
 // Sampled mini-batch training driven by the serving tier.
 //
 // Closes the DistDGL-style loop the service left open: instead of serving
-// inference only, the GraphService's sampler family now feeds a trainer. One
-// epoch = `batches_per_epoch` mini-batches; batch b of epoch e is sampled by
-// home shard (b mod num_shards) with a per-batch seed mixed as
+// inference only, the GraphService's sampler now feeds a trainer. One epoch
+// = `batches_per_epoch` mini-batches; batch b of epoch e is sampled by home
+// shard (b mod num_shards) with a per-batch seed mixed as
 // MixSeed(sample.seed, epoch, b) — the whole training schedule is a pure
-// function of the options, like every other sampled artifact (the strategy
-// is whatever `sampler` names in the SamplerRegistry; empty = the service
-// default). The sampled nodes' feature rows ride back on the response
-// (SampleRequest::return_features), which also exercises the remote-fetch
-// path — cache, connection pricing, and cross-request batching — under
-// training load, and the MiniBatchModel (gnn/trainer.h) runs
+// function of the options, like every other sampled artifact. The strategy
+// is the service's (ServiceOptions::sampler); to train with another one,
+// create the service with it. The sampled nodes' feature rows ride back on
+// the response (SampleRequest::return_features), which also exercises the
+// remote-fetch path — cache, connection pricing, and cross-request batching
+// — under training load, and the MiniBatchModel (gnn/trainer.h) runs
 // forward/backward/SGD on the induced block.
 //
 // Epoch boundaries reuse the PR-5 checkpoint machinery: after every
@@ -30,7 +30,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "common/status.h"
@@ -45,8 +44,6 @@ struct MiniBatchTrainerOptions {
   TrainerOptions trainer;
   uint32_t batch_seeds = 32;       // seed vertices per mini-batch
   uint32_t batches_per_epoch = 8;  // home shards rotate round-robin
-  // Sampling strategy name (SamplerRegistry); empty = the service default.
-  std::string sampler;
   // hops/fanout per batch; `seed` is the base of the per-(epoch, batch)
   // schedule, not used directly.
   SampleKHopOptions sample;

@@ -1,7 +1,6 @@
 #include "service/replica_set.h"
 
 #include <bit>
-#include <limits>
 
 namespace dgcl {
 
@@ -9,10 +8,6 @@ Status ReplicationOptions::Validate() const {
   if (replicas < 1 || replicas > 8) {
     return Status::InvalidArgument("replication.replicas must be in [1, 8], got " +
                                    std::to_string(replicas));
-  }
-  if (routing != "round-robin" && routing != "least-loaded" && routing != "primary-only") {
-    return Status::InvalidArgument("unknown replication.routing '" + routing +
-                                   "' (want round-robin|least-loaded|primary-only)");
   }
   return Status::Ok();
 }
@@ -43,7 +38,6 @@ Result<std::unique_ptr<ReplicaSet>> ReplicaSet::Build(const ShardedGraphStore& s
     mask.store(full, std::memory_order_release);
   }
   set->cursors_ = std::vector<std::atomic<uint64_t>>(set->num_shards_);
-  set->in_flight_ = std::vector<std::atomic<uint64_t>>(cells);
   set->routed_ = std::vector<std::atomic<uint64_t>>(cells);
   return set;
 }
@@ -68,53 +62,18 @@ Result<uint32_t> ReplicaSet::Route(uint32_t shard) {
     return Status::OutOfRange("shard " + std::to_string(shard) + " >= num_shards " +
                               std::to_string(num_shards_));
   }
-  const uint32_t mask = alive_masks_[shard].load(std::memory_order_acquire);
-  if (mask == 0) {
+  uint32_t alive = alive_masks_[shard].load(std::memory_order_acquire);
+  if (alive == 0) {
     return Status::Unavailable("shard " + std::to_string(shard) + " has no live replicas");
   }
-  uint32_t chosen = kInvalidId;
-  if (options_.routing == "primary-only") {
-    chosen = static_cast<uint32_t>(std::countr_zero(mask));  // lowest alive index
-  } else if (options_.routing == "least-loaded") {
-    uint64_t best = std::numeric_limits<uint64_t>::max();
-    for (uint32_t r = 0; r < options_.replicas; ++r) {
-      if (!((mask >> r) & 1)) {
-        continue;
-      }
-      const uint64_t load = in_flight_[Index(shard, r)].load(std::memory_order_relaxed);
-      if (load < best) {
-        best = load;
-        chosen = r;
-      }
-    }
-  } else {  // round-robin
-    const uint32_t alive = static_cast<uint32_t>(std::popcount(mask));
-    uint32_t pick = static_cast<uint32_t>(
-        cursors_[shard].fetch_add(1, std::memory_order_relaxed) % alive);
-    for (uint32_t r = 0; r < options_.replicas; ++r) {
-      if (!((mask >> r) & 1)) {
-        continue;
-      }
-      if (pick == 0) {
-        chosen = r;
-        break;
-      }
-      --pick;
-    }
+  // The pick-th alive replica, counting up from the lowest index.
+  const uint64_t cursor = cursors_[shard].fetch_add(1, std::memory_order_relaxed);
+  for (uint64_t pick = cursor % static_cast<uint64_t>(std::popcount(alive)); pick > 0; --pick) {
+    alive &= alive - 1;  // drop the lowest alive replica
   }
-  if (chosen == kInvalidId) {
-    return Status::Unavailable("shard " + std::to_string(shard) + " has no live replicas");
-  }
+  const uint32_t chosen = static_cast<uint32_t>(std::countr_zero(alive));
   routed_[Index(shard, chosen)].fetch_add(1, std::memory_order_relaxed);
-  in_flight_[Index(shard, chosen)].fetch_add(1, std::memory_order_relaxed);
   return chosen;
-}
-
-void ReplicaSet::Finish(uint32_t shard, uint32_t replica) {
-  if (shard >= num_shards_ || replica >= options_.replicas) {
-    return;
-  }
-  in_flight_[Index(shard, replica)].fetch_sub(1, std::memory_order_relaxed);
 }
 
 Result<MembershipView> ReplicaSet::KillReplica(uint32_t shard, uint32_t replica) {

@@ -1,4 +1,4 @@
-// Shard replicas for read scaling, with replica-aware routing and failover.
+// Shard replicas for read scaling, with round-robin routing and failover.
 //
 // The serving tier (service.h) shards the graph once; before this layer each
 // shard was a single home — one KillShard turned it kUnavailable and read
@@ -10,22 +10,17 @@
 // shard stays serving until its *last* replica dies (at which point the
 // device-level membership epoch commits, exactly like a whole-shard kill).
 //
-// Routing policies (ServiceOptions::replication.routing):
-//  * "round-robin"  — per-shard atomic cursor over the alive replicas; the
-//                     default, spreads reads evenly.
-//  * "least-loaded" — alive replica with the fewest in-flight requests
-//                     (routed minus finished), lowest index on ties.
-//  * "primary-only" — lowest alive index; replicas 1..R-1 are pure failover
-//                     capacity (the classic primary/standby shape).
+// Routing is round-robin: a per-shard atomic cursor walks the alive
+// replicas, spreading reads evenly.
 //
 // Why routing cannot change payloads: every response is a pure function of
 // (request, graph) — the samplers draw from counter-hashed seeds and every
 // replica's slice is a byte-identical copy — so the byte-identity contract
 // the conformance tests pin (replica_conformance_test) holds for every
-// policy and every kill schedule that leaves a survivor. Routing decides
-// latency and liveness, never bytes.
+// kill schedule that leaves a survivor. Routing decides latency and
+// liveness, never bytes.
 //
-// Concurrency: Route/Finish/alive checks are lock-free (atomics); kill
+// Concurrency: Route and the alive checks are lock-free (atomics); kill
 // commits take the internal mutex and go through the PR-5 epoch machinery
 // (ReplicaMembershipService, runtime/recovery.h). The service serializes
 // kill + queue-handoff sequences with its own kill mutex on top.
@@ -37,7 +32,6 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <string>
 #include <vector>
 
 #include "common/status.h"
@@ -50,8 +44,6 @@ struct ReplicationOptions {
   // Read replicas per shard (R). 1 = the pre-replica behavior: one home per
   // shard, KillShard is the only failure unit.
   uint32_t replicas = 1;
-  // "round-robin" | "least-loaded" | "primary-only".
-  std::string routing = "round-robin";
 
   Status Validate() const;
 };
@@ -77,14 +69,10 @@ class ReplicaSet {
   uint32_t replicas_per_shard() const { return options_.replicas; }
   const ReplicationOptions& options() const { return options_; }
 
-  // Picks an alive replica of `shard` per the configured policy and counts
-  // it as routed + in flight. kUnavailable naming the shard when its last
-  // replica is gone. Thread-safe, lock-free.
+  // Picks the next alive replica of `shard` in round-robin order and counts
+  // it as routed. kUnavailable naming the shard when its last replica is
+  // gone. Thread-safe, lock-free.
   Result<uint32_t> Route(uint32_t shard);
-
-  // Marks one routed request finished (its response was produced or it was
-  // handed to another replica). Exactly one Finish per successful Route.
-  void Finish(uint32_t shard, uint32_t replica);
 
   bool ShardAlive(uint32_t shard) const { return AliveReplicaMask(shard) != 0; }
   bool ReplicaAlive(uint32_t shard, uint32_t replica) const;
@@ -109,10 +97,6 @@ class ReplicaSet {
   const ReplicaSlice& slice(uint32_t shard, uint32_t replica) const {
     return slices_[Index(shard, replica)];
   }
-  // In-flight requests currently routed to (shard, replica).
-  uint64_t InFlight(uint32_t shard, uint32_t replica) const {
-    return in_flight_[Index(shard, replica)].load(std::memory_order_relaxed);
-  }
 
   Stats stats() const;
 
@@ -133,9 +117,8 @@ class ReplicaSet {
   std::unique_ptr<ReplicaMembershipService> membership_;
   std::vector<std::atomic<uint32_t>> alive_masks_;  // per shard
 
-  std::vector<std::atomic<uint64_t>> cursors_;    // per shard, round-robin
-  std::vector<std::atomic<uint64_t>> in_flight_;  // per (shard, replica)
-  std::vector<std::atomic<uint64_t>> routed_;     // per (shard, replica)
+  std::vector<std::atomic<uint64_t>> cursors_;  // per shard, round-robin
+  std::vector<std::atomic<uint64_t>> routed_;   // per (shard, replica)
   std::atomic<uint64_t> failovers_{0};
   std::atomic<uint64_t> replica_kills_{0};
   std::atomic<uint64_t> last_replica_deaths_{0};

@@ -165,4 +165,24 @@ Result<SampleResult> RandomWalkSampler::Sample(uint32_t home_shard,
   return result;
 }
 
+std::vector<std::string> SamplerNames() { return {"random-walk", "uniform", "weighted"}; }
+
+Result<std::unique_ptr<Sampler>> MakeSampler(const std::string& name,
+                                             const ShardedGraphStore* store) {
+  if (name == "uniform") {
+    return std::unique_ptr<Sampler>(new NeighborSampler(store));
+  }
+  if (name == "weighted") {
+    return std::unique_ptr<Sampler>(new WeightedNeighborSampler(store));
+  }
+  if (name == "random-walk") {
+    return std::unique_ptr<Sampler>(new RandomWalkSampler(store));
+  }
+  std::string names;
+  for (const std::string& n : SamplerNames()) {
+    names += names.empty() ? n : ", " + n;
+  }
+  return Status::InvalidArgument("unknown sampler \"" + name + "\"; samplers: " + names);
+}
+
 }  // namespace dgcl

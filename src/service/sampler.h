@@ -1,9 +1,9 @@
 // Seeded, deterministic samplers over the sharded store.
 //
-// The sampler layer is a strategy family (mirroring the planner family in
-// src/planner/): every strategy derives from `Sampler` and is registered by
-// name in the process-wide SamplerRegistry (service/sampler_registry.h).
-// Built-ins, following the GraphMix/DistDGL split:
+// The sampler layer is a strategy family: every strategy derives from
+// `Sampler`, and MakeSampler builds one by name. A GraphService builds
+// exactly one, named by ServiceOptions::sampler at Create. The strategies,
+// following the GraphMix/DistDGL split:
 //  * SampleLocalNodes — uniform local vertices of one shard (mini-batch seed
 //    selection; every training step starts here).
 //  * "uniform" (NeighborSampler) — GraphSAGE-style fanout-capped k-hop
@@ -17,7 +17,7 @@
 //    walks of `hops` steps from every seed; the sampled set is the union of
 //    the visited vertices.
 //
-// The determinism contract (sampler_determinism_test + the registry-wide
+// The determinism contract (sampler_determinism_test + the per-strategy
 // sampler_conformance_test, mirroring plan_determinism_test's): the sampled
 // set is a pure function of (graph, seeds, options.seed) per strategy — NOT
 // of the sampler-pool width, queue order, or which worker thread picks the
@@ -36,7 +36,9 @@
 #define DGCL_SERVICE_SAMPLER_H_
 
 #include <cstdint>
+#include <memory>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "comm/relation.h"
@@ -72,8 +74,11 @@ class Sampler {
                                       const SampleKHopOptions& options, DeviceMask alive,
                                       uint32_t* dead_shard = nullptr) const = 0;
 
-  // The registered strategy name ("uniform", "weighted", "random-walk", ...).
+  // The strategy name ("uniform", "weighted", "random-walk").
   virtual const char* name() const = 0;
+  // Telemetry span of the serving sample phase, "serve.sample.<name>". A
+  // literal: the trace ring stores the pointer.
+  virtual const char* span_name() const = 0;
 
   const ShardedGraphStore& store() const { return *store_; }
 
@@ -93,6 +98,7 @@ class NeighborSampler : public Sampler {
                               const SampleKHopOptions& options, DeviceMask alive,
                               uint32_t* dead_shard = nullptr) const override;
   const char* name() const override { return "uniform"; }
+  const char* span_name() const override { return "serve.sample.uniform"; }
 };
 
 // "weighted": fanout-capped k-hop with degree-biased neighbor choice
@@ -106,6 +112,7 @@ class WeightedNeighborSampler : public Sampler {
                               const SampleKHopOptions& options, DeviceMask alive,
                               uint32_t* dead_shard = nullptr) const override;
   const char* name() const override { return "weighted"; }
+  const char* span_name() const override { return "serve.sample.weighted"; }
 };
 
 // "random-walk": options.fanout walks of options.hops steps from each seed;
@@ -120,7 +127,16 @@ class RandomWalkSampler : public Sampler {
                               const SampleKHopOptions& options, DeviceMask alive,
                               uint32_t* dead_shard = nullptr) const override;
   const char* name() const override { return "random-walk"; }
+  const char* span_name() const override { return "serve.sample.random-walk"; }
 };
+
+// The strategy names MakeSampler accepts, ascending.
+std::vector<std::string> SamplerNames();
+
+// Builds the named strategy over `store`, which must outlive it. An unknown
+// name fails with kInvalidArgument listing SamplerNames().
+Result<std::unique_ptr<Sampler>> MakeSampler(const std::string& name,
+                                             const ShardedGraphStore* store);
 
 }  // namespace dgcl
 

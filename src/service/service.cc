@@ -42,13 +42,6 @@ Status ServiceOptions::Validate() const {
   if (request_deadline_micros == 0) {
     return Status::InvalidArgument("request_deadline_micros must be > 0");
   }
-  if (sample.fanout < 1) {
-    return Status::InvalidArgument("sample.fanout must be >= 1");
-  }
-  if (!SamplerRegistry::Global().Contains(sampler)) {
-    return Status::InvalidArgument("unknown sampler \"" + sampler + "\"; registered samplers: " +
-                                   SamplerRegistry::NamesForError());
-  }
   DGCL_RETURN_IF_ERROR(fetch.Validate());
   if (partitioner != "multilevel" && partitioner != "hash") {
     return Status::InvalidArgument("unknown partitioner '" + partitioner +
@@ -91,6 +84,9 @@ Result<std::unique_ptr<GraphService>> GraphService::Create(const CsrGraph& graph
   }
 
   std::unique_ptr<GraphService> service(new GraphService());
+  // Resolved before the expensive set-up so an unknown name fails fast; the
+  // sampler only keeps the store's address, filled in below.
+  DGCL_ASSIGN_OR_RETURN(service->sampler_, MakeSampler(options.sampler, &service->store_));
   service->options_ = options;
   service->graph_ = &graph;
 
@@ -169,18 +165,6 @@ Result<std::unique_ptr<GraphService>> GraphService::Create(const CsrGraph& graph
   service->responses_ =
       std::make_unique<BoundedQueue<SampleResponse>>(options.response_queue_capacity);
 
-  // One shared instance per registered strategy (Sample is const +
-  // thread-safe), with the per-strategy telemetry span name interned up
-  // front so workers never intern on the hot path.
-  for (const std::string& name : SamplerRegistry::Global().Names()) {
-    DGCL_ASSIGN_OR_RETURN(std::unique_ptr<Sampler> sampler,
-                          SamplerRegistry::Global().Create(name, &service->store_));
-    SamplerEntry entry;
-    entry.sampler = std::move(sampler);
-    entry.span = SamplerRegistry::InternedName("serve.sample." + name);
-    service->samplers_.emplace(name, std::move(entry));
-  }
-  service->default_sampler_ = &service->samplers_.at(options.sampler);
   service->sync_layers_ = service->MakeLayerStack();
   return service;
 }
@@ -276,7 +260,6 @@ bool GraphService::RouteToQueue(SampleRequest& request, bool count_first_as_fail
       }
       return true;
     }
-    replicas_->Finish(request.shard, replica);
     if (queue.closed() || !replicas_->ReplicaAlive(request.shard, replica)) {
       // Lost the race with a kill between Route and push: retry on a
       // survivor (or fall out kUnavailable when none remain).
@@ -308,18 +291,15 @@ SampleResponse GraphService::Serve(SampleRequest request) {
                                          " >= num_shards " + std::to_string(options_.num_shards));
     return response;
   }
-  // Route exactly like Submit so the sync path exercises (and load-accounts
-  // on) the same replica selection; a dead shard leaves replica unset and
-  // Process answers kUnavailable.
+  // Route exactly like Submit so the sync path exercises (and counts in the
+  // routed stats) the same replica selection; a dead shard leaves replica
+  // unset and Process answers kUnavailable.
   Result<uint32_t> routed = replicas_->Route(request.shard);
   const uint32_t replica = routed.ok() ? *routed : kInvalidId;
   request.replica = replica;
   {
     std::lock_guard<std::mutex> lock(sync_mutex_);
     response = Process(request, replica, sync_layers_);
-  }
-  if (routed.ok()) {
-    replicas_->Finish(request.shard, replica);
   }
   CountOutcome(response.status);
   return response;
@@ -386,7 +366,6 @@ Status GraphService::KillReplicaLocked(uint32_t shard, uint32_t replica) {
   BoundedQueue<SampleRequest>& queue = *request_queues_[QueueIndex(shard, replica)];
   queue.Close();
   while (std::optional<SampleRequest> pending = queue.TryPop()) {
-    replicas_->Finish(shard, replica);
     if (!survivors) {
       PushResponse(DeadHomeResponse(*pending));
       continue;
@@ -440,11 +419,7 @@ void GraphService::WorkerLoop(uint32_t shard, uint32_t replica) {
       }
       continue;
     }
-    SampleResponse response = Process(*request, replica, layers);
-    PushResponse(std::move(response));
-    // Exactly one Finish per routed request: the kill drain Finishes what it
-    // reroutes, workers Finish what they serve.
-    replicas_->Finish(shard, replica);
+    PushResponse(Process(*request, replica, layers));
   }
 }
 
@@ -475,21 +450,6 @@ SampleResponse GraphService::Process(SampleRequest& request, uint32_t replica,
       break;
     }
 
-    // Resolve the strategy: the request's name wins, the service default
-    // otherwise. Unknown names fail the request the way an unregistered
-    // planner fails Init — actionable, listing what IS registered.
-    const SamplerEntry* entry = default_sampler_;
-    if (!request.sampler.empty()) {
-      auto it = samplers_.find(request.sampler);
-      if (it == samplers_.end()) {
-        status = Status::InvalidArgument("sampler \"" + request.sampler +
-                                         "\" not registered (have: " +
-                                         SamplerRegistry::NamesForError() + ")");
-        break;
-      }
-      entry = &it->second;
-    }
-
     std::vector<VertexId> seeds = std::move(request.seeds);
     if (seeds.empty()) {
       seeds = SampleLocalNodes(store_.shard(home), request.num_seeds, request.sample.seed);
@@ -497,8 +457,8 @@ SampleResponse GraphService::Process(SampleRequest& request, uint32_t replica,
 
     uint32_t dead_shard = kInvalidId;
     Result<SampleResult> sampled = [&]() -> Result<SampleResult> {
-      DGCL_TSPAN1("service", entry->span, "shard", home);
-      return entry->sampler->Sample(home, seeds, request.sample, alive, &dead_shard);
+      DGCL_TSPAN1("service", sampler_->span_name(), "shard", home);
+      return sampler_->Sample(home, seeds, request.sample, alive, &dead_shard);
     }();
     if (!sampled.ok()) {
       if (dead_shard != kInvalidId) {

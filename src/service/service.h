@@ -3,34 +3,33 @@
 // Turns the batch-training machinery into a traffic-serving system (the
 // DistDGL architecture, scaled to this reproduction): a request names a home
 // shard and seed vertices; a sampler worker of that shard's pool pops it
-// from a bounded queue, draws a deterministic fanout-capped k-hop sample
-// (service/sampler.h over the sharded store), assembles the sampled nodes'
-// feature rows — local rows read directly, remote rows through the feature
-// cache, cache misses priced on the engine's per-pair Connection objects
-// (the same transport decision table and fault injection the trainer uses) —
-// and optionally runs a mini-batch GNN forward over the induced subgraph
-// (gnn/layers.h InferenceForward). Responses flow back through one bounded
-// MPMC response queue.
+// from a bounded queue, draws a deterministic sample over the sharded store
+// with the service's one strategy (ServiceOptions::sampler, sampler.h),
+// assembles the sampled nodes' feature rows — local rows read directly,
+// remote rows through the feature cache, cache misses priced on the engine's
+// per-pair Connection objects (the same transport decision table and fault
+// injection the trainer uses) — and optionally runs a mini-batch GNN forward
+// over the induced subgraph (gnn/layers.h InferenceForward). Responses flow
+// back through one bounded MPMC response queue.
 //
 // Request lifecycle (every phase a "service" telemetry span, so
 // `dgcl_trace summarize --serving` reports serving percentiles the way
 // `--waits` reports coordination waits):
 //
-//   Submit --> [shard request queue] --> worker pop        (serve.queue)
-//          --> k-hop sample over the store                 (serve.sample)
-//          --> feature assembly via cache + connections    (serve.features)
-//          --> optional mini-batch forward                 (serve.infer)
-//          --> [response queue] --> PopResponse            (serve.request = total)
+//   Submit --> [shard request queue] --> worker pop      (serve.queue)
+//          --> sample over the store                     (serve.sample.<sampler>)
+//          --> feature assembly via cache + connections  (serve.features)
+//          --> optional mini-batch forward               (serve.infer)
+//          --> [response queue] --> PopResponse          (serve.request = total)
 //
 // Read scaling (replica_set.h): every shard runs R read replicas, each with
 // its own request queue, sampler pool, and copy of the shard's serving data
-// (ReplicaSlice). Submit routes a request to one replica per the configured
-// policy (round-robin / least-loaded / primary-only); a response carries the
-// serving replica. KillReplica folds one replica away — its queued requests
-// are rerouted to survivors (counted as failovers), never failed — and the
-// shard keeps serving until its LAST replica dies, which commits the
-// device-level membership epoch exactly like KillShard (which itself now
-// kills all R replicas).
+// (ReplicaSlice). Submit routes a request round-robin over the shard's alive
+// replicas; a response carries the serving replica. KillReplica folds one
+// replica away — its queued requests are rerouted to survivors (counted as
+// failovers), never failed — and the shard keeps serving until its LAST
+// replica dies, which commits the device-level membership epoch exactly like
+// KillShard (which itself now kills all R replicas).
 //
 // Failure semantics reuse the PR-5 membership machinery: exhausting a
 // shard's replicas commits a membership epoch (ReplicaMembershipService),
@@ -43,17 +42,16 @@
 //
 // Determinism: the sampled node set and inference output for a request are
 // pure functions of the request (see sampler.h); pool width, queue order,
-// replica count, routing policy, and which replica serves affect only
-// latency and cache hit patterns, not payloads — responses are byte-
-// identical to the R=1 run under any kill schedule that leaves a survivor
-// (replica_conformance_test pins this).
+// replica count, and which replica serves affect only latency and cache hit
+// patterns, not payloads — responses are byte-identical to the R=1 run under
+// any kill schedule that leaves a survivor (replica_conformance_test pins
+// this).
 
 #ifndef DGCL_SERVICE_SERVICE_H_
 #define DGCL_SERVICE_SERVICE_H_
 
 #include <atomic>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -71,7 +69,6 @@
 #include "service/replica_set.h"
 #include "service/request_queue.h"
 #include "service/sampler.h"
-#include "service/sampler_registry.h"
 #include "topology/topology.h"
 
 namespace dgcl {
@@ -81,8 +78,8 @@ struct ServiceOptions {
   // transport decision table stays meaningful. 1..16.
   uint32_t num_shards = 4;
   uint32_t samplers_per_shard = 2;  // per replica
-  // Read replicas per shard and the routing policy across them
-  // (replica_set.h). replicas = 1 keeps the pre-replica behavior.
+  // Read replicas per shard (replica_set.h). replicas = 1 keeps the
+  // pre-replica behavior.
   ReplicationOptions replication;
   size_t request_queue_capacity = 64;  // per replica; full queue = backpressure
   size_t response_queue_capacity = 4096;
@@ -90,12 +87,8 @@ struct ServiceOptions {
   // and response-queue pushes, so a stalled consumer cannot wedge a worker.
   uint64_t request_deadline_micros = 2'000'000;
 
-  // Per-request defaults (a request's own SampleKHopOptions win when set).
-  SampleKHopOptions sample;
-
-  // Default sampling strategy, resolved through SamplerRegistry::Global()
-  // ("uniform", "weighted", "random-walk", or any runtime-registered name).
-  // A request's own SampleRequest::sampler wins when non-empty.
+  // The sampling strategy every request uses: one of SamplerNames()
+  // ("uniform", "weighted", "random-walk"), built once at Create.
   std::string sampler = "uniform";
 
   // Cross-request batching of remote feature fetches (fetch_batcher.h).
@@ -124,8 +117,8 @@ struct ServiceOptions {
   TransportPolicy transport;
   FaultInjection faults;
 
-  uint64_t seed = 0x5eed;  // LocalNode + default sampling seed
-
+  // Checks every knob except `sampler`, which Create resolves through
+  // MakeSampler.
   Status Validate() const;
 };
 
@@ -137,10 +130,6 @@ struct SampleRequest {
   std::vector<VertexId> seeds;
   uint32_t num_seeds = 16;
   SampleKHopOptions sample;       // per-request seed/hops/fanout
-  // Sampling strategy for this request; empty = ServiceOptions::sampler.
-  // Unknown names fail the request with kInvalidArgument listing the
-  // registered strategies.
-  std::string sampler;
   bool run_inference = false;
   // Return the assembled feature rows for the sampled nodes (the training
   // path: MiniBatchTrainer consumes them as the mini-batch inputs).
@@ -189,7 +178,7 @@ class GraphService {
  public:
   // The graph must outlive the service. Partitions, builds the store, the
   // connection table (P2P plan over the serving relation), the cache, and
-  // one sampler per registered strategy; does not start workers — call
+  // the sampler named by options.sampler; does not start workers — call
   // Start().
   static Result<std::unique_ptr<GraphService>> Create(const CsrGraph& graph,
                                                       ServiceOptions options);
@@ -308,16 +297,9 @@ class GraphService {
   // Serializes Transmit per connection (the engine's single-sender-per-pass
   // contract, upheld here across concurrent sampler workers).
   std::vector<std::unique_ptr<std::mutex>> connection_mutexes_;
-  // One instance per registered strategy, instantiated at Create and shared
-  // by every worker (Sample is const + thread-safe). `span` is the interned
-  // per-strategy telemetry span name ("serve.sample.<strategy>").
-  struct SamplerEntry {
-    std::unique_ptr<Sampler> sampler;
-    const char* span = nullptr;
-  };
-  std::map<std::string, SamplerEntry> samplers_;
-  // samplers_[options_.sampler]; resolved once at Create.
-  const SamplerEntry* default_sampler_ = nullptr;
+  // options_.sampler, built at Create and shared by every worker (Sample is
+  // const + thread-safe).
+  std::unique_ptr<Sampler> sampler_;
   std::unique_ptr<FetchBatcher> fetch_batcher_;
   std::unique_ptr<FeatureCache> cache_;
   EmbeddingMatrix features_;  // [num_vertices x feature_dim], read-only

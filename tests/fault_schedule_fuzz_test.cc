@@ -20,9 +20,9 @@
 // wait (not just the current one) and still reach recovery in one deadline.
 //
 // The second fuzzer (ServingKillScheduleFuzzTest) points the same technique
-// at the serving tier's replica layer: random (shards, replicas, routing,
-// pool width) configs under random kill schedules mixing replica kills and
-// whole-shard kills, fired while requests are queued or in flight. The
+// at the serving tier's replica layer: random (shards, replicas, pool width)
+// configs under random kill schedules mixing replica kills and whole-shard
+// kills, fired while requests are queued or in flight. The
 // invariant is the replica tier's contract: every request completes exactly
 // once, and its response is either BYTE-IDENTICAL to the all-alive R=1
 // baseline or a clean kUnavailable naming only dead shards as suspects —
@@ -273,7 +273,6 @@ struct ServingKill {
 struct ServingSchedule {
   uint32_t shards = 2;
   uint32_t replicas = 1;
-  std::string routing = "round-robin";
   uint32_t pool = 1;
   uint32_t vertices = 80;
   uint32_t requests = 24;
@@ -282,7 +281,7 @@ struct ServingSchedule {
 
   std::string Describe() const {
     std::string s = "shards=" + std::to_string(shards) + " R=" + std::to_string(replicas) +
-                    " routing=" + routing + " pool=" + std::to_string(pool) +
+                    " pool=" + std::to_string(pool) +
                     (start_before_kills ? " in-flight" : " queued");
     for (const ServingKill& kill : kills) {
       s += kill.whole_shard ? " kill-shard(" + std::to_string(kill.shard) + ")@"
@@ -298,8 +297,9 @@ ServingSchedule DrawServingSchedule(Rng& rng) {
   ServingSchedule s;
   s.shards = 2 + static_cast<uint32_t>(rng.UniformInt(3));    // 2..4
   s.replicas = 1 + static_cast<uint32_t>(rng.UniformInt(3));  // 1..3
-  static const char* kRoutings[] = {"round-robin", "least-loaded", "primary-only"};
-  s.routing = kRoutings[rng.UniformInt(3)];
+  // Drawn and discarded (it once picked a routing policy) so the fields drawn
+  // after it, and so every seed's kill schedule, keep their values.
+  (void)rng.UniformInt(3);
   s.pool = 1 + static_cast<uint32_t>(rng.UniformInt(2));
   s.vertices = 60 + static_cast<uint32_t>(rng.UniformInt(60));
   s.start_before_kills = rng.UniformInt(2) == 1;
@@ -320,7 +320,6 @@ ServiceOptions ServingOptions(const ServingSchedule& s, bool baseline) {
   options.num_shards = s.shards;
   options.samplers_per_shard = baseline ? 1 : s.pool;
   options.replication.replicas = baseline ? 1 : s.replicas;
-  options.replication.routing = baseline ? "round-robin" : s.routing;
   options.partitioner = "hash";
   options.cache_capacity_rows = 32;
   options.feature_dim = 6;

@@ -1,7 +1,7 @@
 // Regression tests for the fetch-batcher window behavior — in particular the
-// 500µs-window latency cliff (BENCH_minibatch.json): with the legacy
-// full-window hold, a solo fetch on an idle channel paid the ENTIRE window
-// before its leader flushed. The arrival-gap close (close_gap_micros) fixes
+// 500µs-window latency cliff (BENCH_minibatch.json): with a full-window
+// hold, a solo fetch on an idle channel paid the ENTIRE window before its
+// leader flushed. The arrival-gap close (close_gap_micros) fixes
 // that: the leader flushes once no new rows arrive for one gap, so idle-
 // channel latency is ~one gap regardless of how wide the window is. These
 // tests pin both extremes of the window plus the coalescing behavior the gap
@@ -62,17 +62,18 @@ TEST(FetchBatcherTest, GapCloseFlushesSoloFetchWellBeforeWideWindow) {
   EXPECT_EQ(stats.coalesced, 0u);
 }
 
-// Legacy extreme: close_gap_micros = 0 restores the full-window hold, so a
-// solo leader sits out at least the window before flushing. (This is the
-// behavior tests that need a deterministic join interval pin.)
-TEST(FetchBatcherTest, ZeroGapHoldsFullWindow) {
+// Other extreme: a gap as wide as the window holds the whole window (the gap
+// deadline is clamped to it), so a solo leader sits out at least the window
+// before flushing. (This is the behavior tests that need a deterministic
+// join interval pin.)
+TEST(FetchBatcherTest, GapEqualToWindowHoldsFullWindow) {
   constexpr uint64_t kWindowMicros = 20'000;
-  FetchBatcher batcher(2, 32, 1'000'000, Enabled(kWindowMicros, 0));
+  FetchBatcher batcher(2, 32, 1'000'000, Enabled(kWindowMicros, kWindowMicros));
   const auto start = Clock::now();
   Status status = batcher.Fetch(0, 1, 4, [](uint64_t) { return Status::Ok(); });
   const uint64_t elapsed = MicrosSince(start);
   ASSERT_TRUE(status.ok()) << status.ToString();
-  EXPECT_GE(elapsed, kWindowMicros) << "legacy hold returned before the window expired";
+  EXPECT_GE(elapsed, kWindowMicros) << "full-window hold returned before the window expired";
 }
 
 // Tiny-window extreme: correctness does not depend on the window being wide.

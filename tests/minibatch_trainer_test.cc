@@ -73,13 +73,6 @@ TEST(MiniBatchTrainerTest, ValidateRejectsBadOptions) {
   bad.batch_seeds = 0;
   EXPECT_FALSE(MiniBatchTrainer::Create(service->get(), w.labels, 4, bad).ok());
 
-  bad = TrainOptions();
-  bad.sampler = "no-such-sampler";
-  auto result = MiniBatchTrainer::Create(service->get(), w.labels, 4, bad);
-  ASSERT_FALSE(result.ok());
-  EXPECT_NE(result.status().message().find("uniform"), std::string::npos)
-      << result.status().message();
-
   std::vector<uint32_t> bad_labels = w.labels;
   bad_labels[5] = 9;  // neither kInvalidId nor < num_classes
   auto bad_label = MiniBatchTrainer::Create(service->get(), bad_labels, 4, TrainOptions());
@@ -134,23 +127,24 @@ TEST(MiniBatchTrainerTest, LossTrajectoryClosesTheGap) {
   EXPECT_GT(final_eval->accuracy, 0.7);
 }
 
-// Every registered strategy can feed the trainer: one epoch trains and the
-// schedule is reproducible (a fresh identically-configured trainer's first
-// epoch returns the same loss bit for bit).
-TEST(MiniBatchTrainerTest, EveryRegisteredStrategyTrainsDeterministically) {
+// Every strategy can feed the trainer: one epoch trains and the schedule is
+// reproducible (a fresh identically-configured trainer's first epoch returns
+// the same loss bit for bit).
+TEST(MiniBatchTrainerTest, EveryStrategyTrainsDeterministically) {
   World w = World::Make(41);
-  for (const std::string& strategy : SamplerRegistry::Global().Names()) {
-    auto service = GraphService::Create(w.graph, w.Options(), &w.features);
+  for (const std::string& strategy : SamplerNames()) {
+    ServiceOptions service_options = w.Options();
+    service_options.sampler = strategy;
+    auto service = GraphService::Create(w.graph, service_options, &w.features);
     ASSERT_TRUE(service.ok());
-    MiniBatchTrainerOptions options = TrainOptions();
-    options.sampler = strategy;
+    const MiniBatchTrainerOptions options = TrainOptions();
     auto trainer = MiniBatchTrainer::Create(service->get(), w.labels, w.num_classes, options);
     ASSERT_TRUE(trainer.ok()) << strategy;
     auto once = (*trainer)->TrainEpoch();
     ASSERT_TRUE(once.ok()) << strategy << ": " << once.status().ToString();
     EXPECT_TRUE(std::isfinite(once->loss)) << strategy;
 
-    auto service2 = GraphService::Create(w.graph, w.Options(), &w.features);
+    auto service2 = GraphService::Create(w.graph, service_options, &w.features);
     ASSERT_TRUE(service2.ok());
     auto trainer2 = MiniBatchTrainer::Create(service2->get(), w.labels, w.num_classes, options);
     ASSERT_TRUE(trainer2.ok());
@@ -265,9 +259,9 @@ TEST(FetchBatchingTest, ConcurrentFetchesCoalesce) {
   options.samplers_per_shard = 4;
   options.fetch.enabled = true;
   options.fetch.window_micros = 2000;
-  // Hold the full window (no arrival-gap close) so coalescing is a certainty
-  // under scheduler noise, not a race this test could lose.
-  options.fetch.close_gap_micros = 0;
+  // Gap = window holds the full window, so coalescing is a certainty under
+  // scheduler noise, not a race this test could lose.
+  options.fetch.close_gap_micros = 2000;
   options.cache_capacity_rows = 1;
   auto service = GraphService::Create(w.graph, options, &w.features);
   ASSERT_TRUE(service.ok());
@@ -306,6 +300,9 @@ TEST(FetchBatchingTest, ValidateRejectsBadWindows) {
   EXPECT_FALSE(GraphService::Create(w.graph, options, &w.features).ok());
   options.fetch.window_micros = 100;
   options.fetch.max_rows = 0;
+  EXPECT_FALSE(GraphService::Create(w.graph, options, &w.features).ok());
+  options.fetch.max_rows = 256;
+  options.fetch.close_gap_micros = 0;
   EXPECT_FALSE(GraphService::Create(w.graph, options, &w.features).ok());
 }
 

@@ -1,12 +1,13 @@
 // Replica conformance: the byte-identity contract of the replica tier.
 //
 // Replication may change latency, liveness, and routing — never bytes. These
-// tests pin that: for every (replicas, routing policy, pool width) config the
-// async serving path returns responses byte-identical to the R=1 baseline
-// with exactly-once delivery; mini-batch training converges to bitwise-equal
-// weights whatever the replication; ReplicaSet routing policies behave as
-// documented; and replica death fails over (counted) until the LAST replica
-// dies, at which point requests complete kUnavailable naming the shard.
+// tests pin that: for every (replicas, pool width) config the async serving
+// path returns responses byte-identical to the R=1 baseline with
+// exactly-once delivery; mini-batch training converges to bitwise-equal
+// weights whatever the replication; ReplicaSet round-robin routing behaves
+// as documented; and replica death fails over (counted) until the LAST
+// replica dies, at which point requests complete kUnavailable naming the
+// shard.
 
 #include <gtest/gtest.h>
 
@@ -32,13 +33,11 @@ CsrGraph TestGraph(VertexId n = 200, EdgeIndex edges = 1200, uint64_t seed = 11)
   return GenerateErdosRenyi(n, edges, rng);
 }
 
-ServiceOptions BaseOptions(uint32_t replicas, const std::string& routing,
-                           uint32_t samplers_per_shard) {
+ServiceOptions BaseOptions(uint32_t replicas, uint32_t samplers_per_shard) {
   ServiceOptions options;
   options.num_shards = 4;
   options.samplers_per_shard = samplers_per_shard;
   options.replication.replicas = replicas;
-  options.replication.routing = routing;
   options.partitioner = "hash";  // samples cross shards: remote fetches happen
   options.cache_capacity_rows = 64;
   options.feature_dim = 8;
@@ -88,24 +87,24 @@ std::map<uint64_t, SampleResponse> RunAsync(GraphService& service,
   return by_id;
 }
 
-// ---- byte identity across (replicas, routing, pool width) ------------------
+// ---- byte identity across (replicas, pool width) ---------------------------
 
-using ReplicaConfig = std::tuple<uint32_t, const char*, uint32_t>;
+using ReplicaConfig = std::tuple<uint32_t, uint32_t>;
 
 class ReplicaConformanceTest : public ::testing::TestWithParam<ReplicaConfig> {};
 
 TEST_P(ReplicaConformanceTest, ResponsesByteIdenticalToR1Baseline) {
-  const auto [replicas, routing, pool] = GetParam();
+  const auto [replicas, pool] = GetParam();
   CsrGraph graph = TestGraph();
   const std::vector<SampleRequest> requests = RequestMix(32);
 
   // Baseline: the pre-replica configuration (R=1, one sampler per shard).
-  auto baseline = GraphService::Create(graph, BaseOptions(1, "round-robin", 1));
+  auto baseline = GraphService::Create(graph, BaseOptions(1, 1));
   ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
   std::map<uint64_t, SampleResponse> expected = RunAsync(**baseline, requests);
   ASSERT_EQ(expected.size(), requests.size());
 
-  auto service = GraphService::Create(graph, BaseOptions(replicas, routing, pool));
+  auto service = GraphService::Create(graph, BaseOptions(replicas, pool));
   ASSERT_TRUE(service.ok()) << service.status().ToString();
   std::map<uint64_t, SampleResponse> got = RunAsync(**service, requests);
   ASSERT_EQ(got.size(), requests.size());
@@ -123,16 +122,10 @@ TEST_P(ReplicaConformanceTest, ResponsesByteIdenticalToR1Baseline) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllConfigs, ReplicaConformanceTest,
-    ::testing::Combine(::testing::Values(1u, 2u, 3u),
-                       ::testing::Values("round-robin", "least-loaded", "primary-only"),
-                       ::testing::Values(1u, 3u)),
+    ::testing::Combine(::testing::Values(1u, 2u, 3u), ::testing::Values(1u, 3u)),
     [](const ::testing::TestParamInfo<ReplicaConfig>& info) {
-      return "R" + std::to_string(std::get<0>(info.param)) + "_" +
-             std::string(std::get<1>(info.param) == std::string("round-robin")
-                             ? "rr"
-                             : (std::get<1>(info.param) == std::string("least-loaded") ? "ll"
-                                                                                       : "po")) +
-             "_pool" + std::to_string(std::get<2>(info.param));
+      return "R" + std::to_string(std::get<0>(info.param)) + "_pool" +
+             std::to_string(std::get<1>(info.param));
     });
 
 // ---- trained weights are replication-invariant ------------------------------
@@ -162,8 +155,8 @@ struct World {
   }
 };
 
-ReplicaWeights TrainThreeEpochs(World& w, uint32_t replicas, const std::string& routing) {
-  ServiceOptions options = BaseOptions(replicas, routing, 2);
+ReplicaWeights TrainThreeEpochs(World& w, uint32_t replicas) {
+  ServiceOptions options = BaseOptions(replicas, 2);
   auto service = GraphService::Create(w.graph, options, &w.features);
   EXPECT_TRUE(service.ok()) << service.status().ToString();
   MiniBatchTrainerOptions train;
@@ -194,13 +187,12 @@ void ExpectSameWeights(const ReplicaWeights& a, const ReplicaWeights& b) {
 
 TEST(ReplicaTrainingConformanceTest, TrainedWeightsBitwiseEqualAcrossReplication) {
   World w = World::Make(41);
-  const ReplicaWeights baseline = TrainThreeEpochs(w, 1, "round-robin");
-  ExpectSameWeights(TrainThreeEpochs(w, 2, "round-robin"), baseline);
-  ExpectSameWeights(TrainThreeEpochs(w, 3, "least-loaded"), baseline);
-  ExpectSameWeights(TrainThreeEpochs(w, 2, "primary-only"), baseline);
+  const ReplicaWeights baseline = TrainThreeEpochs(w, 1);
+  ExpectSameWeights(TrainThreeEpochs(w, 2), baseline);
+  ExpectSameWeights(TrainThreeEpochs(w, 3), baseline);
 }
 
-// ---- routing policy behavior (ReplicaSet directly) --------------------------
+// ---- routing behavior (ReplicaSet directly) ---------------------------------
 
 struct RoutingFixture {
   CsrGraph graph;
@@ -218,21 +210,18 @@ struct RoutingFixture {
     return f;
   }
 
-  std::unique_ptr<ReplicaSet> Set(uint32_t replicas, const std::string& routing) {
+  std::unique_ptr<ReplicaSet> Set(uint32_t replicas) {
     ReplicationOptions options;
     options.replicas = replicas;
-    options.routing = routing;
     return std::move(ReplicaSet::Build(store, 4, features.data(), options)).value();
   }
 };
 
 TEST(ReplicaSetTest, RoundRobinSpreadsOverAliveReplicas) {
   RoutingFixture f = RoutingFixture::Make();
-  auto set = f.Set(3, "round-robin");
+  auto set = f.Set(3);
   for (int i = 0; i < 9; ++i) {
-    auto r = set->Route(0);
-    ASSERT_TRUE(r.ok());
-    set->Finish(0, *r);
+    ASSERT_TRUE(set->Route(0).ok());
   }
   const ReplicaSet::Stats stats = set->stats();
   EXPECT_EQ(stats.routed[0], 3u);
@@ -240,39 +229,9 @@ TEST(ReplicaSetTest, RoundRobinSpreadsOverAliveReplicas) {
   EXPECT_EQ(stats.routed[2], 3u);
 }
 
-TEST(ReplicaSetTest, PrimaryOnlyUsesLowestAliveIndex) {
-  RoutingFixture f = RoutingFixture::Make();
-  auto set = f.Set(2, "primary-only");
-  for (int i = 0; i < 4; ++i) {
-    auto r = set->Route(0);
-    ASSERT_TRUE(r.ok());
-    EXPECT_EQ(*r, 0u);
-    set->Finish(0, 0);
-  }
-  ASSERT_TRUE(set->KillReplica(0, 0).ok());
-  auto r = set->Route(0);
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(*r, 1u);  // failover capacity takes over
-}
-
-TEST(ReplicaSetTest, LeastLoadedAvoidsBusyReplica) {
-  RoutingFixture f = RoutingFixture::Make();
-  auto set = f.Set(2, "least-loaded");
-  // First route lands on replica 0 (tie, lowest index) and stays in flight…
-  auto first = set->Route(0);
-  ASSERT_TRUE(first.ok());
-  EXPECT_EQ(*first, 0u);
-  // …so the next route must prefer the idle replica 1.
-  auto second = set->Route(0);
-  ASSERT_TRUE(second.ok());
-  EXPECT_EQ(*second, 1u);
-  set->Finish(0, 0);
-  set->Finish(0, 1);
-}
-
 TEST(ReplicaSetTest, MembershipEpochsAndLastReplicaDeath) {
   RoutingFixture f = RoutingFixture::Make();
-  auto set = f.Set(2, "round-robin");
+  auto set = f.Set(2);
   EXPECT_EQ(set->membership_view().epoch, 0u);
   EXPECT_EQ(set->replica_epoch(), 0u);
 
@@ -301,7 +260,7 @@ TEST(ReplicaSetTest, MembershipEpochsAndLastReplicaDeath) {
 
 TEST(ReplicaFailoverTest, QueuedRequestsFailOverAndAreCounted) {
   CsrGraph graph = TestGraph();
-  ServiceOptions options = BaseOptions(2, "round-robin", 2);
+  ServiceOptions options = BaseOptions(2, 2);
   auto service = GraphService::Create(graph, options);
   ASSERT_TRUE(service.ok()) << service.status().ToString();
 
@@ -342,7 +301,7 @@ TEST(ReplicaFailoverTest, QueuedRequestsFailOverAndAreCounted) {
 
 TEST(ReplicaFailoverTest, LastReplicaDeathNamesShardAsSuspect) {
   CsrGraph graph = TestGraph();
-  ServiceOptions options = BaseOptions(2, "round-robin", 1);
+  ServiceOptions options = BaseOptions(2, 1);
   auto service = GraphService::Create(graph, options);
   ASSERT_TRUE(service.ok()) << service.status().ToString();
 
@@ -370,7 +329,7 @@ TEST(ReplicaFailoverTest, LastReplicaDeathNamesShardAsSuspect) {
 
 TEST(ReplicaFailoverTest, KillShardKillsEveryReplica) {
   CsrGraph graph = TestGraph();
-  ServiceOptions options = BaseOptions(3, "round-robin", 1);
+  ServiceOptions options = BaseOptions(3, 1);
   auto service = GraphService::Create(graph, options);
   ASSERT_TRUE(service.ok()) << service.status().ToString();
 
@@ -386,7 +345,7 @@ TEST(ReplicaFailoverTest, KillShardKillsEveryReplica) {
 
 TEST(ReplicaFailoverTest, TrainerRidesThroughReplicaDeath) {
   World w = World::Make(41);
-  ServiceOptions options = BaseOptions(2, "primary-only", 2);
+  ServiceOptions options = BaseOptions(2, 2);
   auto service = GraphService::Create(w.graph, options, &w.features);
   ASSERT_TRUE(service.ok()) << service.status().ToString();
   MiniBatchTrainerOptions train;

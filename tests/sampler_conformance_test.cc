@@ -1,10 +1,10 @@
-// Conformance suite over every SamplerRegistry strategy — the serving-side
-// mirror of planner_conformance_test. Whatever is registered (built-in or
-// added later) must: sample deterministically across runs and sampler-pool
-// widths, honor the seed round-trip (same seed same set, new seed new draw),
-// fail fast with kUnavailable when the sample crosses a dead shard, and
-// surface unknown-name errors that list every registered strategy. New
-// samplers get all of this for free by registering a factory.
+// Conformance suite over every sampling strategy (SamplerNames()) — the
+// serving-side mirror of planner_conformance_test. Every strategy must:
+// sample deterministically across runs and sampler-pool widths, honor the
+// seed round-trip (same seed same set, new seed new draw), and fail fast with
+// kUnavailable when the sample crosses a dead shard. MakeSampler and
+// GraphService::Create reject unknown names with an error listing every
+// strategy. A new strategy gets all of this by joining MakeSampler.
 
 #include <algorithm>
 #include <map>
@@ -20,7 +20,6 @@
 #include "graph/khop.h"
 #include "partition/partitioner.h"
 #include "service/sampler.h"
-#include "service/sampler_registry.h"
 #include "service/service.h"
 
 namespace dgcl {
@@ -52,7 +51,7 @@ class SamplerConformanceTest : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(SamplerConformanceTest, SampleIsSortedDedupedAndContainsSeeds) {
   Shards s = Shards::Make();
-  auto sampler = SamplerRegistry::Global().Create(GetParam(), &s.store);
+  auto sampler = MakeSampler(GetParam(), &s.store);
   ASSERT_TRUE(sampler.ok()) << sampler.status().ToString();
   std::vector<VertexId> seeds = {5, 42, 42, 250};  // duplicate on purpose
   SampleKHopOptions options{2, 3, 7};
@@ -72,7 +71,7 @@ TEST_P(SamplerConformanceTest, SampleIsSortedDedupedAndContainsSeeds) {
 
 TEST_P(SamplerConformanceTest, SeedRoundTrip) {
   Shards s = Shards::Make();
-  auto sampler = SamplerRegistry::Global().Create(GetParam(), &s.store);
+  auto sampler = MakeSampler(GetParam(), &s.store);
   ASSERT_TRUE(sampler.ok());
   std::vector<VertexId> seeds = {3, 50, 200};
   SampleKHopOptions options{2, 3, 77};
@@ -93,7 +92,7 @@ TEST_P(SamplerConformanceTest, SeedRoundTrip) {
 
 TEST_P(SamplerConformanceTest, DeadShardFailsFastWithSuspect) {
   Shards s = Shards::Make();
-  auto sampler = SamplerRegistry::Global().Create(GetParam(), &s.store);
+  auto sampler = MakeSampler(GetParam(), &s.store);
   ASSERT_TRUE(sampler.ok());
   // A seed owned by the dead shard: every strategy must check the owner of
   // a vertex before reading its adjacency, so the failure is immediate.
@@ -167,83 +166,33 @@ TEST_P(SamplerConformanceTest, SampleSetsIdenticalAcrossPoolWidths) {
   }
 }
 
-// ---- registry contract ------------------------------------------------------
+// ---- MakeSampler / SamplerNames --------------------------------------------
 
-TEST(SamplerRegistryTest, BuiltinsRegistered) {
-  auto& reg = SamplerRegistry::Global();
-  for (const char* required : {"uniform", "weighted", "random-walk"}) {
-    EXPECT_TRUE(reg.Contains(required)) << required;
-  }
-  const std::vector<std::string> names = reg.Names();
-  EXPECT_GE(names.size(), 3u);
-  EXPECT_TRUE(std::is_sorted(names.begin(), names.end()));
-}
-
-TEST(SamplerRegistryTest, RejectsBadRegistrations) {
-  auto& reg = SamplerRegistry::Global();
-  auto factory = [](const ShardedGraphStore*) { return std::unique_ptr<Sampler>(); };
-  EXPECT_FALSE(reg.Register("", factory).ok());
-  EXPECT_FALSE(reg.Register("uniform", factory).ok());  // duplicate
-  EXPECT_FALSE(reg.Register("null-factory", nullptr).ok());
-}
-
-TEST(SamplerRegistryTest, UnknownNameErrorListsRegisteredStrategies) {
+TEST(MakeSamplerTest, BuildsEveryNamedStrategy) {
   Shards s = Shards::Make();
-  auto result = SamplerRegistry::Global().Create("no-such-sampler", &s.store);
+  const std::vector<std::string> names = SamplerNames();
+  EXPECT_EQ(names, (std::vector<std::string>{"random-walk", "uniform", "weighted"}));
+  for (const std::string& name : names) {
+    auto sampler = MakeSampler(name, &s.store);
+    ASSERT_TRUE(sampler.ok()) << name << ": " << sampler.status().ToString();
+    EXPECT_EQ((*sampler)->name(), name);
+    EXPECT_EQ((*sampler)->span_name(), "serve.sample." + name);
+  }
+}
+
+TEST(MakeSamplerTest, UnknownNameErrorListsEveryStrategy) {
+  Shards s = Shards::Make();
+  auto result = MakeSampler("no-such-sampler", &s.store);
   ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
   const std::string& message = result.status().message();
   EXPECT_NE(message.find("no-such-sampler"), std::string::npos) << message;
-  for (const std::string& name : SamplerRegistry::Global().Names()) {
+  for (const std::string& name : SamplerNames()) {
     EXPECT_NE(message.find(name), std::string::npos) << message;
   }
 }
 
-// A runtime-registered strategy rides the whole conformance surface: service
-// Create picks it up, a per-request override selects it, and its samples
-// come back through the normal response path.
-class SeedsOnlySampler : public Sampler {
- public:
-  explicit SeedsOnlySampler(const ShardedGraphStore* store) : Sampler(store) {}
-
-  Result<SampleResult> Sample(uint32_t, std::span<const VertexId> seeds,
-                              const SampleKHopOptions&, DeviceMask,
-                              uint32_t*) const override {
-    SampleResult result;
-    result.nodes.assign(seeds.begin(), seeds.end());
-    std::sort(result.nodes.begin(), result.nodes.end());
-    result.nodes.erase(std::unique(result.nodes.begin(), result.nodes.end()),
-                       result.nodes.end());
-    return result;
-  }
-  const char* name() const override { return "seeds-only"; }
-};
-
-TEST(SamplerRegistryTest, RuntimeRegisteredSamplerServesEndToEnd) {
-  ASSERT_TRUE(SamplerRegistry::Global()
-                  .Register("seeds-only",
-                            [](const ShardedGraphStore* store) {
-                              return std::unique_ptr<Sampler>(new SeedsOnlySampler(store));
-                            })
-                  .ok());
-  CsrGraph graph = TestGraph();
-  ServiceOptions options;
-  options.num_shards = 4;
-  options.partitioner = "hash";
-  options.feature_dim = 8;
-  options.hidden_dim = 4;
-  auto service = GraphService::Create(graph, options);
-  ASSERT_TRUE(service.ok()) << service.status().ToString();
-  SampleRequest request;
-  request.shard = 0;
-  request.seeds = {9, 3, 3, 120};
-  request.sampler = "seeds-only";  // per-request override of the default
-  SampleResponse response = (*service)->Serve(std::move(request));
-  ASSERT_TRUE(response.status.ok()) << response.status.ToString();
-  EXPECT_EQ(response.nodes, (std::vector<VertexId>{3, 9, 120}));
-}
-
-// ---- service plumbing: default + per-request strategy selection -------------
+// ---- service plumbing: the configured strategy serves every request ---------
 
 TEST(ServiceSamplerSelectionTest, UnknownDefaultSamplerFailsCreate) {
   CsrGraph graph = TestGraph();
@@ -256,63 +205,41 @@ TEST(ServiceSamplerSelectionTest, UnknownDefaultSamplerFailsCreate) {
   EXPECT_NE(message.find("uniform"), std::string::npos) << message;
 }
 
-TEST(ServiceSamplerSelectionTest, UnknownPerRequestSamplerFailsThatRequestOnly) {
-  CsrGraph graph = TestGraph();
-  ServiceOptions options;
-  options.num_shards = 4;
-  options.partitioner = "hash";
-  options.feature_dim = 8;
-  options.hidden_dim = 4;
-  auto service = GraphService::Create(graph, options);
-  ASSERT_TRUE(service.ok());
-  SampleRequest bad;
-  bad.shard = 0;
-  bad.num_seeds = 4;
-  bad.sampler = "no-such-sampler";
-  SampleResponse response = (*service)->Serve(std::move(bad));
-  EXPECT_EQ(response.status.code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(response.status.message().find("uniform"), std::string::npos)
-      << response.status.message();
-  // The service itself is fine: a well-formed request still serves.
-  SampleRequest good;
-  good.shard = 0;
-  good.num_seeds = 4;
-  EXPECT_TRUE((*service)->Serve(std::move(good)).status.ok());
-}
-
-TEST(ServiceSamplerSelectionTest, PerRequestOverrideMatchesDirectSampler) {
+TEST(ServiceSamplerSelectionTest, ConfiguredSamplerMatchesDirectSampler) {
   Shards s = Shards::Make();
-  ServiceOptions options;
-  options.num_shards = 4;
-  options.partitioner = "hash";
-  options.sampler = "uniform";  // default differs from the override below
-  options.feature_dim = 8;
-  options.hidden_dim = 4;
-  auto service = GraphService::Create(s.graph, options);
-  ASSERT_TRUE(service.ok());
-  SampleRequest request;
-  request.shard = 1;
-  request.seeds = {3, 50, 200};
-  request.sample = {2, 3, 77};
-  request.sampler = "weighted";
-  SampleResponse response = (*service)->Serve(std::move(request));
-  ASSERT_TRUE(response.status.ok()) << response.status.ToString();
+  auto serve = [&](const std::string& sampler) {
+    ServiceOptions options;
+    options.num_shards = 4;
+    options.partitioner = "hash";
+    options.sampler = sampler;
+    options.feature_dim = 8;
+    options.hidden_dim = 4;
+    auto service = GraphService::Create(s.graph, options);
+    if (!service.ok()) {
+      SampleResponse failed;
+      failed.status = service.status();
+      return failed;
+    }
+    SampleRequest request;
+    request.shard = 1;
+    request.seeds = {3, 50, 200};
+    request.sample = {2, 3, 77};
+    return (*service)->Serve(std::move(request));
+  };
+  const SampleResponse weighted = serve("weighted");
+  ASSERT_TRUE(weighted.status.ok()) << weighted.status.ToString();
 
   WeightedNeighborSampler direct(&s.store);
   std::vector<VertexId> seeds = {3, 50, 200};
   auto expected = direct.Sample(1, seeds, SampleKHopOptions{2, 3, 77}, 0xF);
   ASSERT_TRUE(expected.ok());
-  EXPECT_EQ(response.nodes, expected->nodes);
+  EXPECT_EQ(weighted.nodes, expected->nodes);
 
-  // And the override genuinely changed the strategy: uniform draws a
-  // different set under the same request.
-  SampleRequest uniform_request;
-  uniform_request.shard = 1;
-  uniform_request.seeds = {3, 50, 200};
-  uniform_request.sample = {2, 3, 77};
-  SampleResponse uniform_response = (*service)->Serve(std::move(uniform_request));
-  ASSERT_TRUE(uniform_response.status.ok());
-  EXPECT_NE(uniform_response.nodes, response.nodes);
+  // And the option genuinely selects the strategy: a uniform service draws a
+  // different set for the same request.
+  const SampleResponse uniform = serve("uniform");
+  ASSERT_TRUE(uniform.status.ok());
+  EXPECT_NE(uniform.nodes, weighted.nodes);
 }
 
 // ---- strategy-specific spot checks ------------------------------------------
@@ -407,7 +334,7 @@ std::string SafeName(const ::testing::TestParamInfo<std::string>& info) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllStrategies, SamplerConformanceTest,
-                         ::testing::ValuesIn(SamplerRegistry::Global().Names()), SafeName);
+                         ::testing::ValuesIn(SamplerNames()), SafeName);
 
 }  // namespace
 }  // namespace dgcl

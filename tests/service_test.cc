@@ -431,9 +431,6 @@ TEST(ServiceOptionsTest, ValidateRejectsBadKnobs) {
   options = ServiceOptions();
   options.partitioner = "metis";
   EXPECT_FALSE(GraphService::Create(graph, options).ok());
-  options = ServiceOptions();
-  options.sample.fanout = 0;
-  EXPECT_FALSE(GraphService::Create(graph, options).ok());
 }
 
 }  // namespace

@@ -14,9 +14,8 @@
 // --planner resolves through the PlannerRegistry, so any registered strategy
 // works by name; "auto" plans with every strategy and commits the cost-model
 // winner, printing the per-candidate scorecard. --list-planners prints the
-// registered planner names and exits; --list-samplers does the same for the
-// serving tier's SamplerRegistry (ServiceOptions::sampler /
-// SampleRequest::sampler take these names).
+// registered planner names and exits; --list-samplers prints the serving
+// tier's sampling strategies (the names ServiceOptions::sampler takes).
 
 #include <cstdio>
 #include <cstring>
@@ -34,7 +33,7 @@
 #include "planner/registry.h"
 #include "sim/network_sim.h"
 #include "sim/planner_select.h"
-#include "service/sampler_registry.h"
+#include "service/sampler.h"
 #include "topology/presets.h"
 
 using namespace dgcl;
@@ -165,8 +164,8 @@ int main(int argc, char** argv) {
     return 0;
   }
   if (args.list_samplers) {
-    std::printf("registered sampler strategies:\n");
-    for (const std::string& name : SamplerRegistry::Global().Names()) {
+    std::printf("sampler strategies:\n");
+    for (const std::string& name : SamplerNames()) {
       std::printf("  %s\n", name.c_str());
     }
     return 0;

@@ -273,8 +273,8 @@ int SummarizeServing(const telemetry::Trace& trace) {
     std::printf("%s", phase_table.Render("serving phases").c_str());
 
     // The sample phase is recorded per strategy (serve.sample.<name>, the
-    // SamplerRegistry name) — break it out so strategy cost is comparable at
-    // a glance.
+    // ServiceOptions::sampler name) — break it out so strategy cost is
+    // comparable at a glance.
     TablePrinter sample_table({"Sampler", "Samples", "Total ms", "Mean ms", "Max ms"});
     bool any_strategy = false;
     const std::string prefix = "serve.sample.";
