@@ -28,7 +28,7 @@ namespace {
 
 struct KillPoint {
   const char* label;
-  uint32_t pass;  // engine pass index; 2-layer model => 3 passes per epoch
+  uint32_t pass;  // engine pass index; 2-layer model => 2 passes per epoch
 };
 
 struct BenchCase {
@@ -89,7 +89,8 @@ Result<BenchCase> RunCase(DatasetId id, const KillPoint& kill, uint32_t gpus) {
   DGCL_ASSIGN_OR_RETURN(ElasticTrainingSession session,
                         ElasticTrainingSession::Create(ctx, dataset.graph, features, labels,
                                                        num_classes, trainer_options));
-  const uint32_t epochs = kill.pass / (2 * trainer_options.num_layers - 1) + 1;
+  const uint32_t epochs =
+      kill.pass / DistributedTrainer::PassesPerEpoch(trainer_options.num_layers) + 1;
   for (uint32_t e = 0; e < epochs; ++e) {
     DGCL_ASSIGN_OR_RETURN(EpochResult result, session.TrainEpoch());
     (void)result;
@@ -114,9 +115,9 @@ int Run(int argc, char** argv) {
   bench::PrintHeader("Elastic recovery: per-phase MTTR vs full restart (8 GPUs, kill 1)");
 
   const KillPoint kKillPoints[] = {
-      {"fwd-early", 1},   // epoch 0, layer 1 forward
-      {"bwd", 2},         // epoch 0, layer 1 backward
-      {"epoch1-mid", 4},  // epoch 1, layer 1 forward
+      {"fwd-early", 0},   // epoch 0, layer 1 forward
+      {"bwd", 1},         // epoch 0, layer 1 backward
+      {"epoch1-mid", 2},  // epoch 1, layer 1 forward
   };
   const DatasetId kDatasets[] = {DatasetId::kReddit, DatasetId::kComOrkut,
                                  DatasetId::kWebGoogle, DatasetId::kWikiTalk};

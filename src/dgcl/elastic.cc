@@ -52,11 +52,6 @@ Status ElasticTrainingSession::RestoreTrainer(RecoveryReport& report) {
                                  *labels_, num_classes_, options_));
   trainer_.emplace(std::move(trainer));
   DGCL_RETURN_IF_ERROR(trainer_->ImportReplica(weights));
-  if (checkpoints_.every_n_layers() > 0) {
-    // Seed boundary 0 with the (static) input features so the retried
-    // epoch's first layer skips its allgather too.
-    checkpoints_.Save(0, *features_);
-  }
   report.restore_seconds = SecondsSince(t0);
   return Status::Ok();
 }

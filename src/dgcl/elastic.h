@@ -12,7 +12,8 @@
 //   membership  commit the failed devices as a new membership epoch
 //   repartition fold their vertices into survivors (incremental, no re-METIS)
 //   replan      rebuild relation/SPST plan/connection table on the survivors
-//   restore     rebuild the trainer on the new layout, re-import the replica
+//   restore     rebuild the trainer on the new layout (its Create builds
+//               layer 0's input for that layout), re-import the replica
 //               weights (valid: weights only change in a completed step)
 //   resume      retry the epoch, restoring checkpointed layer boundaries
 //               instead of re-running their allgathers

@@ -187,8 +187,11 @@ class GcnLayer final : public GnnLayer {
  public:
   GcnLayer(uint32_t dim_in, uint32_t dim_out, Rng& rng) : linear_(dim_in, dim_out, rng) {}
 
-  EmbeddingMatrix Forward(const LocalGraph& graph, const EmbeddingMatrix& slots) override {
+  void SetInput(const LocalGraph& graph, const EmbeddingMatrix& slots) override {
     agg_ = AggregateMeanWithSelf(graph, slots);
+  }
+
+  EmbeddingMatrix Update(const LocalGraph& /*graph*/) override {
     EmbeddingMatrix out = linear_.Forward(agg_);
     ReluInPlace(out, mask_);
     return out;
@@ -222,13 +225,16 @@ class CommNetLayer final : public GnnLayer {
   CommNetLayer(uint32_t dim_in, uint32_t dim_out, Rng& rng)
       : self_(dim_in, dim_out, rng), comm_(dim_in, dim_out, rng) {}
 
-  EmbeddingMatrix Forward(const LocalGraph& graph, const EmbeddingMatrix& slots) override {
+  void SetInput(const LocalGraph& graph, const EmbeddingMatrix& slots) override {
     // Cache the local rows (slot prefix) and the neighbor mean.
     locals_ = EmbeddingMatrix::Zero(graph.num_compute, slots.dim);
     for (uint32_t i = 0; i < graph.num_compute; ++i) {
       std::copy(slots.Row(i), slots.Row(i) + slots.dim, locals_.Row(i));
     }
     agg_ = AggregateMeanNeighbors(graph, slots);
+  }
+
+  EmbeddingMatrix Update(const LocalGraph& /*graph*/) override {
     EmbeddingMatrix out = self_.Forward(locals_);
     EmbeddingMatrix comm_out = comm_.Forward(agg_);
     AddInPlace(out, comm_out);
@@ -279,7 +285,7 @@ class GinLayer final : public GnnLayer {
   GinLayer(uint32_t dim_in, uint32_t dim_out, Rng& rng)
       : mlp1_(dim_in, dim_out, rng), mlp2_(dim_out, dim_out, rng) {}
 
-  EmbeddingMatrix Forward(const LocalGraph& graph, const EmbeddingMatrix& slots) override {
+  void SetInput(const LocalGraph& graph, const EmbeddingMatrix& slots) override {
     sum_input_ = AggregateSumNeighbors(graph, slots);
     for (uint32_t i = 0; i < graph.num_compute; ++i) {
       float* row = sum_input_.Row(i);
@@ -288,6 +294,9 @@ class GinLayer final : public GnnLayer {
         row[c] += (1.0f + kEps) * self[c];
       }
     }
+  }
+
+  EmbeddingMatrix Update(const LocalGraph& /*graph*/) override {
     hidden_ = mlp1_.Forward(sum_input_);
     ReluInPlace(hidden_, mask1_);
     EmbeddingMatrix out = mlp2_.Forward(hidden_);
@@ -354,9 +363,14 @@ class GatLayer final : public GnnLayer {
         da_src_(EmbeddingMatrix::Zero(1, dim_out)),
         da_dst_(EmbeddingMatrix::Zero(1, dim_out)) {}
 
-  EmbeddingMatrix Forward(const LocalGraph& graph, const EmbeddingMatrix& slots) override {
+  // GAT transforms before it aggregates, so its input-only work is keeping
+  // the slots themselves.
+  void SetInput(const LocalGraph& /*graph*/, const EmbeddingMatrix& slots) override {
     slots_in_ = slots;
-    Gemm(slots, w_, z_);
+  }
+
+  EmbeddingMatrix Update(const LocalGraph& graph) override {
+    Gemm(slots_in_, w_, z_);
     // Attention logits per slot.
     src_score_.assign(graph.num_slots, 0.0f);
     dst_score_.assign(graph.num_slots, 0.0f);

@@ -6,11 +6,18 @@
 //   GIN      h' = MLP( (1+eps) h_v + sum(h_N(v)) ),  MLP = ReLU∘Linear twice
 //
 // Forward consumes a slot matrix (locals + remotes, post-allgather) and
-// produces local rows; Backward consumes local-row gradients and produces a
-// slot-matrix gradient whose remote rows must be routed back to their owners
-// by the backward allgather. The first layer's slot gradient would be the
-// gradient of the input features, which nobody consumes: BackwardParamsOnly
-// skips computing it (and so the trainer skips its backward allgather).
+// produces local rows. It is two steps: SetInput does the work that depends
+// on the slots alone (GCN's, CommNet's and GIN's aggregation; GAT, which
+// transforms first, keeps the slots) and keeps the result in the layer;
+// Update does the weighted work on what SetInput kept. A layer whose input
+// never changes (the trainer's layer 0: fixed features on a fixed graph) is
+// set once and then only updated.
+//
+// Backward consumes local-row gradients and produces a slot-matrix gradient
+// whose remote rows must be routed back to their owners by the backward
+// allgather. The first layer's slot gradient would be the gradient of the
+// input features, which nobody consumes: BackwardParamsOnly skips computing
+// it (and so the trainer skips its backward allgather).
 
 #ifndef DGCL_GNN_LAYERS_H_
 #define DGCL_GNN_LAYERS_H_
@@ -31,7 +38,18 @@ class GnnLayer {
   virtual ~GnnLayer() = default;
 
   // `slots` has graph.num_slots rows; returns graph.num_compute rows.
-  virtual EmbeddingMatrix Forward(const LocalGraph& graph, const EmbeddingMatrix& slots) = 0;
+  EmbeddingMatrix Forward(const LocalGraph& graph, const EmbeddingMatrix& slots) {
+    SetInput(graph, slots);
+    return Update(graph);
+  }
+
+  // The input-only half of Forward: keeps what Update and Backward need of
+  // `slots` (num_slots rows), which the caller may then drop.
+  virtual void SetInput(const LocalGraph& graph, const EmbeddingMatrix& slots) = 0;
+
+  // The weighted half of Forward on the input last set: returns num_compute
+  // rows, bitwise equal to Forward on those slots with the current weights.
+  virtual EmbeddingMatrix Update(const LocalGraph& graph) = 0;
 
   // `grad_out` has num_compute rows; returns num_slots rows of input grads.
   // Accumulates parameter gradients internally.

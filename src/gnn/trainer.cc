@@ -21,6 +21,23 @@ void ShrinkRows(EmbeddingMatrix& m, uint32_t n) {
   m.data.resize(static_cast<size_t>(n) * m.dim);
 }
 
+// Device `device`'s slot matrix from a matrix with one row per global
+// vertex: its local rows first, then its remote rows, in the relation's order.
+EmbeddingMatrix GatherSlots(const EmbeddingMatrix& global, const CommRelation& relation,
+                            uint32_t device) {
+  const auto& locals = relation.local_vertices[device];
+  const auto& remotes = relation.remote_vertices[device];
+  EmbeddingMatrix slots =
+      EmbeddingMatrix::Zero(static_cast<uint32_t>(locals.size() + remotes.size()), global.dim);
+  uint32_t row = 0;
+  for (const auto* vertices : {&locals, &remotes}) {
+    for (VertexId v : *vertices) {
+      std::copy(global.Row(v), global.Row(v) + global.dim, slots.Row(row++));
+    }
+  }
+  return slots;
+}
+
 uint32_t CountLabeled(const std::vector<uint32_t>& labels) {
   uint32_t n = 0;
   for (uint32_t label : labels) {
@@ -132,8 +149,9 @@ Status ModelReplica::Import(const ReplicaWeights& weights) {
 
 Result<MiniBatchModel> MiniBatchModel::Create(uint32_t feature_dim, uint32_t num_classes,
                                               TrainerOptions options) {
-  if (feature_dim == 0 || num_classes == 0 || options.num_layers == 0) {
-    return Status::InvalidArgument("need feature_dim, num_classes and num_layers >= 1");
+  if (feature_dim == 0 || num_classes == 0 || options.num_layers == 0 ||
+      options.hidden_dim == 0) {
+    return Status::InvalidArgument("need feature_dim, num_classes, num_layers and hidden_dim >= 1");
   }
   MiniBatchModel model;
   model.options_ = options;
@@ -302,8 +320,13 @@ Result<DistributedTrainer> DistributedTrainer::Create(
   if (features.rows != graph.num_vertices() || labels.size() != graph.num_vertices()) {
     return Status::InvalidArgument("features/labels must cover every vertex");
   }
-  if (options.num_layers == 0 || num_classes == 0) {
-    return Status::InvalidArgument("need at least one layer and one class");
+  if (relation.source.size() != graph.num_vertices()) {
+    return Status::InvalidArgument("relation covers " + std::to_string(relation.source.size()) +
+                                   " vertices, graph has " +
+                                   std::to_string(graph.num_vertices()));
+  }
+  if (options.num_layers == 0 || options.hidden_dim == 0 || num_classes == 0) {
+    return Status::InvalidArgument("need at least one layer, one hidden unit and one class");
   }
   DGCL_RETURN_IF_ERROR(ValidateLabels(labels, num_classes));
   DistributedTrainer trainer;
@@ -314,22 +337,19 @@ Result<DistributedTrainer> DistributedTrainer::Create(
 
   const uint32_t devices = relation.num_devices;
   trainer.local_graphs_.reserve(devices);
-  trainer.local_features_.reserve(devices);
   trainer.local_labels_.resize(devices);
   trainer.replicas_.reserve(devices);
   for (uint32_t d = 0; d < devices; ++d) {
     trainer.local_graphs_.push_back(BuildLocalGraph(graph, relation, d));
-    const auto& locals = relation.local_vertices[d];
-    EmbeddingMatrix feat = EmbeddingMatrix::Zero(static_cast<uint32_t>(locals.size()),
-                                                 features.dim);
-    for (uint32_t i = 0; i < locals.size(); ++i) {
-      std::copy(features.Row(locals[i]), features.Row(locals[i]) + features.dim, feat.Row(i));
-    }
-    trainer.local_features_.push_back(std::move(feat));
-    for (VertexId v : locals) {
+    for (VertexId v : relation.local_vertices[d]) {
       trainer.local_labels_[d].push_back(labels[v]);
     }
     trainer.replicas_.push_back(ModelReplica::Create(features.dim, num_classes, options));
+    // Features and graph never change, so layer 0's input-only work is done
+    // here once, from the slots an allgather of the features would deliver;
+    // every pass then only runs its Update.
+    trainer.replicas_[d].layers[0]->SetInput(trainer.local_graphs_[d],
+                                             GatherSlots(features, relation, d));
   }
   trainer.workers_ = std::make_unique<DeviceWorkers>(devices);
   return trainer;
@@ -347,12 +367,15 @@ Result<EpochResult> DistributedTrainer::Pass(bool train, EmbeddingMatrix* all_lo
     // Re-zero so a retried epoch reproduces a fresh one exactly.
     workers_->Run([&](uint32_t d) { replicas_[d].ZeroGrads(); });
   }
-  // `inputs` holds the activations entering layer l: the local features
-  // themselves (read in place) for layer 0, then each layer's output `acts`.
+  // `acts` holds each device's output of the last layer run. Layer 0's input
+  // was set in Create, so it runs without an allgather.
   std::vector<EmbeddingMatrix> acts(devices);
-  const std::vector<EmbeddingMatrix>* inputs = &local_features_;
+  {
+    DGCL_TSPAN1("trainer", "layer.compute", "layer", 0);
+    workers_->Run([&](uint32_t d) { acts[d] = replicas_[d].layers[0]->Update(local_graphs_[d]); });
+  }
 
-  for (uint32_t l = 0; l < options_.num_layers; ++l, inputs = &acts) {
+  for (uint32_t l = 1; l < options_.num_layers; ++l) {
     const EmbeddingCheckpoint* ckpt =
         (hooks.checkpoints != nullptr && hooks.restore) ? hooks.checkpoints->Find(l) : nullptr;
     if (ckpt != nullptr) {
@@ -363,20 +386,12 @@ Result<EpochResult> DistributedTrainer::Pass(bool train, EmbeddingMatrix* all_lo
       // layer's backward cache exact.
       DGCL_TSPAN1("recovery", "recovery.restore.layer", "layer", l);
       workers_->Run([&](uint32_t d) {
-        EmbeddingMatrix trimmed =
-            EmbeddingMatrix::Zero(local_graphs_[d].num_slots, ckpt->acts.dim);
-        uint32_t row = 0;
-        for (VertexId v : relation_->local_vertices[d]) {
-          std::copy(ckpt->acts.Row(v), ckpt->acts.Row(v) + ckpt->acts.dim, trimmed.Row(row++));
-        }
-        for (VertexId v : relation_->remote_vertices[d]) {
-          std::copy(ckpt->acts.Row(v), ckpt->acts.Row(v) + ckpt->acts.dim, trimmed.Row(row++));
-        }
-        acts[d] = replicas_[d].layers[l]->Forward(local_graphs_[d], trimmed);
+        acts[d] = replicas_[d].layers[l]->Forward(local_graphs_[d],
+                                                  GatherSlots(ckpt->acts, *relation_, d));
       });
       continue;
     }
-    if (hooks.checkpoints != nullptr && l >= 1 && hooks.checkpoints->ShouldCheckpoint(l) &&
+    if (hooks.checkpoints != nullptr && hooks.checkpoints->ShouldCheckpoint(l) &&
         hooks.checkpoints->Find(l) == nullptr) {
       // Snapshot the boundary *before* attempting the allgather: if the
       // exchange below dies, the retry resumes from this very layer. Devices
@@ -396,7 +411,7 @@ Result<EpochResult> DistributedTrainer::Pass(bool train, EmbeddingMatrix* all_lo
     std::vector<EmbeddingMatrix> slots;
     {
       DGCL_TSPAN1("trainer", "layer.allgather", "layer", l);
-      DGCL_ASSIGN_OR_RETURN(slots, engine_->Forward(*inputs));
+      DGCL_ASSIGN_OR_RETURN(slots, engine_->Forward(acts));
     }
     DGCL_TSPAN1("trainer", "layer.compute", "layer", l);
     // The workers shrink and read `slots`; this thread, which allocated it

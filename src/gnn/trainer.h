@@ -1,17 +1,22 @@
 // Distributed full-graph GNN training (§2, §6.3).
 //
-// Execution per epoch, exactly the transfer-compute schedule of the paper:
-// for each layer, run graphAllgather to materialize remote embeddings, do the
-// graph aggregation + DNN update on local rows, and drop the remote rows
-// before the next dense op. The backward pass routes remote-vertex gradients
-// back to their owners through the same plan in reverse; the first layer's
-// input gradient is never formed, so an L-layer epoch runs 2L-1 engine passes
-// (L forward, L-1 backward). There is one schedule: every epoch exchanges
-// fresh embeddings before every layer, and the trainer takes each pass's
-// finished slot matrices however the engine chunks its transfers. Model
-// weights are replicated (one ModelReplica per device) and gradient-summed
-// across devices every step (the paper defers this to Horovod/DDP; GNN
-// weights are small).
+// Execution per epoch, the transfer-compute schedule of the paper with its
+// §3 option (1), caching layer 0's remote features: for each layer, run
+// graphAllgather to materialize remote embeddings, do the graph aggregation +
+// DNN update on local rows, and drop the remote rows before the next dense
+// op. Layer 0 is the exception. Its input, the features on the graph, never
+// changes, so Create gathers each device's feature slots once and does layer
+// 0's input-only work (GnnLayer::SetInput, e.g. GCN's aggregation) there;
+// every epoch then runs only layer 0's weighted work (GnnLayer::Update), with
+// no allgather. The backward pass routes remote-vertex gradients back to
+// their owners through the same plan in reverse; the first layer's input
+// gradient is never formed. An L-layer epoch therefore runs 2L-2 engine
+// passes (L-1 forward, L-1 backward; see PassesPerEpoch). There is one
+// schedule: every epoch exchanges fresh embeddings before layers 1..L-1,
+// and the trainer takes each pass's finished slot matrices however the
+// engine chunks its transfers. Model weights are replicated (one
+// ModelReplica per device) and gradient-summed across devices every step
+// (the paper defers this to Horovod/DDP; GNN weights are small).
 //
 // Device math runs in parallel, as on one GPU per device: the trainer owns
 // one persistent worker thread per device, and device d's layer compute,
@@ -155,12 +160,19 @@ class DistributedTrainer {
 
   // `features`: one row per global vertex. `labels`: per global vertex, in
   // [0, num_classes) or kInvalidId for unlabeled. The relation/engine define
-  // the device layout; all must outlive the trainer.
+  // the device layout; they must outlive the trainer, and the relation must
+  // be built from `graph`. `features` is read here only: layer 0 keeps what
+  // it needs of it.
   static Result<DistributedTrainer> Create(const CsrGraph& graph, const CommRelation& relation,
                                            const AllgatherEngine& engine,
                                            const EmbeddingMatrix& features,
                                            const std::vector<uint32_t>& labels,
                                            uint32_t num_classes, TrainerOptions options);
+
+  // Engine passes one TrainEpoch runs for an L-layer model (L >= 1): the
+  // forward allgathers of layers 1..L-1, then the backward allgathers of
+  // layers L-1..1. Evaluate runs the first L-1 of them.
+  static constexpr uint32_t PassesPerEpoch(uint32_t num_layers) { return 2 * (num_layers - 1); }
 
   // One full forward + backward + synchronized SGD step over all vertices.
   Result<EpochResult> TrainEpoch();
@@ -203,7 +215,6 @@ class DistributedTrainer {
   uint32_t num_classes_ = 0;
 
   std::vector<LocalGraph> local_graphs_;                  // per device
-  std::vector<EmbeddingMatrix> local_features_;           // per device
   std::vector<std::vector<uint32_t>> local_labels_;       // per device
   std::vector<ModelReplica> replicas_;                    // per device
 

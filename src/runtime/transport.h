@@ -76,11 +76,12 @@ struct FaultInjection {
   uint32_t dead_device = kInvalidId;
   // First engine pass (counting Forward and Backward calls from 0) at which
   // `dead_device` dies; earlier passes run healthy. Models a mid-epoch kill.
-  // A DistributedTrainer epoch of an L-layer model runs 2L-1 passes: the
-  // forward allgathers of layers 0..L-1, then the backward allgathers of
-  // layers L-1..1 (layer 0's input gradient is never exchanged). With
-  // L = 2, epoch e runs passes 3e (layer 0 forward), 3e+1 (layer 1 forward)
-  // and 3e+2 (layer 1 backward).
+  // A DistributedTrainer epoch of an L-layer model runs 2L-2 passes
+  // (DistributedTrainer::PassesPerEpoch): the forward allgathers of layers
+  // 1..L-1, then the backward allgathers of layers L-1..1. Layer 0 exchanges
+  // nothing: its input is gathered once when the trainer is created, and its
+  // input gradient is never formed. With L = 2, epoch e runs passes 2e
+  // (layer 1 forward) and 2e+1 (layer 1 backward).
   uint32_t dead_from_pass = 0;
 
   Status Validate() const;

@@ -111,10 +111,9 @@ Schedule DrawSchedule(Rng& rng) {
   s.kind = static_cast<FaultKind>(rng.UniformInt(4));
   if (s.kind == FaultKind::kKill) {
     s.victim = static_cast<uint32_t>(rng.UniformInt(s.devices));
-    // Passes per epoch = one forward allgather per layer plus one backward
-    // allgather per layer but the first (2L-1). Drawing past the end (the +2
-    // slack) deliberately fuzzes never-triggered kills.
-    const uint32_t total_passes = s.epochs * (2 * s.num_layers - 1);
+    // Drawing past the end (the +2 slack) deliberately fuzzes
+    // never-triggered kills.
+    const uint32_t total_passes = s.epochs * DistributedTrainer::PassesPerEpoch(s.num_layers);
     s.kill_pass = static_cast<uint32_t>(rng.UniformInt(total_passes + 2));
   }
   static const uint32_t kChunkDraws[] = {1, 2, 4, 7};

@@ -1,6 +1,7 @@
 #include "gnn/layers.h"
 
 #include <cmath>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -212,6 +213,45 @@ TEST_P(LayerGradSweep, ParamsOnlyBackwardMatchesFullBackwardGrads) {
     }
     full->Step(0.1f);
     params_only->Step(0.1f);
+  }
+}
+
+// The trainer sets layer 0's input once and then only runs Update. SetInput
+// followed by Update must be Forward exactly: same output and, after
+// Backward, the same gradients. The kept input must outlive the slots it came
+// from and stay valid across Steps: every later Update equals a fresh Forward
+// on the same slots with the stepped weights.
+TEST_P(LayerGradSweep, SetInputThenUpdateMatchesForward) {
+  Rng rng(41);
+  CsrGraph g = GenerateErdosRenyi(40, 120, rng);
+  HashPartitioner hash;
+  CommRelation relation = *BuildCommRelation(g, *hash.Partition(g, 2));
+  LocalGraph lg = BuildLocalGraph(g, relation, 0);
+  ASSERT_GT(lg.num_slots, lg.num_compute);
+  const uint32_t dim_in = 5;
+  const uint32_t dim_out = 3;
+  Rng forward_rng(43);
+  Rng split_rng(43);
+  auto forward = MakeLayer(GetParam(), dim_in, dim_out, forward_rng);
+  auto split = MakeLayer(GetParam(), dim_in, dim_out, split_rng);
+  const EmbeddingMatrix x = RandomWeights(lg.num_slots, dim_in, rng);
+  split->SetInput(lg, EmbeddingMatrix(x));  // the temporary dies here
+  for (int step = 0; step < 3; ++step) {
+    SCOPED_TRACE(std::string(GnnModelName(GetParam())) + " step " + std::to_string(step));
+    const EmbeddingMatrix want = forward->Forward(lg, x);
+    const EmbeddingMatrix got = split->Update(lg);
+    EXPECT_EQ(got.rows, want.rows);
+    EXPECT_EQ(got.data, want.data);
+    EmbeddingMatrix grad = RandomWeights(lg.num_compute, dim_out, rng);
+    EXPECT_EQ(split->Backward(lg, grad).data, forward->Backward(lg, grad).data);
+    const std::vector<EmbeddingMatrix*> want_grads = forward->Grads();
+    const std::vector<EmbeddingMatrix*> got_grads = split->Grads();
+    ASSERT_EQ(want_grads.size(), got_grads.size());
+    for (size_t i = 0; i < want_grads.size(); ++i) {
+      EXPECT_EQ(want_grads[i]->data, got_grads[i]->data) << "grad " << i;
+    }
+    forward->Step(0.1f);
+    split->Step(0.1f);
   }
 }
 

@@ -446,9 +446,9 @@ TEST(ElasticTrainingTest, SurvivesMidEpochDeathWithMatchingLossTrajectory) {
   options.recovery.enabled = true;
   options.recovery.checkpoint_every_n_layers = 1;
   options.engine.faults.dead_device = 2;
-  // 2 layers => 3 passes/epoch (forward 0, forward 1, backward 1). Pass 4 is
-  // epoch 1's second forward allgather: a genuine mid-epoch kill.
-  options.engine.faults.dead_from_pass = 4;
+  // 2 layers => 2 passes/epoch (forward 1, backward 1). Pass 2 is epoch 1's
+  // layer-1 forward allgather: a genuine mid-epoch kill.
+  options.engine.faults.dead_from_pass = 2;
   options.engine.transport.wait_timeout_micros = kFastTimeoutMicros;
   auto ctx = DgclContext::Init(BuildPaperTopology(8), options);
   ASSERT_TRUE(ctx.ok());
@@ -498,7 +498,9 @@ TEST(ElasticTrainingTest, CheckpointedAndUncheckpointedRecoveryAgree) {
     options.recovery.enabled = true;
     options.recovery.checkpoint_every_n_layers = every_n;
     options.engine.faults.dead_device = 1;
-    options.engine.faults.dead_from_pass = 2;  // mid-epoch, epoch 0
+    // 3 layers => passes forward 1, forward 2, backward 2, backward 1. Pass 1
+    // is epoch 0's layer-2 forward: boundary 2 is checkpointed before it.
+    options.engine.faults.dead_from_pass = 1;
     options.engine.transport.wait_timeout_micros = kFastTimeoutMicros;
     auto ctx = DgclContext::Init(BuildPaperTopology(4), options);
     ASSERT_TRUE(ctx.ok());

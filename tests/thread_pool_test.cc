@@ -11,20 +11,22 @@ namespace {
 TEST(ThreadPoolTest, SubmitRunsEveryTask) {
   ThreadPool pool(3);
   std::atomic<int> count{0};
-  std::atomic<int> done{0};
+  int done = 0;  // guarded by m
   std::mutex m;
   std::condition_variable cv;
   for (int i = 0; i < 100; ++i) {
     pool.Submit([&] {
       count.fetch_add(1);
-      if (done.fetch_add(1) + 1 == 100) {
-        std::lock_guard<std::mutex> lock(m);
+      // Counted under the lock, so the waiter sees 100 only after the last
+      // task is done with m and cv, which die when the test returns.
+      std::lock_guard<std::mutex> lock(m);
+      if (++done == 100) {
         cv.notify_all();
       }
     });
   }
   std::unique_lock<std::mutex> lock(m);
-  cv.wait(lock, [&] { return done.load() == 100; });
+  cv.wait(lock, [&] { return done == 100; });
   EXPECT_EQ(count.load(), 100);
 }
 

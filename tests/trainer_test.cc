@@ -1,12 +1,14 @@
 #include "gnn/trainer.h"
 
 #include <cmath>
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include "common/ids.h"
 #include "graph/generators.h"
 #include "partition/multilevel.h"
+#include "partition/partitioner.h"
 #include "planner/spst.h"
 #include "topology/presets.h"
 
@@ -147,19 +149,28 @@ TEST(TrainerTest, DistributedMatchesSingleDevice) {
   }
 }
 
+// Every layer parameter and the head of `got` bitwise equal to `want`.
+void ExpectWeightsEqual(const ReplicaWeights& got, const ReplicaWeights& want,
+                        const std::string& where) {
+  ASSERT_EQ(got.layers.size(), want.layers.size()) << where;
+  for (size_t l = 0; l < want.layers.size(); ++l) {
+    ASSERT_EQ(got.layers[l].size(), want.layers[l].size()) << where << " layer " << l;
+    for (size_t p = 0; p < want.layers[l].size(); ++p) {
+      EXPECT_EQ(got.layers[l][p].rows, want.layers[l][p].rows)
+          << where << " layer " << l << " param " << p;
+      EXPECT_EQ(got.layers[l][p].data, want.layers[l][p].data)
+          << where << " layer " << l << " param " << p;
+    }
+  }
+  EXPECT_EQ(got.head.rows, want.head.rows) << where;
+  EXPECT_EQ(got.head.data, want.head.data) << where;
+}
+
 void ExpectReplicasEqual(DistributedTrainer& trainer, uint32_t devices, int epoch) {
   const ReplicaWeights ref = trainer.ExportReplica(0);
   for (uint32_t d = 1; d < devices; ++d) {
-    const ReplicaWeights replica = trainer.ExportReplica(d);
-    ASSERT_EQ(replica.layers.size(), ref.layers.size());
-    for (size_t l = 0; l < ref.layers.size(); ++l) {
-      ASSERT_EQ(replica.layers[l].size(), ref.layers[l].size());
-      for (size_t p = 0; p < ref.layers[l].size(); ++p) {
-        EXPECT_EQ(replica.layers[l][p].data, ref.layers[l][p].data)
-            << "epoch " << epoch << " device " << d << " layer " << l << " param " << p;
-      }
-    }
-    EXPECT_EQ(replica.head.data, ref.head.data) << "epoch " << epoch << " device " << d;
+    ExpectWeightsEqual(trainer.ExportReplica(d), ref,
+                       "epoch " + std::to_string(epoch) + " device " + std::to_string(d));
   }
 }
 
@@ -248,10 +259,64 @@ TEST(TrainerTest, RejectsBadInputs) {
   ASSERT_TRUE(model.ok());
   EXPECT_EQ(model->Step(FullLocalGraph(w.graph), w.features, bad_labels).status().code(),
             StatusCode::kInvalidArgument);
+  // A relation built from another graph: its vertex ids do not index this
+  // graph's features or neighbors.
+  for (uint32_t other_vertices : {60u, 160u}) {
+    Rng rng(other_vertices);
+    CsrGraph graph = GenerateErdosRenyi(100, 400, rng);
+    CsrGraph other = GenerateErdosRenyi(other_vertices, other_vertices * 4, rng);
+    HashPartitioner hash;
+    CommRelation relation = *BuildCommRelation(other, *hash.Partition(other, 2));
+    auto mismatched = DistributedTrainer::Create(graph, relation, *engine,
+                                                 EmbeddingMatrix::Zero(100, 8),
+                                                 std::vector<uint32_t>(100, 0), 4, opts);
+    ASSERT_FALSE(mismatched.ok()) << other_vertices << "-vertex relation";
+    EXPECT_EQ(mismatched.status().code(), StatusCode::kInvalidArgument);
+  }
+  TrainerOptions no_hidden = opts;
+  no_hidden.hidden_dim = 0;
+  auto hidden_trainer = DistributedTrainer::Create(w.graph, w.relation, *engine, w.features,
+                                                   w.labels, 4, no_hidden);
+  ASSERT_FALSE(hidden_trainer.ok());
+  EXPECT_EQ(hidden_trainer.status().code(), StatusCode::kInvalidArgument);
+  auto hidden_model = MiniBatchModel::Create(w.features.dim, 4, no_hidden);
+  ASSERT_FALSE(hidden_model.ok());
+  EXPECT_EQ(hidden_model.status().code(), StatusCode::kInvalidArgument);
   opts.num_layers = 0;
   EXPECT_FALSE(
       DistributedTrainer::Create(w.graph, w.relation, *engine, w.features, w.labels, 4, opts)
           .ok());
+}
+
+// Layer 0's input is built once in Create, so an L-layer epoch exchanges
+// only around layers 1..L-1: L-1 forward and L-1 backward engine passes, and
+// an evaluation runs the L-1 forward ones.
+TEST(TrainerTest, EpochRunsTwoLMinusTwoEnginePasses) {
+  World w = World::Make(4, 103);
+  struct Expected {
+    uint32_t layers;
+    uint64_t train_passes;
+    uint64_t eval_passes;
+  };
+  for (const Expected& want : {Expected{1, 0, 0}, Expected{2, 2, 1}, Expected{3, 4, 2}}) {
+    auto engine = AllgatherEngine::Create(w.relation, w.plan, w.topo);
+    ASSERT_TRUE(engine.ok());
+    TrainerOptions opts;
+    opts.num_layers = want.layers;
+    opts.hidden_dim = 8;
+    auto trainer = DistributedTrainer::Create(w.graph, w.relation, *engine, w.features,
+                                              w.labels, w.num_classes, opts);
+    ASSERT_TRUE(trainer.ok());
+    EXPECT_EQ(engine->pass_count(), 0u) << "Create runs no engine pass";
+    for (int epoch = 0; epoch < 2; ++epoch) {
+      uint64_t before = engine->pass_count();
+      ASSERT_TRUE(trainer->TrainEpoch().ok());
+      EXPECT_EQ(engine->pass_count() - before, want.train_passes) << want.layers << " layers";
+      before = engine->pass_count();
+      ASSERT_TRUE(trainer->Evaluate().ok());
+      EXPECT_EQ(engine->pass_count() - before, want.eval_passes) << want.layers << " layers";
+    }
+  }
 }
 
 // Every replica of a DistributedTrainer and a MiniBatchModel built with the
@@ -273,19 +338,41 @@ TEST(TrainerTest, StartingReplicaMatchesMiniBatchModel) {
     ASSERT_TRUE(model.ok());
     const ReplicaWeights want = model->ExportReplica();
     for (uint32_t d = 0; d < devices; ++d) {
-      const ReplicaWeights got = trainer->ExportReplica(d);
-      ASSERT_EQ(got.layers.size(), want.layers.size());
-      for (size_t l = 0; l < want.layers.size(); ++l) {
-        ASSERT_EQ(got.layers[l].size(), want.layers[l].size());
-        for (size_t p = 0; p < want.layers[l].size(); ++p) {
-          EXPECT_EQ(got.layers[l][p].rows, want.layers[l][p].rows);
-          EXPECT_EQ(got.layers[l][p].data, want.layers[l][p].data)
-              << devices << " devices, device " << d << " layer " << l << " param " << p;
-        }
-      }
-      EXPECT_EQ(got.head.rows, want.head.rows);
-      EXPECT_EQ(got.head.data, want.head.data) << devices << " devices, device " << d;
+      ExpectWeightsEqual(trainer->ExportReplica(d), want,
+                         std::to_string(devices) + " devices, device " + std::to_string(d));
     }
+  }
+}
+
+// On one device every neighbor is local and the local graph is the whole
+// graph, so a DistributedTrainer computes exactly what a MiniBatchModel
+// computes on FullLocalGraph, which runs Forward on layer 0 every step. The
+// two must agree bit for bit, epoch after epoch, for every model.
+TEST(TrainerTest, OneDeviceTrainerMatchesMiniBatchModel) {
+  World w = World::Make(1, 101);
+  auto engine = AllgatherEngine::Create(w.relation, w.plan, w.topo);
+  ASSERT_TRUE(engine.ok());
+  const LocalGraph full = FullLocalGraph(w.graph);
+  for (GnnModel model : {GnnModel::kGcn, GnnModel::kCommNet, GnnModel::kGin, GnnModel::kGat}) {
+    SCOPED_TRACE(GnnModelName(model));
+    TrainerOptions opts;
+    opts.model = model;
+    opts.hidden_dim = 8;
+    opts.learning_rate = 0.1f;
+    auto trainer = DistributedTrainer::Create(w.graph, w.relation, *engine, w.features,
+                                              w.labels, w.num_classes, opts);
+    ASSERT_TRUE(trainer.ok());
+    auto mini = MiniBatchModel::Create(w.features.dim, w.num_classes, opts);
+    ASSERT_TRUE(mini.ok());
+    for (int epoch = 0; epoch < 5; ++epoch) {
+      auto got = trainer->TrainEpoch();
+      auto want = mini->Step(full, w.features, w.labels);
+      ASSERT_TRUE(got.ok());
+      ASSERT_TRUE(want.ok());
+      EXPECT_EQ(got->loss, want->loss) << "epoch " << epoch;
+      EXPECT_EQ(got->accuracy, want->accuracy) << "epoch " << epoch;
+    }
+    ExpectWeightsEqual(trainer->ExportReplica(), mini->ExportReplica(), "after 5 epochs");
   }
 }
 
