@@ -1,7 +1,10 @@
 #!/usr/bin/env bash
 # Builds the repo twice — under ThreadSanitizer and AddressSanitizer — and
 # runs the concurrency-sensitive test binaries under each: the thread pool,
-# the planner determinism and property suites (the class builder, plan
+# the multilevel partitioner (coarse graphs are contracted in row blocks on
+# the shared pool) and the hierarchical partitioner (one multilevel call per
+# machine group on the same pool, so contraction fans out nested), the
+# planner determinism and property suites (the class builder, plan
 # compiler and simulator fan work out on the shared pool), the allgather
 # engine, the transport/coordination layer (connection retry and
 # fault-injection state shared across device threads), the chunked-overlap
@@ -34,7 +37,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-TESTS_REGEX='thread_pool_test|plan_determinism_test|planner_property_test|planner_conformance_test|spst_test|transport_test|allgather_engine_test|coordination_test|overlap_conformance_test|straggler_test|network_sim_test|epoch_sim_test|cost_audit_test|trainer_test|layers_test|telemetry_test|recovery_test|service_test|sampler_determinism_test|sampler_conformance_test|minibatch_trainer_test|replica_conformance_test|fetch_batcher_test|fault_schedule_fuzz_test'
+TESTS_REGEX='thread_pool_test|multilevel_test|hierarchical_test|plan_determinism_test|planner_property_test|planner_conformance_test|spst_test|transport_test|allgather_engine_test|coordination_test|overlap_conformance_test|straggler_test|network_sim_test|epoch_sim_test|cost_audit_test|trainer_test|layers_test|telemetry_test|recovery_test|service_test|sampler_determinism_test|sampler_conformance_test|minibatch_trainer_test|replica_conformance_test|fetch_batcher_test|fault_schedule_fuzz_test'
 
 # Sanitizer runs are 5-20x slower; trim the fuzz budget accordingly.
 export DGCL_FUZZ_SEEDS="${DGCL_FUZZ_SEEDS:-25}"
@@ -46,7 +49,8 @@ run_one() {
   echo "=== ${kind} sanitizer: configuring ${dir} ==="
   cmake -B "$dir" -S . -DDGCL_SANITIZE="$kind" >/dev/null
   cmake --build "$dir" -j "$(nproc)" --target \
-    thread_pool_test plan_determinism_test planner_property_test \
+    thread_pool_test multilevel_test hierarchical_test \
+    plan_determinism_test planner_property_test \
     planner_conformance_test spst_test \
     transport_test allgather_engine_test coordination_test \
     overlap_conformance_test straggler_test \

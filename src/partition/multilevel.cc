@@ -3,10 +3,14 @@
 #include <algorithm>
 #include <numeric>
 #include <queue>
+#ifdef __GLIBC__
+#include <malloc.h>  // malloc_trim
+#endif
 
 #include "common/ids.h"
 #include "common/logging.h"
 #include "common/rng.h"
+#include "common/thread_pool.h"
 
 namespace dgcl {
 namespace {
@@ -66,46 +70,96 @@ std::pair<std::vector<uint32_t>, uint32_t> HeavyEdgeMatch(const WGraph& g, Rng& 
   return {std::move(coarse_of), next};
 }
 
+// Collapses g along coarse_of. Coarse row cu holds, in ascending id order,
+// every coarse neighbour cv != cu of cu's fine members, weighted by the summed
+// (then clamped) weights of the fine edges between them. Rows are built one
+// at a time: a marker array sums weights per coarse neighbour and only the
+// row's own ids are sorted. Contiguous blocks of rows, balanced by fine edge
+// count, run on the shared pool; each block packs its rows into its own slice
+// of a scratch buffer, and the slices are concatenated in row order, so the
+// result does not depend on the block count or which thread ran a block.
 WGraph Contract(const WGraph& g, const std::vector<uint32_t>& coarse_of, uint32_t coarse_n) {
   WGraph c;
   c.n = coarse_n;
   c.vwgt.assign(coarse_n, 0);
+  // Bucket the fine vertices by coarse id (ascending fine id within a row).
+  // Row cu's scratch starts at row_begin[cu] and is as long as its members'
+  // summed fine degrees, an upper bound on the coarse row's length.
+  std::vector<uint32_t> member_begin(coarse_n + 1, 0);
+  std::vector<uint64_t> row_begin(coarse_n + 1, 0);
   for (uint32_t v = 0; v < g.n; ++v) {
     c.vwgt[coarse_of[v]] += g.vwgt[v];
+    ++member_begin[coarse_of[v] + 1];
+    row_begin[coarse_of[v] + 1] += g.offsets[v + 1] - g.offsets[v];
   }
-  // Aggregate coarse edges (cu, cv, w) with cu != cv.
-  struct CEdge {
-    uint32_t u, v, w;
-  };
-  std::vector<CEdge> edges;
-  edges.reserve(g.adj.size());
-  for (uint32_t v = 0; v < g.n; ++v) {
-    uint32_t cu = coarse_of[v];
-    for (uint64_t e = g.offsets[v]; e < g.offsets[v + 1]; ++e) {
-      uint32_t cv = coarse_of[g.adj[e]];
-      if (cu != cv) {
-        edges.push_back({cu, cv, g.wadj[e]});
-      }
+  std::partial_sum(member_begin.begin(), member_begin.end(), member_begin.begin());
+  std::partial_sum(row_begin.begin(), row_begin.end(), row_begin.begin());
+  std::vector<uint32_t> members(g.n);
+  {
+    std::vector<uint32_t> cursor(member_begin.begin(), member_begin.end() - 1);
+    for (uint32_t v = 0; v < g.n; ++v) {
+      members[cursor[coarse_of[v]]++] = v;
     }
   }
-  std::sort(edges.begin(), edges.end(), [](const CEdge& a, const CEdge& b) {
-    return a.u != b.u ? a.u < b.u : a.v < b.v;
-  });
+
+  // Every buffer is allocated here, on the calling thread: allocations on
+  // pool workers spread memory over per-thread malloc arenas.
+  constexpr uint64_t kMinBlockEdges = uint64_t{1} << 15;
+  const uint64_t fine_edges = row_begin[coarse_n];
+  const uint64_t num_blocks = std::clamp<uint64_t>(
+      fine_edges / kMinBlockEdges, 1, ThreadPool::Shared().num_threads() + 1);
+  std::vector<uint32_t> block_row(num_blocks + 1, coarse_n);
+  for (uint64_t b = 0; b < num_blocks; ++b) {
+    block_row[b] = static_cast<uint32_t>(
+        std::lower_bound(row_begin.begin(), row_begin.end() - 1,
+                         fine_edges * b / num_blocks) -
+        row_begin.begin());
+  }
+  std::vector<uint32_t> scratch_adj(fine_edges);
+  std::vector<uint32_t> scratch_w(fine_edges);
+  std::vector<uint64_t> block_end(num_blocks);
+  // Summed weight per coarse neighbour of the current row; 0 marks "not in
+  // the row yet" (edge weights are at least 1).
+  std::vector<std::vector<uint64_t>> marker(num_blocks, std::vector<uint64_t>(coarse_n, 0));
   c.offsets.assign(coarse_n + 1, 0);
-  for (size_t i = 0; i < edges.size();) {
-    size_t j = i;
-    uint64_t w = 0;
-    while (j < edges.size() && edges[j].u == edges[i].u && edges[j].v == edges[i].v) {
-      w += edges[j].w;
-      ++j;
+
+  ThreadPool::Shared().ParallelFor(num_blocks, [&](uint64_t b) {
+    std::vector<uint64_t>& weight = marker[b];
+    uint64_t out = row_begin[block_row[b]];
+    for (uint32_t cu = block_row[b]; cu < block_row[b + 1]; ++cu) {
+      const uint64_t row = out;
+      for (uint32_t i = member_begin[cu]; i < member_begin[cu + 1]; ++i) {
+        const uint32_t v = members[i];
+        for (uint64_t e = g.offsets[v]; e < g.offsets[v + 1]; ++e) {
+          const uint32_t cv = coarse_of[g.adj[e]];
+          if (cv == cu) {
+            continue;
+          }
+          if (weight[cv] == 0) {
+            scratch_adj[out++] = cv;
+          }
+          weight[cv] += g.wadj[e];
+        }
+      }
+      std::sort(scratch_adj.begin() + row, scratch_adj.begin() + out);
+      for (uint64_t i = row; i < out; ++i) {
+        uint64_t& w = weight[scratch_adj[i]];
+        scratch_w[i] = static_cast<uint32_t>(std::min<uint64_t>(w, 0xFFFFFFFFu));
+        w = 0;
+      }
+      c.offsets[cu + 1] = out - row;
     }
-    c.adj.push_back(edges[i].v);
-    c.wadj.push_back(static_cast<uint32_t>(std::min<uint64_t>(w, 0xFFFFFFFFu)));
-    ++c.offsets[edges[i].u + 1];
-    i = j;
-  }
-  for (uint32_t v = 1; v <= coarse_n; ++v) {
-    c.offsets[v] += c.offsets[v - 1];
+    block_end[b] = out;
+  });
+
+  std::partial_sum(c.offsets.begin(), c.offsets.end(), c.offsets.begin());
+  c.adj.resize(c.offsets[coarse_n]);
+  c.wadj.resize(c.offsets[coarse_n]);
+  for (uint64_t b = 0; b < num_blocks; ++b) {
+    const uint64_t from = row_begin[block_row[b]];
+    const uint64_t to = c.offsets[block_row[b]];
+    std::copy(scratch_adj.begin() + from, scratch_adj.begin() + block_end[b], c.adj.begin() + to);
+    std::copy(scratch_w.begin() + from, scratch_w.begin() + block_end[b], c.wadj.begin() + to);
   }
   return c;
 }
@@ -223,9 +277,12 @@ void Refine(const WGraph& g, uint32_t num_parts, double max_part_weight,
       break;
     }
   }
-  // Balance repair: spill from overweight parts to the lightest parts,
-  // preferring boundary vertices with the least connectivity loss.
+  // Balance repair: spill from overweight parts to the lightest parts, taking
+  // p's vertices in id order; correctness over elegance here — this path only
+  // triggers when greedy growth badly overfills a part. Nothing moves into p
+  // while it drains, so the scan resumes after the last vertex it moved.
   for (uint32_t p = 0; p < num_parts; ++p) {
+    uint32_t v = 0;
     while (part_weight[p] > max_part_weight) {
       uint32_t lightest =
           static_cast<uint32_t>(std::min_element(part_weight.begin(), part_weight.end()) -
@@ -233,20 +290,16 @@ void Refine(const WGraph& g, uint32_t num_parts, double max_part_weight,
       if (lightest == p) {
         break;
       }
-      // Take any vertex of p (first found); correctness over elegance here —
-      // this path only triggers when greedy growth badly overfills a part.
-      bool moved = false;
-      for (uint32_t v = 0; v < g.n && !moved; ++v) {
-        if (assignment[v] == p) {
-          assignment[v] = lightest;
-          part_weight[p] -= g.vwgt[v];
-          part_weight[lightest] += g.vwgt[v];
-          moved = true;
-        }
+      while (v < g.n && assignment[v] != p) {
+        ++v;
       }
-      if (!moved) {
+      if (v == g.n) {
         break;
       }
+      assignment[v] = lightest;
+      part_weight[p] -= g.vwgt[v];
+      part_weight[lightest] += g.vwgt[v];
+      ++v;
     }
   }
 }
@@ -306,6 +359,15 @@ Result<Partitioning> MultilevelPartitioner::Partition(const CsrGraph& graph,
   }
 
   out.assignment = std::move(assignment);
+  // The levels are transient, O(edges) each. glibc keeps freed heap memory
+  // resident while the free top of the heap is under its trim threshold,
+  // which adapts up to 64 MB, so without a trim a workload carries them in
+  // its peak RSS for the rest of the process.
+  levels.clear();
+  maps.clear();
+#ifdef __GLIBC__
+  malloc_trim(0);
+#endif
   return out;
 }
 

@@ -2,7 +2,18 @@
 //
 // Classic three-phase scheme (Karypis & Kumar):
 //   1. Coarsening: repeated heavy-edge matching collapses the graph until it
-//      is small enough to partition directly.
+//      is small enough to partition directly. Each coarse graph is built the
+//      METIS way, row by row: a marker array sums the weights of a coarse
+//      vertex's edges per coarse neighbour, and only that row's neighbour ids
+//      are sorted. Contiguous blocks of rows run on the shared ThreadPool and
+//      are concatenated in row order, so the coarse graphs, and with them
+//      every assignment, do not depend on the pool width. All state is local
+//      to the call, so Partition still honours the Partitioner contract of
+//      concurrent calls: HierarchicalPartition runs one call per machine group
+//      on the same pool, and the nested fan-out cannot deadlock because the
+//      caller of ParallelFor claims work items itself. Once the levels are
+//      freed, Partition hands free heap pages back to the OS (malloc_trim on
+//      glibc), so the transient levels do not stay in the process's RSS.
 //   2. Initial partitioning: greedy region growing on the coarsest graph,
 //      balanced by collapsed vertex weight.
 //   3. Uncoarsening: project the assignment back level by level, running
@@ -20,7 +31,9 @@ namespace dgcl {
 
 struct MultilevelOptions {
   double balance_epsilon = 0.05;    // max part weight <= (1 + eps) * ideal
-  uint32_t coarsest_vertices = 256; // stop coarsening near this size (times num_parts / 4)
+  // Coarsening stops once a level has at most max(coarsest_vertices,
+  // 8 * num_parts) vertices (or when heavy-edge matching stalls).
+  uint32_t coarsest_vertices = 256;
   uint32_t refinement_passes = 6;   // boundary refinement sweeps per level
   uint64_t seed = 42;
   // Balance parts by vertex *work* (1 + degree) instead of vertex count.

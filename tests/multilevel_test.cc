@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include "graph/generators.h"
+#include "partition/hierarchical.h"
+#include "topology/presets.h"
 
 namespace dgcl {
 namespace {
@@ -165,6 +167,94 @@ TEST(MultilevelTest, DegreeBalancingStillCutsWellOnCommunities) {
   RandomPartitioner random(9);
   PartitionQuality qr = EvaluatePartition(g, *random.Partition(g, 8));
   EXPECT_LT(q.edge_cut, qr.edge_cut / 2);
+}
+
+// FNV-1a over the assignment words: a compact fingerprint of a partition.
+uint64_t AssignmentHash(const Partitioning& parts) {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  for (uint32_t part : parts.assignment) {
+    h = (h ^ part) * 0x100000001b3ULL;
+  }
+  return h;
+}
+
+// The partitioner's output is pinned, not just its quality: planner golden
+// files, loss trajectories and serving digests all sit on these assignments,
+// and the golden plans only cover symmetric community graphs. Change a value
+// only with a change that means to move the partitioner's output.
+TEST(MultilevelTest, AssignmentFingerprintsArePinned) {
+  auto fingerprint = [](const CsrGraph& g, uint32_t k, MultilevelOptions opts = {}) {
+    MultilevelPartitioner p(opts);
+    auto parts = p.Partition(g, k);
+    if (!parts.ok()) {
+      ADD_FAILURE() << parts.status().ToString();
+      return uint64_t{0};
+    }
+    EXPECT_TRUE(ValidatePartitioning(g, *parts).ok());
+    return AssignmentHash(*parts);
+  };
+
+  Rng community_rng(31);
+  CsrGraph community = GenerateCommunityGraph(6000, 8, 12.0, 0.5, community_rng);
+  EXPECT_EQ(fingerprint(community, 8), 0x9485eb7c673ff325ULL);
+
+  Rng rmat_rng(32);
+  RmatParams params;
+  params.scale = 13;
+  params.num_edges = 60000;
+  CsrGraph rmat = GenerateRmat(params, rmat_rng);
+  EXPECT_EQ(fingerprint(rmat, 8), 0x84a6378879557c49ULL);
+
+  // Directed: each community edge kept in one direction only, so a coarse
+  // row cannot be recovered from the rows that point at it.
+  Rng coin(33);
+  std::vector<Edge> directed;
+  for (VertexId v = 0; v < community.num_vertices(); ++v) {
+    for (VertexId u : community.Neighbors(v)) {
+      if (v < u) {
+        directed.push_back(coin.UniformInt(2) == 0 ? Edge{v, u} : Edge{u, v});
+      }
+    }
+  }
+  auto one_way = CsrGraph::FromEdges(community.num_vertices(), std::move(directed),
+                                     /*symmetrize=*/false);
+  ASSERT_TRUE(one_way.ok());
+  EXPECT_EQ(fingerprint(*one_way, 4), 0xac0cd76b6ca4c841ULL);
+
+  MultilevelOptions by_degree;
+  by_degree.balance_by_degree = true;
+  EXPECT_EQ(fingerprint(rmat, 8, by_degree), 0xe30b9638293a89b6ULL);
+
+  Rng orkut_rng(34);
+  CsrGraph orkut_like = GenerateCommunityGraph(12000, 16, 14.0, 0.6, orkut_rng);
+  MultilevelPartitioner inner;
+  auto sixteen = PartitionForTopology(orkut_like, BuildPaperTopology(16), inner);
+  ASSERT_TRUE(sixteen.ok());
+  ASSERT_TRUE(ValidatePartitioning(orkut_like, *sixteen).ok());
+  EXPECT_EQ(AssignmentHash(*sixteen), 0x416a393b22627648ULL);
+}
+
+// Balanced by degree, a star's hub alone outweighs the part cap, and a star
+// does not coarsen, so Refine always ends in the balance-repair loop. The hub
+// has the highest id, so draining its part moves a leaf first and must resume
+// past it to reach the hub; the hub then overfills the part it lands on, which
+// is drained in turn. The loop must terminate and leave every vertex placed,
+// with the assignment a scan restarting from vertex 0 after every move gives.
+TEST(MultilevelTest, BalanceRepairDrainsAStarHub) {
+  constexpr VertexId kLeaves = 3000;
+  std::vector<Edge> edges;
+  for (VertexId v = 0; v < kLeaves; ++v) {
+    edges.push_back({v, kLeaves});
+  }
+  auto star = CsrGraph::FromEdges(kLeaves + 1, std::move(edges));
+  ASSERT_TRUE(star.ok());
+  MultilevelOptions opts;
+  opts.balance_by_degree = true;
+  MultilevelPartitioner p(opts);
+  auto parts = p.Partition(*star, 8);
+  ASSERT_TRUE(parts.ok());
+  ASSERT_TRUE(ValidatePartitioning(*star, *parts).ok());
+  EXPECT_EQ(AssignmentHash(*parts), 0xcb00a28481de23ecULL);
 }
 
 }  // namespace
