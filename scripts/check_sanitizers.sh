@@ -15,9 +15,10 @@
 # and the trainer (one persistent worker thread per device, handed each
 # pass step under a mutex) with the layers it drives (ASan+UBSan is the gate
 # for the caches a layer keeps between SetInput, Update and Backward), the
-# engine-trace cost audit, the lock-free telemetry
-# recorder, and the elastic-recovery protocol (engine post-mortems, mid-epoch
-# kills, re-plan + resume) including a reduced-budget slice of the
+# dense kernels (nn_test: ASan is the gate for the register-blocked bodies'
+# row and column tails), the engine-trace cost audit, the lock-free
+# telemetry recorder, and the elastic-recovery protocol (engine
+# post-mortems, mid-epoch kills, re-plan + resume) including a reduced-budget slice of the
 # fault-schedule fuzz suite (DGCL_FUZZ_SEEDS below; the full 200-seed sweep
 # runs in the plain build via ctest -L fuzz), and the serving tier (TSan is
 # the gate for the bounded MPMC request/response queues, the concurrent
@@ -37,7 +38,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-TESTS_REGEX='thread_pool_test|multilevel_test|hierarchical_test|plan_determinism_test|planner_property_test|planner_conformance_test|spst_test|transport_test|allgather_engine_test|coordination_test|overlap_conformance_test|straggler_test|network_sim_test|epoch_sim_test|cost_audit_test|trainer_test|layers_test|telemetry_test|recovery_test|service_test|sampler_determinism_test|sampler_conformance_test|minibatch_trainer_test|replica_conformance_test|fetch_batcher_test|fault_schedule_fuzz_test'
+TESTS_REGEX='thread_pool_test|multilevel_test|hierarchical_test|plan_determinism_test|planner_property_test|planner_conformance_test|spst_test|transport_test|allgather_engine_test|coordination_test|overlap_conformance_test|straggler_test|network_sim_test|epoch_sim_test|cost_audit_test|trainer_test|layers_test|nn_test|telemetry_test|recovery_test|service_test|sampler_determinism_test|sampler_conformance_test|minibatch_trainer_test|replica_conformance_test|fetch_batcher_test|fault_schedule_fuzz_test'
 
 # Sanitizer runs are 5-20x slower; trim the fuzz budget accordingly.
 export DGCL_FUZZ_SEEDS="${DGCL_FUZZ_SEEDS:-25}"
@@ -54,7 +55,7 @@ run_one() {
     planner_conformance_test spst_test \
     transport_test allgather_engine_test coordination_test \
     overlap_conformance_test straggler_test \
-    network_sim_test epoch_sim_test cost_audit_test trainer_test layers_test \
+    network_sim_test epoch_sim_test cost_audit_test trainer_test layers_test nn_test \
     telemetry_test recovery_test service_test sampler_determinism_test \
     sampler_conformance_test \
     minibatch_trainer_test replica_conformance_test fetch_batcher_test \

@@ -209,12 +209,55 @@ Result<AllgatherEngine> AllgatherEngine::Create(const CommRelation& relation, Co
     }
     engine.slot_counts_[d] = next;
   }
-  for (const TransferOp& op : engine.plan_.ops) {
+  // Each op's rows on both ends. The sender's slots are looked up once every
+  // op has placed its rows; a validated plan is causal, so the sender holds
+  // every vertex it sends.
+  engine.op_slots_.resize(engine.plan_.ops.size());
+  for (size_t i = 0; i < engine.plan_.ops.size(); ++i) {
+    const TransferOp& op = engine.plan_.ops[i];
     auto& map = engine.slots_[op.dst];
+    std::vector<uint32_t>& dst = engine.op_slots_[i].dst;
+    dst.reserve(op.vertices.size());
     for (VertexId v : op.vertices) {
-      if (!map.contains(v)) {
-        map.emplace(v, engine.slot_counts_[op.dst]++);
+      const auto [it, placed] = map.try_emplace(v, engine.slot_counts_[op.dst]);
+      if (placed) {
+        ++engine.slot_counts_[op.dst];
       }
+      dst.push_back(it->second);
+    }
+  }
+  for (size_t i = 0; i < engine.plan_.ops.size(); ++i) {
+    const TransferOp& op = engine.plan_.ops[i];
+    std::vector<uint32_t>& src = engine.op_slots_[i].src;
+    src.reserve(op.vertices.size());
+    for (VertexId v : op.vertices) {
+      src.push_back(engine.SlotOf(op.src, v));
+      DGCL_CHECK_NE(src.back(), kInvalidId);
+    }
+  }
+
+  // Ops each device sends/receives, grouped by stage. The backward pass
+  // reverses every op: gradients flow dst -> src, and receives are consumed
+  // in ascending sub-stage order (§6.2 non-atomic aggregation).
+  const uint32_t num_stages = engine.plan_.num_stages;
+  engine.forward_ops_.resize(relation.num_devices);
+  for (DeviceOps& ops : engine.forward_ops_) {
+    ops.sends.resize(num_stages);
+    ops.recvs.resize(num_stages);
+  }
+  for (uint32_t i = 0; i < engine.plan_.ops.size(); ++i) {
+    const TransferOp& op = engine.plan_.ops[i];
+    engine.forward_ops_[op.src].sends[op.stage].push_back(i);
+    engine.forward_ops_[op.dst].recvs[op.stage].push_back(i);
+  }
+  engine.backward_ops_.resize(relation.num_devices);
+  for (uint32_t d = 0; d < relation.num_devices; ++d) {
+    engine.backward_ops_[d].sends = engine.forward_ops_[d].recvs;
+    engine.backward_ops_[d].recvs = engine.forward_ops_[d].sends;
+    for (auto& ids : engine.backward_ops_[d].recvs) {
+      std::sort(ids.begin(), ids.end(), [&engine](uint32_t a, uint32_t b) {
+        return engine.plan_.ops[a].substage < engine.plan_.ops[b].substage;
+      });
     }
   }
   return engine;
@@ -269,29 +312,9 @@ Status AllgatherEngine::RunDevice(uint32_t device, uint32_t dim, bool backward,
     return Status::Ok();
   };
 
-  // Ops this device sends/receives, grouped by stage. In the backward pass
-  // the roles reverse: gradients for an op flow dst -> src, and receives are
-  // consumed in ascending sub-stage order (§6.2 non-atomic aggregation).
-  std::vector<std::vector<uint32_t>> sends(num_stages);
-  std::vector<std::vector<uint32_t>> recvs(num_stages);
-  for (uint32_t i = 0; i < plan_.ops.size(); ++i) {
-    const TransferOp& op = plan_.ops[i];
-    const uint32_t sender = backward ? op.dst : op.src;
-    const uint32_t receiver = backward ? op.src : op.dst;
-    if (sender == device) {
-      sends[op.stage].push_back(i);
-    }
-    if (receiver == device) {
-      recvs[op.stage].push_back(i);
-    }
-  }
-  if (backward) {
-    for (auto& ids : recvs) {
-      std::sort(ids.begin(), ids.end(), [this](uint32_t a, uint32_t b) {
-        return plan_.ops[a].substage < plan_.ops[b].substage;
-      });
-    }
-  }
+  const DeviceOps& ops = backward ? backward_ops_[device] : forward_ops_[device];
+  const std::vector<std::vector<uint32_t>>& sends = ops.sends;
+  const std::vector<std::vector<uint32_t>>& recvs = ops.recvs;
 
   for (uint32_t step = 0; step < num_stages; ++step) {
     if (device == options_.straggler_device && options_.straggler_micros > 0) {
@@ -362,10 +385,10 @@ Status AllgatherEngine::RunDevice(uint32_t device, uint32_t dim, bool backward,
           }
           DGCL_TSPAN2(LinkCategory(*topo_, op.link), backward ? "bwd.send" : "fwd.send", "stage",
                       stage, "bytes", bytes);
+          const std::vector<uint32_t>& slots =
+              backward ? op_slots_[op_id].dst : op_slots_[op_id].src;
           for (size_t i = row_begin; i < row_end; ++i) {
-            const uint32_t slot = SlotOf(device, op.vertices[i]);
-            DGCL_CHECK_NE(slot, kInvalidId);
-            PackRow(staging.data() + i * dim, mine.Row(slot), dim);
+            PackRow(staging.data() + i * dim, mine.Row(slots[i]), dim);
           }
         }
         state.op_chunks_done[op_id].store(c + 1, std::memory_order_release);
@@ -401,11 +424,11 @@ Status AllgatherEngine::RunDevice(uint32_t device, uint32_t dim, bool backward,
     }
 
     auto consume_unit = [&](const RecvUnit& u) {
-      const TransferOp& op = plan_.ops[u.op_id];
       const std::vector<float>& staging = connections_.OpStaging(u.op_id);
+      const std::vector<uint32_t>& slots =
+          backward ? op_slots_[u.op_id].src : op_slots_[u.op_id].dst;
       for (size_t i = u.row_begin; i < u.row_end; ++i) {
-        const uint32_t slot = SlotOf(device, op.vertices[i]);
-        DGCL_CHECK_NE(slot, kInvalidId);
+        const uint32_t slot = slots[i];
         if (backward) {
           // Gradient accumulation at the forwarding/owning device.
           float* row = mine.Row(slot);

@@ -163,7 +163,8 @@ struct PassFailure {
 class AllgatherEngine {
  public:
   // Validates the plan against the relation (delivery and causality),
-  // precomputes per-device slot tables and builds the per-pair connection
+  // precomputes per-device slot tables, each op's slots on both ends and
+  // each device's per-stage op lists, and builds the per-pair connection
   // table. The relation, plan and topology must outlive the engine.
   static Result<AllgatherEngine> Create(const CommRelation& relation, CompiledPlan plan,
                                         const Topology& topo, EngineOptions options = {});
@@ -239,6 +240,22 @@ class AllgatherEngine {
   mutable std::optional<PassFailure> last_failure_;
   std::vector<std::unordered_map<VertexId, uint32_t>> slots_;  // per device
   std::vector<uint32_t> slot_counts_;
+
+  // Per op: the slot of vertices[i] on op.src and on op.dst, so passes pack
+  // and unpack rows without a hash lookup.
+  struct OpSlots {
+    std::vector<uint32_t> src;
+    std::vector<uint32_t> dst;
+  };
+  std::vector<OpSlots> op_slots_;
+  // The ops one device sends and receives in one direction, by stage.
+  // Backward receives are in ascending sub-stage order (§6.2).
+  struct DeviceOps {
+    std::vector<std::vector<uint32_t>> sends;
+    std::vector<std::vector<uint32_t>> recvs;
+  };
+  std::vector<DeviceOps> forward_ops_;   // per device
+  std::vector<DeviceOps> backward_ops_;  // per device
 };
 
 }  // namespace dgcl

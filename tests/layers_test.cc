@@ -1,5 +1,6 @@
 #include "gnn/layers.h"
 
+#include <bit>
 #include <cmath>
 #include <string>
 
@@ -28,6 +29,72 @@ TEST(AggregateTest, MeanWithSelfOnTriangle) {
   EXPECT_FLOAT_EQ(agg.Row(0)[0], 6.0f);
   EXPECT_FLOAT_EQ(agg.Row(1)[0], 6.0f);
   EXPECT_FLOAT_EQ(agg.Row(2)[0], 6.0f);
+}
+
+// The seed's plain loop, kept verbatim as the reference of the kernel
+// contract: the fixed-width bodies must add each row's terms in this order.
+EmbeddingMatrix ReferenceAggregateMeanWithSelf(const LocalGraph& graph,
+                                               const EmbeddingMatrix& slots) {
+  EmbeddingMatrix out = EmbeddingMatrix::Zero(graph.num_compute, slots.dim);
+  for (uint32_t i = 0; i < graph.num_compute; ++i) {
+    float* orow = out.Row(i);
+    const float* self = slots.Row(i);
+    auto nbrs = graph.Neighbors(i);
+    for (uint32_t c = 0; c < slots.dim; ++c) {
+      orow[c] = self[c];
+    }
+    for (uint32_t nbr : nbrs) {
+      const float* nrow = slots.Row(nbr);
+      for (uint32_t c = 0; c < slots.dim; ++c) {
+        orow[c] += nrow[c];
+      }
+    }
+    const float inv = 1.0f / (1.0f + nbrs.size());
+    for (uint32_t c = 0; c < slots.dim; ++c) {
+      orow[c] *= inv;
+    }
+  }
+  return out;
+}
+
+// A device-style local graph: `compute` local rows reading `compute + remote`
+// slots, with every fourth row isolated and the rest of degree 1..40.
+LocalGraph RandomLocalGraph(uint32_t compute, uint32_t remote, Rng& rng) {
+  LocalGraph g;
+  g.num_compute = compute;
+  g.num_slots = compute + remote;
+  g.offsets.push_back(0);
+  for (uint32_t i = 0; i < compute; ++i) {
+    const uint64_t degree = i % 4 == 1 ? 0 : 1 + rng.UniformInt(40);
+    for (uint64_t e = 0; e < degree; ++e) {
+      g.nbr_slots.push_back(static_cast<uint32_t>(rng.UniformInt(g.num_slots)));
+    }
+    g.offsets.push_back(g.nbr_slots.size());
+  }
+  return g;
+}
+
+TEST(AggregateTest, MeanWithSelfMatchesPlainLoopBitwise) {
+  Rng rng(43);
+  for (uint32_t rows : {0u, 1u, 2u, 3u, 5u, 17u, 1031u}) {
+    const LocalGraph g = RandomLocalGraph(rows, rows / 2 + 1, rng);
+    for (uint32_t width : {1u, 3u, 8u, 16u, 17u, 64u}) {
+      EmbeddingMatrix slots = EmbeddingMatrix::Zero(g.num_slots, width);
+      for (float& x : slots.data) {
+        const uint64_t pick = rng.UniformInt(8);
+        x = pick < 2 ? 0.0f : pick == 2 ? -0.0f : static_cast<float>(rng.Normal());
+      }
+      const EmbeddingMatrix got = AggregateMeanWithSelf(g, slots);
+      const EmbeddingMatrix want = ReferenceAggregateMeanWithSelf(g, slots);
+      ASSERT_EQ(got.rows, want.rows);
+      ASSERT_EQ(got.dim, want.dim);
+      // Bit patterns: an isolated row of -0s must stay -0.
+      for (size_t i = 0; i < got.data.size(); ++i) {
+        ASSERT_EQ(std::bit_cast<uint32_t>(got.data[i]), std::bit_cast<uint32_t>(want.data[i]))
+            << rows << " rows, width " << width << ", element " << i;
+      }
+    }
+  }
 }
 
 TEST(AggregateTest, MeanNeighborsExcludesSelf) {

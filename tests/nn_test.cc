@@ -1,6 +1,13 @@
 #include "gnn/nn.h"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -13,6 +20,247 @@ EmbeddingMatrix FromValues(uint32_t rows, uint32_t cols, std::vector<float> valu
   EmbeddingMatrix m = EmbeddingMatrix::Zero(rows, cols);
   m.data = std::move(values);
   return m;
+}
+
+// --- Kernel contract: the seed's plain loops, kept verbatim as references.
+// The shipped kernels block their loops for registers but must add each
+// output's terms in these loops' order, so they match them bit for bit.
+namespace reference {
+
+void Gemm(const EmbeddingMatrix& a, const EmbeddingMatrix& b, EmbeddingMatrix& out) {
+  out = EmbeddingMatrix::Zero(a.rows, b.dim);
+  for (uint32_t i = 0; i < a.rows; ++i) {
+    const float* arow = a.Row(i);
+    float* orow = out.Row(i);
+    for (uint32_t k = 0; k < a.dim; ++k) {
+      const float aik = arow[k];
+      if (aik == 0.0f) {
+        continue;
+      }
+      const float* brow = b.Row(k);
+      for (uint32_t j = 0; j < b.dim; ++j) {
+        orow[j] += aik * brow[j];
+      }
+    }
+  }
+}
+
+void GemmTransposeA(const EmbeddingMatrix& a, const EmbeddingMatrix& b, EmbeddingMatrix& out) {
+  out = EmbeddingMatrix::Zero(a.dim, b.dim);
+  for (uint32_t r = 0; r < a.rows; ++r) {
+    const float* arow = a.Row(r);
+    const float* brow = b.Row(r);
+    for (uint32_t i = 0; i < a.dim; ++i) {
+      const float ari = arow[i];
+      if (ari == 0.0f) {
+        continue;
+      }
+      float* orow = out.Row(i);
+      for (uint32_t j = 0; j < b.dim; ++j) {
+        orow[j] += ari * brow[j];
+      }
+    }
+  }
+}
+
+void GemmTransposeB(const EmbeddingMatrix& a, const EmbeddingMatrix& b, EmbeddingMatrix& out) {
+  out = EmbeddingMatrix::Zero(a.rows, b.rows);
+  for (uint32_t i = 0; i < a.rows; ++i) {
+    const float* arow = a.Row(i);
+    float* orow = out.Row(i);
+    for (uint32_t j = 0; j < b.rows; ++j) {
+      const float* brow = b.Row(j);
+      float acc = 0.0f;
+      for (uint32_t k = 0; k < a.dim; ++k) {
+        acc += arow[k] * brow[k];
+      }
+      orow[j] = acc;
+    }
+  }
+}
+
+void ReluInPlace(EmbeddingMatrix& a, EmbeddingMatrix& mask) {
+  mask = EmbeddingMatrix::Zero(a.rows, a.dim);
+  for (size_t i = 0; i < a.data.size(); ++i) {
+    if (a.data[i] > 0.0f) {
+      mask.data[i] = 1.0f;
+    } else {
+      a.data[i] = 0.0f;
+    }
+  }
+}
+
+double SoftmaxCrossEntropy(const EmbeddingMatrix& logits, const std::vector<uint32_t>& labels,
+                           EmbeddingMatrix& grad_logits) {
+  grad_logits = EmbeddingMatrix::Zero(logits.rows, logits.dim);
+  double loss = 0.0;
+  uint32_t counted = 0;
+  for (uint32_t r = 0; r < logits.rows; ++r) {
+    if (labels[r] == kInvalidId) {
+      continue;
+    }
+    ++counted;
+  }
+  if (counted == 0) {
+    return 0.0;
+  }
+  for (uint32_t r = 0; r < logits.rows; ++r) {
+    if (labels[r] == kInvalidId) {
+      continue;
+    }
+    const float* row = logits.Row(r);
+    float max_logit = row[0];
+    for (uint32_t c = 1; c < logits.dim; ++c) {
+      max_logit = std::max(max_logit, row[c]);
+    }
+    double denom = 0.0;
+    for (uint32_t c = 0; c < logits.dim; ++c) {
+      denom += std::exp(static_cast<double>(row[c]) - max_logit);
+    }
+    const uint32_t y = labels[r];
+    loss += -(static_cast<double>(row[y]) - max_logit - std::log(denom));
+    float* grad = grad_logits.Row(r);
+    for (uint32_t c = 0; c < logits.dim; ++c) {
+      const double p = std::exp(static_cast<double>(row[c]) - max_logit) / denom;
+      grad[c] = static_cast<float>((p - (c == y ? 1.0 : 0.0)) / counted);
+    }
+  }
+  return loss / counted;
+}
+
+}  // namespace reference
+
+constexpr uint32_t kContractRows[] = {0, 1, 2, 3, 5, 17, 1031};
+constexpr uint32_t kContractWidths[] = {1, 3, 8, 16, 17, 64};
+constexpr uint32_t kMaxK = 64;
+
+// Bit patterns, so +0 and -0 (and NaN payloads) count as different values.
+std::vector<uint32_t> Bits(const EmbeddingMatrix& m) {
+  std::vector<uint32_t> bits(m.data.size());
+  std::transform(m.data.begin(), m.data.end(), bits.begin(),
+                 [](float x) { return std::bit_cast<uint32_t>(x); });
+  return bits;
+}
+
+void ExpectBitwiseEqual(const EmbeddingMatrix& got, const EmbeddingMatrix& want,
+                        const std::string& where) {
+  ASSERT_EQ(got.rows, want.rows) << where;
+  ASSERT_EQ(got.dim, want.dim) << where;
+  EXPECT_TRUE(Bits(got) == Bits(want)) << where;
+}
+
+// Finite inputs with the values that decide summation details: about one
+// entry in four an exact +0, one in eight a -0, and every third row
+// ReLU-sparse (negatives cleared, as a layer's activations are). Entries are
+// drawn from a fixed pool of such values, which keeps the sweep fast.
+EmbeddingMatrix ContractInput(uint32_t rows, uint32_t cols, Rng& rng) {
+  static const std::vector<float> pool = [] {
+    Rng values(29);
+    std::vector<float> v(4096);
+    for (float& x : v) {
+      const uint64_t pick = values.UniformInt(8);
+      x = pick < 2 ? 0.0f : pick == 2 ? -0.0f : static_cast<float>(values.Normal());
+    }
+    return v;
+  }();
+  EmbeddingMatrix m = EmbeddingMatrix::Zero(rows, cols);
+  for (uint32_t r = 0; r < rows; ++r) {
+    float* row = m.Row(r);
+    for (uint32_t c = 0; c < cols; ++c) {
+      row[c] = pool[rng.UniformInt(pool.size())];
+      if (r % 3 == 2 && !(row[c] > 0.0f)) {
+        row[c] = 0.0f;
+      }
+    }
+  }
+  return m;
+}
+
+using Product = void (*)(const EmbeddingMatrix&, const EmbeddingMatrix&, EmbeddingMatrix&);
+using Shape = std::pair<uint32_t, uint32_t>;
+
+// `kernel` against `ref` for a [n x k] and b of shape b_shape(n, k, m), over
+// every n, k and m of the contract.
+void ExpectProductMatchesPlainLoop(const std::string& name, Product kernel, Product ref,
+                                   Shape (*b_shape)(uint32_t n, uint32_t k, uint32_t m),
+                                   uint64_t seed) {
+  Rng rng(seed);
+  for (uint32_t n : kContractRows) {
+    for (uint32_t m : kContractWidths) {
+      for (uint32_t k = 1; k <= kMaxK; ++k) {
+        const auto [b_rows, b_cols] = b_shape(n, k, m);
+        const EmbeddingMatrix a = ContractInput(n, k, rng);
+        const EmbeddingMatrix b = ContractInput(b_rows, b_cols, rng);
+        EmbeddingMatrix got;
+        EmbeddingMatrix want;
+        kernel(a, b, got);
+        ref(a, b, want);
+        ExpectBitwiseEqual(got, want, name + " n=" + std::to_string(n) + " k=" +
+                                          std::to_string(k) + " m=" + std::to_string(m));
+      }
+    }
+  }
+}
+
+TEST(KernelContractTest, GemmMatchesPlainLoop) {
+  ExpectProductMatchesPlainLoop(
+      "Gemm", Gemm, reference::Gemm, [](uint32_t, uint32_t k, uint32_t m) { return Shape{k, m}; },
+      11);
+}
+
+TEST(KernelContractTest, GemmTransposeAMatchesPlainLoop) {
+  ExpectProductMatchesPlainLoop(
+      "GemmTransposeA", GemmTransposeA, reference::GemmTransposeA,
+      [](uint32_t n, uint32_t, uint32_t m) { return Shape{n, m}; }, 13);
+}
+
+TEST(KernelContractTest, GemmTransposeBMatchesPlainLoop) {
+  ExpectProductMatchesPlainLoop(
+      "GemmTransposeB", GemmTransposeB, reference::GemmTransposeB,
+      [](uint32_t, uint32_t k, uint32_t m) { return Shape{m, k}; }, 17);
+}
+
+TEST(KernelContractTest, ReluMatchesPlainLoop) {
+  Rng rng(19);
+  EmbeddingMatrix reused_mask = EmbeddingMatrix::Zero(7, 300);  // stale, larger storage
+  std::fill(reused_mask.data.begin(), reused_mask.data.end(), 5.0f);
+  for (uint32_t n : kContractRows) {
+    for (uint32_t m : kContractWidths) {
+      EmbeddingMatrix input = ContractInput(n, m, rng);
+      if (!input.data.empty()) {
+        input.data[0] = std::numeric_limits<float>::quiet_NaN();
+        input.data.back() = -std::numeric_limits<float>::infinity();
+      }
+      EmbeddingMatrix got = input;
+      EmbeddingMatrix want = input;
+      EmbeddingMatrix want_mask;
+      ReluInPlace(got, reused_mask);
+      reference::ReluInPlace(want, want_mask);
+      const std::string where = "Relu n=" + std::to_string(n) + " m=" + std::to_string(m);
+      ExpectBitwiseEqual(got, want, where);
+      ExpectBitwiseEqual(reused_mask, want_mask, where + " mask");
+    }
+  }
+}
+
+TEST(KernelContractTest, SoftmaxCrossEntropyMatchesPlainLoop) {
+  Rng rng(23);
+  for (uint32_t n : kContractRows) {
+    for (uint32_t m : kContractWidths) {
+      const EmbeddingMatrix logits = ContractInput(n, m, rng);
+      std::vector<uint32_t> labels(n);
+      for (uint32_t r = 0; r < n; ++r) {
+        labels[r] = r % 4 == 3 ? kInvalidId : static_cast<uint32_t>(rng.UniformInt(m));
+      }
+      EmbeddingMatrix got;
+      EmbeddingMatrix want;
+      const double got_loss = SoftmaxCrossEntropy(logits, labels, got);
+      const double want_loss = reference::SoftmaxCrossEntropy(logits, labels, want);
+      const std::string where = "Softmax n=" + std::to_string(n) + " m=" + std::to_string(m);
+      EXPECT_EQ(std::bit_cast<uint64_t>(got_loss), std::bit_cast<uint64_t>(want_loss)) << where;
+      ExpectBitwiseEqual(got, want, where);
+    }
+  }
 }
 
 TEST(GemmTest, KnownProduct) {

@@ -205,6 +205,31 @@ TEST(TrainerTest, EightDeviceReplicasStayBitwiseEqual) {
   EXPECT_EQ(trajectories[0], trajectories[1]) << "overlapped exchange changed the math";
 }
 
+// The loss trajectory of a small fixed run, pinned to the bit. The kernels
+// promise every output element adds its terms in one fixed order; any change
+// to that order (a blocked loop that reassociates, a skipped zero term that
+// is not a no-op, a contracted multiply-add) moves these literals.
+TEST(TrainerTest, PinnedLossTrajectory) {
+  World w = World::Make(4, 61);
+  auto engine = AllgatherEngine::Create(w.relation, w.plan, w.topo);
+  ASSERT_TRUE(engine.ok());
+  TrainerOptions opts;
+  opts.model = GnnModel::kGcn;
+  opts.num_layers = 2;
+  opts.hidden_dim = 16;
+  opts.learning_rate = 0.5f;
+  auto trainer = DistributedTrainer::Create(w.graph, w.relation, *engine, w.features, w.labels,
+                                            w.num_classes, opts);
+  ASSERT_TRUE(trainer.ok());
+  const double want[] = {0x1.765e16f80a1cep+0, 0x1.0e1fa4773bb9dp+0, 0x1.cdc27791aa15cp-1,
+                         0x1.8d1dde6128051p-1, 0x1.4bd5fbb047084p-1};
+  for (int epoch = 0; epoch < 5; ++epoch) {
+    auto r = trainer->TrainEpoch();
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(r->loss, want[epoch]) << "epoch " << epoch;
+  }
+}
+
 // The trainer owns its device workers through a pointer, so moving it keeps
 // the same threads working for the new owner, move-assignment joins the
 // target's old workers, and destroying a moved-from trainer is a no-op.
