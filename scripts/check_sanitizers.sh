@@ -12,9 +12,14 @@
 # sender release-stores into op_chunks_done, receiver acquire-loads and reads
 # the staged rows), the straggler and
 # dead-peer timeout paths, the simulator (fans work out on the shared pool)
-# and the trainer (one persistent worker thread per device, handed each
-# pass step under a mutex) with the layers it drives (ASan+UBSan is the gate
-# for the caches a layer keeps between SetInput, Update and Backward), the
+# and the trainer (each epoch is one device program: every device thread runs
+# its whole epoch and joins the engine's passes in place, the engine's
+# persistent threads spin and then park between programs, and
+# device_program_test lets fast devices run into the next pass while a
+# straggler still reads the last one's staging buffers) with the layers it
+# drives and their local graphs (ASan+UBSan is the gate for the caches a
+# layer keeps between SetInput, Update and Backward, and for the indexing of
+# the reader lists the backward scatter pulls through), the
 # dense kernels (nn_test: ASan is the gate for the register-blocked bodies'
 # row and column tails), the engine-trace cost audit, the lock-free
 # telemetry recorder, and the elastic-recovery protocol (engine
@@ -38,7 +43,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-TESTS_REGEX='thread_pool_test|multilevel_test|hierarchical_test|plan_determinism_test|planner_property_test|planner_conformance_test|spst_test|transport_test|allgather_engine_test|coordination_test|overlap_conformance_test|straggler_test|network_sim_test|epoch_sim_test|cost_audit_test|trainer_test|layers_test|nn_test|telemetry_test|recovery_test|service_test|sampler_determinism_test|sampler_conformance_test|minibatch_trainer_test|replica_conformance_test|fetch_batcher_test|fault_schedule_fuzz_test'
+TESTS_REGEX='thread_pool_test|multilevel_test|hierarchical_test|plan_determinism_test|planner_property_test|planner_conformance_test|spst_test|transport_test|allgather_engine_test|coordination_test|overlap_conformance_test|straggler_test|network_sim_test|epoch_sim_test|cost_audit_test|trainer_test|device_program_test|layers_test|local_graph_test|nn_test|telemetry_test|recovery_test|service_test|sampler_determinism_test|sampler_conformance_test|minibatch_trainer_test|replica_conformance_test|fetch_batcher_test|fault_schedule_fuzz_test'
 
 # Sanitizer runs are 5-20x slower; trim the fuzz budget accordingly.
 export DGCL_FUZZ_SEEDS="${DGCL_FUZZ_SEEDS:-25}"
@@ -55,7 +60,8 @@ run_one() {
     planner_conformance_test spst_test \
     transport_test allgather_engine_test coordination_test \
     overlap_conformance_test straggler_test \
-    network_sim_test epoch_sim_test cost_audit_test trainer_test layers_test nn_test \
+    network_sim_test epoch_sim_test cost_audit_test trainer_test device_program_test \
+    layers_test local_graph_test nn_test \
     telemetry_test recovery_test service_test sampler_determinism_test \
     sampler_conformance_test \
     minibatch_trainer_test replica_conformance_test fetch_batcher_test \

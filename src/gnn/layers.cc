@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 
 #include "common/logging.h"
 
@@ -32,6 +33,25 @@ void AggregateMeanWithSelfFixed(const LocalGraph& graph, const EmbeddingMatrix& 
     float* orow = out.Row(i);
     for (uint32_t c = 0; c < W; ++c) {
       orow[c] = acc[c] * inv;
+    }
+  }
+}
+
+// out[s] = sum of `rows` over the compute rows that read slot s, in reader
+// order from +0, at a fixed width: the sum stays in W registers.
+template <uint32_t W>
+void SumReadersFixed(const LocalGraph& graph, const EmbeddingMatrix& rows, EmbeddingMatrix& out) {
+  for (uint32_t s = 0; s < graph.num_slots; ++s) {
+    float acc[W] = {};
+    for (uint32_t i : graph.Readers(s)) {
+      const float* row = rows.Row(i);
+      for (uint32_t c = 0; c < W; ++c) {
+        acc[c] += row[c];
+      }
+    }
+    float* orow = out.Row(s);
+    for (uint32_t c = 0; c < W; ++c) {
+      orow[c] = acc[c];
     }
   }
 }
@@ -110,22 +130,39 @@ EmbeddingMatrix AggregateSumNeighbors(const LocalGraph& graph, const EmbeddingMa
   return out;
 }
 
-EmbeddingMatrix ScatterMeanWithSelfBackward(const LocalGraph& graph,
-                                            const EmbeddingMatrix& grad_agg) {
+EmbeddingMatrix ScatterMeanWithSelfBackward(const LocalGraph& graph, EmbeddingMatrix grad_agg) {
   DGCL_CHECK_EQ(grad_agg.rows, graph.num_compute);
-  EmbeddingMatrix out = EmbeddingMatrix::Zero(graph.num_slots, grad_agg.dim);
+  // Row i's gradient reaches each slot it read as grad_agg[i] / (1 + deg(i)).
   for (uint32_t i = 0; i < graph.num_compute; ++i) {
-    const float* grow = grad_agg.Row(i);
-    auto nbrs = graph.Neighbors(i);
-    const float inv = 1.0f / (1.0f + nbrs.size());
-    float* self = out.Row(i);
+    float* grow = grad_agg.Row(i);
+    const float inv = 1.0f / (1.0f + graph.Neighbors(i).size());
     for (uint32_t c = 0; c < grad_agg.dim; ++c) {
-      self[c] += grow[c] * inv;
+      grow[c] *= inv;
     }
-    for (uint32_t nbr : nbrs) {
-      float* nrow = out.Row(nbr);
+  }
+  std::optional<LocalGraph> with_readers;
+  if (!graph.HasReaders()) {
+    with_readers = graph;
+    BuildReaders(*with_readers);
+  }
+  const LocalGraph& g = with_readers ? *with_readers : graph;
+  EmbeddingMatrix out = EmbeddingMatrix::Zero(graph.num_slots, grad_agg.dim);
+  switch (grad_agg.dim) {
+    case 16:
+      SumReadersFixed<16>(g, grad_agg, out);
+      return out;
+    case 8:
+      SumReadersFixed<8>(g, grad_agg, out);
+      return out;
+    default:
+      break;
+  }
+  for (uint32_t s = 0; s < g.num_slots; ++s) {
+    float* orow = out.Row(s);
+    for (uint32_t i : g.Readers(s)) {
+      const float* grow = grad_agg.Row(i);
       for (uint32_t c = 0; c < grad_agg.dim; ++c) {
-        nrow[c] += grow[c] * inv;
+        orow[c] += grow[c];
       }
     }
   }

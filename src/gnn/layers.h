@@ -104,9 +104,10 @@ EmbeddingMatrix AggregateMeanNeighbors(const LocalGraph& graph, const EmbeddingM
 EmbeddingMatrix AggregateSumNeighbors(const LocalGraph& graph, const EmbeddingMatrix& slots);
 
 // Transposed scatter of the three aggregations: given d(out), produce
-// d(slots). `include_self` and `normalize` select the variant.
-EmbeddingMatrix ScatterMeanWithSelfBackward(const LocalGraph& graph,
-                                            const EmbeddingMatrix& grad_agg);
+// d(slots). The mean-with-self scatter pulls each slot's sum over the rows
+// that read it (graph.readers; built for the call when the graph has none),
+// adding the same terms in the same order as a push over the rows would.
+EmbeddingMatrix ScatterMeanWithSelfBackward(const LocalGraph& graph, EmbeddingMatrix grad_agg);
 EmbeddingMatrix ScatterMeanNeighborsBackward(const LocalGraph& graph,
                                              const EmbeddingMatrix& grad_agg);
 EmbeddingMatrix ScatterSumNeighborsBackward(const LocalGraph& graph,

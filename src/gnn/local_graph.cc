@@ -34,7 +34,32 @@ LocalGraph BuildLocalGraph(const CsrGraph& graph, const CommRelation& relation,
       lg.nbr_slots.push_back(it->second);
     }
   }
+  BuildReaders(lg);
   return lg;
+}
+
+void BuildReaders(LocalGraph& graph) {
+  // Count each slot's reads, then place each row's reads in row order: the
+  // row itself first, then its neighbor list.
+  std::vector<uint64_t>& offsets = graph.reader_offsets;
+  offsets.assign(static_cast<size_t>(graph.num_slots) + 1, 0);
+  for (uint32_t i = 0; i < graph.num_compute; ++i) {
+    ++offsets[i + 1];
+    for (uint32_t slot : graph.Neighbors(i)) {
+      ++offsets[slot + 1];
+    }
+  }
+  for (uint32_t s = 0; s < graph.num_slots; ++s) {
+    offsets[s + 1] += offsets[s];
+  }
+  graph.readers.resize(offsets.back());
+  std::vector<uint64_t> next(offsets.begin(), offsets.end() - 1);
+  for (uint32_t i = 0; i < graph.num_compute; ++i) {
+    graph.readers[next[i]++] = i;
+    for (uint32_t slot : graph.Neighbors(i)) {
+      graph.readers[next[slot]++] = i;
+    }
+  }
 }
 
 LocalGraph FullLocalGraph(const CsrGraph& graph) {

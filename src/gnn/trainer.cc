@@ -1,11 +1,6 @@
 #include "gnn/trainer.h"
 
 #include <algorithm>
-#include <condition_variable>
-#include <exception>
-#include <functional>
-#include <mutex>
-#include <thread>
 #include <utility>
 
 #include "common/ids.h"
@@ -14,12 +9,6 @@
 
 namespace dgcl {
 namespace {
-
-// Keeps rows [0, n) of `m` in place (drops forwarded-extra slot rows).
-void ShrinkRows(EmbeddingMatrix& m, uint32_t n) {
-  m.rows = n;
-  m.data.resize(static_cast<size_t>(n) * m.dim);
-}
 
 // Device `device`'s slot matrix from a matrix with one row per global
 // vertex: its local rows first, then its remote rows, in the relation's order.
@@ -229,90 +218,6 @@ Status MiniBatchModel::ImportReplica(const ReplicaWeights& weights) {
   return replica_.Import(weights);
 }
 
-// One persistent thread per device. Run(body) hands body(d) to thread d and
-// returns once every thread has finished its call, so device d's math always
-// runs on the same thread: nothing hops between cores, and the matrices a
-// device allocates stay in one thread's malloc arena. An exception thrown by a body
-// is rethrown by Run on the calling thread, as a sequential loop would.
-class DistributedTrainer::DeviceWorkers {
- public:
-  explicit DeviceWorkers(uint32_t devices) {
-    threads_.reserve(devices);
-    for (uint32_t d = 0; d < devices; ++d) {
-      threads_.emplace_back([this, d] { Loop(d); });
-    }
-  }
-  DeviceWorkers(const DeviceWorkers&) = delete;  // the threads hold `this`
-  DeviceWorkers& operator=(const DeviceWorkers&) = delete;
-
-  ~DeviceWorkers() {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      stop_ = true;
-    }
-    start_.notify_all();
-    for (std::thread& t : threads_) {
-      t.join();
-    }
-  }
-
-  void Run(const std::function<void(uint32_t)>& body) {
-    std::unique_lock<std::mutex> lock(mutex_);
-    body_ = &body;
-    running_ = threads_.size();
-    ++generation_;
-    start_.notify_all();
-    done_.wait(lock, [this] { return running_ == 0; });
-    body_ = nullptr;
-    if (error_) {
-      std::rethrow_exception(std::exchange(error_, nullptr));
-    }
-  }
-
- private:
-  void Loop(uint32_t device) {
-    uint64_t seen = 0;
-    std::unique_lock<std::mutex> lock(mutex_);
-    while (true) {
-      start_.wait(lock, [&] { return stop_ || generation_ != seen; });
-      if (stop_) {
-        return;
-      }
-      seen = generation_;
-      const std::function<void(uint32_t)>& body = *body_;
-      lock.unlock();
-      std::exception_ptr error;
-      try {
-        body(device);
-      } catch (...) {
-        error = std::current_exception();
-      }
-      lock.lock();
-      if (error && !error_) {
-        error_ = error;
-      }
-      if (--running_ == 0) {
-        done_.notify_one();
-      }
-    }
-  }
-
-  std::mutex mutex_;
-  std::condition_variable start_;
-  std::condition_variable done_;
-  const std::function<void(uint32_t)>* body_ = nullptr;
-  uint64_t generation_ = 0;  // bumped once per Run
-  size_t running_ = 0;       // workers still inside the current Run's body
-  std::exception_ptr error_;  // first exception of the current Run
-  bool stop_ = false;
-  std::vector<std::thread> threads_;  // last: started once the state above exists
-};
-
-DistributedTrainer::DistributedTrainer() = default;
-DistributedTrainer::DistributedTrainer(DistributedTrainer&&) noexcept = default;
-DistributedTrainer& DistributedTrainer::operator=(DistributedTrainer&&) noexcept = default;
-DistributedTrainer::~DistributedTrainer() = default;
-
 Result<DistributedTrainer> DistributedTrainer::Create(
     const CsrGraph& graph, const CommRelation& relation, const AllgatherEngine& engine,
     const EmbeddingMatrix& features, const std::vector<uint32_t>& labels, uint32_t num_classes,
@@ -339,6 +244,7 @@ Result<DistributedTrainer> DistributedTrainer::Create(
   trainer.local_graphs_.reserve(devices);
   trainer.local_labels_.resize(devices);
   trainer.replicas_.reserve(devices);
+  trainer.slot_buffers_.resize(devices);
   for (uint32_t d = 0; d < devices; ++d) {
     trainer.local_graphs_.push_back(BuildLocalGraph(graph, relation, d));
     for (VertexId v : relation.local_vertices[d]) {
@@ -351,79 +257,33 @@ Result<DistributedTrainer> DistributedTrainer::Create(
     trainer.replicas_[d].layers[0]->SetInput(trainer.local_graphs_[d],
                                              GatherSlots(features, relation, d));
   }
-  trainer.workers_ = std::make_unique<DeviceWorkers>(devices);
   return trainer;
 }
+
+// What one epoch program reads and writes besides the replicas: set up on the
+// calling thread, each per-device entry written by its device only, read back
+// once every device has finished.
+struct DistributedTrainer::EpochState {
+  bool train = false;
+  // Per boundary l (the input of layer l >= 1): the checkpoint its slots are
+  // restored from, or the global matrix devices snapshot their rows into
+  // before its pass (empty when neither).
+  std::vector<const EmbeddingCheckpoint*> restore;
+  std::vector<EmbeddingMatrix> snapshots;
+  std::vector<double> share;  // device d's share of the labeled vertices
+  EmbeddingMatrix* all_logits = nullptr;
+  // Per device.
+  std::vector<uint32_t> reached;  // last boundary whose snapshot rows it wrote
+  std::vector<double> loss;
+  std::vector<double> accuracy;
+};
 
 Result<EpochResult> DistributedTrainer::Pass(bool train, EmbeddingMatrix* all_logits,
                                              const EpochHooks& hooks) {
   const uint32_t devices = relation_->num_devices;
+  const uint32_t layers = options_.num_layers;
   DGCL_TSPAN2("trainer", train ? "epoch.train" : "epoch.eval", "devices", devices, "layers",
-              options_.num_layers);
-  if (train) {
-    // A previous pass that failed mid-backward may have left partial
-    // parameter-gradient accumulations behind (weights are only touched by
-    // the all-or-nothing synchronized step, so *they* are always clean).
-    // Re-zero so a retried epoch reproduces a fresh one exactly.
-    workers_->Run([&](uint32_t d) { replicas_[d].ZeroGrads(); });
-  }
-  // `acts` holds each device's output of the last layer run. Layer 0's input
-  // was set in Create, so it runs without an allgather.
-  std::vector<EmbeddingMatrix> acts(devices);
-  {
-    DGCL_TSPAN1("trainer", "layer.compute", "layer", 0);
-    workers_->Run([&](uint32_t d) { acts[d] = replicas_[d].layers[0]->Update(local_graphs_[d]); });
-  }
-
-  for (uint32_t l = 1; l < options_.num_layers; ++l) {
-    const EmbeddingCheckpoint* ckpt =
-        (hooks.checkpoints != nullptr && hooks.restore) ? hooks.checkpoints->Find(l) : nullptr;
-    if (ckpt != nullptr) {
-      // Restore path: the activations entering this layer were snapshotted by
-      // the failed pass (weights unchanged since — see ExportReplica), so the
-      // slot inputs come straight from the global checkpoint and this layer's
-      // allgather is skipped. Local compute still runs below, keeping every
-      // layer's backward cache exact.
-      DGCL_TSPAN1("recovery", "recovery.restore.layer", "layer", l);
-      workers_->Run([&](uint32_t d) {
-        acts[d] = replicas_[d].layers[l]->Forward(local_graphs_[d],
-                                                  GatherSlots(ckpt->acts, *relation_, d));
-      });
-      continue;
-    }
-    if (hooks.checkpoints != nullptr && hooks.checkpoints->ShouldCheckpoint(l) &&
-        hooks.checkpoints->Find(l) == nullptr) {
-      // Snapshot the boundary *before* attempting the allgather: if the
-      // exchange below dies, the retry resumes from this very layer. Devices
-      // own disjoint rows of the snapshot.
-      DGCL_TSPAN1("recovery", "recovery.checkpoint.save", "layer", l);
-      const uint32_t dim = replicas_[0].layers[l]->dim_in();
-      EmbeddingMatrix global =
-          EmbeddingMatrix::Zero(static_cast<uint32_t>(relation_->source.size()), dim);
-      workers_->Run([&](uint32_t d) {
-        const auto& locals = relation_->local_vertices[d];
-        for (uint32_t i = 0; i < locals.size(); ++i) {
-          std::copy(acts[d].Row(i), acts[d].Row(i) + dim, global.Row(locals[i]));
-        }
-      });
-      hooks.checkpoints->Save(l, std::move(global));
-    }
-    std::vector<EmbeddingMatrix> slots;
-    {
-      DGCL_TSPAN1("trainer", "layer.allgather", "layer", l);
-      DGCL_ASSIGN_OR_RETURN(slots, engine_->Forward(acts));
-    }
-    DGCL_TSPAN1("trainer", "layer.compute", "layer", l);
-    // The workers shrink and read `slots`; this thread, which allocated it
-    // inside the engine, frees it at the end of the layer.
-    workers_->Run([&](uint32_t d) {
-      const LocalGraph& g = local_graphs_[d];
-      ShrinkRows(slots[d], g.num_slots);
-      acts[d] = replicas_[d].layers[l]->Forward(g, slots[d]);
-    });
-  }
-
-  // Classification head and loss.
+              layers);
   uint32_t total_labeled = 0;
   for (uint32_t d = 0; d < devices; ++d) {
     total_labeled += CountLabeled(local_labels_[d]);
@@ -431,71 +291,54 @@ Result<EpochResult> DistributedTrainer::Pass(bool train, EmbeddingMatrix* all_lo
   if (total_labeled == 0) {
     return Status::FailedPrecondition("no labeled vertices");
   }
+
+  EpochState epoch;
+  epoch.train = train;
+  epoch.restore.assign(layers, nullptr);
+  epoch.snapshots.resize(layers);
+  for (uint32_t l = 1; l < layers && hooks.checkpoints != nullptr; ++l) {
+    const EmbeddingCheckpoint* saved = hooks.checkpoints->Find(l);
+    if (hooks.restore && saved != nullptr) {
+      epoch.restore[l] = saved;
+    } else if (saved == nullptr && hooks.checkpoints->ShouldCheckpoint(l)) {
+      epoch.snapshots[l] = EmbeddingMatrix::Zero(
+          static_cast<uint32_t>(relation_->source.size()), replicas_[0].layers[l]->dim_in());
+    }
+  }
   // Device d's share of the labeled vertices: rescales its per-device mean
   // loss (and gradient) to the global mean.
-  std::vector<double> share(devices);
+  epoch.share.resize(devices);
   for (uint32_t d = 0; d < devices; ++d) {
-    share[d] = static_cast<double>(CountLabeled(local_labels_[d])) / total_labeled;
+    epoch.share[d] = static_cast<double>(CountLabeled(local_labels_[d])) / total_labeled;
   }
   if (all_logits != nullptr) {
     *all_logits = EmbeddingMatrix::Zero(
         static_cast<uint32_t>(relation_->source.size()), num_classes_);
   }
+  epoch.all_logits = all_logits;
+  epoch.reached.assign(devices, 0);
+  epoch.loss.assign(devices, 0.0);
+  epoch.accuracy.assign(devices, 0.0);
 
-  // Head forward, loss, and (training) head backward, per device.
-  std::vector<double> loss(devices);
-  std::vector<double> accuracy(devices);
-  std::vector<EmbeddingMatrix> dacts(devices);
-  workers_->Run([&](uint32_t d) {
-    EmbeddingMatrix logits;
-    Gemm(acts[d], replicas_[d].head_w, logits);
-    EmbeddingMatrix dlogits;
-    loss[d] = SoftmaxCrossEntropy(logits, local_labels_[d], dlogits);
-    accuracy[d] = Accuracy(logits, local_labels_[d]);
-    if (all_logits != nullptr) {
-      const auto& locals = relation_->local_vertices[d];
-      for (uint32_t i = 0; i < locals.size(); ++i) {
-        std::copy(logits.Row(i), logits.Row(i) + num_classes_, all_logits->Row(locals[i]));
-      }
+  const Status status = engine_->RunProgram(
+      options_.hidden_dim, [&](DevicePasses& passes) { return RunDevice(passes, epoch); });
+  // Keep the snapshots every device wrote, even when a later pass failed: the
+  // retry resumes from them.
+  const uint32_t reached = *std::min_element(epoch.reached.begin(), epoch.reached.end());
+  for (uint32_t l = 1; l <= reached; ++l) {
+    if (epoch.snapshots[l].rows > 0) {
+      hooks.checkpoints->Save(l, std::move(epoch.snapshots[l]));
     }
-    if (!train) {
-      return;
-    }
-    ScaleInPlace(dlogits, static_cast<float>(share[d]));
-    EmbeddingMatrix dw;
-    GemmTransposeA(acts[d], dlogits, dw);
-    AddInPlace(replicas_[d].head_dw, dw);
-    GemmTransposeB(dlogits, replicas_[d].head_w, dacts[d]);
-  });
+  }
+  DGCL_RETURN_IF_ERROR(status);
+
   EpochResult result;
   for (uint32_t d = 0; d < devices; ++d) {
-    result.loss += loss[d] * share[d];
-    result.accuracy += accuracy[d] * share[d];
+    result.loss += epoch.loss[d] * epoch.share[d];
+    result.accuracy += epoch.accuracy[d] * epoch.share[d];
   }
   if (!train) {
     return result;
-  }
-
-  // Backward through the GNN layers, routing remote gradients home. Layer 0
-  // accumulates only its parameter gradients: the input-feature gradient is
-  // never consumed, so it is neither formed nor exchanged.
-  for (uint32_t l = options_.num_layers; l-- > 0;) {
-    std::vector<EmbeddingMatrix> dslots(devices);
-    {
-      DGCL_TSPAN1("trainer", "layer.bwd.compute", "layer", l);
-      workers_->Run([&](uint32_t d) {
-        if (l == 0) {
-          replicas_[d].layers[0]->BackwardParamsOnly(local_graphs_[d], dacts[d]);
-          return;
-        }
-        dslots[d] = replicas_[d].layers[l]->Backward(local_graphs_[d], dacts[d]);
-      });
-    }
-    if (l == 0) {
-      continue;
-    }
-    DGCL_TSPAN1("trainer", "layer.bwd.allgather", "layer", l);
-    DGCL_ASSIGN_OR_RETURN(dacts, engine_->Backward(dslots));
   }
 
   // Gradient synchronization (allreduce-sum) across replicas, then step.
@@ -521,6 +364,121 @@ Result<EpochResult> DistributedTrainer::Pass(bool train, EmbeddingMatrix* all_lo
     replica.Step(options_.learning_rate);
   }
   return result;
+}
+
+Status DistributedTrainer::RunDevice(DevicePasses& passes, EpochState& epoch) {
+  const uint32_t d = passes.device();
+  // Device 0 runs on the calling thread: its phases are the epoch's phase
+  // spans, recorded once per epoch inside epoch.train.
+  const bool traced = d == 0;
+  const LocalGraph& g = local_graphs_[d];
+  ModelReplica& replica = replicas_[d];
+  std::vector<std::unique_ptr<GnnLayer>>& layers = replica.layers;
+  const uint32_t num_local = g.num_compute;
+  // Slot matrix of every pass, kept across passes and epochs: [0, num_slots)
+  // are the layer's rows, the forwarded-only extras up to NumSlots follow.
+  // Between passes it is cut to the rows the layers read; growing it back
+  // zero-fills the extras, as a backward pass needs.
+  EmbeddingMatrix& slots = slot_buffers_[d];
+  auto resize_slots = [&slots](uint32_t rows, uint32_t dim) {
+    slots.rows = rows;
+    slots.dim = dim;
+    slots.data.resize(static_cast<size_t>(rows) * dim);
+  };
+  const uint32_t pass_rows = engine_->NumSlots(d);
+
+  if (epoch.train) {
+    // A previous pass that failed mid-backward may have left partial
+    // parameter-gradient accumulations behind (weights are only touched by
+    // the all-or-nothing synchronized step, so *they* are always clean).
+    // Re-zero so a retried epoch reproduces a fresh one exactly.
+    replica.ZeroGrads();
+  }
+  // `acts` holds the output of the last layer run. Layer 0's input was set
+  // in Create, so it runs without an allgather.
+  EmbeddingMatrix acts;
+  {
+    DGCL_TSPAN1_IF(traced, "trainer", "layer.compute", "layer", 0);
+    acts = layers[0]->Update(g);
+  }
+  for (uint32_t l = 1; l < layers.size(); ++l) {
+    if (const EmbeddingCheckpoint* ckpt = epoch.restore[l]; ckpt != nullptr) {
+      // Restore path: the activations entering this layer were snapshotted by
+      // the failed epoch (weights unchanged since — see ExportReplica), so the
+      // slot inputs come straight from the global checkpoint and this layer's
+      // allgather is skipped on every device. Local compute still runs,
+      // keeping every layer's backward cache exact.
+      DGCL_TSPAN1_IF(traced, "recovery", "recovery.restore.layer", "layer", l);
+      acts = layers[l]->Forward(g, GatherSlots(ckpt->acts, *relation_, d));
+      continue;
+    }
+    if (EmbeddingMatrix& snapshot = epoch.snapshots[l]; snapshot.rows > 0) {
+      // Snapshot the boundary *before* the allgather: if the exchange dies,
+      // the retry resumes from this very layer. Devices own disjoint rows.
+      DGCL_TSPAN1_IF(traced, "recovery", "recovery.checkpoint.save", "layer", l);
+      const auto& locals = relation_->local_vertices[d];
+      for (uint32_t i = 0; i < num_local; ++i) {
+        std::copy(acts.Row(i), acts.Row(i) + acts.dim, snapshot.Row(locals[i]));
+      }
+      epoch.reached[d] = l;
+    }
+    {
+      DGCL_TSPAN1_IF(traced, "trainer", "layer.allgather", "layer", l);
+      resize_slots(pass_rows, acts.dim);
+      std::copy(acts.data.begin(), acts.data.end(), slots.data.begin());
+      DGCL_RETURN_IF_ERROR(passes.Forward(slots));
+      resize_slots(g.num_slots, acts.dim);
+    }
+    DGCL_TSPAN1_IF(traced, "trainer", "layer.compute", "layer", l);
+    acts = layers[l]->Forward(g, slots);
+  }
+
+  // Head forward, loss, and (training) head backward.
+  EmbeddingMatrix logits;
+  Gemm(acts, replica.head_w, logits);
+  EmbeddingMatrix dlogits;
+  epoch.loss[d] = SoftmaxCrossEntropy(logits, local_labels_[d], dlogits);
+  epoch.accuracy[d] = Accuracy(logits, local_labels_[d]);
+  if (epoch.all_logits != nullptr) {
+    const auto& locals = relation_->local_vertices[d];
+    for (uint32_t i = 0; i < num_local; ++i) {
+      std::copy(logits.Row(i), logits.Row(i) + num_classes_, epoch.all_logits->Row(locals[i]));
+    }
+  }
+  if (!epoch.train) {
+    return Status::Ok();
+  }
+  ScaleInPlace(dlogits, static_cast<float>(epoch.share[d]));
+  EmbeddingMatrix dw;
+  GemmTransposeA(acts, dlogits, dw);
+  AddInPlace(replica.head_dw, dw);
+  EmbeddingMatrix dacts;
+  GemmTransposeB(dlogits, replica.head_w, dacts);
+
+  // Backward through the GNN layers, routing remote gradients home. After
+  // each backward pass, the slot matrix's first num_local rows are the next
+  // layer down's output gradient. Layer 0 accumulates only its parameter
+  // gradients: the input-feature gradient is never consumed, so it is
+  // neither formed nor exchanged.
+  const EmbeddingMatrix* grad_out = &dacts;
+  for (uint32_t l = static_cast<uint32_t>(layers.size()); l-- > 1;) {
+    EmbeddingMatrix dslots;
+    {
+      DGCL_TSPAN1_IF(traced, "trainer", "layer.bwd.compute", "layer", l);
+      dslots = layers[l]->Backward(g, *grad_out);
+    }
+    DGCL_TSPAN1_IF(traced, "trainer", "layer.bwd.allgather", "layer", l);
+    // Cutting first drops any extras a failed pass left behind.
+    resize_slots(g.num_slots, dslots.dim);
+    resize_slots(pass_rows, dslots.dim);
+    std::copy(dslots.data.begin(), dslots.data.end(), slots.data.begin());
+    DGCL_RETURN_IF_ERROR(passes.Backward(slots));
+    resize_slots(num_local, dslots.dim);
+    grad_out = &slots;
+  }
+  DGCL_TSPAN1_IF(traced, "trainer", "layer.bwd.compute", "layer", 0);
+  layers[0]->BackwardParamsOnly(g, *grad_out);
+  return Status::Ok();
 }
 
 Result<EpochResult> DistributedTrainer::TrainEpoch() { return TrainEpoch(EpochHooks{}); }

@@ -18,14 +18,15 @@
 // ModelReplica per device) and gradient-summed across devices every step
 // (the paper defers this to Horovod/DDP; GNN weights are small).
 //
-// Device math runs in parallel, as on one GPU per device: the trainer owns
-// one persistent worker thread per device, and device d's layer compute,
-// slot preparation, head, loss and backward always run on worker d. The
-// devices meet only in the engine passes (the threaded AllgatherEngine with
-// the decentralized flag protocol, driven from the calling thread) and in
-// the reductions, which run on the calling thread in device order: the loss
-// and accuracy sums and the gradient sync. Results are therefore bitwise
-// independent of thread scheduling.
+// Device math runs in parallel, as on one GPU per device: each epoch is one
+// device program (AllgatherEngine::RunProgram). Device d's thread runs its
+// whole epoch — layer compute, the engine's forward passes in place on a slot
+// matrix the device keeps, head, loss, backward and the backward passes —
+// and meets the other devices only through the engine's §6.1 flags. Device 0
+// runs on the calling thread, the others on the engine's persistent threads.
+// The reductions run on the calling thread once every device has finished,
+// in device order: the loss and accuracy sums and the gradient sync. Results
+// are therefore bitwise independent of thread scheduling.
 
 #ifndef DGCL_GNN_TRAINER_H_
 #define DGCL_GNN_TRAINER_H_
@@ -154,10 +155,6 @@ class MiniBatchModel {
 
 class DistributedTrainer {
  public:
-  DistributedTrainer(DistributedTrainer&&) noexcept;
-  DistributedTrainer& operator=(DistributedTrainer&&) noexcept;
-  ~DistributedTrainer();  // joins the device workers
-
   // `features`: one row per global vertex. `labels`: per global vertex, in
   // [0, num_classes) or kInvalidId for unlabeled. The relation/engine define
   // the device layout; they must outlive the trainer, and the relation must
@@ -199,15 +196,20 @@ class DistributedTrainer {
   Status ImportReplica(const ReplicaWeights& weights);
 
  private:
-  class DeviceWorkers;
+  struct EpochState;
 
-  DistributedTrainer();
+  DistributedTrainer() = default;
 
   // Runs forward to logits per device. With `train`, also runs backward,
   // synchronizes the gradients and steps every replica; with `all_logits`,
   // gathers every device's logits into one matrix by global vertex id.
   Result<EpochResult> Pass(bool train, EmbeddingMatrix* all_logits,
                            const EpochHooks& hooks = {});
+
+  // Device passes.device()'s part of one epoch: its forward (with the engine's
+  // forward passes), head and loss, and when training its backward (with the
+  // backward passes) down to its parameter gradients.
+  Status RunDevice(DevicePasses& passes, EpochState& epoch);
 
   const CommRelation* relation_ = nullptr;
   const AllgatherEngine* engine_ = nullptr;
@@ -217,10 +219,9 @@ class DistributedTrainer {
   std::vector<LocalGraph> local_graphs_;                  // per device
   std::vector<std::vector<uint32_t>> local_labels_;       // per device
   std::vector<ModelReplica> replicas_;                    // per device
-
-  // Worker d runs device d's math. Heap-held so the trainer stays movable:
-  // the worker threads keep the DeviceWorkers' address.
-  std::unique_ptr<DeviceWorkers> workers_;
+  // Per device: the slot matrix its engine passes run in, kept across passes
+  // and epochs so that no pass allocates one. Only device d's thread uses it.
+  std::vector<EmbeddingMatrix> slot_buffers_;
 };
 
 }  // namespace dgcl

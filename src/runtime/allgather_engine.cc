@@ -5,6 +5,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstring>
+#include <exception>
 #include <memory>
 #include <thread>
 
@@ -96,54 +97,213 @@ class TimedBarrier {
   bool aborted_ = false;
 };
 
+// Spins (yielding the core) until `ready()` holds or `micros` elapse;
+// returns whether it holds.
+template <typename Ready>
+bool SpinFor(Ready&& ready, uint32_t micros) {
+  if (ready() || micros == 0) {
+    return ready();
+  }
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::microseconds(micros);
+  for (uint32_t spins = 1;; ++spins) {
+    if ((spins & 0x3f) == 0 && std::chrono::steady_clock::now() >= deadline) {
+      return ready();
+    }
+    std::this_thread::yield();
+    if (ready()) {
+      return true;
+    }
+  }
+}
+
+// How long a device thread keeps spinning for the next program before it
+// parks. Parked threads woken together start up to a scheduler quantum apart
+// (milliseconds on a busy host), so a training loop's back-to-back epochs
+// must find the threads still spinning.
+constexpr uint32_t kSpinBeforeParkMicros = 2000;
+
+constexpr uint32_t kNoPass = kInvalidId;
+
+// rows[d] x dim matrices whose storage is reserved here but not yet filled:
+// Forward and Backward allocate on the calling thread, where that thread's
+// freed memory can be reused, and let each device fill its own in parallel.
+std::vector<EmbeddingMatrix> ReserveMatrices(const std::vector<uint32_t>& rows, uint32_t dim) {
+  std::vector<EmbeddingMatrix> out(rows.size());
+  for (size_t d = 0; d < rows.size(); ++d) {
+    out[d].rows = rows[d];
+    out[d].dim = dim;
+    out[d].data.reserve(static_cast<size_t>(rows[d]) * dim);
+  }
+  return out;
+}
+
 }  // namespace
 
-// Shared flag/buffer state for one pass (forward or backward). Staging
-// buffers live in the engine's ConnectionTable; this holds the coordination
-// state only.
-struct PassState {
-  // ready_stage[d]: d has finished consuming all receives of stages < value.
-  std::unique_ptr<std::atomic<uint32_t>[]> ready_stage;
-  // op_chunks_done[op]: chunks of the op staged and published so far — the
-  // §6.1 per-op done flag generalized to a monotone counter. The sender
-  // writes a chunk's rows into the connection-owned staging buffer, then
-  // release-stores the bumped count; the receiver acquire-loads before
-  // reading those rows. With overlap.num_chunks == 1 this degenerates to the
-  // original single done flag.
-  std::unique_ptr<std::atomic<uint32_t>[]> op_chunks_done;
+// The engine's device threads: Run(body) runs body(0) on the calling thread
+// and body(d) on persistent thread d for every other device, and returns
+// once every call has returned. Device d's work therefore always runs on the
+// same thread: nothing hops between cores, and the matrices a device
+// allocates stay in one thread's malloc arena. An exception thrown by a body
+// is rethrown by Run on the calling thread after every body has returned.
+class DeviceThreads {
+ public:
+  explicit DeviceThreads(uint32_t devices) {
+    threads_.reserve(devices > 0 ? devices - 1 : 0);
+    for (uint32_t d = 1; d < devices; ++d) {
+      threads_.emplace_back([this, d] { Loop(d); });
+    }
+  }
+  DeviceThreads(const DeviceThreads&) = delete;  // the threads hold `this`
+  DeviceThreads& operator=(const DeviceThreads&) = delete;
+
+  ~DeviceThreads() {
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      stop_ = true;
+      generation_.fetch_add(1, std::memory_order_release);
+    }
+    start_.notify_all();
+    for (std::thread& t : threads_) {
+      t.join();
+    }
+  }
+
+  void Run(const std::function<void(uint32_t)>& body) {
+    body_ = &body;
+    running_.store(static_cast<uint32_t>(threads_.size()), std::memory_order_relaxed);
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      generation_.fetch_add(1, std::memory_order_release);
+    }
+    start_.notify_all();
+    std::exception_ptr error;
+    try {
+      body(0);
+    } catch (...) {
+      error = std::current_exception();
+    }
+    // Park at once: a caller spinning here takes a core from the devices
+    // still at work when there are more threads than cores.
+    {
+      std::unique_lock<std::mutex> lock(mutex_);
+      done_.wait(lock, [this] { return running_.load(std::memory_order_acquire) == 0; });
+    }
+    body_ = nullptr;
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      if (error == nullptr) {
+        error = error_;
+      }
+      error_ = nullptr;
+    }
+    if (error != nullptr) {
+      std::rethrow_exception(error);
+    }
+  }
+
+ private:
+  void Loop(uint32_t device) {
+    uint64_t seen = 0;
+    while (true) {
+      auto started = [&] { return generation_.load(std::memory_order_acquire) != seen; };
+      // Spin only between programs; a fresh thread parks at once.
+      if (!SpinFor(started, seen == 0 ? 0 : kSpinBeforeParkMicros)) {
+        std::unique_lock<std::mutex> lock(mutex_);
+        start_.wait(lock, started);
+      }
+      seen = generation_.load(std::memory_order_acquire);
+      if (stop_) {
+        return;
+      }
+      try {
+        (*body_)(device);
+      } catch (...) {
+        std::lock_guard<std::mutex> lock(mutex_);
+        if (error_ == nullptr) {
+          error_ = std::current_exception();
+        }
+      }
+      {
+        std::lock_guard<std::mutex> lock(mutex_);
+        if (running_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+          done_.notify_one();
+        }
+      }
+    }
+  }
+
+  std::mutex mutex_;
+  std::condition_variable start_;
+  std::condition_variable done_;
+  // Bumped (release, under mutex_) once per Run and once to stop; body_ and
+  // stop_ are written before the bump and read after observing it.
+  std::atomic<uint64_t> generation_{0};
+  std::atomic<uint32_t> running_{0};  // threads still inside the current body
+  const std::function<void(uint32_t)>* body_ = nullptr;
+  bool stop_ = false;
+  std::exception_ptr error_;          // first exception of a thread's body (mutex_)
+  std::vector<std::thread> threads_;  // last: started once the state above exists
+};
+
+// Shared flag state for one program. Staging buffers live in the engine's
+// ConnectionTable; this holds the coordination state only. Both flag arrays
+// count across the program's passes, so neither is reset between passes.
+struct ProgramState {
+  // consumed[d]: stages device d has finished receiving, counted across the
+  // program's passes (pass p's step s done is p * S + s + 1). This is the
+  // §6.1 ready flag, made monotone so that a sender in pass p can wait until
+  // the receiver has read the rows an earlier pass staged in the same buffer.
+  std::unique_ptr<std::atomic<uint64_t>[]> consumed;
+  // op_chunks_done[op]: chunks of the op staged and published so far, counted
+  // across passes (pass p's chunk c is p * C + c + 1) — the §6.1 per-op done
+  // flag generalized to a monotone counter. The sender writes a chunk's rows
+  // into the connection-owned staging buffer, then release-stores the bumped
+  // count; the receiver acquire-loads before reading those rows. Each op is
+  // sent once per pass (forward by its src, backward by its dst), so the
+  // count only grows.
+  std::unique_ptr<std::atomic<uint64_t>[]> op_chunks_done;
   // Raised by the first failing device; every other device bails out of its
-  // waits with the aborted sentinel instead of running to its own deadline.
+  // waits with the aborted sentinel instead of running to its own deadline,
+  // whichever pass it is in.
   std::atomic<bool> abort{false};
   // Centralized coordination only: the master's stage gate.
   std::unique_ptr<TimedBarrier> stage_barrier;
-  // One per device, written by that device's thread, read after join.
-  std::vector<Status> device_status;
-  // Suspicion evidence for the recovery protocol, read after join:
+  // Per device, written by that device's thread, read after the program.
+  struct Outcome {
+    Status status;
+    uint32_t failed_pass = kNoPass;  // program pass that failed, if any
+    uint32_t passes = 0;             // passes entered
+  };
+  std::vector<Outcome> outcome;
+  // Suspicion evidence for the recovery protocol, read after the program:
   // named[d] = peers device d's waits timed out on (owner-thread-written);
-  // self_dead = devices that self-reported death this pass.
+  // self_dead = devices that self-reported death.
   std::vector<DeviceMask> named;
   std::atomic<DeviceMask> self_dead{0};
-  // Engine-lifetime index of this pass (for FaultInjection::dead_from_pass).
-  uint64_t pass_index = 0;
+  uint32_t dim = 0;
+  // Engine-lifetime index of the program's pass 0 (for
+  // FaultInjection::dead_from_pass).
+  uint64_t first_pass = 0;
 
-  PassState(uint32_t num_devices, const CompiledPlan& plan, const EngineOptions& options) {
-    ready_stage = std::make_unique<std::atomic<uint32_t>[]>(num_devices);
+  ProgramState(uint32_t num_devices, const CompiledPlan& plan, const EngineOptions& options) {
+    consumed = std::make_unique<std::atomic<uint64_t>[]>(num_devices);
     for (uint32_t d = 0; d < num_devices; ++d) {
-      ready_stage[d].store(0, std::memory_order_relaxed);
+      consumed[d].store(0, std::memory_order_relaxed);
     }
-    op_chunks_done = std::make_unique<std::atomic<uint32_t>[]>(plan.ops.size());
+    op_chunks_done = std::make_unique<std::atomic<uint64_t>[]>(plan.ops.size());
     for (uint32_t i = 0; i < plan.ops.size(); ++i) {
       op_chunks_done[i].store(0, std::memory_order_relaxed);
     }
     if (options.coordination == CoordinationMode::kCentralized) {
       stage_barrier = std::make_unique<TimedBarrier>(num_devices);
     }
-    device_status.resize(num_devices);
+    outcome.resize(num_devices);
     named.assign(num_devices, 0);
   }
 
-  bool DeviceIsDead(uint32_t device, const EngineOptions& options) const {
-    return device == options.faults.dead_device && pass_index >= options.faults.dead_from_pass;
+  bool DeviceIsDead(uint32_t device, uint32_t pass, const EngineOptions& options) const {
+    return device == options.faults.dead_device &&
+           first_pass + pass >= options.faults.dead_from_pass;
   }
 
   void Fail() {
@@ -185,6 +345,7 @@ Result<AllgatherEngine> AllgatherEngine::Create(const CommRelation& relation, Co
   DGCL_RETURN_IF_ERROR(options.Validate());
   DGCL_RETURN_IF_ERROR(ValidateCompiledPlan(plan, relation, topo));
   AllgatherEngine engine;
+  engine.program_mutex_ = std::make_unique<std::mutex>();
   engine.relation_ = &relation;
   engine.topo_ = &topo;
   engine.plan_ = std::move(plan);
@@ -260,8 +421,14 @@ Result<AllgatherEngine> AllgatherEngine::Create(const CommRelation& relation, Co
       });
     }
   }
+  engine.threads_ = std::make_unique<DeviceThreads>(relation.num_devices);
   return engine;
 }
+
+AllgatherEngine::AllgatherEngine() = default;
+AllgatherEngine::AllgatherEngine(AllgatherEngine&&) noexcept = default;
+AllgatherEngine& AllgatherEngine::operator=(AllgatherEngine&&) noexcept = default;
+AllgatherEngine::~AllgatherEngine() = default;
 
 uint32_t AllgatherEngine::SlotOf(uint32_t device, VertexId v) const {
   auto it = slots_[device].find(v);
@@ -273,15 +440,22 @@ uint32_t AllgatherEngine::NumContractSlots(uint32_t device) const {
                                relation_->remote_vertices[device].size());
 }
 
-Status AllgatherEngine::RunDevice(uint32_t device, uint32_t dim, bool backward,
-                                  std::vector<EmbeddingMatrix>& buffers, PassState& state,
+Status AllgatherEngine::RunDevice(uint32_t device, uint32_t pass, bool backward,
+                                  EmbeddingMatrix& mine, ProgramState& state,
                                   const ChunkConsumer* on_chunk) const {
   const uint32_t num_stages = plan_.num_stages;
   const uint32_t num_chunks = options_.overlap.num_chunks;
-  EmbeddingMatrix& mine = buffers[device];
+  const uint32_t dim = state.dim;
   const uint64_t timeout_micros = options_.transport.wait_timeout_micros;
+  // Flag counts of the passes before this one.
+  const uint64_t stages_before = static_cast<uint64_t>(pass) * num_stages;
+  const uint64_t chunks_before = static_cast<uint64_t>(pass) * num_chunks;
 
-  if (state.DeviceIsDead(device, options_)) {
+  if (state.abort.load(std::memory_order_acquire)) {
+    // A peer failed an earlier pass while this device computed.
+    return AbortedStatus();
+  }
+  if (state.DeviceIsDead(device, pass, options_)) {
     // The killed peer: never publishes readiness, never sends, never
     // consumes. Its peers' deadline-bounded waits turn this into a timeout
     // Status for the whole collective.
@@ -345,23 +519,32 @@ Status AllgatherEngine::RunDevice(uint32_t device, uint32_t dim, bool backward,
     // cost model's per-stage prediction).
     DGCL_TSPAN2("runtime", backward ? "bwd.stage" : "fwd.stage", "stage", stage, "bytes",
                 stage_bytes);
+    // The §6.1 send gate, on the receiver's consumed-stage count. Forward
+    // waits until the receiver has consumed this pass's earlier stages;
+    // double buffering (overlap.double_buffer) relaxes that by one stage
+    // within the pass: the sender may stage into the "other" recv-table
+    // buffer while the receiver still consumes the previous stage. Backward
+    // only waits for the receiver to finish the previous pass. Both keep the
+    // staging buffers safe across passes: an op's buffer was last read by
+    // its receiver in an earlier pass, which this count covers. The
+    // centralized barrier orders every stage instead.
+    const uint32_t lead = options_.overlap.double_buffer ? std::min(step, 1u) : 0;
+    const uint64_t consumed_before_send =
+        backward ? stages_before : stages_before + step - lead;
     for (uint32_t op_id : sends[stage]) {
       const TransferOp& op = plan_.ops[op_id];
       const uint32_t receiver = backward ? op.src : op.dst;
       Connection& conn = connections_.ForOp(op_id);
-      if (!backward && options_.coordination == CoordinationMode::kDecentralized) {
-        // Double buffering (overlap.double_buffer) relaxes the §6.1 gate by
-        // one stage: the sender may stage into the "other" recv-table buffer
-        // while the receiver still consumes the previous stage. Per-op
-        // staging buffers make the relaxed gate memory-safe.
-        const uint32_t lead = options_.overlap.double_buffer ? 1 : 0;
+      if (options_.coordination == CoordinationMode::kDecentralized &&
+          (!backward || consumed_before_send > 0)) {
         Status status;
         {
-          DGCL_TSPAN3(conn.name(), "fwd.wait.ready", "peer", receiver, "stage", stage, "op",
-                      op_id);
+          DGCL_TSPAN3(conn.name(), backward ? "bwd.wait.ready" : "fwd.wait.ready", "peer",
+                      receiver, "stage", stage, "op", op_id);
           status = spin_until(
-              [&state, receiver, stage, lead] {
-                return state.ready_stage[receiver].load(std::memory_order_acquire) + lead >= stage;
+              [&state, receiver, consumed_before_send] {
+                return state.consumed[receiver].load(std::memory_order_acquire) >=
+                       consumed_before_send;
               },
               "ready-flag", receiver, stage);
         }
@@ -391,7 +574,7 @@ Status AllgatherEngine::RunDevice(uint32_t device, uint32_t dim, bool backward,
             PackRow(staging.data() + i * dim, mine.Row(slots[i]), dim);
           }
         }
-        state.op_chunks_done[op_id].store(c + 1, std::memory_order_release);
+        state.op_chunks_done[op_id].store(chunks_before + c + 1, std::memory_order_release);
       }
     }
 
@@ -474,8 +657,9 @@ Status AllgatherEngine::RunDevice(uint32_t device, uint32_t dim, bool backward,
                         "peer", sender, "stage", stage, num_chunks == 1 ? "op" : "chunk",
                         num_chunks == 1 ? u.op_id : u.chunk);
             status = spin_until(
-                [&state, &u] {
-                  return state.op_chunks_done[u.op_id].load(std::memory_order_acquire) > u.chunk;
+                [&state, &u, chunks_before] {
+                  return state.op_chunks_done[u.op_id].load(std::memory_order_acquire) >
+                         chunks_before + u.chunk;
                 },
                 "chunk-flag", sender, stage);
           }
@@ -503,7 +687,8 @@ Status AllgatherEngine::RunDevice(uint32_t device, uint32_t dim, bool backward,
             continue;
           }
           const RecvUnit& u = group[i];
-          if (state.op_chunks_done[u.op_id].load(std::memory_order_acquire) > u.chunk) {
+          if (state.op_chunks_done[u.op_id].load(std::memory_order_acquire) >
+              chunks_before + u.chunk) {
             consume_unit(u);
             consumed[i] = 1;
             --remaining;
@@ -533,7 +718,7 @@ Status AllgatherEngine::RunDevice(uint32_t device, uint32_t dim, bool backward,
             for (size_t i = 0; i < group.size() && !any; ++i) {
               any = !consumed[i] &&
                     state.op_chunks_done[group[i].op_id].load(std::memory_order_acquire) >
-                        group[i].chunk;
+                        chunks_before + group[i].chunk;
             }
             if (any) {
               status = Status::Ok();
@@ -566,83 +751,141 @@ Status AllgatherEngine::RunDevice(uint32_t device, uint32_t dim, bool backward,
         }
       }
     }
-    state.ready_stage[device].store(step + 1, std::memory_order_release);
+    state.consumed[device].store(stages_before + step + 1, std::memory_order_release);
   }
   return Status::Ok();
 }
 
-Result<std::vector<EmbeddingMatrix>> AllgatherEngine::RunPass(
-    std::vector<EmbeddingMatrix> buffers, uint32_t dim, bool backward,
-    const ChunkConsumer* on_chunk) const {
-  // Connection staging buffers are shared engine state; passes serialize.
-  std::lock_guard<std::mutex> pass_lock(*pass_mutex_);
+Status DevicePasses::Forward(EmbeddingMatrix& slots) { return Pass(/*backward=*/false, slots); }
+
+Status DevicePasses::Backward(EmbeddingMatrix& slots) { return Pass(/*backward=*/true, slots); }
+
+Status DevicePasses::Pass(bool backward, EmbeddingMatrix& slots) {
+  const uint32_t pass = next_pass_++;
+  ProgramState::Outcome& outcome = state_.outcome[device_];
+  outcome.passes = next_pass_;
+  Status status;
+  if (slots.rows != engine_.NumSlots(device_) || slots.dim != state_.dim ||
+      slots.data.size() != static_cast<size_t>(slots.rows) * slots.dim) {
+    status = Status::InvalidArgument("device " + std::to_string(device_) +
+                                     " slot matrix is not NumSlots x the program's dim");
+  } else {
+    status = engine_.RunDevice(device_, pass, backward, slots, state_, on_chunk_);
+  }
+  if (!status.ok() && outcome.failed_pass == kNoPass) {
+    outcome.failed_pass = pass;
+    outcome.status = status;
+    // A failed device aborts everyone else's waits — except the injected
+    // dead peer, which must vanish *silently* so that its peers' deadlines
+    // (not an abort broadcast) are what fail the collective.
+    if (!state_.DeviceIsDead(device_, pass, engine_.options_)) {
+      state_.Fail();
+    }
+  }
+  return status;
+}
+
+Status AllgatherEngine::RunProgram(uint32_t dim, const DeviceProgram& program) const {
+  return RunProgramImpl(dim, program, nullptr);
+}
+
+Status AllgatherEngine::RunProgramImpl(uint32_t dim, const DeviceProgram& program,
+                                       const ChunkConsumer* on_chunk) const {
+  if (dim == 0) {
+    return Status::InvalidArgument("program embedding dim must be at least 1");
+  }
+  // Connection staging buffers are shared engine state; programs serialize.
+  std::lock_guard<std::mutex> lock(*program_mutex_);
   connections_.PrepareBuffers(dim);
-  PassState state(relation_->num_devices, plan_, options_);
-  state.pass_index = pass_count_++;
-  DGCL_TSPAN2("runtime", backward ? "bwd.pass" : "fwd.pass", "devices", relation_->num_devices,
-              "dim", dim);
-  std::vector<std::thread> threads;
-  threads.reserve(relation_->num_devices);
-  for (uint32_t d = 0; d < relation_->num_devices; ++d) {
-    threads.emplace_back([this, d, dim, backward, &buffers, &state, on_chunk]() {
-      state.device_status[d] = RunDevice(d, dim, backward, buffers, state, on_chunk);
-      // A failed device aborts everyone else's waits — except the injected
-      // dead peer, which must vanish *silently* so that its peers' deadlines
-      // (not an abort broadcast) are what fail the collective.
-      if (!state.device_status[d].ok() && !state.DeviceIsDead(d, options_)) {
+  ProgramState state(relation_->num_devices, plan_, options_);
+  state.dim = dim;
+  state.first_pass = pass_count_;
+  threads_->Run([&](uint32_t d) {
+    DevicePasses passes(*this, state, d, on_chunk);
+    Status status;
+    try {
+      status = program(passes);
+    } catch (...) {
+      state.Fail();
+      throw;
+    }
+    ProgramState::Outcome& outcome = state.outcome[d];
+    if (outcome.failed_pass == kNoPass) {
+      // The program's own error, outside any pass: its peers must not wait
+      // for passes it will never run.
+      outcome.status = status;
+      if (!status.ok()) {
         state.Fail();
       }
-    });
-  }
-  for (std::thread& t : threads) {
-    t.join();
-  }
-  // Pass verdict: prefer a timeout (the injected-death signature), then any
-  // root-cause error, and only report the aborted sentinel when it is all
-  // there is.
+    }
+  });
+  return Verdict(state);
+}
+
+Status AllgatherEngine::Verdict(const ProgramState& state) const {
+  // Program verdict: prefer a timeout (the injected-death signature), then
+  // any root-cause error, and only report the aborted sentinel when it is all
+  // there is. The failed pass is the first one a root cause failed in; peers
+  // aborted in other passes (ahead of it, or still behind it) do not move it.
   Status verdict;
-  for (const Status& s : state.device_status) {
+  uint32_t passes_run = 0;
+  uint32_t root_pass = kNoPass;
+  uint32_t any_pass = kNoPass;
+  for (const ProgramState::Outcome& o : state.outcome) {
+    passes_run = std::max(passes_run, o.passes);
+    const Status& s = o.status;
     if (s.ok()) {
       continue;
     }
-    if (s.code() == StatusCode::kDeadlineExceeded) {
-      verdict = s;
-      break;
-    }
-    if (verdict.ok() || (IsAborted(verdict) && !IsAborted(s))) {
-      verdict = s;
-    }
-  }
-  if (!verdict.ok()) {
-    // Suspect derivation for the recovery protocol: self-reported deaths are
-    // certain; a device *named* by a timed-out wait is suspected only if it
-    // never produced a status of its own this pass (a named device that ran —
-    // even into its own timeout — was just blocked downstream of the real
-    // failure and stays innocent).
-    DeviceMask named = 0;
-    DeviceMask responders = 0;
-    const DeviceMask self_dead = state.self_dead.load(std::memory_order_acquire);
-    for (uint32_t d = 0; d < relation_->num_devices; ++d) {
-      named |= state.named[d];
-      const Status& s = state.device_status[d];
-      if (s.ok() || s.code() == StatusCode::kDeadlineExceeded || IsAborted(s)) {
-        responders |= DeviceMask{1} << d;
+    if (o.failed_pass != kNoPass) {
+      any_pass = std::min(any_pass, o.failed_pass);
+      if (!IsAborted(s)) {
+        root_pass = std::min(root_pass, o.failed_pass);
       }
     }
-    last_failure_ = PassFailure{verdict, self_dead | (named & ~responders), state.pass_index};
+    if (verdict.code() == StatusCode::kDeadlineExceeded) {
+      continue;
+    }
+    if (s.code() == StatusCode::kDeadlineExceeded || verdict.ok() ||
+        (IsAborted(verdict) && !IsAborted(s))) {
+      verdict = s;
+    }
+  }
+  const uint32_t failed_pass = root_pass != kNoPass ? root_pass : any_pass;
+  if (failed_pass == kNoPass) {
+    // Every pass succeeded (a program may still have failed on its own).
+    pass_count_ += passes_run;
+    last_failure_.reset();
     return verdict;
   }
-  last_failure_.reset();
-  return buffers;
+  pass_count_ += failed_pass + 1;
+  // Suspect derivation for the recovery protocol: self-reported deaths are
+  // certain; a device *named* by a timed-out wait is suspected only if it
+  // never produced a status of its own (a named device that ran — even into
+  // its own timeout — was just blocked downstream of the real failure and
+  // stays innocent).
+  DeviceMask named = 0;
+  DeviceMask responders = 0;
+  for (uint32_t d = 0; d < relation_->num_devices; ++d) {
+    named |= state.named[d];
+    const Status& s = state.outcome[d].status;
+    if (s.ok() || s.code() == StatusCode::kDeadlineExceeded || IsAborted(s)) {
+      responders |= DeviceMask{1} << d;
+    }
+  }
+  const DeviceMask self_dead = state.self_dead.load(std::memory_order_acquire);
+  last_failure_ = PassFailure{verdict, self_dead | (named & ~responders),
+                              state.first_pass + failed_pass};
+  return verdict;
 }
 
 std::optional<PassFailure> AllgatherEngine::last_failure() const {
-  std::lock_guard<std::mutex> pass_lock(*pass_mutex_);
+  std::lock_guard<std::mutex> lock(*program_mutex_);
   return last_failure_;
 }
 
 uint64_t AllgatherEngine::pass_count() const {
-  std::lock_guard<std::mutex> pass_lock(*pass_mutex_);
+  std::lock_guard<std::mutex> lock(*program_mutex_);
   return pass_count_;
 }
 
@@ -677,16 +920,20 @@ Result<std::vector<EmbeddingMatrix>> AllgatherEngine::ForwardImpl(
     return Status::InvalidArgument("no embeddings provided");
   }
 
-  std::vector<EmbeddingMatrix> buffers;
-  buffers.reserve(relation_->num_devices);
-  for (uint32_t d = 0; d < relation_->num_devices; ++d) {
-    EmbeddingMatrix m = EmbeddingMatrix::Zero(slot_counts_[d], dim);
-    for (uint32_t r = 0; r < local[d].rows; ++r) {
-      PackRow(m.Row(r), local[d].Row(r), dim);
-    }
-    buffers.push_back(std::move(m));
-  }
-  return RunPass(std::move(buffers), dim, /*backward=*/false, on_chunk);
+  DGCL_TSPAN2("runtime", "fwd.pass", "devices", relation_->num_devices, "dim", dim);
+  std::vector<EmbeddingMatrix> slots = ReserveMatrices(slot_counts_, dim);
+  DGCL_RETURN_IF_ERROR(RunProgramImpl(
+      dim,
+      [&](DevicePasses& passes) {
+        const uint32_t d = passes.device();
+        std::vector<float>& data = slots[d].data;
+        data.assign(local[d].data.begin(),
+                    local[d].data.begin() + static_cast<size_t>(local[d].rows) * dim);
+        data.resize(static_cast<size_t>(slot_counts_[d]) * dim);
+        return passes.Forward(slots[d]);
+      },
+      on_chunk));
+  return slots;
 }
 
 Result<std::vector<EmbeddingMatrix>> AllgatherEngine::Backward(
@@ -710,30 +957,28 @@ Result<std::vector<EmbeddingMatrix>> AllgatherEngine::Backward(
     return Status::InvalidArgument("no gradients provided");
   }
 
-  std::vector<EmbeddingMatrix> buffers;
-  buffers.reserve(relation_->num_devices);
-  for (uint32_t d = 0; d < relation_->num_devices; ++d) {
-    EmbeddingMatrix m = EmbeddingMatrix::Zero(slot_counts_[d], dim);
-    const uint32_t provided = std::min<uint32_t>(slot_grads[d].rows, slot_counts_[d]);
-    for (uint32_t r = 0; r < provided; ++r) {
-      PackRow(m.Row(r), slot_grads[d].Row(r), dim);
-    }
-    buffers.push_back(std::move(m));
+  DGCL_TSPAN2("runtime", "bwd.pass", "devices", relation_->num_devices, "dim", dim);
+  std::vector<EmbeddingMatrix> slots = ReserveMatrices(slot_counts_, dim);
+  std::vector<uint32_t> local_counts;
+  for (const std::vector<VertexId>& locals : relation_->local_vertices) {
+    local_counts.push_back(static_cast<uint32_t>(locals.size()));
   }
-  DGCL_ASSIGN_OR_RETURN(buffers,
-                        RunPass(std::move(buffers), dim, /*backward=*/true, nullptr));
-
-  std::vector<EmbeddingMatrix> out;
-  out.reserve(relation_->num_devices);
-  for (uint32_t d = 0; d < relation_->num_devices; ++d) {
-    const uint32_t locals = static_cast<uint32_t>(relation_->local_vertices[d].size());
-    EmbeddingMatrix m = EmbeddingMatrix::Zero(locals, dim);
-    for (uint32_t r = 0; r < locals; ++r) {
-      PackRow(m.Row(r), buffers[d].Row(r), dim);
-    }
-    out.push_back(std::move(m));
-  }
-  return out;
+  std::vector<EmbeddingMatrix> grads = ReserveMatrices(local_counts, dim);
+  DGCL_RETURN_IF_ERROR(RunProgramImpl(
+      dim,
+      [&](DevicePasses& passes) {
+        const uint32_t d = passes.device();
+        std::vector<float>& data = slots[d].data;
+        const size_t provided =
+            std::min<size_t>(slot_grads[d].rows, slot_counts_[d]) * static_cast<size_t>(dim);
+        data.assign(slot_grads[d].data.begin(), slot_grads[d].data.begin() + provided);
+        data.resize(static_cast<size_t>(slot_counts_[d]) * dim);
+        DGCL_RETURN_IF_ERROR(passes.Backward(slots[d]));
+        grads[d].data.assign(data.begin(), data.begin() + static_cast<size_t>(local_counts[d]) * dim);
+        return Status::Ok();
+      },
+      nullptr));
+  return grads;
 }
 
 }  // namespace dgcl

@@ -2,11 +2,20 @@
 //
 // Runs a compiled communication plan on real embedding data, one thread per
 // simulated device, coordinated with the decentralized ready/done flag
-// protocol of §6.1: a sender spins on the receiver's published stage-ready
-// flag before writing into the receiver's staging buffer, then raises the
-// op's done flag; the receiver consumes buffers as done flags appear and
-// publishes readiness for the next stage. There is no central coordinator on
-// the data path.
+// protocol of §6.1: a sender spins on the receiver's published progress
+// before writing into the op's staging buffer, then raises the op's done
+// flag; the receiver consumes buffers as done flags appear and publishes its
+// progress. There is no central coordinator on the data path.
+//
+// Work reaches the devices as *programs* (RunProgram): each device runs its
+// own program once, device 0 on the calling thread and device d > 0 on the
+// engine's persistent thread d, and the program runs the engine's passes in
+// place on a slot matrix the device keeps (DevicePasses). A program may run
+// any number of passes between its own compute, so a trainer runs a whole
+// epoch as one program and devices meet only through the flags. Flags count
+// across the program's passes: a sender in pass p waits until the receiver
+// has consumed every earlier pass's rows of the staging buffer it is about
+// to overwrite. Forward and Backward are one-pass programs.
 //
 // Every transfer rides a per-pair Connection (transport.h): the engine asks
 // the connection to Transmit (which emulates the wire — injected
@@ -98,7 +107,7 @@ struct OverlapOptions {
 };
 
 // Notification that one received chunk's rows are final in the receiving
-// device's output matrix. Fired on the receiving device's pass thread, so
+// device's output matrix. Fired on the receiving device's thread, so
 // consumers overlap with that device's still-in-flight transfers; a consumer
 // must only touch state owned by `device` (callbacks for different devices
 // run concurrently).
@@ -157,28 +166,82 @@ struct EngineOptions {
 struct PassFailure {
   Status status;
   DeviceMask suspects = 0;
-  uint64_t pass_index = 0;  // which Forward/Backward call failed, counting from 0
+  uint64_t pass_index = 0;  // which pass failed, counting every pass run from 0
 };
+
+class AllgatherEngine;
+struct ProgramState;
+class DeviceThreads;
+
+// One device's side of a running program: runs the engine's passes in place,
+// on the device's thread. Every device of a program must run the same
+// sequence of passes.
+class DevicePasses {
+ public:
+  uint32_t device() const { return device_; }
+
+  // `slots` has NumSlots(device()) rows of the program's dim, its first
+  // num_local rows holding the device's local embeddings. On success every
+  // other row the plan delivers holds its vertex's embedding.
+  Status Forward(EmbeddingMatrix& slots);
+
+  // `slots` has NumSlots(device()) rows of the program's dim: the slot
+  // gradients, with the forwarded-only extra rows zero. On success the first
+  // num_local rows hold the accumulated gradients of the local vertices; the
+  // other rows are scratch.
+  Status Backward(EmbeddingMatrix& slots);
+
+ private:
+  friend class AllgatherEngine;
+  DevicePasses(const AllgatherEngine& engine, ProgramState& state, uint32_t device,
+               const ChunkConsumer* on_chunk)
+      : engine_(engine), state_(state), device_(device), on_chunk_(on_chunk) {}
+
+  Status Pass(bool backward, EmbeddingMatrix& slots);
+
+  const AllgatherEngine& engine_;
+  ProgramState& state_;
+  const uint32_t device_;
+  const ChunkConsumer* const on_chunk_;
+  uint32_t next_pass_ = 0;  // index of the next pass within the program
+};
+
+// A device's part of a program. Runs once per device, concurrently; returns
+// the status of the first pass that failed (or its own error).
+using DeviceProgram = std::function<Status(DevicePasses&)>;
 
 class AllgatherEngine {
  public:
   // Validates the plan against the relation (delivery and causality),
   // precomputes per-device slot tables, each op's slots on both ends and
-  // each device's per-stage op lists, and builds the per-pair connection
-  // table. The relation, plan and topology must outlive the engine.
+  // each device's per-stage op lists, builds the per-pair connection table
+  // and starts the device threads. The relation, plan and topology must
+  // outlive the engine.
   static Result<AllgatherEngine> Create(const CommRelation& relation, CompiledPlan plan,
                                         const Topology& topo, EngineOptions options = {});
+
+  AllgatherEngine(AllgatherEngine&&) noexcept;
+  AllgatherEngine& operator=(AllgatherEngine&&) noexcept;
+  ~AllgatherEngine();  // joins the device threads
+
+  // Runs `program` once per device, device 0 on the calling thread and device
+  // d > 0 on the engine's thread d, every pass at embedding width `dim`.
+  // Returns OK when every device's program returned OK. Otherwise returns the
+  // verdict of the failed passes (kDeadlineExceeded / kUnavailable when a peer
+  // dies or a transport exhausts its retries), also kept as last_failure();
+  // a failure aborts the waits of every device, in whichever pass it is.
+  // Programs on one engine serialize.
+  Status RunProgram(uint32_t dim, const DeviceProgram& program) const;
 
   // `local[d]` holds device d's local embeddings, one row per vertex in
   // relation.local_vertices[d] order, all with the same dim. Returns per
   // device a matrix over its slots: local rows first, then remote rows in
   // relation.remote_vertices[d] order (forwarded-only extras are appended
-  // after and are not part of the contract). Fails with kDeadlineExceeded /
-  // kUnavailable when a peer dies or a transport exhausts its retries.
+  // after and are not part of the contract). A one-pass program.
   Result<std::vector<EmbeddingMatrix>> Forward(const std::vector<EmbeddingMatrix>& local) const;
 
-  // Overlapped forward: `on_chunk` fires on the receiving device's pass
-  // thread as each received chunk's rows become final, so the caller consumes
+  // Overlapped forward: `on_chunk` fires on the receiving device's thread as
+  // each received chunk's rows become final, so the caller consumes
   // arrivals while later chunks are still in flight. The returned matrices
   // are identical to the plain overload's; with overlap.num_chunks == 1 the
   // callback fires once per op.
@@ -187,19 +250,21 @@ class AllgatherEngine {
 
   // `slot_grads[d]` has the same shape as Forward's output for device d
   // (extras rows zero-extended internally if absent). Returns per device the
-  // accumulated gradients for its local vertices only.
+  // accumulated gradients for its local vertices only. A one-pass program.
   Result<std::vector<EmbeddingMatrix>> Backward(
       const std::vector<EmbeddingMatrix>& slot_grads) const;
 
   const EngineOptions& options() const { return options_; }
   CoordinationMode coordination_mode() const { return options_.coordination; }
 
-  // Post-mortem of the most recent failed pass (nullopt while every pass has
-  // succeeded). Cleared by the next successful pass. This is what the
-  // recovery protocol reads to seed the membership commit.
+  // Post-mortem of the first failed pass of the most recent failed program
+  // (nullopt while every pass has succeeded). Cleared by the next successful
+  // program. This is what the recovery protocol reads to seed the membership
+  // commit.
   std::optional<PassFailure> last_failure() const;
 
-  // Passes run so far (Forward + Backward, successful or not).
+  // Passes run so far, successful or not. A failed program counts its passes
+  // up to and including the first one that failed.
   uint64_t pass_count() const;
 
   // Per-pair connections (transport kind, fault/retry counters, staging
@@ -215,27 +280,35 @@ class AllgatherEngine {
   const CompiledPlan& plan() const { return plan_; }
 
  private:
-  AllgatherEngine() = default;
+  friend class DevicePasses;
+
+  AllgatherEngine();
 
   Result<std::vector<EmbeddingMatrix>> ForwardImpl(const std::vector<EmbeddingMatrix>& local,
                                                    const ChunkConsumer* on_chunk) const;
-  Result<std::vector<EmbeddingMatrix>> RunPass(std::vector<EmbeddingMatrix> buffers, uint32_t dim,
-                                               bool backward, const ChunkConsumer* on_chunk) const;
-  Status RunDevice(uint32_t device, uint32_t dim, bool backward,
-                   std::vector<EmbeddingMatrix>& buffers, struct PassState& state,
-                   const ChunkConsumer* on_chunk) const;
+  Status RunProgramImpl(uint32_t dim, const DeviceProgram& program,
+                        const ChunkConsumer* on_chunk) const;
+  // Device `device`'s side of pass `pass` of the running program.
+  Status RunDevice(uint32_t device, uint32_t pass, bool backward, EmbeddingMatrix& mine,
+                   ProgramState& state, const ChunkConsumer* on_chunk) const;
+  // Folds the devices' outcomes into the program's verdict.
+  Status Verdict(const ProgramState& state) const;
 
   const CommRelation* relation_ = nullptr;
   const Topology* topo_ = nullptr;
   EngineOptions options_;
   CompiledPlan plan_;
-  // Mutable: connections own per-op staging buffers that are resized at pass
-  // start, so passes on one engine are serialized by pass_mutex_ (concurrent
-  // Forward/Backward calls are safe, they just queue). Heap-held so the
-  // engine stays movable.
+  // Mutable: connections own per-op staging buffers that are resized at
+  // program start, so programs on one engine are serialized by
+  // program_mutex_ (concurrent calls are safe, they just queue). Heap-held
+  // so the engine stays movable.
   mutable ConnectionTable connections_;
-  std::unique_ptr<std::mutex> pass_mutex_ = std::make_unique<std::mutex>();
-  // Both guarded by pass_mutex_ (written at pass end, read via accessors).
+  std::unique_ptr<std::mutex> program_mutex_;
+  // Threads of devices 1..N-1, parked between programs. Heap-held: the
+  // threads keep its address.
+  std::unique_ptr<DeviceThreads> threads_;
+  // Both guarded by program_mutex_ (written at program end, read via
+  // accessors).
   mutable uint64_t pass_count_ = 0;
   mutable std::optional<PassFailure> last_failure_;
   std::vector<std::unordered_map<VertexId, uint32_t>> slots_;  // per device

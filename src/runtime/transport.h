@@ -74,8 +74,9 @@ struct FaultInjection {
   // Device that never participates in a pass (a killed peer). Waits on it
   // time out and the collective fails with a Status instead of hanging.
   uint32_t dead_device = kInvalidId;
-  // First engine pass (counting Forward and Backward calls from 0) at which
-  // `dead_device` dies; earlier passes run healthy. Models a mid-epoch kill.
+  // First engine pass (counting every pass from 0: a Forward or Backward
+  // call runs one, a program as many as it asks for) at which `dead_device`
+  // dies; earlier passes run healthy. Models a mid-epoch kill.
   // A DistributedTrainer epoch of an L-layer model runs 2L-2 passes
   // (DistributedTrainer::PassesPerEpoch): the forward allgathers of layers
   // 1..L-1, then the backward allgathers of layers L-1..1. Layer 0 exchanges

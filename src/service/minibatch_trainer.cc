@@ -94,6 +94,7 @@ Result<EpochResult> MiniBatchTrainer::TrainEpoch() {
     }
     CsrGraph subgraph = graph.InducedSubgraph(response.nodes);
     LocalGraph block = FullLocalGraph(subgraph);
+    BuildReaders(block);  // for the backward scatter of every layer
     EpochResult step;
     {
       DGCL_TSPAN2("service", "train.step", "shard", b % num_shards, "nodes",

@@ -153,10 +153,20 @@ class Telemetry {
 // runtime. All strings must have static lifetime.
 class ScopedSpan {
  public:
+  // Selects whether a span records at all (DGCL_TSPAN1_IF).
+  struct When {
+    bool record;
+  };
+
   ScopedSpan(const char* category, const char* name, const char* key0 = nullptr,
              uint64_t val0 = 0, const char* key1 = nullptr, uint64_t val1 = 0,
              const char* key2 = nullptr, uint64_t val2 = 0)
-      : active_(Telemetry::Enabled()) {
+      : ScopedSpan(When{true}, category, name, key0, val0, key1, val1, key2, val2) {}
+
+  ScopedSpan(When when, const char* category, const char* name, const char* key0 = nullptr,
+             uint64_t val0 = 0, const char* key1 = nullptr, uint64_t val1 = 0,
+             const char* key2 = nullptr, uint64_t val2 = 0)
+      : active_(when.record && Telemetry::Enabled()) {
     if (active_) {
       category_ = category;
       name_ = name;
@@ -230,6 +240,11 @@ inline void Counter(const char* category, const char* name, double value,
   ::dgcl::telemetry::ScopedSpan DGCL_TELEMETRY_CONCAT_(_dgcl_tspan_, __LINE__)( \
       cat, name, k0, static_cast<uint64_t>(v0), k1, static_cast<uint64_t>(v1),  \
       k2, static_cast<uint64_t>(v2))
+// DGCL_TSPAN1 that records only when `cond` holds, e.g. on one of several
+// threads running the same code.
+#define DGCL_TSPAN1_IF(cond, cat, name, k0, v0)                              \
+  ::dgcl::telemetry::ScopedSpan DGCL_TELEMETRY_CONCAT_(_dgcl_tspan_, __LINE__)( \
+      ::dgcl::telemetry::ScopedSpan::When{cond}, cat, name, k0, static_cast<uint64_t>(v0))
 // Named counter sample (a gauge; the exporter keeps every sample).
 #define DGCL_TCOUNT(cat, name, value) \
   ::dgcl::telemetry::Counter(cat, name, static_cast<double>(value))
@@ -248,6 +263,9 @@ inline void Counter(const char* category, const char* name, double value,
   } while (0)
 #define DGCL_TSPAN3(cat, name, k0, v0, k1, v1, k2, v2) \
   do {                                                 \
+  } while (0)
+#define DGCL_TSPAN1_IF(cond, cat, name, k0, v0) \
+  do {                                          \
   } while (0)
 #define DGCL_TCOUNT(cat, name, value) \
   do {                                \

@@ -97,6 +97,59 @@ TEST(AggregateTest, MeanWithSelfMatchesPlainLoopBitwise) {
   }
 }
 
+// The seed's push loop, kept verbatim as the reference of the pull form:
+// every slot must get its terms in this order, from +0.
+EmbeddingMatrix ReferenceScatterMeanWithSelfBackward(const LocalGraph& graph,
+                                                     const EmbeddingMatrix& grad_agg) {
+  EmbeddingMatrix out = EmbeddingMatrix::Zero(graph.num_slots, grad_agg.dim);
+  for (uint32_t i = 0; i < graph.num_compute; ++i) {
+    const float* grow = grad_agg.Row(i);
+    auto nbrs = graph.Neighbors(i);
+    const float inv = 1.0f / (1.0f + nbrs.size());
+    float* self = out.Row(i);
+    for (uint32_t c = 0; c < grad_agg.dim; ++c) {
+      self[c] += grow[c] * inv;
+    }
+    for (uint32_t nbr : nbrs) {
+      float* nrow = out.Row(nbr);
+      for (uint32_t c = 0; c < grad_agg.dim; ++c) {
+        nrow[c] += grow[c] * inv;
+      }
+    }
+  }
+  return out;
+}
+
+// With readers built (as BuildLocalGraph does) and without (built per call),
+// on graphs with remote slots, repeated neighbors and isolated rows.
+TEST(ScatterTest, MeanWithSelfMatchesPushLoopBitwise) {
+  Rng rng(47);
+  for (uint32_t rows : {0u, 1u, 2u, 3u, 5u, 17u, 1031u}) {
+    LocalGraph g = RandomLocalGraph(rows, rows / 2 + 1, rng);
+    for (bool readers : {false, true}) {
+      if (readers) {
+        BuildReaders(g);
+      }
+      for (uint32_t width : {1u, 3u, 8u, 16u, 17u, 64u}) {
+        EmbeddingMatrix grad = EmbeddingMatrix::Zero(g.num_compute, width);
+        for (float& x : grad.data) {
+          const uint64_t pick = rng.UniformInt(8);
+          x = pick < 2 ? 0.0f : pick == 2 ? -0.0f : static_cast<float>(rng.Normal());
+        }
+        const EmbeddingMatrix got = ScatterMeanWithSelfBackward(g, grad);
+        const EmbeddingMatrix want = ReferenceScatterMeanWithSelfBackward(g, grad);
+        ASSERT_EQ(got.rows, want.rows);
+        ASSERT_EQ(got.dim, want.dim);
+        for (size_t i = 0; i < got.data.size(); ++i) {
+          ASSERT_EQ(std::bit_cast<uint32_t>(got.data[i]), std::bit_cast<uint32_t>(want.data[i]))
+              << rows << " rows, width " << width << ", readers " << readers << ", element "
+              << i;
+        }
+      }
+    }
+  }
+}
+
 TEST(AggregateTest, MeanNeighborsExcludesSelf) {
   LocalGraph lg = TriangleGraph();
   EmbeddingMatrix h = EmbeddingMatrix::Zero(3, 1);

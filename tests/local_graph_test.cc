@@ -58,5 +58,56 @@ TEST(LocalGraphTest, EdgeCountsConserved) {
   EXPECT_EQ(local_edges, g.num_edges());
 }
 
+// Slot s's readers are exactly the rows that read it (row s itself, and each
+// row once per time it lists s), in ascending order.
+TEST(LocalGraphTest, ReadersTransposeAggregationWithSelf) {
+  Rng rng(11);
+  CsrGraph g = GenerateErdosRenyi(120, 500, rng);
+  HashPartitioner hash;
+  CommRelation rel = *BuildCommRelation(g, *hash.Partition(g, 3));
+  for (uint32_t d = 0; d < 3; ++d) {
+    const LocalGraph lg = BuildLocalGraph(g, rel, d);
+    ASSERT_TRUE(lg.HasReaders());
+    ASSERT_EQ(lg.reader_offsets.size(), lg.num_slots + 1u);
+    std::vector<std::vector<uint32_t>> want(lg.num_slots);
+    for (uint32_t i = 0; i < lg.num_compute; ++i) {
+      want[i].push_back(i);
+      for (uint32_t slot : lg.Neighbors(i)) {
+        want[slot].push_back(i);
+      }
+    }
+    for (uint32_t s = 0; s < lg.num_slots; ++s) {
+      auto got = lg.Readers(s);
+      EXPECT_EQ(std::vector<uint32_t>(got.begin(), got.end()), want[s]) << "slot " << s;
+    }
+  }
+}
+
+TEST(LocalGraphTest, FullGraphHasNoReadersUntilBuilt) {
+  // Triangle plus a self loop on vertex 0 and an isolated vertex 3.
+  auto g = CsrGraph::FromEdges(4, {{0, 1}, {1, 2}, {2, 0}, {0, 0}}, true);
+  ASSERT_TRUE(g.ok());
+  LocalGraph lg = FullLocalGraph(*g);
+  EXPECT_FALSE(lg.HasReaders());
+  BuildReaders(lg);
+  ASSERT_TRUE(lg.HasReaders());
+  for (uint32_t s = 0; s < 4; ++s) {
+    std::vector<uint32_t> want;
+    for (uint32_t i = 0; i < 4; ++i) {
+      if (i == s) {
+        want.push_back(i);
+      }
+      for (uint32_t slot : lg.Neighbors(i)) {
+        if (slot == s) {
+          want.push_back(i);
+        }
+      }
+    }
+    auto got = lg.Readers(s);
+    EXPECT_EQ(std::vector<uint32_t>(got.begin(), got.end()), want) << "slot " << s;
+  }
+  EXPECT_EQ(lg.Readers(3).size(), 1u);  // isolated: only itself
+}
+
 }  // namespace
 }  // namespace dgcl

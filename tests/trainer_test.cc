@@ -230,9 +230,9 @@ TEST(TrainerTest, PinnedLossTrajectory) {
   }
 }
 
-// The trainer owns its device workers through a pointer, so moving it keeps
-// the same threads working for the new owner, move-assignment joins the
-// target's old workers, and destroying a moved-from trainer is a no-op.
+// A moved trainer keeps training like one never moved (its device programs
+// run on the engine's threads), move-assignment drops the target's old
+// state, and destroying a moved-from trainer is a no-op.
 TEST(TrainerTest, MovedTrainerKeepsTrainingAndJoinsWorkers) {
   World w = World::Make(4, 83);
   auto engine = AllgatherEngine::Create(w.relation, w.plan, w.topo);
@@ -262,7 +262,7 @@ TEST(TrainerTest, MovedTrainerKeepsTrainingAndJoinsWorkers) {
     ASSERT_TRUE(target.ok());
     *target = std::move(moved);
     expect_same_epoch(*target);
-  }  // joins the workers; `moved` is empty by now
+  }  // `moved` is empty by now
 }
 
 TEST(TrainerTest, RejectsBadInputs) {
