@@ -68,23 +68,6 @@ void RunDataset(DatasetId id, bool audit) {
         std::printf("engine-trace cost audit (%s): %s\n\n", bench::BenchDataset(id).name.c_str(),
                     engine_report.status().ToString().c_str());
       }
-      // Hidden-vs-exposed communication: the same allgather run once in
-      // barrier mode and once chunked/double-buffered with an eager consumer
-      // draining each chunk as its flag publishes. Per stage: how much of the
-      // barrier-mode communication time stayed exposed in chunk waits and how
-      // much now hides under consumption (outputs compared bitwise inside
-      // the audit).
-      auto overlap_report = (*bundle)->sim().AuditOverlapFromEngine(
-          bench::BenchDataset(id).feature_dim, /*time_scale=*/500.0);
-      if (overlap_report.ok()) {
-        std::printf("%s\n", overlap_report
-                                ->ToString("overlap audit (" + bench::BenchDataset(id).name +
-                                           ", GCN allgather, 4 chunks, emulated wire)")
-                                .c_str());
-      } else {
-        std::printf("overlap audit (%s): %s\n\n", bench::BenchDataset(id).name.c_str(),
-                    overlap_report.status().ToString().c_str());
-      }
     }
   }
 }

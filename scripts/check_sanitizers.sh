@@ -7,16 +7,11 @@
 # planner determinism and property suites (the class builder, plan
 # compiler and simulator fan work out on the shared pool), the allgather
 # engine, the transport/coordination layer (connection retry and
-# fault-injection state shared across device threads), the chunked-overlap
-# conformance suite (TSan is the gate for the per-chunk ready-flag protocol:
-# sender release-stores into op_chunks_done, receiver acquire-loads and reads
-# the staged rows), the straggler and
+# fault-injection state shared across device threads), the straggler and
 # dead-peer timeout paths, the simulator (fans work out on the shared pool)
 # and the trainer (each epoch is one device program: every device thread runs
-# its whole epoch and joins the engine's passes in place, the engine's
-# persistent threads spin and then park between programs, and
-# device_program_test lets fast devices run into the next pass while a
-# straggler still reads the last one's staging buffers) with the layers it
+# its whole epoch and joins the engine's passes in place, and the engine's
+# persistent threads spin and then park between programs) with the layers it
 # drives and their local graphs (ASan+UBSan is the gate for the caches a
 # layer keeps between SetInput, Update and Backward, and for the indexing of
 # the reader lists the backward scatter pulls through), the
@@ -36,6 +31,13 @@
 # put the lock-free router (alive-mask/cursor/routed atomics) under
 # concurrent Submit while KillReplica drains queues onto survivors, and
 # fetch_batcher_test hammers the gap-close leader loop directly.
+# TSan is the gate for the engine's done-flag protocol: a sender packs an
+# op's rows into its staging buffer and release-stores pass + 1 into
+# op_done, the receiver acquire-loads it before reading those rows, and the
+# consumed-stage count keeps the next pass's sender off a buffer that is
+# still being read. coordination_test drives it under both coordination
+# modes and a dead peer; device_program_test lets fast devices run into the
+# next pass while a straggler still reads the last one's staging buffers.
 # Separate build trees (build-tsan/, build-asan/) so the main build stays
 # untouched.
 #
@@ -43,7 +45,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-TESTS_REGEX='thread_pool_test|multilevel_test|hierarchical_test|plan_determinism_test|planner_property_test|planner_conformance_test|spst_test|transport_test|allgather_engine_test|coordination_test|overlap_conformance_test|straggler_test|network_sim_test|epoch_sim_test|cost_audit_test|trainer_test|device_program_test|layers_test|local_graph_test|nn_test|telemetry_test|recovery_test|service_test|sampler_determinism_test|sampler_conformance_test|minibatch_trainer_test|replica_conformance_test|fetch_batcher_test|fault_schedule_fuzz_test'
+TESTS_REGEX='thread_pool_test|multilevel_test|hierarchical_test|plan_determinism_test|planner_property_test|planner_conformance_test|spst_test|transport_test|allgather_engine_test|coordination_test|straggler_test|network_sim_test|epoch_sim_test|cost_audit_test|trainer_test|device_program_test|layers_test|local_graph_test|nn_test|telemetry_test|recovery_test|service_test|sampler_determinism_test|sampler_conformance_test|minibatch_trainer_test|replica_conformance_test|fetch_batcher_test|fault_schedule_fuzz_test'
 
 # Sanitizer runs are 5-20x slower; trim the fuzz budget accordingly.
 export DGCL_FUZZ_SEEDS="${DGCL_FUZZ_SEEDS:-25}"
@@ -58,8 +60,7 @@ run_one() {
     thread_pool_test multilevel_test hierarchical_test \
     plan_determinism_test planner_property_test \
     planner_conformance_test spst_test \
-    transport_test allgather_engine_test coordination_test \
-    overlap_conformance_test straggler_test \
+    transport_test allgather_engine_test coordination_test straggler_test \
     network_sim_test epoch_sim_test cost_audit_test trainer_test device_program_test \
     layers_test local_graph_test nn_test \
     telemetry_test recovery_test service_test sampler_determinism_test \

@@ -7,44 +7,38 @@
 #                             SPST, baselines, determinism, properties — a
 #                             subset of `unit`, runnable alone when iterating
 #                             on planners)
-#   3. overlap tier           ctest -L overlap (the chunked/overlapped engine
-#                             mode: bitwise conformance vs barrier across
-#                             chunk counts and planners, chunk-wait poisoning
-#                             under dead peers, and the chunked fault-schedule
-#                             fuzz — a subset of unit+fuzz, runnable alone
-#                             when iterating on the overlap engine)
-#   4. serving tier           ctest -L serving (the graph service tier:
+#   3. serving tier           ctest -L serving (the graph service tier:
 #                             sharded store, bounded-queue backpressure,
 #                             LRU/LFU cache conformance, shard-death
 #                             fail-fast, and sampler determinism across pool
 #                             widths — a subset of `unit`, runnable alone
 #                             when iterating on src/service/)
-#   5. sampling tier          ctest -L sampling (the sampler family and the
+#   4. sampling tier          ctest -L sampling (the sampler family and the
 #                             mini-batch training path: conformance over
 #                             every strategy, determinism across pool
 #                             widths, loss-trajectory acceptance, checkpoint
 #                             recovery, and cross-request fetch batching — a
 #                             subset of `serving`, runnable alone when
 #                             iterating on samplers or the trainer feed)
-#   6. replicas tier          ctest -L replicas (the shard-replica layer:
+#   5. replicas tier          ctest -L replicas (the shard-replica layer:
 #                             byte-identity conformance over R × pool
 #                             width, replica-aware failover and
 #                             last-replica death, and the serving
 #                             kill-schedule fuzz — a subset of serving+fuzz,
 #                             runnable alone when iterating on replica_set
 #                             or the kill/drain paths)
-#   7. fuzz tier              ctest -L fuzz   (fault-schedule fuzzing, fixed
+#   6. fuzz tier              ctest -L fuzz   (fault-schedule fuzzing, fixed
 #                             seed budget so wall time is bounded and every
 #                             run covers the same schedules)
-#   8. sanitizers             scripts/check_sanitizers.sh (TSan + ASan trees
+#   7. sanitizers             scripts/check_sanitizers.sh (TSan + ASan trees
 #                             over the concurrency-sensitive suites, with a
 #                             reduced fuzz budget; TSan is the gate for the
-#                             per-chunk ready-flag protocol, the serving
+#                             engine's ready/done-flag protocol, the serving
 #                             tier's MPMC queues, the replica router and
 #                             kill/drain handoff, and the fetch-batching
 #                             window's leader/joiner handoff)
 #
-# Usage: scripts/ci.sh [unit|planner|overlap|serving|sampling|replicas|fuzz|sanitizers|all]   (default: all)
+# Usage: scripts/ci.sh [unit|planner|serving|sampling|replicas|fuzz|sanitizers|all]   (default: all)
 # Env:   DGCL_CI_FUZZ_SEEDS  fuzz-tier seed budget (default 200)
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -64,12 +58,6 @@ unit_tier() {
 planner_tier() {
   echo "=== CI tier: planner ==="
   ctest --test-dir build -L planner --output-on-failure -j "$(nproc)"
-}
-
-overlap_tier() {
-  echo "=== CI tier: overlap (DGCL_CI_FUZZ_SEEDS=${DGCL_CI_FUZZ_SEEDS:-200}) ==="
-  DGCL_FUZZ_SEEDS="${DGCL_CI_FUZZ_SEEDS:-200}" \
-    ctest --test-dir build -L overlap --output-on-failure -j "$(nproc)"
 }
 
 serving_tier() {
@@ -108,10 +96,6 @@ case "$TIER" in
     build
     planner_tier
     ;;
-  overlap)
-    build
-    overlap_tier
-    ;;
   serving)
     build
     serving_tier
@@ -136,7 +120,7 @@ case "$TIER" in
     sanitizer_tier
     ;;
   *)
-    echo "usage: $0 [unit|planner|overlap|serving|sampling|replicas|fuzz|sanitizers|all]" >&2
+    echo "usage: $0 [unit|planner|serving|sampling|replicas|fuzz|sanitizers|all]" >&2
     exit 2
     ;;
 esac

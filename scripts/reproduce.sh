@@ -12,7 +12,6 @@ for b in build/bench/*; do
   case "$(basename "$b")" in
     bench_table8_spst_runtime) "$b" --json BENCH_table8.json ;;
     bench_recovery) "$b" --json BENCH_recovery.json ;;
-    bench_overlap) "$b" --json BENCH_overlap.json ;;
     bench_serving) "$b" --json BENCH_serving.json ;;
     bench_minibatch) "$b" --json BENCH_minibatch.json ;;
     bench_planner_family) "$b" --json BENCH_planner_family.json ;;
@@ -27,7 +26,6 @@ build/tools/dgcl_trace summarize TRACE_fig7.json
 echo "done: see test_output.txt, bench_output.txt, BENCH_table8.json,"
 echo "BENCH_recovery.json (per-phase recovery MTTR"
 echo "vs full restart), BENCH_planner_family.json (strategy crossover map),"
-echo "BENCH_overlap.json (hidden vs exposed communication per chunk count),"
 echo "BENCH_serving.json (serving-tier tail latency, cache hit rates and"
 echo "throughput vs shard count, the mid-load shard-kill contract, the"
 echo "replica read-scaling sweep — throughput vs R with byte-identical"

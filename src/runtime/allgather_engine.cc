@@ -254,14 +254,13 @@ struct ProgramState {
   // §6.1 ready flag, made monotone so that a sender in pass p can wait until
   // the receiver has read the rows an earlier pass staged in the same buffer.
   std::unique_ptr<std::atomic<uint64_t>[]> consumed;
-  // op_chunks_done[op]: chunks of the op staged and published so far, counted
-  // across passes (pass p's chunk c is p * C + c + 1) — the §6.1 per-op done
-  // flag generalized to a monotone counter. The sender writes a chunk's rows
-  // into the connection-owned staging buffer, then release-stores the bumped
-  // count; the receiver acquire-loads before reading those rows. Each op is
-  // sent once per pass (forward by its src, backward by its dst), so the
-  // count only grows.
-  std::unique_ptr<std::atomic<uint64_t>[]> op_chunks_done;
+  // op_done[op]: passes whose rows of the op are staged — the §6.1 per-op
+  // done flag, made monotone. The sender of pass p writes the op's rows into
+  // the connection-owned staging buffer, then release-stores p + 1; the
+  // receiver waits until it reads more than p (acquire) before reading those
+  // rows. Each op is sent once per pass (forward by its src, backward by its
+  // dst), so the count only grows.
+  std::unique_ptr<std::atomic<uint64_t>[]> op_done;
   // Raised by the first failing device; every other device bails out of its
   // waits with the aborted sentinel instead of running to its own deadline,
   // whichever pass it is in.
@@ -290,9 +289,9 @@ struct ProgramState {
     for (uint32_t d = 0; d < num_devices; ++d) {
       consumed[d].store(0, std::memory_order_relaxed);
     }
-    op_chunks_done = std::make_unique<std::atomic<uint64_t>[]>(plan.ops.size());
+    op_done = std::make_unique<std::atomic<uint64_t>[]>(plan.ops.size());
     for (uint32_t i = 0; i < plan.ops.size(); ++i) {
-      op_chunks_done[i].store(0, std::memory_order_relaxed);
+      op_done[i].store(0, std::memory_order_relaxed);
     }
     if (options.coordination == CoordinationMode::kCentralized) {
       stage_barrier = std::make_unique<TimedBarrier>(num_devices);
@@ -314,26 +313,9 @@ struct ProgramState {
   }
 };
 
-std::pair<uint32_t, uint32_t> ChunkRows(size_t rows, uint32_t num_chunks, uint32_t chunk) {
-  const uint64_t n = rows;
-  return {static_cast<uint32_t>(n * chunk / num_chunks),
-          static_cast<uint32_t>(n * (chunk + 1) / num_chunks)};
-}
-
-Status OverlapOptions::Validate() const {
-  if (num_chunks == 0) {
-    return Status::InvalidArgument("overlap.num_chunks must be at least 1");
-  }
-  if (num_chunks > 4096) {
-    return Status::InvalidArgument("overlap.num_chunks above 4096 is surely a typo");
-  }
-  return Status::Ok();
-}
-
 Status EngineOptions::Validate() const {
   DGCL_RETURN_IF_ERROR(transport.Validate());
   DGCL_RETURN_IF_ERROR(faults.Validate());
-  DGCL_RETURN_IF_ERROR(overlap.Validate());
   if (straggler_device != kInvalidId && straggler_micros > 10'000'000) {
     return Status::InvalidArgument("straggler delay above 10 s per stage is surely a typo");
   }
@@ -441,15 +423,12 @@ uint32_t AllgatherEngine::NumContractSlots(uint32_t device) const {
 }
 
 Status AllgatherEngine::RunDevice(uint32_t device, uint32_t pass, bool backward,
-                                  EmbeddingMatrix& mine, ProgramState& state,
-                                  const ChunkConsumer* on_chunk) const {
+                                  EmbeddingMatrix& mine, ProgramState& state) const {
   const uint32_t num_stages = plan_.num_stages;
-  const uint32_t num_chunks = options_.overlap.num_chunks;
   const uint32_t dim = state.dim;
   const uint64_t timeout_micros = options_.transport.wait_timeout_micros;
-  // Flag counts of the passes before this one.
+  // Consumed-stage count of the passes before this one.
   const uint64_t stages_before = static_cast<uint64_t>(pass) * num_stages;
-  const uint64_t chunks_before = static_cast<uint64_t>(pass) * num_chunks;
 
   if (state.abort.load(std::memory_order_acquire)) {
     // A peer failed an earlier pass while this device computed.
@@ -521,16 +500,11 @@ Status AllgatherEngine::RunDevice(uint32_t device, uint32_t pass, bool backward,
                 stage_bytes);
     // The §6.1 send gate, on the receiver's consumed-stage count. Forward
     // waits until the receiver has consumed this pass's earlier stages;
-    // double buffering (overlap.double_buffer) relaxes that by one stage
-    // within the pass: the sender may stage into the "other" recv-table
-    // buffer while the receiver still consumes the previous stage. Backward
-    // only waits for the receiver to finish the previous pass. Both keep the
-    // staging buffers safe across passes: an op's buffer was last read by
-    // its receiver in an earlier pass, which this count covers. The
+    // backward only waits for the receiver to finish the previous pass. Both
+    // keep the staging buffers safe across passes: an op's buffer was last
+    // read by its receiver in an earlier pass, which this count covers. The
     // centralized barrier orders every stage instead.
-    const uint32_t lead = options_.overlap.double_buffer ? std::min(step, 1u) : 0;
-    const uint64_t consumed_before_send =
-        backward ? stages_before : stages_before + step - lead;
+    const uint64_t consumed_before_send = backward ? stages_before : stages_before + step;
     for (uint32_t op_id : sends[stage]) {
       const TransferOp& op = plan_.ops[op_id];
       const uint32_t receiver = backward ? op.src : op.dst;
@@ -553,201 +527,57 @@ Status AllgatherEngine::RunDevice(uint32_t device, uint32_t pass, bool backward,
           return status;
         }
       }
-      // One transmit + pack + flag publish per chunk; a receiver may consume
-      // chunk c while chunk c+1 is still on the wire. num_chunks == 1 is
-      // byte-for-byte the original whole-op path.
-      std::vector<float>& staging = connections_.OpStaging(op_id);
-      for (uint32_t c = 0; c < num_chunks; ++c) {
-        const auto [row_begin, row_end] = ChunkRows(op.vertices.size(), num_chunks, c);
-        if (row_end > row_begin) {
-          const uint64_t bytes =
-              static_cast<uint64_t>(row_end - row_begin) * static_cast<size_t>(dim) * sizeof(float);
-          if (Status status = conn.Transmit(bytes); !status.ok()) {
-            state.Fail();
-            return status;
-          }
-          DGCL_TSPAN2(LinkCategory(*topo_, op.link), backward ? "bwd.send" : "fwd.send", "stage",
-                      stage, "bytes", bytes);
-          const std::vector<uint32_t>& slots =
-              backward ? op_slots_[op_id].dst : op_slots_[op_id].src;
-          for (size_t i = row_begin; i < row_end; ++i) {
-            PackRow(staging.data() + i * dim, mine.Row(slots[i]), dim);
-          }
-        }
-        state.op_chunks_done[op_id].store(chunks_before + c + 1, std::memory_order_release);
+      const uint64_t bytes = op.vertices.size() * static_cast<size_t>(dim) * sizeof(float);
+      if (Status status = conn.Transmit(bytes); !status.ok()) {
+        state.Fail();
+        return status;
       }
+      {
+        DGCL_TSPAN2(LinkCategory(*topo_, op.link), backward ? "bwd.send" : "fwd.send", "stage",
+                    stage, "bytes", bytes);
+        std::vector<float>& staging = connections_.OpStaging(op_id);
+        const std::vector<uint32_t>& slots = backward ? op_slots_[op_id].dst : op_slots_[op_id].src;
+        for (size_t i = 0; i < slots.size(); ++i) {
+          PackRow(staging.data() + i * dim, mine.Row(slots[i]), dim);
+        }
+      }
+      state.op_done[op_id].store(pass + 1, std::memory_order_release);
     }
 
-    // Receives of this stage, split into per-chunk units and grouped so that
-    // eager (arrival-order) consumption stays bitwise-identical to barrier
-    // execution: forward chunks write disjoint slot rows (each vertex is
-    // delivered to a device by exactly one op per pass), so the whole stage
-    // is one group; backward accumulation is order-sensitive across ops that
-    // carry the same vertex, so eagerness is confined to one §6.2 sub-stage
-    // group at a time (conflict-free by AssignBackwardSubstages construction)
-    // and groups drain in ascending sub-stage order.
-    struct RecvUnit {
-      uint32_t op_id;
-      uint32_t chunk;
-      uint32_t row_begin;
-      uint32_t row_end;
-    };
-    std::vector<std::vector<RecvUnit>> groups;
-    uint32_t group_substage = 0;
+    // Receives of this stage, in order: forward ops write disjoint slot rows
+    // (each vertex reaches a device by exactly one op per pass); backward
+    // ops accumulate in ascending §6.2 sub-stage order, as Create sorted
+    // them.
     for (uint32_t op_id : recvs[stage]) {
       const TransferOp& op = plan_.ops[op_id];
-      if (groups.empty() || (backward && op.substage != group_substage)) {
-        groups.emplace_back();
-        group_substage = op.substage;
+      const uint32_t sender = backward ? op.dst : op.src;
+      Status status;
+      {
+        DGCL_TSPAN3(connections_.ForOp(op_id).name(),
+                    backward ? "bwd.wait.done" : "fwd.wait.done", "peer", sender, "stage", stage,
+                    "op", op_id);
+        status = spin_until(
+            [&state, op_id, pass] {
+              return state.op_done[op_id].load(std::memory_order_acquire) > pass;
+            },
+            "done-flag", sender, stage);
       }
-      for (uint32_t c = 0; c < num_chunks; ++c) {
-        const auto [row_begin, row_end] = ChunkRows(op.vertices.size(), num_chunks, c);
-        groups.back().push_back(RecvUnit{op_id, c, row_begin, row_end});
+      if (!status.ok()) {
+        state.Fail();
+        return status;
       }
-    }
-
-    auto consume_unit = [&](const RecvUnit& u) {
-      const std::vector<float>& staging = connections_.OpStaging(u.op_id);
-      const std::vector<uint32_t>& slots =
-          backward ? op_slots_[u.op_id].src : op_slots_[u.op_id].dst;
-      for (size_t i = u.row_begin; i < u.row_end; ++i) {
-        const uint32_t slot = slots[i];
+      const std::vector<float>& staging = connections_.OpStaging(op_id);
+      const std::vector<uint32_t>& slots = backward ? op_slots_[op_id].src : op_slots_[op_id].dst;
+      for (size_t i = 0; i < slots.size(); ++i) {
+        const float* incoming = staging.data() + i * dim;
         if (backward) {
           // Gradient accumulation at the forwarding/owning device.
-          float* row = mine.Row(slot);
-          const float* incoming = staging.data() + i * dim;
+          float* row = mine.Row(slots[i]);
           for (uint32_t c = 0; c < dim; ++c) {
             row[c] += incoming[c];
           }
         } else {
-          PackRow(mine.Row(slot), staging.data() + i * dim, dim);
-        }
-      }
-      if (!backward && on_chunk != nullptr) {
-        DGCL_TSPAN2("runtime", "overlap.consume", "stage", stage, "chunk", u.chunk);
-        ChunkArrival arrival;
-        arrival.device = device;
-        arrival.stage = stage;
-        arrival.op = u.op_id;
-        arrival.chunk = u.chunk;
-        arrival.row_begin = u.row_begin;
-        arrival.row_end = u.row_end;
-        arrival.dim = dim;
-        arrival.output = &mine;
-        (*on_chunk)(arrival);
-      }
-    };
-
-    const bool eager =
-        num_chunks > 1 && options_.overlap.consume_policy == ConsumePolicy::kEager;
-    for (const std::vector<RecvUnit>& group : groups) {
-      if (!eager) {
-        // Deterministic-schedule drain: (op, chunk) order, one flag wait per
-        // unit. num_chunks == 1 keeps the seed wait-span taxonomy
-        // (fwd.wait.done / bwd.wait.done, tagged {peer, stage, op}).
-        for (const RecvUnit& u : group) {
-          const TransferOp& op = plan_.ops[u.op_id];
-          const uint32_t sender = backward ? op.dst : op.src;
-          const Connection& conn = connections_.ForOp(u.op_id);
-          Status status;
-          {
-            DGCL_TSPAN3(conn.name(),
-                        num_chunks == 1 ? (backward ? "bwd.wait.done" : "fwd.wait.done")
-                                        : (backward ? "bwd.wait.chunk" : "fwd.wait.chunk"),
-                        "peer", sender, "stage", stage, num_chunks == 1 ? "op" : "chunk",
-                        num_chunks == 1 ? u.op_id : u.chunk);
-            status = spin_until(
-                [&state, &u, chunks_before] {
-                  return state.op_chunks_done[u.op_id].load(std::memory_order_acquire) >
-                         chunks_before + u.chunk;
-                },
-                "chunk-flag", sender, stage);
-          }
-          if (!status.ok()) {
-            state.Fail();
-            return status;
-          }
-          consume_unit(u);
-        }
-        continue;
-      }
-      // Eager drain: consume every published unit each scan; when none is
-      // published, block with a deadline until one rises, the pass is
-      // poisoned, or the deadline fires. Progress re-arms the deadline (a
-      // slow-but-alive sender never times the receiver out), and a timeout
-      // names *every* pending sender — with chunk waits outstanding on
-      // several peers at once, the poison and the recovery protocol's
-      // suspect math must cover all of them, not just the first.
-      std::vector<uint8_t> consumed(group.size(), 0);
-      size_t remaining = group.size();
-      while (remaining > 0) {
-        bool progress = false;
-        for (size_t i = 0; i < group.size(); ++i) {
-          if (consumed[i]) {
-            continue;
-          }
-          const RecvUnit& u = group[i];
-          if (state.op_chunks_done[u.op_id].load(std::memory_order_acquire) >
-              chunks_before + u.chunk) {
-            consume_unit(u);
-            consumed[i] = 1;
-            --remaining;
-            progress = true;
-          }
-        }
-        if (remaining == 0 || progress) {
-          continue;
-        }
-        size_t first_pending = 0;
-        while (consumed[first_pending]) {
-          ++first_pending;
-        }
-        const RecvUnit& fu = group[first_pending];
-        const TransferOp& first_op = plan_.ops[fu.op_id];
-        const uint32_t first_sender = backward ? first_op.dst : first_op.src;
-        Status status;
-        {
-          DGCL_TSPAN3(connections_.ForOp(fu.op_id).name(),
-                      backward ? "bwd.wait.chunk" : "fwd.wait.chunk", "peer", first_sender,
-                      "stage", stage, "chunk", fu.chunk);
-          const auto deadline = std::chrono::steady_clock::now() +
-                                std::chrono::microseconds(timeout_micros == 0 ? 0 : timeout_micros);
-          uint64_t spins = 0;
-          for (;;) {
-            bool any = false;
-            for (size_t i = 0; i < group.size() && !any; ++i) {
-              any = !consumed[i] &&
-                    state.op_chunks_done[group[i].op_id].load(std::memory_order_acquire) >
-                        chunks_before + group[i].chunk;
-            }
-            if (any) {
-              status = Status::Ok();
-              break;
-            }
-            if (state.abort.load(std::memory_order_relaxed)) {
-              status = AbortedStatus();
-              break;
-            }
-            if (timeout_micros != 0 && (++spins & 0x3ff) == 0 &&
-                std::chrono::steady_clock::now() >= deadline) {
-              for (size_t i = 0; i < group.size(); ++i) {
-                if (!consumed[i]) {
-                  const TransferOp& op = plan_.ops[group[i].op_id];
-                  state.named[device] |= DeviceMask{1} << (backward ? op.dst : op.src);
-                }
-              }
-              status = Status::DeadlineExceeded(
-                  "chunk-flag wait timed out on peer " + std::to_string(first_sender) +
-                  " at stage " + std::to_string(stage) + " with " + std::to_string(remaining) +
-                  " chunks outstanding");
-              break;
-            }
-            std::this_thread::yield();
-          }
-        }
-        if (!status.ok()) {
-          state.Fail();
-          return status;
+          PackRow(mine.Row(slots[i]), incoming, dim);
         }
       }
     }
@@ -770,7 +600,7 @@ Status DevicePasses::Pass(bool backward, EmbeddingMatrix& slots) {
     status = Status::InvalidArgument("device " + std::to_string(device_) +
                                      " slot matrix is not NumSlots x the program's dim");
   } else {
-    status = engine_.RunDevice(device_, pass, backward, slots, state_, on_chunk_);
+    status = engine_.RunDevice(device_, pass, backward, slots, state_);
   }
   if (!status.ok() && outcome.failed_pass == kNoPass) {
     outcome.failed_pass = pass;
@@ -786,11 +616,6 @@ Status DevicePasses::Pass(bool backward, EmbeddingMatrix& slots) {
 }
 
 Status AllgatherEngine::RunProgram(uint32_t dim, const DeviceProgram& program) const {
-  return RunProgramImpl(dim, program, nullptr);
-}
-
-Status AllgatherEngine::RunProgramImpl(uint32_t dim, const DeviceProgram& program,
-                                       const ChunkConsumer* on_chunk) const {
   if (dim == 0) {
     return Status::InvalidArgument("program embedding dim must be at least 1");
   }
@@ -801,7 +626,7 @@ Status AllgatherEngine::RunProgramImpl(uint32_t dim, const DeviceProgram& progra
   state.dim = dim;
   state.first_pass = pass_count_;
   threads_->Run([&](uint32_t d) {
-    DevicePasses passes(*this, state, d, on_chunk);
+    DevicePasses passes(*this, state, d);
     Status status;
     try {
       status = program(passes);
@@ -891,16 +716,6 @@ uint64_t AllgatherEngine::pass_count() const {
 
 Result<std::vector<EmbeddingMatrix>> AllgatherEngine::Forward(
     const std::vector<EmbeddingMatrix>& local) const {
-  return ForwardImpl(local, nullptr);
-}
-
-Result<std::vector<EmbeddingMatrix>> AllgatherEngine::Forward(
-    const std::vector<EmbeddingMatrix>& local, const ChunkConsumer& on_chunk) const {
-  return ForwardImpl(local, on_chunk ? &on_chunk : nullptr);
-}
-
-Result<std::vector<EmbeddingMatrix>> AllgatherEngine::ForwardImpl(
-    const std::vector<EmbeddingMatrix>& local, const ChunkConsumer* on_chunk) const {
   if (local.size() != relation_->num_devices) {
     return Status::InvalidArgument("one local matrix per device required");
   }
@@ -908,6 +723,10 @@ Result<std::vector<EmbeddingMatrix>> AllgatherEngine::ForwardImpl(
   for (uint32_t d = 0; d < relation_->num_devices; ++d) {
     if (local[d].rows != relation_->local_vertices[d].size()) {
       return Status::InvalidArgument("local row count mismatch");
+    }
+    if (local[d].data.size() != static_cast<size_t>(local[d].rows) * local[d].dim) {
+      return Status::InvalidArgument("device " + std::to_string(d) +
+                                     " local data is not rows x dim floats");
     }
     if (local[d].rows > 0) {
       if (dim != 0 && local[d].dim != dim) {
@@ -922,17 +741,14 @@ Result<std::vector<EmbeddingMatrix>> AllgatherEngine::ForwardImpl(
 
   DGCL_TSPAN2("runtime", "fwd.pass", "devices", relation_->num_devices, "dim", dim);
   std::vector<EmbeddingMatrix> slots = ReserveMatrices(slot_counts_, dim);
-  DGCL_RETURN_IF_ERROR(RunProgramImpl(
-      dim,
-      [&](DevicePasses& passes) {
-        const uint32_t d = passes.device();
-        std::vector<float>& data = slots[d].data;
-        data.assign(local[d].data.begin(),
-                    local[d].data.begin() + static_cast<size_t>(local[d].rows) * dim);
-        data.resize(static_cast<size_t>(slot_counts_[d]) * dim);
-        return passes.Forward(slots[d]);
-      },
-      on_chunk));
+  DGCL_RETURN_IF_ERROR(RunProgram(dim, [&](DevicePasses& passes) {
+    const uint32_t d = passes.device();
+    std::vector<float>& data = slots[d].data;
+    data.assign(local[d].data.begin(),
+                local[d].data.begin() + static_cast<size_t>(local[d].rows) * dim);
+    data.resize(static_cast<size_t>(slot_counts_[d]) * dim);
+    return passes.Forward(slots[d]);
+  }));
   return slots;
 }
 
@@ -943,6 +759,10 @@ Result<std::vector<EmbeddingMatrix>> AllgatherEngine::Backward(
   }
   uint32_t dim = 0;
   for (uint32_t d = 0; d < relation_->num_devices; ++d) {
+    if (slot_grads[d].data.size() != static_cast<size_t>(slot_grads[d].rows) * slot_grads[d].dim) {
+      return Status::InvalidArgument("device " + std::to_string(d) +
+                                     " gradient data is not rows x dim floats");
+    }
     if (slot_grads[d].rows > 0) {
       if (slot_grads[d].rows < NumContractSlots(d)) {
         return Status::InvalidArgument("gradient rows below local+remote slot count");
@@ -964,20 +784,17 @@ Result<std::vector<EmbeddingMatrix>> AllgatherEngine::Backward(
     local_counts.push_back(static_cast<uint32_t>(locals.size()));
   }
   std::vector<EmbeddingMatrix> grads = ReserveMatrices(local_counts, dim);
-  DGCL_RETURN_IF_ERROR(RunProgramImpl(
-      dim,
-      [&](DevicePasses& passes) {
-        const uint32_t d = passes.device();
-        std::vector<float>& data = slots[d].data;
-        const size_t provided =
-            std::min<size_t>(slot_grads[d].rows, slot_counts_[d]) * static_cast<size_t>(dim);
-        data.assign(slot_grads[d].data.begin(), slot_grads[d].data.begin() + provided);
-        data.resize(static_cast<size_t>(slot_counts_[d]) * dim);
-        DGCL_RETURN_IF_ERROR(passes.Backward(slots[d]));
-        grads[d].data.assign(data.begin(), data.begin() + static_cast<size_t>(local_counts[d]) * dim);
-        return Status::Ok();
-      },
-      nullptr));
+  DGCL_RETURN_IF_ERROR(RunProgram(dim, [&](DevicePasses& passes) {
+    const uint32_t d = passes.device();
+    std::vector<float>& data = slots[d].data;
+    const size_t provided =
+        std::min<size_t>(slot_grads[d].rows, slot_counts_[d]) * static_cast<size_t>(dim);
+    data.assign(slot_grads[d].data.begin(), slot_grads[d].data.begin() + provided);
+    data.resize(static_cast<size_t>(slot_counts_[d]) * dim);
+    DGCL_RETURN_IF_ERROR(passes.Backward(slots[d]));
+    grads[d].data.assign(data.begin(), data.begin() + static_cast<size_t>(local_counts[d]) * dim);
+    return Status::Ok();
+  }));
   return grads;
 }
 

@@ -42,7 +42,6 @@
 #include <mutex>
 #include <optional>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "comm/compiled_plan.h"
@@ -77,59 +76,6 @@ struct EmbeddingMatrix {
 // kept for the coordination-overhead ablation.
 enum class CoordinationMode : uint8_t { kDecentralized, kCentralized };
 
-// How an overlapped receiver orders chunk consumption within a stage.
-// kEager consumes whichever published chunk it finds first (bitwise-safe:
-// forward chunks write disjoint slot rows, and backward eagerness is confined
-// to one §6.2 sub-stage group at a time, whose ops are conflict-free by
-// construction). kInOrder drains chunks in (op, chunk) order — the
-// deterministic-schedule reference the conformance suite compares against.
-enum class ConsumePolicy : uint8_t { kEager, kInOrder };
-
-// Chunked/overlapped execution (§6.1 flag protocol, extended). With
-// num_chunks > 1 each op's rows are split into near-equal chunks; the sender
-// publishes a per-chunk flag as soon as that chunk's rows are staged, so the
-// receiver (and any caller of Forward's ChunkConsumer overload, such as the
-// overlap audit) starts consuming while later chunks are still on the wire.
-// The trainer takes the finished slot matrices either way. Like every other
-// EngineOptions knob, this never changes what a pass delivers — outputs stay
-// bit-identical to barrier (num_chunks == 1) execution.
-struct OverlapOptions {
-  // Chunks per op. 1 keeps the seed barrier behavior (one flag per op).
-  uint32_t num_chunks = 1;
-  // Models the double-buffered recv table: the sender's stage-readiness gate
-  // is relaxed by one stage (it may stage into the "other" buffer while the
-  // receiver still consumes the previous stage). Per-op staging buffers make
-  // this memory-safe; the gate only throttles.
-  bool double_buffer = false;
-  ConsumePolicy consume_policy = ConsumePolicy::kEager;
-
-  Status Validate() const;
-};
-
-// Notification that one received chunk's rows are final in the receiving
-// device's output matrix. Fired on the receiving device's thread, so
-// consumers overlap with that device's still-in-flight transfers; a consumer
-// must only touch state owned by `device` (callbacks for different devices
-// run concurrently).
-struct ChunkArrival {
-  uint32_t device = 0;  // receiving device
-  uint32_t stage = 0;
-  uint32_t op = 0;    // index into plan().ops
-  uint32_t chunk = 0;
-  uint32_t row_begin = 0;  // row range within plan().ops[op].vertices
-  uint32_t row_end = 0;
-  uint32_t dim = 0;
-  // The receiving device's slot matrix; rows SlotOf(device, vertices[i]) for
-  // i in [row_begin, row_end) are final. Valid only during the callback.
-  const EmbeddingMatrix* output = nullptr;
-};
-using ChunkConsumer = std::function<void(const ChunkArrival&)>;
-
-// Row range [first, second) of chunk `chunk` when `rows` rows are split into
-// `num_chunks` near-equal chunks (the engine's chunking rule — shared with
-// NetworkSim so simulated chunk arrivals line up with real ones).
-std::pair<uint32_t, uint32_t> ChunkRows(size_t rows, uint32_t num_chunks, uint32_t chunk);
-
 // Engine construction options, fixed at Create (the same options-first shape
 // as SpstOptions / MultilevelOptions). None of these change what a pass
 // delivers — outputs stay bit-identical to the default for every setting;
@@ -150,9 +96,6 @@ struct EngineOptions {
   // Forced transports per ordered pair (ablations); selection falls back to
   // the SelectTransport decision table for unlisted pairs.
   std::vector<TransportOverride> transport_overrides;
-
-  // Chunked/overlapped execution mode.
-  OverlapOptions overlap;
 
   Status Validate() const;
 };
@@ -193,16 +136,14 @@ class DevicePasses {
 
  private:
   friend class AllgatherEngine;
-  DevicePasses(const AllgatherEngine& engine, ProgramState& state, uint32_t device,
-               const ChunkConsumer* on_chunk)
-      : engine_(engine), state_(state), device_(device), on_chunk_(on_chunk) {}
+  DevicePasses(const AllgatherEngine& engine, ProgramState& state, uint32_t device)
+      : engine_(engine), state_(state), device_(device) {}
 
   Status Pass(bool backward, EmbeddingMatrix& slots);
 
   const AllgatherEngine& engine_;
   ProgramState& state_;
   const uint32_t device_;
-  const ChunkConsumer* const on_chunk_;
   uint32_t next_pass_ = 0;  // index of the next pass within the program
 };
 
@@ -234,22 +175,16 @@ class AllgatherEngine {
   Status RunProgram(uint32_t dim, const DeviceProgram& program) const;
 
   // `local[d]` holds device d's local embeddings, one row per vertex in
-  // relation.local_vertices[d] order, all with the same dim. Returns per
+  // relation.local_vertices[d] order, all with the same dim, and `data`
+  // holds exactly rows * dim floats (InvalidArgument otherwise). Returns per
   // device a matrix over its slots: local rows first, then remote rows in
   // relation.remote_vertices[d] order (forwarded-only extras are appended
   // after and are not part of the contract). A one-pass program.
   Result<std::vector<EmbeddingMatrix>> Forward(const std::vector<EmbeddingMatrix>& local) const;
 
-  // Overlapped forward: `on_chunk` fires on the receiving device's thread as
-  // each received chunk's rows become final, so the caller consumes
-  // arrivals while later chunks are still in flight. The returned matrices
-  // are identical to the plain overload's; with overlap.num_chunks == 1 the
-  // callback fires once per op.
-  Result<std::vector<EmbeddingMatrix>> Forward(const std::vector<EmbeddingMatrix>& local,
-                                               const ChunkConsumer& on_chunk) const;
-
   // `slot_grads[d]` has the same shape as Forward's output for device d
-  // (extras rows zero-extended internally if absent). Returns per device the
+  // (extras rows zero-extended internally if absent), its `data` exactly
+  // rows * dim floats (InvalidArgument otherwise). Returns per device the
   // accumulated gradients for its local vertices only. A one-pass program.
   Result<std::vector<EmbeddingMatrix>> Backward(
       const std::vector<EmbeddingMatrix>& slot_grads) const;
@@ -284,13 +219,9 @@ class AllgatherEngine {
 
   AllgatherEngine();
 
-  Result<std::vector<EmbeddingMatrix>> ForwardImpl(const std::vector<EmbeddingMatrix>& local,
-                                                   const ChunkConsumer* on_chunk) const;
-  Status RunProgramImpl(uint32_t dim, const DeviceProgram& program,
-                        const ChunkConsumer* on_chunk) const;
   // Device `device`'s side of pass `pass` of the running program.
   Status RunDevice(uint32_t device, uint32_t pass, bool backward, EmbeddingMatrix& mine,
-                   ProgramState& state, const ChunkConsumer* on_chunk) const;
+                   ProgramState& state) const;
   // Folds the devices' outcomes into the program's verdict.
   Status Verdict(const ProgramState& state) const;
 

@@ -1,9 +1,7 @@
 #include "sim/epoch_sim.h"
 
 #include <algorithm>
-#include <chrono>
 #include <numeric>
-#include <thread>
 
 #include "common/timer.h"
 #include "graph/khop.h"
@@ -203,109 +201,6 @@ Result<telemetry::CostAuditReport> EpochSimulator::AuditAllgatherFromEngine(
     seconds /= time_scale;
   }
   return telemetry::AuditStageCosts(predicted, observed);
-}
-
-Result<telemetry::OverlapAuditReport> EpochSimulator::AuditOverlapFromEngine(
-    uint32_t dim, double time_scale, uint32_t num_chunks, double consume_gbps) const {
-  if (num_chunks < 2) {
-    return Status::InvalidArgument("overlap audit needs num_chunks >= 2 (1 is barrier mode)");
-  }
-  if (consume_gbps <= 0.0) {
-    return Status::InvalidArgument("consume_gbps must be positive");
-  }
-  // Same planning setup as AuditAllgatherFromEngine: the engine moves the
-  // actual bytes of a dim-wide embedding, no inverse_scale.
-  const double bytes_per_unit = static_cast<double>(dim) * 4.0;
-  CommClasses classes = BuildCommClasses(relation_);
-  SpstPlanner planner;
-  DGCL_ASSIGN_OR_RETURN(ClassPlan class_plan,
-                        planner.PlanClasses(classes, *topo_, bytes_per_unit));
-  CompiledPlan compiled = CompilePlan(class_plan, classes, *topo_);
-
-  std::vector<EmbeddingMatrix> local;
-  local.reserve(relation_.num_devices);
-  for (uint32_t d = 0; d < relation_.num_devices; ++d) {
-    local.push_back(EmbeddingMatrix::Zero(
-        static_cast<uint32_t>(relation_.local_vertices[d].size()), dim));
-  }
-
-  telemetry::Telemetry& telemetry = telemetry::Telemetry::Get();
-  const bool was_enabled = telemetry::Telemetry::Enabled();
-  if (!was_enabled) {
-    telemetry.SetEnabled(true);
-  }
-
-  // Runs one forward pass on a fresh engine and keeps only that pass's trace.
-  auto run_pass = [&](const EngineOptions& engine_options, const ChunkConsumer* consumer,
-                      telemetry::Trace* pass_trace) -> Result<std::vector<EmbeddingMatrix>> {
-    CompiledPlan plan_copy = compiled;
-    DGCL_ASSIGN_OR_RETURN(AllgatherEngine engine,
-                          AllgatherEngine::Create(relation_, std::move(plan_copy), *topo_,
-                                                  engine_options));
-    const uint64_t pass_start_ns = telemetry::Telemetry::NowNs();
-    Result<std::vector<EmbeddingMatrix>> out =
-        consumer != nullptr ? engine.Forward(local, *consumer) : engine.Forward(local);
-    telemetry::Trace trace = telemetry.Collect();
-    pass_trace->events.clear();
-    for (telemetry::TraceEvent& ev : trace.events) {
-      if (ev.start_ns >= pass_start_ns) {
-        pass_trace->events.push_back(std::move(ev));
-      }
-    }
-    return out;
-  };
-
-  EngineOptions barrier_options;
-  barrier_options.transport.emulate_bandwidth = true;
-  barrier_options.transport.bandwidth_time_scale = time_scale;
-  telemetry::Trace barrier_trace;
-  Result<std::vector<EmbeddingMatrix>> barrier_out =
-      run_pass(barrier_options, nullptr, &barrier_trace);
-
-  EngineOptions overlap_options = barrier_options;
-  overlap_options.overlap.num_chunks = num_chunks;
-  overlap_options.overlap.double_buffer = true;
-  overlap_options.overlap.consume_policy = ConsumePolicy::kEager;
-  // Emulated aggregate compute: the consumer drains each chunk's rows at
-  // consume_gbps, stretched by time_scale exactly like the emulated wire, so
-  // the hidden/exposed split reflects a consumer that does real per-chunk
-  // work rather than an instant no-op.
-  const ChunkConsumer consumer = [time_scale, consume_gbps](const ChunkArrival& a) {
-    const double bytes = static_cast<double>(a.row_end - a.row_begin) *
-                         static_cast<double>(a.dim) * sizeof(float);
-    std::this_thread::sleep_for(
-        std::chrono::duration<double>(bytes / (consume_gbps * 1e9) * time_scale));
-  };
-  telemetry::Trace overlap_trace;
-  Result<std::vector<EmbeddingMatrix>> overlap_out =
-      run_pass(overlap_options, &consumer, &overlap_trace);
-
-  if (!was_enabled) {
-    telemetry.SetEnabled(false);
-  }
-  DGCL_RETURN_IF_ERROR(barrier_out.status());
-  DGCL_RETURN_IF_ERROR(overlap_out.status());
-
-  // The overlap contract is bitwise equivalence; the audit self-checks it.
-  for (uint32_t d = 0; d < relation_.num_devices; ++d) {
-    if ((*barrier_out)[d].data != (*overlap_out)[d].data) {
-      return Status::Internal("overlapped pass diverged bitwise from barrier pass on device " +
-                              std::to_string(d));
-    }
-  }
-
-  std::vector<double> barrier_seconds =
-      telemetry::ObservedStageSecondsFromTrace(barrier_trace, "fwd.stage");
-  std::vector<double> overlapped_seconds =
-      telemetry::ObservedStageSecondsFromTrace(overlap_trace, "fwd.stage");
-  std::vector<double> exposed_seconds =
-      telemetry::ExposedWaitSecondsFromTrace(overlap_trace, "fwd.wait.chunk");
-  for (std::vector<double>* series : {&barrier_seconds, &overlapped_seconds, &exposed_seconds}) {
-    for (double& seconds : *series) {
-      seconds /= time_scale;
-    }
-  }
-  return telemetry::AuditOverlapCosts(barrier_seconds, overlapped_seconds, exposed_seconds);
 }
 
 Result<EpochReport> EpochSimulator::SimulatePlanned(Method method) const {

@@ -127,24 +127,6 @@ class EpochSimulator {
   Result<telemetry::CostAuditReport> AuditAllgatherFromEngine(uint32_t dim,
                                                               double time_scale = 1.0) const;
 
-  // Hidden-vs-exposed communication audit of the chunked/overlapped engine
-  // mode (EngineOptions::overlap). Plans one forward allgather at `dim` and
-  // runs it TWICE on the threaded engine with bandwidth emulation: once in
-  // barrier mode (num_chunks == 1 — every communication second is exposed
-  // stage wall time) and once chunked (`num_chunks`, double-buffered, eager
-  // consumption) with a per-chunk consumer that emulates aggregate compute
-  // draining each chunk's rows at `consume_gbps` (scaled by `time_scale`,
-  // like the emulated wire). The joined report shows, per stage, how much of
-  // the barrier-mode communication time the consumer actually sat exposed in
-  // chunk waits and how much now hides under consumption
-  // (telemetry::AuditOverlapCosts). The two runs' outputs are compared
-  // bitwise — a mismatch fails the audit. Telemetry is enabled for the
-  // duration of the call if it was off.
-  Result<telemetry::OverlapAuditReport> AuditOverlapFromEngine(uint32_t dim,
-                                                               double time_scale = 1.0,
-                                                               uint32_t num_chunks = 4,
-                                                               double consume_gbps = 8.0) const;
-
   const CommRelation& relation() const { return relation_; }
   const Partitioning& partitioning() const { return partitioning_; }
   const Dataset& dataset() const { return *dataset_; }

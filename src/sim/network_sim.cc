@@ -6,7 +6,6 @@
 #include <map>
 
 #include "common/logging.h"
-#include "runtime/allgather_engine.h"  // ChunkRows: the engine's chunk-split rule
 #include "telemetry/trace.h"
 
 namespace dgcl {
@@ -178,7 +177,6 @@ NetworkSimResult SimulateTransfer(const CompiledPlan& plan, const Topology& topo
   NetworkSimResult result;
   result.conn_busy_seconds.assign(topo.num_connections(), 0.0);
   result.stage_seconds.assign(plan.num_stages, 0.0);
-  result.stage_chunk_seconds.assign(plan.num_stages, {});
 
   // Stages always serialize. Within a stage all ops are concurrent flows;
   // in the non-atomic backward pass (§6.2) the ops aggregating at the same
@@ -238,55 +236,21 @@ NetworkSimResult SimulateTransfer(const CompiledPlan& plan, const Topology& topo
     const double nic_volume_factor =
         options.nic_drop_rate > 0.0 ? 1.0 / (1.0 - options.nic_drop_rate) : 1.0;
     double fault_latency = 0.0;
-    std::vector<std::vector<ConnId>> hops(ops.size());
-    std::vector<double> volume(ops.size());  // full-op bytes, factors applied
+    std::vector<Flow> flows(ops.size());
     for (size_t i = 0; i < ops.size(); ++i) {
-      hops[i] = OpHops(*ops[i], topo, direction);
+      flows[i].hops = OpHops(*ops[i], topo, direction);
       double op_volume_factor = volume_factor;
       if ((options.nic_extra_latency_s > 0.0 || options.nic_drop_rate > 0.0) &&
-          CrossesNic(hops[i], topo)) {
+          CrossesNic(flows[i].hops, topo)) {
         op_volume_factor *= nic_volume_factor;
         fault_latency = std::max(fault_latency, options.nic_extra_latency_s);
       }
-      volume[i] = static_cast<double>(ops[i]->vertices.size()) *
-                  options.bytes_per_unit * op_volume_factor;
+      flows[i].bytes_left = static_cast<double>(ops[i]->vertices.size()) *
+                            options.bytes_per_unit * op_volume_factor;
       result.total_bytes +=
           static_cast<uint64_t>(ops[i]->vertices.size() * options.bytes_per_unit);
     }
-    const uint32_t num_chunks = std::max<uint32_t>(options.num_chunks, 1);
-    double flow_time = 0.0;
-    std::vector<double>& arrivals = result.stage_chunk_seconds[stage];
-    if (num_chunks == 1) {
-      std::vector<Flow> flows(ops.size());
-      for (size_t i = 0; i < ops.size(); ++i) {
-        flows[i].hops = hops[i];
-        flows[i].bytes_left = volume[i];
-      }
-      flow_time = RunFlows(flows, topo, &result.conn_busy_seconds, nullptr);
-      arrivals.assign(1, flow_time);
-    } else {
-      // Chunk rounds mirror the engine's per-chunk flag publishes: chunk c
-      // of every op flows concurrently, chunk c+1 starts once round c's
-      // flags are up. Round boundaries re-synchronize the progressive
-      // filling, so a chunked stage is never faster than the single-shot
-      // stage — the honest cost of finer-grained flags. Chunk row splits use
-      // the engine's ChunkRows rule so simulated arrival fronts line up with
-      // the flags a real chunked receiver consumes at.
-      for (uint32_t c = 0; c < num_chunks; ++c) {
-        std::vector<Flow> flows(ops.size());
-        for (size_t i = 0; i < ops.size(); ++i) {
-          const auto [row_begin, row_end] = ChunkRows(ops[i]->vertices.size(), num_chunks, c);
-          const double share = ops[i]->vertices.empty()
-                                   ? 0.0
-                                   : static_cast<double>(row_end - row_begin) /
-                                         static_cast<double>(ops[i]->vertices.size());
-          flows[i].hops = hops[i];
-          flows[i].bytes_left = volume[i] * share;
-        }
-        flow_time += RunFlows(flows, topo, &result.conn_busy_seconds, nullptr);
-        arrivals.push_back(flow_time);
-      }
-    }
+    const double flow_time = RunFlows(flows, topo, &result.conn_busy_seconds, nullptr);
     double stage_time = flow_time + options.per_op_latency_s * substage_rounds + fault_latency;
     result.stage_seconds[stage] += stage_time;
     result.total_seconds += stage_time;

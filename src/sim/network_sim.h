@@ -48,12 +48,6 @@ struct NetworkSimOptions {
   // phase of a recovery's MTTR.
   uint32_t dead_device = kInvalidId;
   double failure_detect_s = 0.0;
-  // Mirror of EngineOptions::overlap.num_chunks: within a stage, chunk c of
-  // every op flows concurrently and chunk c+1 starts once round c's flags
-  // are up (the engine publishes a per-op flag per chunk; senders stream
-  // chunks back-to-back, so rounds model the arrival fronts a chunked
-  // receiver can start consuming at). 1 keeps the single-shot stage.
-  uint32_t num_chunks = 1;
 };
 
 struct NetworkSimResult {
@@ -65,12 +59,6 @@ struct NetworkSimResult {
   // at `failed_stage` (total_seconds then ends with the detection wait).
   bool completed = true;
   uint32_t failed_stage = kInvalidId;
-  // Chunk-arrival expectations: stage_chunk_seconds[stage][c] is the
-  // cumulative flow time within the stage after which every op's chunk c has
-  // arrived (per-op latency and fault latency excluded — they are charged
-  // once per stage in stage_seconds). One entry per chunk
-  // (NetworkSimOptions::num_chunks); empty for stages a death skipped.
-  std::vector<std::vector<double>> stage_chunk_seconds;
 
   // Busy time summed over connections of a link type (Table 2 / Table 7).
   double TypeBusySeconds(const Topology& topo, LinkType type) const;

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
-#include <utility>
 
 #include "common/table_printer.h"
 
@@ -55,75 +53,6 @@ std::vector<double> ObservedStageSecondsFromTrace(const Trace& trace,
     }
   }
   return observed;
-}
-
-OverlapAuditReport AuditOverlapCosts(const std::vector<double>& barrier_comm_seconds,
-                                     const std::vector<double>& overlapped_wall_seconds,
-                                     const std::vector<double>& exposed_wait_seconds) {
-  OverlapAuditReport report;
-  const size_t stages = std::max({barrier_comm_seconds.size(), overlapped_wall_seconds.size(),
-                                  exposed_wait_seconds.size()});
-  report.rows.reserve(stages);
-  for (size_t s = 0; s < stages; ++s) {
-    OverlapAuditRow row;
-    row.stage = static_cast<uint32_t>(s);
-    row.barrier_comm_seconds = s < barrier_comm_seconds.size() ? barrier_comm_seconds[s] : 0.0;
-    row.overlapped_wall_seconds =
-        s < overlapped_wall_seconds.size() ? overlapped_wall_seconds[s] : 0.0;
-    row.exposed_wait_seconds = s < exposed_wait_seconds.size() ? exposed_wait_seconds[s] : 0.0;
-    row.hidden_seconds = std::max(0.0, row.barrier_comm_seconds - row.exposed_wait_seconds);
-    report.barrier_total_seconds += row.barrier_comm_seconds;
-    report.overlapped_total_seconds += row.overlapped_wall_seconds;
-    report.exposed_total_seconds += row.exposed_wait_seconds;
-    report.hidden_total_seconds += row.hidden_seconds;
-    report.rows.push_back(row);
-  }
-  return report;
-}
-
-std::vector<double> ExposedWaitSecondsFromTrace(const Trace& trace,
-                                                const std::string& span_name,
-                                                const std::string& stage_arg) {
-  // (tid, stage) -> summed wait seconds, then max over tids per stage.
-  std::map<std::pair<uint32_t, size_t>, double> per_thread;
-  size_t num_stages = 0;
-  for (const TraceEvent& ev : trace.events) {
-    if (ev.kind != TraceEventKind::kSpan || ev.name != span_name) continue;
-    for (size_t i = 0; i < ev.arg_key.size(); ++i) {
-      if (ev.arg_key[i] != stage_arg) continue;
-      const size_t stage = static_cast<size_t>(ev.arg_val[i]);
-      per_thread[{ev.tid, stage}] += ev.dur_ns / 1e9;
-      num_stages = std::max(num_stages, stage + 1);
-      break;
-    }
-  }
-  std::vector<double> exposed(num_stages, 0.0);
-  for (const auto& [key, seconds] : per_thread) {
-    exposed[key.second] = std::max(exposed[key.second], seconds);
-  }
-  return exposed;
-}
-
-std::string OverlapAuditReport::ToString(const std::string& title) const {
-  TablePrinter table({"Stage", "Barrier ms", "Overlapped ms", "Exposed ms", "Hidden ms"});
-  for (const OverlapAuditRow& row : rows) {
-    table.AddRow({TablePrinter::FmtInt(row.stage),
-                  TablePrinter::Fmt(row.barrier_comm_seconds * 1e3, 4),
-                  TablePrinter::Fmt(row.overlapped_wall_seconds * 1e3, 4),
-                  TablePrinter::Fmt(row.exposed_wait_seconds * 1e3, 4),
-                  TablePrinter::Fmt(row.hidden_seconds * 1e3, 4)});
-  }
-  table.AddRow({"total", TablePrinter::Fmt(barrier_total_seconds * 1e3, 4),
-                TablePrinter::Fmt(overlapped_total_seconds * 1e3, 4),
-                TablePrinter::Fmt(exposed_total_seconds * 1e3, 4),
-                TablePrinter::Fmt(hidden_total_seconds * 1e3, 4)});
-  std::string rendered =
-      table.Render(title.empty() ? "OverlapAudit: hidden vs exposed communication" : title);
-  if (barrier_total_seconds > 0.0) {
-    rendered += "  hidden fraction = " +
-                TablePrinter::Fmt(hidden_total_seconds / barrier_total_seconds, 4) + "\n";
-  }
-  return rendered;
 }
 
 std::string CostAuditReport::ToString(const std::string& title) const {

@@ -61,49 +61,6 @@ std::vector<double> ObservedStageSecondsFromTrace(const Trace& trace,
                                                   const std::string& span_name = "stage",
                                                   const std::string& stage_arg = "stage");
 
-// Hidden-vs-exposed communication audit for the chunked/overlapped engine
-// mode (EngineOptions::overlap). Per stage it joins three series:
-//   barrier_comm_seconds    stage wall time under barrier (num_chunks == 1)
-//                           execution — all of it is exposed by definition;
-//   overlapped_wall_seconds the same stage's wall time under chunked
-//                           execution (chunk consumption included);
-//   exposed_wait_seconds    the time a chunked consumer actually sat blocked
-//                           in chunk-flag waits (ExposedWaitSecondsFromTrace).
-// hidden = max(0, barrier - exposed): communication that used to be exposed
-// stage wall time and now proceeds underneath chunk consumption.
-struct OverlapAuditRow {
-  uint32_t stage = 0;
-  double barrier_comm_seconds = 0.0;
-  double overlapped_wall_seconds = 0.0;
-  double exposed_wait_seconds = 0.0;
-  double hidden_seconds = 0.0;
-};
-
-struct OverlapAuditReport {
-  std::vector<OverlapAuditRow> rows;  // one per stage, stage index ascending
-  double barrier_total_seconds = 0.0;
-  double overlapped_total_seconds = 0.0;
-  double exposed_total_seconds = 0.0;
-  double hidden_total_seconds = 0.0;
-
-  std::string ToString(const std::string& title = "") const;
-};
-
-// Joins the three per-stage series; missing entries are treated as 0 (same
-// length-mismatch contract as AuditStageCosts).
-OverlapAuditReport AuditOverlapCosts(const std::vector<double>& barrier_comm_seconds,
-                                     const std::vector<double>& overlapped_wall_seconds,
-                                     const std::vector<double>& exposed_wait_seconds);
-
-// Extracts per-stage exposed wait time from a recorded trace: durations of
-// `span_name` spans carrying an integer `stage_arg` are SUMMED per (thread,
-// stage) — one consumer blocks many times per stage — then the MAX over
-// threads is taken per stage (consumers run in parallel; the most-blocked
-// one bounds the stage's exposed time).
-std::vector<double> ExposedWaitSecondsFromTrace(const Trace& trace,
-                                                const std::string& span_name = "fwd.wait.chunk",
-                                                const std::string& stage_arg = "stage");
-
 }  // namespace telemetry
 }  // namespace dgcl
 

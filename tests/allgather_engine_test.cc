@@ -169,6 +169,45 @@ TEST(AllgatherEngineTest, RejectsInconsistentDims) {
   EXPECT_FALSE(engine->Forward(local).ok());
 }
 
+// A matrix whose data holds fewer (or more) floats than rows * dim is
+// rejected before any device reads it; the short case would otherwise copy
+// past the end of the vector.
+TEST(AllgatherEngineTest, ForwardRejectsShortData) {
+  Fixture f = Fixture::Make(2, 20, 70, true);
+  auto engine = AllgatherEngine::Create(f.relation, f.plan, f.topo);
+  ASSERT_TRUE(engine.ok());
+  for (int delta : {-1, -4, 1}) {
+    auto local = f.MakeLocalEmbeddings(4);
+    ASSERT_GT(local[1].rows, 0u);
+    local[1].data.resize(local[1].data.size() + delta);
+    auto out = engine->Forward(local);
+    ASSERT_FALSE(out.ok()) << "delta " << delta;
+    EXPECT_EQ(out.status().code(), StatusCode::kInvalidArgument) << out.status().ToString();
+  }
+  EXPECT_TRUE(engine->Forward(f.MakeLocalEmbeddings(4)).ok());
+}
+
+TEST(AllgatherEngineTest, BackwardRejectsShortData) {
+  Fixture f = Fixture::Make(2, 20, 71, true);
+  auto engine = AllgatherEngine::Create(f.relation, f.plan, f.topo);
+  ASSERT_TRUE(engine.ok());
+  auto grads = [&] {
+    std::vector<EmbeddingMatrix> g;
+    for (uint32_t d = 0; d < f.relation.num_devices; ++d) {
+      g.push_back(EmbeddingMatrix::Zero(engine->NumContractSlots(d), 4));
+    }
+    return g;
+  };
+  for (int delta : {-1, -4, 1}) {
+    auto slot_grads = grads();
+    slot_grads[0].data.resize(slot_grads[0].data.size() + delta);
+    auto out = engine->Backward(slot_grads);
+    ASSERT_FALSE(out.ok()) << "delta " << delta;
+    EXPECT_EQ(out.status().code(), StatusCode::kInvalidArgument) << out.status().ToString();
+  }
+  EXPECT_TRUE(engine->Backward(grads()).ok());
+}
+
 TEST(AllgatherEngineTest, RejectsBrokenPlan) {
   Fixture f = Fixture::Make(4, 40, 68, false);
   ASSERT_FALSE(f.plan.ops.empty());

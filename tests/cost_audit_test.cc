@@ -11,12 +11,9 @@
 namespace dgcl {
 namespace {
 
-using telemetry::AuditOverlapCosts;
 using telemetry::AuditStageCosts;
 using telemetry::CostAuditReport;
-using telemetry::ExposedWaitSecondsFromTrace;
 using telemetry::ObservedStageSecondsFromTrace;
-using telemetry::OverlapAuditReport;
 using telemetry::Trace;
 using telemetry::TraceEvent;
 using telemetry::TraceEventKind;
@@ -141,104 +138,6 @@ TEST(CostAuditTest, AuditAllgatherDetectsLatencyAsModelError) {
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_GT(report->observed_total_seconds, report->predicted_total_seconds);
   EXPECT_GT(report->max_abs_error, 0.0);
-}
-
-TEST(CostAuditTest, OverlapJoinClampsHiddenAtZero) {
-  // Stage 0 fully hidden, stage 1 partially, stage 2 over-exposed (chunk
-  // coordination overhead exceeded the barrier time — hidden clamps at 0),
-  // stage 3 only present in the overlapped series (missing entries are 0).
-  const OverlapAuditReport report =
-      AuditOverlapCosts({1.0, 2.0, 0.5}, {1.2, 2.1, 0.9, 0.3}, {0.0, 0.5, 0.8});
-  ASSERT_EQ(report.rows.size(), 4u);
-  EXPECT_DOUBLE_EQ(report.rows[0].hidden_seconds, 1.0);
-  EXPECT_DOUBLE_EQ(report.rows[1].hidden_seconds, 1.5);
-  EXPECT_DOUBLE_EQ(report.rows[2].hidden_seconds, 0.0);
-  EXPECT_DOUBLE_EQ(report.rows[2].exposed_wait_seconds, 0.8);
-  EXPECT_DOUBLE_EQ(report.rows[3].barrier_comm_seconds, 0.0);
-  EXPECT_DOUBLE_EQ(report.rows[3].hidden_seconds, 0.0);
-  EXPECT_DOUBLE_EQ(report.barrier_total_seconds, 3.5);
-  EXPECT_DOUBLE_EQ(report.overlapped_total_seconds, 4.5);
-  EXPECT_DOUBLE_EQ(report.exposed_total_seconds, 1.3);
-  EXPECT_DOUBLE_EQ(report.hidden_total_seconds, 2.5);
-
-  const std::string rendered = report.ToString("overlap audit");
-  EXPECT_NE(rendered.find("overlap audit"), std::string::npos);
-  EXPECT_NE(rendered.find("hidden fraction"), std::string::npos);
-}
-
-TraceEvent ChunkWaitSpan(uint32_t tid, uint64_t dur_ns, uint64_t stage) {
-  TraceEvent e = StageSpan(tid, dur_ns, stage);
-  e.name = "fwd.wait.chunk";
-  e.category = "cuda-vm";
-  return e;
-}
-
-TEST(CostAuditTest, ExposedWaitSumsPerThreadThenTakesMaxPerStage) {
-  Trace trace;
-  // Thread 1 blocks twice in stage 0 (100 + 150); thread 2 once (200).
-  // The most-blocked thread bounds the stage: max(250, 200) = 250.
-  trace.events.push_back(ChunkWaitSpan(1, 100, 0));
-  trace.events.push_back(ChunkWaitSpan(1, 150, 0));
-  trace.events.push_back(ChunkWaitSpan(2, 200, 0));
-  trace.events.push_back(ChunkWaitSpan(2, 400, 2));  // stage 1 never blocked
-  // Other span names don't count as exposed time.
-  TraceEvent other = ChunkWaitSpan(1, 9999, 0);
-  other.name = "fwd.send";
-  trace.events.push_back(other);
-
-  const std::vector<double> exposed = ExposedWaitSecondsFromTrace(trace);
-  ASSERT_EQ(exposed.size(), 3u);
-  EXPECT_DOUBLE_EQ(exposed[0], 250e-9);
-  EXPECT_DOUBLE_EQ(exposed[1], 0.0);
-  EXPECT_DOUBLE_EQ(exposed[2], 400e-9);
-}
-
-// End-to-end overlap audit on the real threaded engine: barrier and chunked
-// runs compared bitwise inside the audit, per-stage join non-empty, and the
-// consumer (draining at a deliberately slow emulated rate) hides a positive
-// amount of the barrier-mode communication time. Structural bounds only —
-// tight fractions would flake under sanitizers and loaded CI hosts.
-TEST(CostAuditTest, AuditOverlapFromEngineHidesCommunication) {
-  Rng rng(77);
-  Dataset ds;
-  ds.name = "audit-overlap";
-  ds.graph = GenerateRmat({.scale = 10, .num_edges = 8000}, rng);
-  ds.feature_dim = 64;
-  ds.hidden_dim = 32;
-
-  Topology topo = BuildPaperTopology(8);
-  EpochOptions opts;
-  opts.net.per_op_latency_s = 0.0;
-  auto sim = EpochSimulator::Create(ds, topo, opts);
-  ASSERT_TRUE(sim.ok()) << sim.status().ToString();
-
-  auto report = sim->AuditOverlapFromEngine(/*dim=*/64, /*time_scale=*/50.0,
-                                            /*num_chunks=*/4, /*consume_gbps=*/2.0);
-  ASSERT_TRUE(report.ok()) << report.status().ToString();
-  ASSERT_FALSE(report->rows.empty());
-  EXPECT_GT(report->barrier_total_seconds, 0.0);
-  EXPECT_GT(report->overlapped_total_seconds, 0.0);
-  EXPECT_GE(report->exposed_total_seconds, 0.0);
-  EXPECT_GT(report->hidden_total_seconds, 0.0);
-  for (const auto& row : report->rows) {
-    EXPECT_GE(row.hidden_seconds, 0.0) << "stage " << row.stage;
-    EXPECT_LE(row.hidden_seconds, row.barrier_comm_seconds + 1e-12)
-        << "stage " << row.stage;
-  }
-}
-
-TEST(CostAuditTest, AuditOverlapFromEngineRejectsBadArguments) {
-  Rng rng(77);
-  Dataset ds;
-  ds.name = "audit-overlap-args";
-  ds.graph = GenerateRmat({.scale = 8, .num_edges = 2000}, rng);
-  ds.feature_dim = 16;
-  ds.hidden_dim = 8;
-  Topology topo = BuildPaperTopology(4);
-  auto sim = EpochSimulator::Create(ds, topo, EpochOptions{});
-  ASSERT_TRUE(sim.ok()) << sim.status().ToString();
-  EXPECT_FALSE(sim->AuditOverlapFromEngine(16, 1.0, /*num_chunks=*/1).ok());
-  EXPECT_FALSE(sim->AuditOverlapFromEngine(16, 1.0, 4, /*consume_gbps=*/0.0).ok());
 }
 
 // Calibration against a *real* engine trace: the pass actually runs on the

@@ -1,23 +1,16 @@
 // Fault-schedule fuzzing for the elastic training loop.
 //
 // Each seed draws a random workload (graph, fully-connected topology, model
-// shape), a random execution mode for the faulted arm — chunk count in
-// {1, 2, 4, 7}, double-buffering, eager or in-order consumption
-// (EngineOptions::overlap) — and a random fault schedule: nothing, transport
-// latency/jitter, transport drops, or a device kill at a random engine pass.
-// It then trains through it with recovery enabled. The invariant is the whole
-// point of the recovery design:
+// shape) and a random fault schedule: nothing, transport latency/jitter,
+// transport drops, or a device kill at a random engine pass. It then trains
+// through it with recovery enabled. The invariant is the whole point of the
+// recovery design:
 //
 //   every run either completes with a loss trajectory BIT-IDENTICAL to the
-//   fault-free BARRIER run (latency, drops, never-triggered kills, and
-//   chunked/overlapped execution must not change the math), or it recovers —
-//   exactly one committed membership epoch, one device folded away — and its
-//   trajectory matches the fault-free run within float-reassociation
-//   tolerance.
-//
-// Chunked mode multiplies the fault surface: a kill can land between chunk
-// flags of the same op, so the receiver must poison every outstanding chunk
-// wait (not just the current one) and still reach recovery in one deadline.
+//   fault-free run (latency, drops and never-triggered kills must not change
+//   the math), or it recovers — exactly one committed membership epoch, one
+//   device folded away — and its trajectory matches the fault-free run within
+//   float-reassociation tolerance.
 //
 // The second fuzzer (ServingKillScheduleFuzzTest) points the same technique
 // at the serving tier's replica layer: random (shards, replicas, pool width)
@@ -76,24 +69,12 @@ struct Schedule {
   FaultKind kind = FaultKind::kNone;
   uint32_t victim = kInvalidId;
   uint32_t kill_pass = 0;  // engine pass index; may land past the run's end
-  // Execution mode of the faulted arm; the clean arm always runs barrier mode
-  // so the bit-identical check doubles as an overlap-conformance check.
-  uint32_t num_chunks = 1;
-  bool double_buffer = false;
-  ConsumePolicy consume_policy = ConsumePolicy::kEager;
 
   std::string Describe() const {
     std::string s = "devices=" + std::to_string(devices) + " vertices=" +
                     std::to_string(vertices) + " fault=" + FaultKindName(kind);
     if (kind == FaultKind::kKill) {
       s += " victim=" + std::to_string(victim) + " kill_pass=" + std::to_string(kill_pass);
-    }
-    s += " chunks=" + std::to_string(num_chunks);
-    if (double_buffer) {
-      s += " double_buffer";
-    }
-    if (consume_policy == ConsumePolicy::kInOrder) {
-      s += " in_order";
     }
     return s;
   }
@@ -116,10 +97,6 @@ Schedule DrawSchedule(Rng& rng) {
     const uint32_t total_passes = s.epochs * DistributedTrainer::PassesPerEpoch(s.num_layers);
     s.kill_pass = static_cast<uint32_t>(rng.UniformInt(total_passes + 2));
   }
-  static const uint32_t kChunkDraws[] = {1, 2, 4, 7};
-  s.num_chunks = kChunkDraws[rng.UniformInt(4)];
-  s.double_buffer = rng.UniformInt(2) == 1;
-  s.consume_policy = rng.UniformInt(2) == 1 ? ConsumePolicy::kInOrder : ConsumePolicy::kEager;
   return s;
 }
 
@@ -153,9 +130,6 @@ bool RunSchedule(const Schedule& schedule, uint64_t seed, bool faulted, RunOutco
   options.recovery.enabled = true;
   options.recovery.checkpoint_every_n_layers = 1;
   if (faulted) {
-    options.engine.overlap.num_chunks = schedule.num_chunks;
-    options.engine.overlap.double_buffer = schedule.double_buffer;
-    options.engine.overlap.consume_policy = schedule.consume_policy;
     switch (schedule.kind) {
       case FaultKind::kNone:
         break;

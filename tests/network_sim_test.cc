@@ -149,87 +149,6 @@ TEST(NetworkSimTest, StagesSerialize) {
   EXPECT_NEAR(result.total_seconds, stage_sum, 1e-12);
 }
 
-// Chunk rounds mirror EngineOptions::overlap.num_chunks: chunk c of every op
-// flows concurrently, round boundaries re-synchronize. Arrivals within a
-// stage are cumulative flow times, the last one IS the stage's flow
-// component, and K=1 leaves the baseline numbers untouched.
-TEST(NetworkSimTest, ChunkArrivalsAreMonotoneAndSumToStageFlowTime) {
-  Rng rng(5);
-  CsrGraph g = GenerateErdosRenyi(80, 240, rng);
-  Topology topo = BuildPaperTopology(8);
-  HashPartitioner hash;
-  CommRelation rel = *BuildCommRelation(g, *hash.Partition(g, 8));
-  SpstPlanner spst;
-  CompiledPlan plan = CompileFor(rel, topo, spst);
-
-  NetworkSimOptions opts;
-  opts.per_op_latency_s = 0.0;  // stage time = flow time = last arrival
-  opts.num_chunks = 4;
-  NetworkSimResult result = SimulateTransfer(plan, topo, opts);
-  ASSERT_TRUE(result.completed);
-  ASSERT_EQ(result.stage_chunk_seconds.size(), result.stage_seconds.size());
-  for (size_t s = 0; s < result.stage_seconds.size(); ++s) {
-    const std::vector<double>& arrivals = result.stage_chunk_seconds[s];
-    ASSERT_EQ(arrivals.size(), 4u) << "stage " << s;
-    double prev = 0.0;
-    for (double a : arrivals) {
-      EXPECT_GE(a, prev) << "stage " << s;
-      prev = a;
-    }
-    EXPECT_DOUBLE_EQ(arrivals.back(), result.stage_seconds[s]) << "stage " << s;
-  }
-}
-
-TEST(NetworkSimTest, SingleChunkMatchesBaselineExactly) {
-  Rng rng(5);
-  CsrGraph g = GenerateErdosRenyi(80, 240, rng);
-  Topology topo = BuildPaperTopology(8);
-  HashPartitioner hash;
-  CommRelation rel = *BuildCommRelation(g, *hash.Partition(g, 8));
-  SpstPlanner spst;
-  CompiledPlan plan = CompileFor(rel, topo, spst);
-
-  NetworkSimOptions base;
-  NetworkSimResult single = SimulateTransfer(plan, topo, base);
-  NetworkSimOptions chunked1 = base;
-  chunked1.num_chunks = 1;
-  NetworkSimResult k1 = SimulateTransfer(plan, topo, chunked1);
-  ASSERT_EQ(k1.stage_seconds.size(), single.stage_seconds.size());
-  for (size_t s = 0; s < single.stage_seconds.size(); ++s) {
-    EXPECT_DOUBLE_EQ(k1.stage_seconds[s], single.stage_seconds[s]) << "stage " << s;
-    ASSERT_EQ(k1.stage_chunk_seconds[s].size(), 1u);
-    // Arrivals exclude the per-op latency term that stage_seconds carries.
-    EXPECT_LE(k1.stage_chunk_seconds[s][0], single.stage_seconds[s]);
-  }
-  EXPECT_DOUBLE_EQ(k1.total_seconds, single.total_seconds);
-}
-
-TEST(NetworkSimTest, ChunkRoundBarriersNeverSpeedUpAStage) {
-  Rng rng(6);
-  CsrGraph g = GenerateErdosRenyi(100, 500, rng);
-  Topology topo = BuildPaperTopology(8);
-  HashPartitioner hash;
-  CommRelation rel = *BuildCommRelation(g, *hash.Partition(g, 8));
-  SpstPlanner spst;
-  CompiledPlan plan = CompileFor(rel, topo, spst);
-
-  NetworkSimOptions base;
-  base.per_op_latency_s = 0.0;
-  NetworkSimResult single = SimulateTransfer(plan, topo, base);
-  for (uint32_t k : {2u, 4u, 8u}) {
-    NetworkSimOptions opts = base;
-    opts.num_chunks = k;
-    NetworkSimResult chunked = SimulateTransfer(plan, topo, opts);
-    ASSERT_EQ(chunked.stage_seconds.size(), single.stage_seconds.size());
-    for (size_t s = 0; s < single.stage_seconds.size(); ++s) {
-      // Round boundaries re-synchronize progressive filling; a chunked stage
-      // can only match the single-shot fill time, never beat it.
-      EXPECT_GE(chunked.stage_seconds[s], single.stage_seconds[s] - 1e-12)
-          << "K=" << k << " stage " << s;
-    }
-  }
-}
-
 TEST(NetworkSimTest, BackwardAtomicSlowerThanNonAtomic) {
   Rng rng(6);
   CsrGraph g = GenerateErdosRenyi(100, 500, rng);
