@@ -35,9 +35,13 @@
 # op's rows into its staging buffer and release-stores pass + 1 into
 # op_done, the receiver acquire-loads it before reading those rows, and the
 # consumed-stage count keeps the next pass's sender off a buffer that is
-# still being read. coordination_test drives it under both coordination
-# modes and a dead peer; device_program_test lets fast devices run into the
-# next pass while a straggler still reads the last one's staging buffers.
+# still being read. It is also the gate of the park/wake handshake: a flag
+# wait that outlasts its short spin parks on the writer device's condvar,
+# and the writer, after its flag store and a fence, takes that mutex to
+# notify when a waiter is parked; Fail wakes every condvar. coordination_test
+# drives it across GPU counts and with a dead peer; device_program_test lets
+# fast devices run into the next pass while a straggler still reads the last
+# one's staging buffers, and kills a device with a busy thread per core.
 # Separate build trees (build-tsan/, build-asan/) so the main build stays
 # untouched.
 #

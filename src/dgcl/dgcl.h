@@ -59,7 +59,7 @@ struct DgclOptions {
   double bytes_per_unit = 1024.0;  // embedding bytes used for planning
 
   // Runtime knobs handed to AllgatherEngine::Create by BuildCommInfo:
-  // coordination mode, transport retry/timeout policy, fault injection and
+  // straggler injection, transport retry/timeout policy, fault injection and
   // per-pair transport overrides (ablations). None of them change what a
   // pass delivers.
   EngineOptions engine;

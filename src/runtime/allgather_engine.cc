@@ -47,56 +47,6 @@ const char* LinkCategory(const Topology& topo, LinkId link) {
   return LinkTypeName(topo.connection(slowest).type);
 }
 
-// A std::barrier with a deadline and an abort path: the centralized §6.1
-// master gate must fail a collective whose peer died, not park forever.
-class TimedBarrier {
- public:
-  explicit TimedBarrier(uint32_t parties) : parties_(parties) {}
-
-  // OK when every party arrived; kDeadlineExceeded when `timeout_micros` (> 0)
-  // elapsed first (the barrier is poisoned so everyone else unblocks);
-  // the aborted sentinel when another thread failed the pass.
-  Status ArriveAndWait(uint64_t timeout_micros) {
-    std::unique_lock<std::mutex> lock(mutex_);
-    if (aborted_) {
-      return AbortedStatus();
-    }
-    if (++arrived_ == parties_) {
-      arrived_ = 0;
-      ++generation_;
-      cv_.notify_all();
-      return Status::Ok();
-    }
-    const uint64_t generation = generation_;
-    auto released = [&] { return generation_ != generation || aborted_; };
-    if (timeout_micros == 0) {
-      cv_.wait(lock, released);
-    } else if (!cv_.wait_for(lock, std::chrono::microseconds(timeout_micros), released)) {
-      aborted_ = true;
-      cv_.notify_all();
-      return Status::DeadlineExceeded("centralized barrier timed out: a peer never arrived");
-    }
-    if (generation_ != generation) {
-      return Status::Ok();
-    }
-    return AbortedStatus();
-  }
-
-  void Abort() {
-    std::lock_guard<std::mutex> lock(mutex_);
-    aborted_ = true;
-    cv_.notify_all();
-  }
-
- private:
-  std::mutex mutex_;
-  std::condition_variable cv_;
-  const uint32_t parties_;
-  uint32_t arrived_ = 0;
-  uint64_t generation_ = 0;
-  bool aborted_ = false;
-};
-
 // Spins (yielding the core) until `ready()` holds or `micros` elapse;
 // returns whether it holds.
 template <typename Ready>
@@ -121,6 +71,10 @@ bool SpinFor(Ready&& ready, uint32_t micros) {
 // (milliseconds on a busy host), so a training loop's back-to-back epochs
 // must find the threads still spinning.
 constexpr uint32_t kSpinBeforeParkMicros = 2000;
+
+// How long a flag wait spins before it parks: parked, it leaves its core to
+// the peer it waits for when threads outnumber cores.
+constexpr auto kFlagSpin = std::chrono::microseconds(2);
 
 constexpr uint32_t kNoPass = kInvalidId;
 
@@ -265,8 +219,15 @@ struct ProgramState {
   // waits with the aborted sentinel instead of running to its own deadline,
   // whichever pass it is in.
   std::atomic<bool> abort{false};
-  // Centralized coordination only: the master's stage gate.
-  std::unique_ptr<TimedBarrier> stage_barrier;
+  // Where waiters park, one per device: a wait parks on the device whose
+  // flag store releases it (the receiver for a ready wait on its consumed
+  // count, the sender for a done wait on its op), and that device wakes it.
+  struct Parking {
+    std::mutex mutex;
+    std::condition_variable wake;
+    std::atomic<uint32_t> parked{0};  // waiters asleep on `wake` or about to be
+  };
+  std::unique_ptr<Parking[]> parking;
   // Per device, written by that device's thread, read after the program.
   struct Outcome {
     Status status;
@@ -279,12 +240,14 @@ struct ProgramState {
   // self_dead = devices that self-reported death.
   std::vector<DeviceMask> named;
   std::atomic<DeviceMask> self_dead{0};
+  const uint32_t num_devices;
   uint32_t dim = 0;
   // Engine-lifetime index of the program's pass 0 (for
   // FaultInjection::dead_from_pass).
   uint64_t first_pass = 0;
 
-  ProgramState(uint32_t num_devices, const CompiledPlan& plan, const EngineOptions& options) {
+  ProgramState(uint32_t num_devices, const CompiledPlan& plan) : num_devices(num_devices) {
+    parking = std::make_unique<Parking[]>(num_devices);
     consumed = std::make_unique<std::atomic<uint64_t>[]>(num_devices);
     for (uint32_t d = 0; d < num_devices; ++d) {
       consumed[d].store(0, std::memory_order_relaxed);
@@ -292,9 +255,6 @@ struct ProgramState {
     op_done = std::make_unique<std::atomic<uint64_t>[]>(plan.ops.size());
     for (uint32_t i = 0; i < plan.ops.size(); ++i) {
       op_done[i].store(0, std::memory_order_relaxed);
-    }
-    if (options.coordination == CoordinationMode::kCentralized) {
-      stage_barrier = std::make_unique<TimedBarrier>(num_devices);
     }
     outcome.resize(num_devices);
     named.assign(num_devices, 0);
@@ -305,10 +265,75 @@ struct ProgramState {
            first_pass + pass >= options.faults.dead_from_pass;
   }
 
+  // Raises the abort flag and wakes every parked waiter to see it. Taking
+  // each mutex orders the flag before any waiter's next check of it.
   void Fail() {
     abort.store(true, std::memory_order_release);
-    if (stage_barrier != nullptr) {
-      stage_barrier->Abort();
+    for (uint32_t d = 0; d < num_devices; ++d) {
+      std::lock_guard<std::mutex> lock(parking[d].mutex);
+      parking[d].wake.notify_all();
+    }
+  }
+
+  // Device `device` waits until `ready()` holds, a device fails the program,
+  // or `timeout_micros` (0: never) pass by the clock. It spins for kFlagSpin,
+  // then parks on the condvar of `writer`, the device whose flag store makes
+  // `ready()` hold and which then calls Wake(writer).
+  template <typename Ready>
+  Status Await(uint32_t device, uint32_t writer, uint64_t timeout_micros, const char* what,
+               uint32_t stage, Ready&& ready) {
+    using Clock = std::chrono::steady_clock;
+    const Clock::time_point start = Clock::now();
+    const Clock::time_point deadline = start + std::chrono::microseconds(timeout_micros);
+    Parking& p = parking[writer];
+    std::unique_lock<std::mutex> lock(p.mutex, std::defer_lock);
+    Status status;
+    for (Clock::time_point now = start; !ready(); now = Clock::now()) {
+      if (abort.load(std::memory_order_acquire)) {
+        status = AbortedStatus();
+        break;
+      }
+      if (timeout_micros != 0 && now >= deadline) {
+        named[device] |= DeviceMask{1} << writer;
+        status = Status::DeadlineExceeded(std::string(what) + " wait timed out on peer " +
+                                          std::to_string(writer) + " at stage " +
+                                          std::to_string(stage));
+        break;
+      }
+      if (now < start + kFlagSpin) {
+#if defined(__x86_64__) || defined(__i386__)
+        __builtin_ia32_pause();
+#elif defined(__aarch64__)
+        asm volatile("yield");
+#endif
+      } else if (!lock.owns_lock()) {
+        // Count this waiter, then check `ready()` again before sleeping.
+        // Wake's fence and this one are totally ordered: either that check
+        // sees the writer's flag, or the writer sees the count and notifies
+        // under the mutex, which this thread gives up only inside wait.
+        lock.lock();
+        p.parked.fetch_add(1, std::memory_order_relaxed);
+        std::atomic_thread_fence(std::memory_order_seq_cst);
+      } else if (timeout_micros == 0) {
+        p.wake.wait(lock);
+      } else {
+        p.wake.wait_until(lock, deadline);
+      }
+    }
+    if (lock.owns_lock()) {
+      p.parked.fetch_sub(1, std::memory_order_relaxed);
+    }
+    return status;
+  }
+
+  // Called by `writer` after each release-store of a flag that a waiter may
+  // be parked on; notifies only when one is.
+  void Wake(uint32_t writer) {
+    std::atomic_thread_fence(std::memory_order_seq_cst);
+    Parking& p = parking[writer];
+    if (p.parked.load(std::memory_order_relaxed) > 0) {
+      std::lock_guard<std::mutex> lock(p.mutex);
+      p.wake.notify_all();
     }
   }
 };
@@ -442,29 +467,6 @@ Status AllgatherEngine::RunDevice(uint32_t device, uint32_t pass, bool backward,
     return Status::Unavailable("device " + std::to_string(device) + " is dead (injected fault)");
   }
 
-  // Deadline-bounded flag spins. The deadline is re-armed per wait; the
-  // abort flag short-circuits every spin once any device has failed.
-  auto spin_until = [&state, device, timeout_micros](auto&& ready, const char* what, uint32_t peer,
-                                                     uint32_t stage) -> Status {
-    const auto deadline = std::chrono::steady_clock::now() +
-                          std::chrono::microseconds(timeout_micros == 0 ? 0 : timeout_micros);
-    uint64_t spins = 0;
-    while (!ready()) {
-      if (state.abort.load(std::memory_order_relaxed)) {
-        return AbortedStatus();
-      }
-      if (timeout_micros != 0 && (++spins & 0x3ff) == 0 &&
-          std::chrono::steady_clock::now() >= deadline) {
-        state.named[device] |= DeviceMask{1} << peer;
-        return Status::DeadlineExceeded(std::string(what) + " wait timed out on peer " +
-                                        std::to_string(peer) + " at stage " +
-                                        std::to_string(stage));
-      }
-      std::this_thread::yield();
-    }
-    return Status::Ok();
-  };
-
   const DeviceOps& ops = backward ? backward_ops_[device] : forward_ops_[device];
   const std::vector<std::vector<uint32_t>>& sends = ops.sends;
   const std::vector<std::vector<uint32_t>>& recvs = ops.recvs;
@@ -472,19 +474,6 @@ Status AllgatherEngine::RunDevice(uint32_t device, uint32_t pass, bool backward,
   for (uint32_t step = 0; step < num_stages; ++step) {
     if (device == options_.straggler_device && options_.straggler_micros > 0) {
       std::this_thread::sleep_for(std::chrono::microseconds(options_.straggler_micros));
-    }
-    if (state.stage_barrier != nullptr) {
-      // Centralized §6.1 alternative: report to the master and block until
-      // every device is released into this stage.
-      Status status;
-      {
-        DGCL_TSPAN2("runtime", "wait.barrier", "peer", device, "stage", step);
-        status = state.stage_barrier->ArriveAndWait(timeout_micros);
-      }
-      if (!status.ok()) {
-        state.Fail();
-        return status;
-      }
     }
     const uint32_t stage = backward ? num_stages - 1 - step : step;
     uint64_t stage_bytes = 0;
@@ -502,25 +491,20 @@ Status AllgatherEngine::RunDevice(uint32_t device, uint32_t pass, bool backward,
     // waits until the receiver has consumed this pass's earlier stages;
     // backward only waits for the receiver to finish the previous pass. Both
     // keep the staging buffers safe across passes: an op's buffer was last
-    // read by its receiver in an earlier pass, which this count covers. The
-    // centralized barrier orders every stage instead.
+    // read by its receiver in an earlier pass, which this count covers.
     const uint64_t consumed_before_send = backward ? stages_before : stages_before + step;
     for (uint32_t op_id : sends[stage]) {
       const TransferOp& op = plan_.ops[op_id];
       const uint32_t receiver = backward ? op.src : op.dst;
       Connection& conn = connections_.ForOp(op_id);
-      if (options_.coordination == CoordinationMode::kDecentralized &&
-          (!backward || consumed_before_send > 0)) {
+      if (!backward || consumed_before_send > 0) {
         Status status;
         {
           DGCL_TSPAN3(conn.name(), backward ? "bwd.wait.ready" : "fwd.wait.ready", "peer",
                       receiver, "stage", stage, "op", op_id);
-          status = spin_until(
-              [&state, receiver, consumed_before_send] {
-                return state.consumed[receiver].load(std::memory_order_acquire) >=
-                       consumed_before_send;
-              },
-              "ready-flag", receiver, stage);
+          status = state.Await(device, receiver, timeout_micros, "ready-flag", stage, [&] {
+            return state.consumed[receiver].load(std::memory_order_acquire) >= consumed_before_send;
+          });
         }
         if (!status.ok()) {
           state.Fail();
@@ -542,6 +526,7 @@ Status AllgatherEngine::RunDevice(uint32_t device, uint32_t pass, bool backward,
         }
       }
       state.op_done[op_id].store(pass + 1, std::memory_order_release);
+      state.Wake(device);
     }
 
     // Receives of this stage, in order: forward ops write disjoint slot rows
@@ -556,11 +541,9 @@ Status AllgatherEngine::RunDevice(uint32_t device, uint32_t pass, bool backward,
         DGCL_TSPAN3(connections_.ForOp(op_id).name(),
                     backward ? "bwd.wait.done" : "fwd.wait.done", "peer", sender, "stage", stage,
                     "op", op_id);
-        status = spin_until(
-            [&state, op_id, pass] {
-              return state.op_done[op_id].load(std::memory_order_acquire) > pass;
-            },
-            "done-flag", sender, stage);
+        status = state.Await(device, sender, timeout_micros, "done-flag", stage, [&] {
+          return state.op_done[op_id].load(std::memory_order_acquire) > pass;
+        });
       }
       if (!status.ok()) {
         state.Fail();
@@ -582,6 +565,7 @@ Status AllgatherEngine::RunDevice(uint32_t device, uint32_t pass, bool backward,
       }
     }
     state.consumed[device].store(stages_before + step + 1, std::memory_order_release);
+    state.Wake(device);
   }
   return Status::Ok();
 }
@@ -622,7 +606,7 @@ Status AllgatherEngine::RunProgram(uint32_t dim, const DeviceProgram& program) c
   // Connection staging buffers are shared engine state; programs serialize.
   std::lock_guard<std::mutex> lock(*program_mutex_);
   connections_.PrepareBuffers(dim);
-  ProgramState state(relation_->num_devices, plan_, options_);
+  ProgramState state(relation_->num_devices, plan_);
   state.dim = dim;
   state.first_pass = pass_count_;
   threads_->Run([&](uint32_t d) {

@@ -2,10 +2,11 @@
 //
 // Runs a compiled communication plan on real embedding data, one thread per
 // simulated device, coordinated with the decentralized ready/done flag
-// protocol of §6.1: a sender spins on the receiver's published progress
+// protocol of §6.1: a sender waits on the receiver's published progress
 // before writing into the op's staging buffer, then raises the op's done
 // flag; the receiver consumes buffers as done flags appear and publishes its
-// progress. There is no central coordinator on the data path.
+// progress. There is no central coordinator. A wait spins briefly, then
+// parks until the device whose flag it awaits wakes it.
 //
 // Work reaches the devices as *programs* (RunProgram): each device runs its
 // own program once, device 0 on the calling thread and device d > 0 on the
@@ -25,7 +26,7 @@
 // deadline-bounded (TransportPolicy::wait_timeout_micros) and recorded as a
 // telemetry span tagged {peer, stage, op} with the transport as category, so
 // a dead peer fails the collective with a kDeadlineExceeded Status instead
-// of spinning forever, and coordination stalls are visible per wait in a
+// of waiting forever, and coordination stalls are visible per wait in a
 // recorded trace (`tools/dgcl_trace summarize --waits`).
 //
 // The forward pass delivers, for every device, the embeddings of its local
@@ -70,19 +71,11 @@ struct EmbeddingMatrix {
   }
 };
 
-// How devices agree on stage boundaries (§6.1). DGCL's protocol is
-// decentralized (peer-published ready/done flags); the centralized mode —
-// every device reports to and waits for a master barrier between stages — is
-// kept for the coordination-overhead ablation.
-enum class CoordinationMode : uint8_t { kDecentralized, kCentralized };
-
 // Engine construction options, fixed at Create (the same options-first shape
 // as SpstOptions / MultilevelOptions). None of these change what a pass
 // delivers — outputs stay bit-identical to the default for every setting;
-// they change how the pass is coordinated, faulted and timed.
+// they change which transports a pass rides and how it is faulted and timed.
 struct EngineOptions {
-  CoordinationMode coordination = CoordinationMode::kDecentralized;
-
   // Straggler injection for tests: `straggler_device` sleeps
   // `straggler_micros` before every stage (§6.1's transient stragglers only
   // delay their own dependents, never correctness). kInvalidId disables.
@@ -190,7 +183,6 @@ class AllgatherEngine {
       const std::vector<EmbeddingMatrix>& slot_grads) const;
 
   const EngineOptions& options() const { return options_; }
-  CoordinationMode coordination_mode() const { return options_.coordination; }
 
   // Post-mortem of the first failed pass of the most recent failed program
   // (nullopt while every pass has succeeded). Cleared by the next successful

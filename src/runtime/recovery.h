@@ -72,10 +72,10 @@ struct MembershipView {
   std::vector<uint32_t> DeadDevices(uint32_t num_devices) const;
 };
 
-// Centralized membership agreement, mirroring the engine's centralized
-// coordination mode: conceptually the lowest-id survivor collects the
-// suspicion votes (the engine's PassFailure::suspects) and commits the new
-// epoch; every survivor adopts the committed view. In this in-process
+// Centralized membership agreement, off the data path (the engine's passes
+// coordinate through peer flags only): conceptually the lowest-id survivor
+// collects the suspicion votes (the engine's PassFailure::suspects) and
+// commits the new epoch; every survivor adopts the committed view. In this in-process
 // reproduction the collection is a function call, but the commit rules are
 // the real ones: only currently-alive devices can be declared dead, at least
 // one device must be declared dead, and at least one must survive.

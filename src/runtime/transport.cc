@@ -116,6 +116,10 @@ Status TransportPolicy::Validate() const {
   if (!(bandwidth_time_scale > 0.0) || !std::isfinite(bandwidth_time_scale)) {
     return Status::InvalidArgument("bandwidth_time_scale must be positive and finite");
   }
+  if (wait_timeout_micros > 86'400'000'000) {  // also keeps `now + timeout` from overflowing
+    return Status::InvalidArgument(
+        "wait_timeout_micros above one day is surely a typo (0 waits forever)");
+  }
   return Status::Ok();
 }
 

@@ -96,10 +96,10 @@ struct TransportPolicy {
   uint32_t max_retries = 8;
   uint32_t backoff_base_micros = 50;
   uint32_t backoff_max_micros = 5000;
-  // Deadline for every coordination wait (ready-flag spin, done-flag
-  // consume, centralized barrier). 0 waits forever (the seed behaviour); the
-  // default is a safety net that turns a dead peer into a
-  // kDeadlineExceeded Status instead of an infinite spin.
+  // Deadline for every coordination wait (ready flag before a send, done
+  // flag before a receive), kept by the clock; at most one day. 0 waits
+  // forever; the default is a safety net that turns a dead peer into a
+  // kDeadlineExceeded Status instead of an endless wait.
   uint64_t wait_timeout_micros = 30'000'000;
   // Wall-clock calibration: each transmit additionally waits
   // bytes / bottleneck_bandwidth * time_scale, so recorded stage spans become

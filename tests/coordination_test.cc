@@ -1,14 +1,15 @@
-// Centralized vs decentralized coordination (§6.1) must deliver identical
-// results; only the synchronization protocol differs. The fault-injection
-// tests exercise the runtime's failure paths: a dead peer turns into a
-// kDeadlineExceeded Status (never a hang), dropped transmits are retried to
-// an identical result, and exhausted retries surface the transport's
-// kUnavailable. The trace-shape test pins the wait-span taxonomy the
-// `dgcl_trace summarize --waits` tool consumes.
+// The §6.1 ready/done flag protocol must deliver the known answer on every
+// GPU count. The fault-injection tests exercise the runtime's failure paths:
+// a dead peer turns into a kDeadlineExceeded Status (never a hang), dropped
+// transmits are retried to an identical result, and exhausted retries
+// surface the transport's kUnavailable. The trace-shape test pins the
+// wait-span taxonomy the `dgcl_trace summarize --waits` tool consumes.
 
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstdint>
+#include <unordered_map>
 
 #include "graph/generators.h"
 #include "partition/multilevel.h"
@@ -59,60 +60,57 @@ Result<AllgatherEngine> MakeEngine(const Fixture& f, const EngineOptions& option
 
 class CoordinationSweep : public ::testing::TestWithParam<uint32_t> {};
 
+// Every slot a device holds carries its vertex's embedding: row 0 is v + 1.
 TEST_P(CoordinationSweep, ModesProduceIdenticalForwardResults) {
   Fixture f = Fixture::Make(GetParam(), 11);
-  auto local = f.Local(3);
-  std::vector<std::vector<EmbeddingMatrix>> outputs;
-  for (CoordinationMode mode :
-       {CoordinationMode::kDecentralized, CoordinationMode::kCentralized}) {
-    EngineOptions options;
-    options.coordination = mode;
-    auto engine = MakeEngine(f, options);
-    ASSERT_TRUE(engine.ok());
-    EXPECT_EQ(engine->coordination_mode(), mode);
-    auto out = engine->Forward(local);
-    ASSERT_TRUE(out.ok());
-    outputs.push_back(*std::move(out));
-  }
+  auto engine = MakeEngine(f);
+  ASSERT_TRUE(engine.ok());
+  auto out = engine->Forward(f.Local(3));
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
   for (uint32_t d = 0; d < f.relation.num_devices; ++d) {
-    EXPECT_EQ(outputs[0][d].data, outputs[1][d].data) << "device " << d;
+    for (const auto* vertices : {&f.relation.local_vertices[d], &f.relation.remote_vertices[d]}) {
+      for (VertexId v : *vertices) {
+        EXPECT_EQ((*out)[d].Row(engine->SlotOf(d, v))[0], static_cast<float>(v + 1))
+            << "device " << d << ", vertex " << v;
+      }
+    }
   }
 }
 
+// With all-ones slot gradients, each local vertex gathers its own 1 plus one
+// per device that holds it as a remote (exact in float).
 TEST_P(CoordinationSweep, ModesProduceIdenticalBackwardResults) {
   Fixture f = Fixture::Make(GetParam(), 13);
-  std::vector<std::vector<EmbeddingMatrix>> outputs;
-  for (CoordinationMode mode :
-       {CoordinationMode::kDecentralized, CoordinationMode::kCentralized}) {
-    EngineOptions options;
-    options.coordination = mode;
-    auto engine = MakeEngine(f, options);
-    ASSERT_TRUE(engine.ok());
-    std::vector<EmbeddingMatrix> grads;
-    for (uint32_t d = 0; d < f.relation.num_devices; ++d) {
-      EmbeddingMatrix g = EmbeddingMatrix::Zero(engine->NumContractSlots(d), 2);
-      for (float& x : g.data) {
-        x = 1.0f;
-      }
-      grads.push_back(std::move(g));
+  auto engine = MakeEngine(f);
+  ASSERT_TRUE(engine.ok());
+  std::vector<EmbeddingMatrix> grads;
+  for (uint32_t d = 0; d < f.relation.num_devices; ++d) {
+    EmbeddingMatrix g = EmbeddingMatrix::Zero(engine->NumContractSlots(d), 2);
+    for (float& x : g.data) {
+      x = 1.0f;
     }
-    auto out = engine->Backward(grads);
-    ASSERT_TRUE(out.ok());
-    outputs.push_back(*std::move(out));
+    grads.push_back(std::move(g));
+  }
+  auto out = engine->Backward(grads);
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  std::unordered_map<VertexId, uint32_t> holders;
+  for (const std::vector<VertexId>& remotes : f.relation.remote_vertices) {
+    for (VertexId v : remotes) {
+      ++holders[v];
+    }
   }
   for (uint32_t d = 0; d < f.relation.num_devices; ++d) {
-    EXPECT_EQ(outputs[0][d].data, outputs[1][d].data) << "device " << d;
+    const std::vector<VertexId>& locals = f.relation.local_vertices[d];
+    for (uint32_t i = 0; i < locals.size(); ++i) {
+      const float want = 1.0f + static_cast<float>(holders[locals[i]]);
+      for (uint32_t c = 0; c < 2; ++c) {
+        EXPECT_EQ((*out)[d].Row(i)[c], want) << "device " << d << ", vertex " << locals[i];
+      }
+    }
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(GpuCounts, CoordinationSweep, ::testing::Values(2u, 4u, 8u, 16u));
-
-TEST(CoordinationTest, DefaultIsDecentralized) {
-  Fixture f = Fixture::Make(2, 17);
-  auto engine = MakeEngine(f);
-  ASSERT_TRUE(engine.ok());
-  EXPECT_EQ(engine->coordination_mode(), CoordinationMode::kDecentralized);
-}
 
 TEST(CoordinationTest, CreateRejectsInvalidOptions) {
   Fixture f = Fixture::Make(2, 17);
@@ -126,39 +124,42 @@ TEST(CoordinationTest, CreateRejectsInvalidOptions) {
   options = {};
   options.transport_overrides.push_back({0, 99, Transport::kNic});
   EXPECT_FALSE(MakeEngine(f, options).ok());
+  // Deadlines past a day would overflow `now + timeout` on the clock.
+  for (uint64_t timeout : {UINT64_MAX, uint64_t{1} << 62}) {
+    options = {};
+    options.transport.wait_timeout_micros = timeout;
+    auto engine = MakeEngine(f, options);
+    ASSERT_FALSE(engine.ok()) << timeout;
+    EXPECT_EQ(engine.status().code(), StatusCode::kInvalidArgument) << timeout;
+  }
+  options = {};
+  options.transport.wait_timeout_micros = 0;  // waits forever
+  EXPECT_TRUE(MakeEngine(f, options).ok());
 }
 
-// A killed peer must fail the collective with a timeout Status, not hang.
-// Both protocols: decentralized waiters time out on the dead peer's flags;
-// the centralized barrier poisons itself when the peer never arrives. The
-// first timeout poisons every other wait, in every device thread, so the
-// collective fails in about one deadline rather than one per blocked wait,
-// and the recovery handoff names exactly the dead device: innocents that
-// merely aborted stay off the suspect list.
+// A killed peer must fail the collective with a timeout Status, not hang:
+// waiters time out on the dead peer's flags. The first timeout aborts every
+// other wait, in every device thread, so the collective fails in about one
+// deadline rather than one per blocked wait, and the recovery handoff names
+// exactly the dead device: innocents that merely aborted stay off the
+// suspect list.
 TEST(CoordinationTest, DeadPeerFailsTheCollectiveInsteadOfHanging) {
   Fixture f = Fixture::Make(4, 19);
-  auto local = f.Local(2);
-  for (CoordinationMode mode :
-       {CoordinationMode::kDecentralized, CoordinationMode::kCentralized}) {
-    EngineOptions options;
-    options.coordination = mode;
-    options.faults.dead_device = 1;
-    options.transport.wait_timeout_micros = 150'000;  // fail fast, not in 30s
-    auto engine = MakeEngine(f, options);
-    ASSERT_TRUE(engine.ok());
-    const auto start = std::chrono::steady_clock::now();
-    auto out = engine->Forward(local);
-    const double elapsed_s =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-    ASSERT_FALSE(out.ok()) << "mode " << static_cast<int>(mode);
-    EXPECT_EQ(out.status().code(), StatusCode::kDeadlineExceeded)
-        << "mode " << static_cast<int>(mode) << ": " << out.status().ToString();
-    EXPECT_LT(elapsed_s, 1.2) << "mode " << static_cast<int>(mode)
-                              << ": blocked waits ran to serial deadlines";
-    auto failure = engine->last_failure();
-    ASSERT_TRUE(failure.has_value());
-    EXPECT_EQ(failure->suspects, DeviceMask{1} << 1) << "mode " << static_cast<int>(mode);
-  }
+  EngineOptions options;
+  options.faults.dead_device = 1;
+  options.transport.wait_timeout_micros = 150'000;  // fail fast, not in 30s
+  auto engine = MakeEngine(f, options);
+  ASSERT_TRUE(engine.ok());
+  const auto start = std::chrono::steady_clock::now();
+  auto out = engine->Forward(f.Local(2));
+  const double elapsed_s =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+  ASSERT_FALSE(out.ok());
+  EXPECT_EQ(out.status().code(), StatusCode::kDeadlineExceeded) << out.status().ToString();
+  EXPECT_LT(elapsed_s, 1.2) << "blocked waits ran to serial deadlines";
+  auto failure = engine->last_failure();
+  ASSERT_TRUE(failure.has_value());
+  EXPECT_EQ(failure->suspects, DeviceMask{1} << 1);
 }
 
 // Injected drops force retries but never corrupt the payload: a faulted
@@ -218,22 +219,18 @@ TEST(CoordinationTest, WaitSpansCarryPeerAndStageTags) {
   telem.Reset();
 
   Fixture f = Fixture::Make(4, 29);
-  for (CoordinationMode mode :
-       {CoordinationMode::kDecentralized, CoordinationMode::kCentralized}) {
-    EngineOptions options;
-    options.coordination = mode;
-    options.faults.all_transports = true;
-    options.faults.latency_micros = 20;  // make the waits non-trivial
-    auto engine = MakeEngine(f, options);
-    ASSERT_TRUE(engine.ok());
-    ASSERT_TRUE(engine->Forward(f.Local(2)).ok());
-  }
+  EngineOptions options;
+  options.faults.all_transports = true;
+  options.faults.latency_micros = 20;  // make the waits non-trivial
+  auto engine = MakeEngine(f, options);
+  ASSERT_TRUE(engine.ok());
+  ASSERT_TRUE(engine->Forward(f.Local(2)).ok());
 
   telemetry::Trace trace = telem.Collect();
   telem.Reset();
   telem.SetEnabled(was_enabled);
 
-  uint64_t ready_waits = 0, done_waits = 0, barrier_waits = 0;
+  uint64_t ready_waits = 0, done_waits = 0;
   for (const telemetry::TraceEvent& ev : trace.events) {
     if (ev.kind != telemetry::TraceEventKind::kSpan ||
         ev.name.find("wait") == std::string::npos) {
@@ -252,14 +249,10 @@ TEST(CoordinationTest, WaitSpansCarryPeerAndStageTags) {
                   ev.category == "nic")
           << ev.category;
       (ev.name == "fwd.wait.ready" ? ready_waits : done_waits) += 1;
-    } else if (ev.name == "wait.barrier") {
-      EXPECT_EQ(ev.category, "runtime");
-      ++barrier_waits;
     }
   }
   EXPECT_GT(ready_waits, 0u);
   EXPECT_GT(done_waits, 0u);
-  EXPECT_GT(barrier_waits, 0u);
 }
 
 // The acceptance path end to end: latency injected on the NIC transport only

@@ -8,6 +8,8 @@
 
 #include <chrono>
 #include <cstring>
+#include <stop_token>
+#include <thread>
 #include <vector>
 
 #include "common/ids.h"
@@ -188,8 +190,9 @@ std::vector<uint32_t> FinishWithout(const AllgatherEngine& engine, uint32_t vict
 // some peer finishes that pass without it and runs into the next one. The
 // epoch must fail once, with a timeout well inside two wait deadlines, name
 // only the victim, and count passes as a pass-by-pass schedule would: up to
-// and including the killed pass.
-TEST(DeviceProgramFailureTest, KillWhilePeersRunAheadFailsOnceWithTheVictimAsSuspect) {
+// and including the killed pass. `hogs` busy threads run from before the
+// healthy epoch to the end of the failing one.
+void KillWhilePeersRunAhead(unsigned hogs) {
   const World w = World::Make(57);
   auto probe = AllgatherEngine::Create(w.relation, w.plan, w.topo);
   ASSERT_TRUE(probe.ok());
@@ -216,6 +219,13 @@ TEST(DeviceProgramFailureTest, KillWhilePeersRunAheadFailsOnceWithTheVictimAsSus
                                             w.num_classes, trainer_options);
   ASSERT_TRUE(trainer.ok());
 
+  std::vector<std::jthread> busy;  // each spins until its destructor stops it
+  for (unsigned i = 0; i < hogs; ++i) {
+    busy.emplace_back([](std::stop_token stop) {
+      while (!stop.stop_requested()) {
+      }
+    });
+  }
   ASSERT_TRUE(trainer->TrainEpoch().ok()) << "epoch 0 runs before the kill";
   EXPECT_EQ(engine->pass_count(), kill_pass);
 
@@ -224,6 +234,7 @@ TEST(DeviceProgramFailureTest, KillWhilePeersRunAheadFailsOnceWithTheVictimAsSus
   const auto elapsed_micros = std::chrono::duration_cast<std::chrono::microseconds>(
                                   std::chrono::steady_clock::now() - start)
                                   .count();
+  busy.clear();
   ASSERT_FALSE(failed.ok());
   EXPECT_EQ(failed.status().code(), StatusCode::kDeadlineExceeded) << failed.status().ToString();
   EXPECT_LT(elapsed_micros, static_cast<int64_t>(kTimeoutMicros * 3 / 2))
@@ -234,6 +245,16 @@ TEST(DeviceProgramFailureTest, KillWhilePeersRunAheadFailsOnceWithTheVictimAsSus
   EXPECT_EQ(failure->pass_index, kill_pass);
   EXPECT_EQ(failure->status.code(), StatusCode::kDeadlineExceeded);
   EXPECT_EQ(engine->pass_count(), kill_pass + 1u);
+}
+
+TEST(DeviceProgramFailureTest, KillWhilePeersRunAheadFailsOnceWithTheVictimAsSuspect) {
+  KillWhilePeersRunAhead(/*hogs=*/0);
+}
+
+// The same kill with a busy thread per core: the waits must still keep their
+// deadline by the clock, and park rather than take the cores their peers need.
+TEST(DeviceProgramFailureTest, KillUnderOversubscription) {
+  KillWhilePeersRunAhead(std::thread::hardware_concurrency());
 }
 
 }  // namespace

@@ -233,7 +233,7 @@ TEST(DgclApiTest, ArtifactsBundleAndEngineExposeThePipeline) {
   Rng rng(15);
   CsrGraph graph = GenerateErdosRenyi(60, 200, rng);
   DgclOptions options;
-  options.engine.coordination = CoordinationMode::kCentralized;
+  options.engine.transport.wait_timeout_micros = 123'000;
   auto ctx = DgclContext::Init(BuildPaperTopology(4), options);
   ASSERT_TRUE(ctx.ok());
   ASSERT_TRUE(ctx->BuildCommInfo(graph).ok());
@@ -246,9 +246,9 @@ TEST(DgclApiTest, ArtifactsBundleAndEngineExposeThePipeline) {
   EXPECT_TRUE(ValidatePlan(a.plan, a.relation, ctx->topology()).ok());
 
   // The engine was armed with the options passed at Init.
-  EXPECT_EQ(ctx->engine().coordination_mode(), CoordinationMode::kCentralized);
+  EXPECT_EQ(ctx->engine().options().transport.wait_timeout_micros, 123'000u);
   EXPECT_GT(ctx->engine().connections().size(), 0u);
-  EXPECT_EQ(ctx->options().engine.coordination, CoordinationMode::kCentralized);
+  EXPECT_EQ(ctx->options().engine.transport.wait_timeout_micros, 123'000u);
 }
 
 TEST(DgclApiTest, TransportOverridesFlowThroughToTheEngine) {

@@ -258,28 +258,23 @@ struct EngineFixture {
 
 TEST(EnginePostMortemTest, DeadDeviceBecomesTheSuspect) {
   EngineFixture f = EngineFixture::Make(4, 19);
-  auto local = f.Local(2);
-  for (CoordinationMode mode :
-       {CoordinationMode::kDecentralized, CoordinationMode::kCentralized}) {
-    EngineOptions options;
-    options.coordination = mode;
-    options.faults.dead_device = 1;
-    options.transport.wait_timeout_micros = kFastTimeoutMicros;
-    auto engine = AllgatherEngine::Create(f.relation, f.plan, f.topo, options);
-    ASSERT_TRUE(engine.ok());
-    EXPECT_FALSE(engine->last_failure().has_value());
+  EngineOptions options;
+  options.faults.dead_device = 1;
+  options.transport.wait_timeout_micros = kFastTimeoutMicros;
+  auto engine = AllgatherEngine::Create(f.relation, f.plan, f.topo, options);
+  ASSERT_TRUE(engine.ok());
+  EXPECT_FALSE(engine->last_failure().has_value());
 
-    auto out = engine->Forward(local);
-    ASSERT_FALSE(out.ok());
-    EXPECT_EQ(out.status().code(), StatusCode::kDeadlineExceeded);
+  auto out = engine->Forward(f.Local(2));
+  ASSERT_FALSE(out.ok());
+  EXPECT_EQ(out.status().code(), StatusCode::kDeadlineExceeded);
 
-    auto failure = engine->last_failure();
-    ASSERT_TRUE(failure.has_value());
-    EXPECT_EQ(failure->status.code(), StatusCode::kDeadlineExceeded);
-    EXPECT_EQ(failure->suspects, DeviceMask{1} << 1)
-        << "exactly the dead device, no innocent blocked peers";
-    EXPECT_EQ(failure->pass_index, 0u);
-  }
+  auto failure = engine->last_failure();
+  ASSERT_TRUE(failure.has_value());
+  EXPECT_EQ(failure->status.code(), StatusCode::kDeadlineExceeded);
+  EXPECT_EQ(failure->suspects, DeviceMask{1} << 1)
+      << "exactly the dead device, no innocent blocked peers";
+  EXPECT_EQ(failure->pass_index, 0u);
 }
 
 TEST(EnginePostMortemTest, SuccessfulPassClearsLastFailure) {

@@ -1,5 +1,5 @@
 // Failure injection: a transiently slow device (§6.1's "transient
-// stragglers") must never corrupt delivery, under either coordination mode.
+// stragglers") must never corrupt delivery.
 
 #include <gtest/gtest.h>
 
@@ -32,19 +32,15 @@ struct Fixture {
   }
 };
 
-class StragglerSweep
-    : public ::testing::TestWithParam<std::tuple<uint32_t, CoordinationMode>> {};
+class StragglerSweep : public ::testing::TestWithParam<uint32_t> {};
 
 TEST_P(StragglerSweep, SlowDeviceNeverCorruptsDelivery) {
-  const auto [straggler, mode] = GetParam();
   Fixture f = Fixture::Make(8, 21);
-  EngineOptions clean_options;
-  clean_options.coordination = mode;
-  auto engine = AllgatherEngine::Create(f.relation, f.plan, f.topo, clean_options);
+  auto engine = AllgatherEngine::Create(f.relation, f.plan, f.topo);
   ASSERT_TRUE(engine.ok());
 
-  EngineOptions slow_options = clean_options;
-  slow_options.straggler_device = straggler;
+  EngineOptions slow_options;
+  slow_options.straggler_device = GetParam();
   slow_options.straggler_micros = 2000;  // 2 ms per stage
   auto slow_engine = AllgatherEngine::Create(f.relation, f.plan, f.topo, slow_options);
   ASSERT_TRUE(slow_engine.ok());
@@ -84,15 +80,8 @@ TEST_P(StragglerSweep, SlowDeviceNeverCorruptsDelivery) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Cases, StragglerSweep,
-    ::testing::Combine(::testing::Values(0u, 3u, 7u),
-                       ::testing::Values(CoordinationMode::kDecentralized,
-                                         CoordinationMode::kCentralized)),
-    [](const auto& info) {
-      return "dev" + std::to_string(std::get<0>(info.param)) +
-             (std::get<1>(info.param) == CoordinationMode::kDecentralized ? "flags" : "barrier");
-    });
+INSTANTIATE_TEST_SUITE_P(Cases, StragglerSweep, ::testing::Values(0u, 3u, 7u),
+                         [](const auto& info) { return "dev" + std::to_string(info.param); });
 
 }  // namespace
 }  // namespace dgcl

@@ -50,8 +50,8 @@ Result<telemetry::Trace> LoadMerged(const std::vector<std::string>& paths) {
 }
 
 // Per-peer wait-time histogram over the engine's coordination-wait spans
-// (names containing "wait": fwd.wait.ready, fwd.wait.done, bwd.wait.done,
-// wait.barrier), grouped by (wait name, peer arg). Buckets are decades of
+// (names containing "wait": fwd.wait.ready, fwd.wait.done, bwd.wait.ready,
+// bwd.wait.done), grouped by (wait name, peer arg). Buckets are decades of
 // wait duration — the shape separates healthy spin-throughs (<10us) from
 // stalls behind a straggler or injected NIC latency.
 int SummarizeWaits(const telemetry::Trace& trace) {
