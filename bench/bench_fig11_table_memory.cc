@@ -45,7 +45,9 @@ void RunGpuCount(uint32_t gpus) {
                   TablePrinter::FmtBytes(max_training),
                   TablePrinter::Fmt(table_per_gpu / max_training * 1e3, 3)});
   }
-  std::printf("%s\n", table.Render("(" + std::to_string(gpus) + " GPUs)").c_str());
+  char title[32];
+  std::snprintf(title, sizeof(title), "(%u GPUs)", gpus);
+  std::printf("%s\n", table.Render(title).c_str());
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 #include "comm/plan_io.h"
 
+#include <algorithm>
 #include <cstring>
 #include <fstream>
 #include <string>
@@ -117,6 +118,18 @@ Result<CompiledPlan> LoadCompiledPlan(const Topology& topo, const std::string& p
       return Status::InvalidArgument(path + ": truncated vertex table");
     }
     plan.ops.push_back(std::move(op));
+  }
+  // num_stages sizes every per-stage table downstream (ValidateCompiledPlan,
+  // AllgatherEngine::Create), so it must be what the ops imply, as
+  // CommPlan::NumStages defines it: the largest op stage + 1, 0 without ops.
+  uint32_t op_stages = 0;
+  for (const TransferOp& op : plan.ops) {
+    op_stages = std::max(op_stages, op.stage + 1);  // op.stage < num_stages: no overflow
+  }
+  if (op_stages != header.num_stages) {
+    return Status::InvalidArgument(path + ": header stage count " +
+                                   std::to_string(header.num_stages) + " != " +
+                                   std::to_string(op_stages) + " stages used by the ops");
   }
   plan.planner_name = "spst";  // trailer-less files predate provenance
   char trailer_magic[4];

@@ -41,7 +41,6 @@ Status DgclOptions::Validate() const {
     return Status::InvalidArgument("bytes_per_unit must be positive and finite");
   }
   DGCL_RETURN_IF_ERROR(planner.Validate());
-  DGCL_RETURN_IF_ERROR(recovery.Validate());
   return engine.Validate();
 }
 
@@ -128,9 +127,6 @@ Status DgclContext::BuildCommInfo(const CsrGraph& graph) {
 
 Result<RecoveryReport> DgclContext::Recover(DeviceMask suspects) {
   State& s = *state_;
-  if (!s.options.recovery.enabled) {
-    return Status::FailedPrecondition("Recover: DgclOptions::recovery.enabled is false");
-  }
   if (!s.engine.has_value() || s.graph == nullptr) {
     return Status::FailedPrecondition("Recover: BuildCommInfo not called");
   }

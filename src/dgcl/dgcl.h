@@ -64,11 +64,6 @@ struct DgclOptions {
   // pass delivers.
   EngineOptions engine;
 
-  // Elastic fault recovery (recovery.h): with recovery.enabled, a failed
-  // collective can be survived by Recover() — re-plan onto the surviving
-  // topology and resume — instead of surfacing the Status.
-  RecoveryOptions recovery;
-
   // Checked by Init; topology-dependent parts (override ids, dead_device
   // range) are checked there too, so a bad config fails before any planning.
   Status Validate() const;
@@ -141,8 +136,7 @@ class DgclContext {
   // freshly built for the surviving topology: num_devices() shrinks, device
   // ids compact, artifacts()/engine() describe the new plan. Every phase is
   // a "recovery.<phase>" telemetry span; the returned report carries the
-  // per-phase wall-clock MTTR breakdown. Requires DgclOptions::recovery
-  // .enabled and comm_info_ready().
+  // per-phase wall-clock MTTR breakdown. Requires comm_info_ready().
   Result<RecoveryReport> Recover(DeviceMask suspects);
 
   // Convenience: Recover using the engine's last recorded PassFailure.

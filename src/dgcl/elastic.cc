@@ -28,8 +28,6 @@ Result<ElasticTrainingSession> ElasticTrainingSession::Create(
   session.labels_ = &labels;
   session.num_classes_ = num_classes;
   session.options_ = options;
-  session.checkpoints_ =
-      EmbeddingCheckpointStore(ctx.options().recovery.checkpoint_every_n_layers);
   DGCL_ASSIGN_OR_RETURN(
       DistributedTrainer trainer,
       DistributedTrainer::Create(graph, ctx.artifacts().relation, ctx.engine(), features, labels,
@@ -57,34 +55,24 @@ Status ElasticTrainingSession::RestoreTrainer(RecoveryReport& report) {
 }
 
 Result<EpochResult> ElasticTrainingSession::TrainEpoch() {
-  // Activation snapshots are only valid while the weights that produced them
-  // are live; a new epoch starts from fresh post-step weights.
-  checkpoints_.Clear();
-  EpochHooks hooks;
-  hooks.checkpoints = checkpoints_.every_n_layers() > 0 ? &checkpoints_ : nullptr;
-  hooks.restore = false;
-
-  Result<EpochResult> result = trainer_->TrainEpoch(hooks);
+  Result<EpochResult> result = trainer_->TrainEpoch();
   while (!result.ok()) {
-    const RecoveryOptions& recovery = ctx_->options().recovery;
-    if (!recovery.enabled || !IsRecoverableFailure(result.status()) ||
-        recoveries() >= recovery.max_recoveries) {
+    if (!IsRecoverableFailure(result.status())) {
       return result;
     }
+    // Ends the loop: a commit that would leave no survivor fails here.
     DGCL_ASSIGN_OR_RETURN(RecoveryReport report, ctx_->RecoverFromLastFailure());
     DGCL_RETURN_IF_ERROR(RestoreTrainer(report));
-    hooks.restore = true;
     const auto t0 = std::chrono::steady_clock::now();
     {
       DGCL_TSPAN1("recovery", "recovery.resume", "epoch", report.epoch);
-      result = trainer_->TrainEpoch(hooks);
+      result = trainer_->TrainEpoch();
     }
     if (result.ok()) {
       report.resume_seconds = SecondsSince(t0);
     }
     recovery_log_.push_back(std::move(report));
   }
-  checkpoints_.Clear();
   return result;
 }
 

@@ -2,11 +2,10 @@
 // death.
 //
 // ElasticTrainingSession wraps DgclContext + DistributedTrainer into the
-// recovery protocol's end-to-end loop. A normal epoch runs exactly as
-// DistributedTrainer::TrainEpoch does, plus lightweight activation
-// checkpoints (RecoveryOptions::checkpoint_every_n_layers). When an epoch
-// fails with a recoverable Status (kDeadlineExceeded / kUnavailable — the
-// dead-peer signatures PR 4's deadline-bounded waits produce), the session:
+// recovery protocol's end-to-end loop. Every epoch runs exactly as
+// DistributedTrainer::TrainEpoch does. When an epoch fails with a
+// recoverable Status (kDeadlineExceeded / kUnavailable — the dead-peer
+// signatures of the engine's deadline-bounded waits), the session:
 //
 //   detect      read the engine's PassFailure post-mortem (suspect set)
 //   membership  commit the failed devices as a new membership epoch
@@ -15,8 +14,9 @@
 //   restore     rebuild the trainer on the new layout (its Create builds
 //               layer 0's input for that layout), re-import the replica
 //               weights (valid: weights only change in a completed step)
-//   resume      retry the epoch, restoring checkpointed layer boundaries
-//               instead of re-running their allgathers
+//   resume      run the epoch again on the survivors, allgathers and all:
+//               training is full-graph and synchronous, so the retried
+//               epoch computes the same global gradient on any layout
 //
 // Every phase is a "recovery.<phase>" telemetry span; the per-phase wall
 // times land in recovery_log() (and bench_recovery's MTTR table).
@@ -46,9 +46,11 @@ class ElasticTrainingSession {
 
   // One epoch that survives recoverable failures: on a dead device, runs the
   // recovery protocol against the context and retries on the surviving
-  // topology (up to RecoveryOptions::max_recoveries across the session).
-  // Non-recoverable failures — and failures with recovery disabled — surface
-  // unchanged.
+  // topology, for as long as a survivor remains. Every recovery commits at
+  // least one dead device and the last device is never committed, so a
+  // session makes at most num_devices - 1 recoveries. Non-recoverable
+  // failures surface unchanged; a failure the protocol cannot commit (no
+  // suspect, or no survivor left) surfaces the protocol's error.
   Result<EpochResult> TrainEpoch();
 
   // Forward-only evaluation on the current (possibly recovered) layout.
@@ -76,7 +78,6 @@ class ElasticTrainingSession {
   uint32_t num_classes_ = 0;
   TrainerOptions options_;
   std::optional<DistributedTrainer> trainer_;
-  EmbeddingCheckpointStore checkpoints_{0};
   std::vector<RecoveryReport> recovery_log_;
 };
 

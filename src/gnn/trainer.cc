@@ -265,21 +265,14 @@ Result<DistributedTrainer> DistributedTrainer::Create(
 // once every device has finished.
 struct DistributedTrainer::EpochState {
   bool train = false;
-  // Per boundary l (the input of layer l >= 1): the checkpoint its slots are
-  // restored from, or the global matrix devices snapshot their rows into
-  // before its pass (empty when neither).
-  std::vector<const EmbeddingCheckpoint*> restore;
-  std::vector<EmbeddingMatrix> snapshots;
   std::vector<double> share;  // device d's share of the labeled vertices
   EmbeddingMatrix* all_logits = nullptr;
   // Per device.
-  std::vector<uint32_t> reached;  // last boundary whose snapshot rows it wrote
   std::vector<double> loss;
   std::vector<double> accuracy;
 };
 
-Result<EpochResult> DistributedTrainer::Pass(bool train, EmbeddingMatrix* all_logits,
-                                             const EpochHooks& hooks) {
+Result<EpochResult> DistributedTrainer::Pass(bool train, EmbeddingMatrix* all_logits) {
   const uint32_t devices = relation_->num_devices;
   const uint32_t layers = options_.num_layers;
   DGCL_TSPAN2("trainer", train ? "epoch.train" : "epoch.eval", "devices", devices, "layers",
@@ -294,17 +287,6 @@ Result<EpochResult> DistributedTrainer::Pass(bool train, EmbeddingMatrix* all_lo
 
   EpochState epoch;
   epoch.train = train;
-  epoch.restore.assign(layers, nullptr);
-  epoch.snapshots.resize(layers);
-  for (uint32_t l = 1; l < layers && hooks.checkpoints != nullptr; ++l) {
-    const EmbeddingCheckpoint* saved = hooks.checkpoints->Find(l);
-    if (hooks.restore && saved != nullptr) {
-      epoch.restore[l] = saved;
-    } else if (saved == nullptr && hooks.checkpoints->ShouldCheckpoint(l)) {
-      epoch.snapshots[l] = EmbeddingMatrix::Zero(
-          static_cast<uint32_t>(relation_->source.size()), replicas_[0].layers[l]->dim_in());
-    }
-  }
   // Device d's share of the labeled vertices: rescales its per-device mean
   // loss (and gradient) to the global mean.
   epoch.share.resize(devices);
@@ -316,21 +298,11 @@ Result<EpochResult> DistributedTrainer::Pass(bool train, EmbeddingMatrix* all_lo
         static_cast<uint32_t>(relation_->source.size()), num_classes_);
   }
   epoch.all_logits = all_logits;
-  epoch.reached.assign(devices, 0);
   epoch.loss.assign(devices, 0.0);
   epoch.accuracy.assign(devices, 0.0);
 
-  const Status status = engine_->RunProgram(
-      options_.hidden_dim, [&](DevicePasses& passes) { return RunDevice(passes, epoch); });
-  // Keep the snapshots every device wrote, even when a later pass failed: the
-  // retry resumes from them.
-  const uint32_t reached = *std::min_element(epoch.reached.begin(), epoch.reached.end());
-  for (uint32_t l = 1; l <= reached; ++l) {
-    if (epoch.snapshots[l].rows > 0) {
-      hooks.checkpoints->Save(l, std::move(epoch.snapshots[l]));
-    }
-  }
-  DGCL_RETURN_IF_ERROR(status);
+  DGCL_RETURN_IF_ERROR(engine_->RunProgram(
+      options_.hidden_dim, [&](DevicePasses& passes) { return RunDevice(passes, epoch); }));
 
   EpochResult result;
   for (uint32_t d = 0; d < devices; ++d) {
@@ -402,26 +374,6 @@ Status DistributedTrainer::RunDevice(DevicePasses& passes, EpochState& epoch) {
     acts = layers[0]->Update(g);
   }
   for (uint32_t l = 1; l < layers.size(); ++l) {
-    if (const EmbeddingCheckpoint* ckpt = epoch.restore[l]; ckpt != nullptr) {
-      // Restore path: the activations entering this layer were snapshotted by
-      // the failed epoch (weights unchanged since — see ExportReplica), so the
-      // slot inputs come straight from the global checkpoint and this layer's
-      // allgather is skipped on every device. Local compute still runs,
-      // keeping every layer's backward cache exact.
-      DGCL_TSPAN1_IF(traced, "recovery", "recovery.restore.layer", "layer", l);
-      acts = layers[l]->Forward(g, GatherSlots(ckpt->acts, *relation_, d));
-      continue;
-    }
-    if (EmbeddingMatrix& snapshot = epoch.snapshots[l]; snapshot.rows > 0) {
-      // Snapshot the boundary *before* the allgather: if the exchange dies,
-      // the retry resumes from this very layer. Devices own disjoint rows.
-      DGCL_TSPAN1_IF(traced, "recovery", "recovery.checkpoint.save", "layer", l);
-      const auto& locals = relation_->local_vertices[d];
-      for (uint32_t i = 0; i < num_local; ++i) {
-        std::copy(acts.Row(i), acts.Row(i) + acts.dim, snapshot.Row(locals[i]));
-      }
-      epoch.reached[d] = l;
-    }
     {
       DGCL_TSPAN1_IF(traced, "trainer", "layer.allgather", "layer", l);
       resize_slots(pass_rows, acts.dim);
@@ -481,11 +433,7 @@ Status DistributedTrainer::RunDevice(DevicePasses& passes, EpochState& epoch) {
   return Status::Ok();
 }
 
-Result<EpochResult> DistributedTrainer::TrainEpoch() { return TrainEpoch(EpochHooks{}); }
-
-Result<EpochResult> DistributedTrainer::TrainEpoch(const EpochHooks& hooks) {
-  return Pass(/*train=*/true, nullptr, hooks);
-}
+Result<EpochResult> DistributedTrainer::TrainEpoch() { return Pass(/*train=*/true, nullptr); }
 
 Result<EpochResult> DistributedTrainer::Evaluate() { return Pass(/*train=*/false, nullptr); }
 

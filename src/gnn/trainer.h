@@ -39,7 +39,6 @@
 #include "gnn/layers.h"
 #include "gnn/local_graph.h"
 #include "runtime/allgather_engine.h"
-#include "runtime/recovery.h"
 
 namespace dgcl {
 
@@ -64,20 +63,6 @@ struct EpochResult {
 struct ReplicaWeights {
   std::vector<std::vector<EmbeddingMatrix>> layers;  // [layer][param]
   EmbeddingMatrix head;
-};
-
-// Optional per-epoch recovery plumbing for TrainEpoch. With `checkpoints`
-// set, the trainer snapshots the global activation matrix entering layer l
-// (for every l >= 1 the store elects) *before* running that layer's
-// allgather — keyed by global vertex id, so the snapshot is valid under any
-// post-recovery layout. With `restore` also set, layers whose boundary is
-// checkpointed rebuild their slot inputs straight from the snapshot instead
-// of re-running the allgather: every layer still runs its local compute (so
-// the backward caches stay exact), only the communication — the expensive
-// part — is skipped.
-struct EpochHooks {
-  EmbeddingCheckpointStore* checkpoints = nullptr;
-  bool restore = false;
 };
 
 // InvalidArgument unless every label is kInvalidId (unlabeled) or in
@@ -138,7 +123,7 @@ class MiniBatchModel {
   Result<EpochResult> Evaluate(const LocalGraph& block, const EmbeddingMatrix& inputs,
                                const std::vector<uint32_t>& labels);
 
-  // PR-5 checkpoint machinery: same shapes as DistributedTrainer's replicas.
+  // Weight export/import: same shapes as DistributedTrainer's replicas.
   ReplicaWeights ExportReplica();
   Status ImportReplica(const ReplicaWeights& weights);
 
@@ -172,10 +157,9 @@ class DistributedTrainer {
   static constexpr uint32_t PassesPerEpoch(uint32_t num_layers) { return 2 * (num_layers - 1); }
 
   // One full forward + backward + synchronized SGD step over all vertices.
+  // A failed epoch leaves the weights untouched, so it can simply be run
+  // again (after a recovery, on the trainer rebuilt for the survivors).
   Result<EpochResult> TrainEpoch();
-
-  // TrainEpoch with activation checkpoint/restore plumbing (recovery path).
-  Result<EpochResult> TrainEpoch(const EpochHooks& hooks);
 
   // Forward only; loss/accuracy over all labeled vertices.
   Result<EpochResult> Evaluate();
@@ -203,8 +187,7 @@ class DistributedTrainer {
   // Runs forward to logits per device. With `train`, also runs backward,
   // synchronizes the gradients and steps every replica; with `all_logits`,
   // gathers every device's logits into one matrix by global vertex id.
-  Result<EpochResult> Pass(bool train, EmbeddingMatrix* all_logits,
-                           const EpochHooks& hooks = {});
+  Result<EpochResult> Pass(bool train, EmbeddingMatrix* all_logits);
 
   // Device passes.device()'s part of one epoch: its forward (with the engine's
   // forward passes), head and loss, and when training its backward (with the

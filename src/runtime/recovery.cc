@@ -4,7 +4,6 @@
 #include <bit>
 #include <limits>
 #include <string>
-#include <utility>
 
 #include "common/ids.h"
 
@@ -35,13 +34,6 @@ uint32_t LeastLoaded(const std::vector<uint64_t>& load, DeviceMask candidates) {
 }
 
 }  // namespace
-
-Status RecoveryOptions::Validate() const {
-  if (enabled && max_recoveries == 0) {
-    return Status::InvalidArgument("RecoveryOptions: enabled with max_recoveries == 0");
-  }
-  return Status::Ok();
-}
 
 bool IsRecoverableFailure(const Status& status) {
   return status.code() == StatusCode::kDeadlineExceeded ||
@@ -247,25 +239,6 @@ Result<Partitioning> RemapPartitioning(const Partitioning& partitioning,
     out.assignment.push_back(old_to_new[old_part]);
   }
   return out;
-}
-
-void EmbeddingCheckpointStore::Save(uint32_t boundary, EmbeddingMatrix acts) {
-  EmbeddingCheckpoint& slot = checkpoints_[boundary];
-  slot.boundary = boundary;
-  slot.acts = std::move(acts);
-}
-
-const EmbeddingCheckpoint* EmbeddingCheckpointStore::Find(uint32_t boundary) const {
-  auto it = checkpoints_.find(boundary);
-  return it == checkpoints_.end() ? nullptr : &it->second;
-}
-
-uint64_t EmbeddingCheckpointStore::TotalBytes() const {
-  uint64_t bytes = 0;
-  for (const auto& [boundary, ckpt] : checkpoints_) {
-    bytes += static_cast<uint64_t>(ckpt.acts.data.size()) * sizeof(float);
-  }
-  return bytes;
 }
 
 }  // namespace dgcl

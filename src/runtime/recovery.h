@@ -1,59 +1,34 @@
 // Elastic fault recovery: survive a dead device by re-planning onto the
 // surviving topology.
 //
-// PR 4 made failure *detectable* — a dead peer surfaces as kDeadlineExceeded
-// from a deadline-bounded wait instead of a hang. This subsystem answers the
-// question a production training stack must answer next: what happens then?
-// The paper's pipeline (partition -> relation -> SPST plan -> compiled
-// tables) is exactly the machinery needed to recover: agree on the failed
-// device set, fold the dead device's vertices into the survivors, rebuild the
-// plan for the surviving topology, restore embeddings from a lightweight
-// in-memory checkpoint and resume the epoch — the same elastic-membership
-// direction NCCL-style collectives and BytePS-style elastic training take.
+// A dead peer surfaces as kDeadlineExceeded from a deadline-bounded wait
+// instead of a hang. This subsystem answers what happens then. The paper's
+// pipeline (partition -> relation -> SPST plan -> compiled tables) is exactly
+// the machinery needed to recover: agree on the failed device set, fold the
+// dead device's vertices into the survivors, rebuild the plan for the
+// surviving topology and run the failed epoch again. Training is full-graph
+// and synchronous, so every epoch computes the same global gradient on any
+// layout; the retried epoch re-runs its exchanges like any other epoch.
 //
 // This header holds the *mechanisms* (membership epochs, surviving-topology
-// derivation, the incremental repartition heuristic, the checkpoint store);
-// the *protocol driver* that stitches them into the planning pipeline lives
-// in DgclContext::Recover and ElasticTrainingSession (src/dgcl/elastic.h).
-// Every phase is a DGCL_TSPAN under the "recovery" category, so
-// `dgcl_trace summarize --recovery` breaks MTTR down per phase.
+// derivation, the incremental repartition heuristic); the *protocol driver*
+// that stitches them into the planning pipeline lives in DgclContext::Recover
+// and ElasticTrainingSession (src/dgcl/elastic.h). Every phase is a
+// DGCL_TSPAN under the "recovery" category, so `dgcl_trace summarize
+// --recovery` breaks MTTR down per phase.
 
 #ifndef DGCL_RUNTIME_RECOVERY_H_
 #define DGCL_RUNTIME_RECOVERY_H_
 
 #include <cstdint>
-#include <map>
 #include <vector>
 
 #include "comm/relation.h"
 #include "common/status.h"
 #include "partition/partitioner.h"
-#include "runtime/allgather_engine.h"
 #include "topology/topology.h"
 
 namespace dgcl {
-
-// Knobs for the recovery protocol, carried by DgclOptions::recovery.
-struct RecoveryOptions {
-  // Master switch: with recovery disabled (the default), a failed collective
-  // surfaces its Status to the caller exactly as before this subsystem.
-  bool enabled = false;
-
-  // The trainer snapshots the global activation matrix entering every n-th
-  // layer (by global vertex id, so a snapshot survives repartitioning). On
-  // resume, layers whose boundary is checkpointed rebuild their slot inputs
-  // from the snapshot instead of re-running the allgather — recompute is
-  // local, the re-done communication is what the checkpoint saves. 0
-  // disables activation checkpoints (recovery then re-runs the whole epoch's
-  // communication).
-  uint32_t checkpoint_every_n_layers = 1;
-
-  // Upper bound on recoveries per training session; one more failure than
-  // this surfaces the failing Status to the caller.
-  uint32_t max_recoveries = 4;
-
-  Status Validate() const;
-};
 
 // Status codes the recovery protocol can handle: a deadline-bounded wait that
 // ran out (the dead-peer signature) or an unavailable peer/transport.
@@ -175,44 +150,6 @@ Result<Partitioning> RemapPartitioning(const Partitioning& partitioning,
                                        const std::vector<uint32_t>& old_to_new,
                                        uint32_t new_num_parts);
 
-// One per-layer activation snapshot: the global [num_vertices x dim] matrix
-// entering layer `boundary`, keyed by global vertex id so it can be
-// re-dispatched under any post-recovery layout.
-struct EmbeddingCheckpoint {
-  uint32_t boundary = 0;  // layer the activations feed into (>= 1)
-  EmbeddingMatrix acts;
-};
-
-// In-memory checkpoint store for one epoch's forward pass. Snapshots are
-// valid only while the model weights that produced them are live, so the
-// trainer clears the store after every completed (weight-updating) epoch.
-class EmbeddingCheckpointStore {
- public:
-  explicit EmbeddingCheckpointStore(uint32_t every_n_layers = 1)
-      : every_n_layers_(every_n_layers) {}
-
-  // True when the activations entering `boundary` should be snapshotted.
-  bool ShouldCheckpoint(uint32_t boundary) const {
-    return every_n_layers_ > 0 && boundary >= 1 && boundary % every_n_layers_ == 0;
-  }
-
-  void Save(uint32_t boundary, EmbeddingMatrix acts);
-
-  // nullptr when no snapshot exists for this boundary.
-  const EmbeddingCheckpoint* Find(uint32_t boundary) const;
-
-  void Clear() { checkpoints_.clear(); }
-  size_t size() const { return checkpoints_.size(); }
-  uint32_t every_n_layers() const { return every_n_layers_; }
-
-  // The checkpoint cost model's numerator: bytes held across all snapshots.
-  uint64_t TotalBytes() const;
-
- private:
-  uint32_t every_n_layers_ = 1;
-  std::map<uint32_t, EmbeddingCheckpoint> checkpoints_;  // by boundary
-};
-
 // What one completed recovery cost, phase by phase (seconds). The same
 // breakdown is recorded as "recovery.<phase>" telemetry spans; bench_recovery
 // reports it as the MTTR table.
@@ -227,7 +164,7 @@ struct RecoveryReport {
   double membership_seconds = 0.0;   // epoch commit
   double repartition_seconds = 0.0;  // surviving topology + incremental repartition
   double replan_seconds = 0.0;       // relation + SPST + compile + arm engine
-  double restore_seconds = 0.0;      // trainer rebuild + weight/checkpoint restore
+  double restore_seconds = 0.0;      // trainer rebuild + weight restore
   double resume_seconds = 0.0;       // the retried epoch, to completion
 
   // Recovery work proper (everything but the retried epoch).

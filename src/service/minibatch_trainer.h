@@ -13,8 +13,9 @@
 // — under training load, and the MiniBatchModel (gnn/trainer.h) runs
 // forward/backward/SGD on the induced block.
 //
-// Epoch boundaries reuse the PR-5 checkpoint machinery: after every
-// completed epoch the model's ReplicaWeights are snapshotted; a mid-epoch
+// Epoch boundaries reuse the weight export/import that carries the model
+// across a full-graph recovery: after every completed epoch the model's
+// ReplicaWeights are snapshotted; a mid-epoch
 // failure (e.g. a shard died under the sampler — the same kUnavailable
 // fail-fast the inference path has) leaves the model partially stepped, and
 // RestoreCheckpoint rewinds it to the epoch boundary so the retried epoch

@@ -127,8 +127,6 @@ bool RunSchedule(const Schedule& schedule, uint64_t seed, bool faulted, RunOutco
   }
 
   DgclOptions options;
-  options.recovery.enabled = true;
-  options.recovery.checkpoint_every_n_layers = 1;
   if (faulted) {
     switch (schedule.kind) {
       case FaultKind::kNone:

@@ -131,9 +131,7 @@ TEST(GoldenPlanTest, NoNvlink4Gpu) {
 
 TEST(GoldenPlanTest, PostRecovery7Gpu) {
   CsrGraph graph = CorpusGraph(83);
-  DgclOptions options;
-  options.recovery.enabled = true;
-  auto ctx = DgclContext::Init(BuildPaperTopology(8), options);
+  auto ctx = DgclContext::Init(BuildPaperTopology(8), {});
   ASSERT_TRUE(ctx.ok());
   ASSERT_TRUE(ctx->BuildCommInfo(graph).ok());
   auto report = ctx->Recover(DeviceMask{1} << 3);

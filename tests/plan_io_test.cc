@@ -96,10 +96,10 @@ TEST(PlanIoTest, RejectsTruncatedPayload) {
 
 // Writes a 32-byte plan header matching `topo`, followed by `tail`.
 std::string WriteCraftedPlan(const std::string& name, const Topology& topo, uint64_t num_ops,
-                             const std::string& tail) {
+                             const std::string& tail, uint32_t num_stages = 1) {
   const char magic[8] = {'D', 'G', 'C', 'L', 'P', '1', 0, 0};
   const uint32_t fields[4] = {topo.num_devices(), topo.num_links(), topo.num_connections(),
-                              /*num_stages=*/1};
+                              num_stages};
   std::string bytes(magic, sizeof(magic));
   bytes.append(reinterpret_cast<const char*>(fields), sizeof(fields));
   bytes.append(reinterpret_cast<const char*>(&num_ops), sizeof(num_ops));
@@ -131,6 +131,48 @@ TEST(PlanIoTest, RejectsOpVertexCountBeyondFileSize) {
   std::remove(path.c_str());
   EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(loaded.status().message().find("vertex count"), std::string::npos);
+}
+
+// One op on link 0 at `stage`, substage 0, with a single vertex 0.
+std::string OneOp(uint32_t stage) {
+  const uint32_t op_fields[3] = {0, stage, 0};
+  const uint64_t count = 1;
+  const VertexId vertex = 0;
+  std::string op(reinterpret_cast<const char*>(op_fields), sizeof(op_fields));
+  op.append(reinterpret_cast<const char*>(&count), sizeof(count));
+  op.append(reinterpret_cast<const char*>(&vertex), sizeof(vertex));
+  return op;
+}
+
+// The header's stage count sizes per-stage tables downstream, so it must be
+// the one the ops imply (largest op stage + 1, 0 without ops).
+TEST(PlanIoTest, RejectsStageCountTheOpsDoNotUse) {
+  Topology topo = BuildPaperTopology(4);
+  for (uint32_t num_stages : {1u, 1'000'000u, 0xFFFFFFFFu}) {
+    const std::string path = WriteCraftedPlan("stages_no_ops.bin", topo, 0, "", num_stages);
+    auto loaded = LoadCompiledPlan(topo, path);
+    std::remove(path.c_str());
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument) << num_stages;
+    EXPECT_NE(loaded.status().message().find("stage count"), std::string::npos) << num_stages;
+  }
+  {  // one op at stage 0 claiming a second, empty stage
+    const std::string path = WriteCraftedPlan("stages_one_op.bin", topo, 1, OneOp(0), 2);
+    auto loaded = LoadCompiledPlan(topo, path);
+    std::remove(path.c_str());
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+  }
+  {  // the counts the ops imply load
+    std::string path = WriteCraftedPlan("stages_empty.bin", topo, 0, "", 0);
+    auto empty = LoadCompiledPlan(topo, path);
+    std::remove(path.c_str());
+    ASSERT_TRUE(empty.ok()) << empty.status().ToString();
+    EXPECT_EQ(empty->num_stages, 0u);
+    path = WriteCraftedPlan("stages_two.bin", topo, 1, OneOp(1), 2);
+    auto two = LoadCompiledPlan(topo, path);
+    std::remove(path.c_str());
+    ASSERT_TRUE(two.ok()) << two.status().ToString();
+    EXPECT_EQ(two->num_stages, 2u);
+  }
 }
 
 }  // namespace

@@ -127,7 +127,7 @@ int SummarizeRecovery(const telemetry::Trace& trace) {
     p.max_seconds = std::max(p.max_seconds, seconds);
   }
   if (phases.empty()) {
-    std::printf("no recovery spans in trace (enable RecoveryOptions and telemetry)\n");
+    std::printf("no recovery spans in trace (run an ElasticTrainingSession with telemetry enabled)\n");
     return 0;
   }
   TablePrinter table({"Phase", "Count", "Total ms", "Mean ms", "Max ms"});
