@@ -1,7 +1,7 @@
 // Planner-family crossover map: which strategy wins where?
 //
 // Sweeps dataset density x topology x embedding dim and, per cell, plans the
-// same workload with every registered strategy (plus the "auto" selection).
+// same workload with every strategy (plus the "auto" selection).
 // Cells are scored by the discrete-event NetworkSim allgather time of the
 // compiled plan; the cost-model estimate is reported alongside so the
 // auto-selector's ranking signal can be compared against the simulator.
@@ -52,7 +52,7 @@ struct CellScore {
 };
 
 void RunSweep(std::vector<bench::JsonRecord>& records) {
-  const std::vector<std::string> strategies = PlannerRegistry::Global().Names();
+  const std::vector<std::string> strategies = PlannerNames();
   for (DatasetId id : {DatasetId::kReddit, DatasetId::kComOrkut, DatasetId::kWebGoogle,
                        DatasetId::kWikiTalk}) {
     const Dataset& dataset = bench::BenchDataset(id);

@@ -16,7 +16,6 @@
 #include "graph/generators.h"
 #include "graph/stats.h"
 #include "planner/baselines.h"
-#include "planner/cost_model.h"
 #include "topology/presets.h"
 
 using namespace dgcl;
@@ -50,10 +49,10 @@ int main() {
 
   // How much better is the plan than naive peer-to-peer, under the cost model?
   PeerToPeerPlanner p2p;
-  auto p2p_plan = p2p.Plan(rel, ctx->topology(), 1024);
+  auto p2p_plan = p2p.PlanClasses(artifacts.classes, ctx->topology(), 1024);
   if (p2p_plan.ok()) {
-    const double spst_ms = EvaluatePlanCost(artifacts.plan, ctx->topology(), 1024) * 1e3;
-    const double p2p_ms = EvaluatePlanCost(*p2p_plan, ctx->topology(), 1024) * 1e3;
+    const double spst_ms = artifacts.class_plan.planned_cost_seconds * 1e3;
+    const double p2p_ms = p2p_plan->planned_cost_seconds * 1e3;
     std::printf("planned allgather cost: SPST %.3f ms vs peer-to-peer %.3f ms (%.1fx)\n",
                 spst_ms, p2p_ms, p2p_ms / spst_ms);
   }

@@ -42,6 +42,9 @@
 # drives it across GPU counts and with a dead peer; device_program_test lets
 # fast devices run into the next pass while a straggler still reads the last
 # one's staging buffers, and kills a device with a busy thread per core.
+# ASan is also the gate of the compiled-plan check (compiled_plan_test) and
+# the plan-file loader (plan_io_test): AllgatherEngine::Create runs that
+# check on every plan it arms, including plans read from files.
 # Separate build trees (build-tsan/, build-asan/) so the main build stays
 # untouched.
 #
@@ -49,7 +52,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-TESTS_REGEX='thread_pool_test|multilevel_test|hierarchical_test|plan_determinism_test|planner_property_test|planner_conformance_test|spst_test|transport_test|allgather_engine_test|coordination_test|straggler_test|network_sim_test|epoch_sim_test|cost_audit_test|trainer_test|device_program_test|layers_test|local_graph_test|nn_test|telemetry_test|recovery_test|service_test|sampler_determinism_test|sampler_conformance_test|minibatch_trainer_test|replica_conformance_test|fetch_batcher_test|fault_schedule_fuzz_test'
+TESTS_REGEX='compiled_plan_test|plan_io_test|thread_pool_test|multilevel_test|hierarchical_test|plan_determinism_test|planner_property_test|planner_conformance_test|spst_test|transport_test|allgather_engine_test|coordination_test|straggler_test|network_sim_test|epoch_sim_test|cost_audit_test|trainer_test|device_program_test|layers_test|local_graph_test|nn_test|telemetry_test|recovery_test|service_test|sampler_determinism_test|sampler_conformance_test|minibatch_trainer_test|replica_conformance_test|fetch_batcher_test|fault_schedule_fuzz_test'
 
 # Sanitizer runs are 5-20x slower; trim the fuzz budget accordingly.
 export DGCL_FUZZ_SEEDS="${DGCL_FUZZ_SEEDS:-25}"
@@ -61,6 +64,7 @@ run_one() {
   echo "=== ${kind} sanitizer: configuring ${dir} ==="
   cmake -B "$dir" -S . -DDGCL_SANITIZE="$kind" >/dev/null
   cmake --build "$dir" -j "$(nproc)" --target \
+    compiled_plan_test plan_io_test \
     thread_pool_test multilevel_test hierarchical_test \
     plan_determinism_test planner_property_test \
     planner_conformance_test spst_test \

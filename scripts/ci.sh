@@ -3,7 +3,7 @@
 #
 #   1. build + unit tier      ctest -L unit   (fast; every functional test)
 #   2. planner tier           ctest -L planner (the planner-family suites:
-#                             conformance over every registered strategy,
+#                             conformance over every strategy,
 #                             SPST, baselines, determinism, properties — a
 #                             subset of `unit`, runnable alone when iterating
 #                             on planners)

@@ -216,8 +216,14 @@ Status ValidateCompiledPlan(const CompiledPlan& plan, const CommRelation& relati
         arrivals.emplace_back(op->dst, v);
       }
     }
+    // Each vertex enters a device at most once, and never its owner. A
+    // device keeps one row per vertex, and in the backward pass every op
+    // that delivered the vertex carries that row's gradient back, so a
+    // second arrival would send the device's gradient home twice.
     for (const auto& [dst, v] : arrivals) {
-      held[dst].insert(v);
+      if (!held[dst].insert(v).second) {
+        return Status::InvalidArgument("vertex delivered to a device that already holds it");
+      }
     }
   }
   if (forwarded_extras != nullptr) {

@@ -1,4 +1,5 @@
-// Plan compilation: per-vertex trees -> executable transfer tuples (§6.1).
+// Plan compilation: class or per-vertex trees -> executable transfer tuples
+// (§6.1).
 //
 // The runtime consumes (d_i, d_j, stage, send/recv table) tuples: all vertex
 // embeddings crossing the same link in the same stage are batched into one
@@ -36,8 +37,8 @@ struct CompiledPlan {
   uint32_t num_stages = 0;
   std::vector<TransferOp> ops;  // sorted by (stage, link)
 
-  // Provenance: registry name of the strategy whose ClassPlan compiled into
-  // this (empty for per-vertex CommPlan compilation or legacy plan files).
+  // Provenance: name of the strategy whose ClassPlan compiled into this
+  // (empty for per-vertex CommPlan compilation or legacy plan files).
   std::string planner_name;
 
   // Indices into `ops` per device, for runtime scheduling.
@@ -71,7 +72,11 @@ void AssignBackwardSubstages(CompiledPlan& plan);
 // Checks execution causality and delivery of a compiled plan:
 //  * a device only sends a vertex at stage k if it owns it or received it in
 //    an earlier stage;
+//  * no vertex reaches a device that already holds it (its owner, or a
+//    device it reached before, in this stage or an earlier one);
 //  * after all stages every device holds all its required remote vertices.
+// AllgatherEngine::Create runs this on every plan it arms, including plans
+// loaded from files.
 // Returns per-device count of extra (forwarded but not needed) vertices via
 // `forwarded_extras` when non-null.
 Status ValidateCompiledPlan(const CompiledPlan& plan, const CommRelation& relation,

@@ -52,8 +52,10 @@ struct ClassTree {
 };
 
 // A plan over destination-set equivalence classes (batched SPST). The
-// runtime never sees this form: it is either expanded to the per-vertex
-// CommPlan or compiled directly into the same send/recv tables.
+// runtime never sees this form: set-up compiles it once, straight into the
+// send/recv tables (CompilePlan(ClassPlan, ...)). Expanding it to the
+// per-vertex CommPlan gives the reference form that tests, the simulator
+// and dgcl_plan compare against.
 struct ClassPlan {
   uint32_t num_devices = 0;
   std::vector<ClassTree> trees;
@@ -64,7 +66,7 @@ struct ClassPlan {
   // property tests rely on. 0 when the plan is empty.
   double planned_cost_seconds = 0.0;
 
-  // Provenance: the registry name of the strategy that produced this plan
+  // Provenance: the name of the strategy that produced this plan
   // ("spst", "p2p", ...). Carried through CompilePlan and plan_io so a saved
   // plan records how it was made; empty means unknown/legacy.
   std::string planner_name;

@@ -6,7 +6,6 @@
 #include <optional>
 #include <utility>
 
-#include "comm/plan.h"
 #include "common/logging.h"
 #include "partition/hierarchical.h"
 #include "partition/multilevel.h"
@@ -70,8 +69,7 @@ Result<DgclContext> DgclContext::Init(Topology topology, DgclOptions options) {
 }
 
 // The downstream planning pipeline — relation, class grouping, strategy
-// planning, expansion/validation, compile, arm the engine — from an
-// already-set
+// planning, compile, arm the engine — from an already-set
 // s.artifacts.partitioning. BuildCommInfo runs it after the partition phase;
 // Recover re-runs it against the surviving topology with the incrementally
 // repaired partitioning.
@@ -84,17 +82,12 @@ Status DgclContext::PlanAndArm(State& s, const CsrGraph& graph) {
   }
   {
     DGCL_TSPAN("dgcl", "phase.plan");
-    // Resolve the configured strategy through the registry ("auto" plans
-    // with every registered strategy and commits the cost-model winner; the
-    // scorecards land in a.selection either way).
+    // Plan with the configured strategy ("auto" plans with every strategy
+    // and commits the cost-model winner; the scorecards land in a.selection
+    // either way).
     DGCL_ASSIGN_OR_RETURN(a.class_plan,
                           PlanWithStrategy(s.options.planner, a.classes, s.topology,
                                            s.options.bytes_per_unit, &a.selection));
-  }
-  {
-    DGCL_TSPAN("dgcl", "phase.expand");
-    a.plan = ExpandClassPlan(a.class_plan, a.classes);
-    DGCL_RETURN_IF_ERROR(ValidatePlan(a.plan, a.relation, s.topology));
   }
   {
     DGCL_TSPAN("dgcl", "phase.compile");
@@ -103,6 +96,7 @@ Status DgclContext::PlanAndArm(State& s, const CsrGraph& graph) {
     a.compiled = CompilePlan(a.class_plan, a.classes, s.topology);
     AssignBackwardSubstages(a.compiled);
   }
+  // Create checks the compiled plan (ValidateCompiledPlan) before arming.
   DGCL_TSPAN("dgcl", "phase.arm_engine");
   DGCL_ASSIGN_OR_RETURN(AllgatherEngine engine, AllgatherEngine::Create(a.relation, a.compiled,
                                                                         s.topology,

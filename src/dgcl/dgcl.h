@@ -11,10 +11,10 @@
 // BuildCommInfo partitions the graph (hierarchically when the topology spans
 // machines), builds the communication relation, groups it into destination-
 // set equivalence classes, runs the configured planning strategy over the
-// classes (DgclOptions::planner — batched SPST by default, any registered
-// strategy by name, or "auto" for cost-model selection) and compiles the
-// class trees into the same per-vertex send/receive tables the runtime
-// always consumed. GraphAllgather
+// classes (DgclOptions::planner — batched SPST by default, any strategy of
+// PlannerNames() by name, or "auto" for cost-model selection) and compiles
+// the class trees once into the per-vertex send/receive tables the runtime
+// executes. GraphAllgather
 // is the synchronous embedding exchange used before every layer's graph op;
 // GraphAllgatherBackward routes gradients to vertex owners in reverse.
 //
@@ -33,7 +33,7 @@
 #include "gnn/local_graph.h"
 #include "partition/multilevel.h"
 #include "partition/partitioner.h"
-#include "planner/registry.h"
+#include "planner/strategy.h"
 #include "planner/spst.h"
 #include "runtime/allgather_engine.h"
 #include "sim/planner_select.h"
@@ -43,16 +43,14 @@
 namespace dgcl {
 
 struct DgclOptions {
-  // Strategy selection and SPST planner knobs. planner.strategy names a
-  // PlannerRegistry entry ("spst" by default; "p2p", "ring", "swap") or
-  // "auto" to plan with every registered strategy and commit the cost-model
-  // winner (the per-candidate scores land in PlanArtifacts::selection).
-  // planner.spst carries the SPST knobs, including max_class_units (the
-  // class-batching chunk bound; 0 recovers per-vertex planning for
-  // ablations).
-  // (The pre-PR-6 top-level `spst` spelling is gone; set planner.spst. Init
+  // Strategy selection and SPST planner knobs. planner.strategy names one
+  // of PlannerNames() ("spst" by default; "p2p", "ring", "swap") or "auto"
+  // to plan with every strategy and commit the cost-model winner (the
+  // per-candidate scores land in PlanArtifacts::selection). planner.spst
+  // carries the SPST knobs, including max_class_units (the class-batching
+  // chunk bound; 0 recovers per-vertex planning for ablations). Init
   // validates the planner block and fails with an actionable error before
-  // any planning runs.)
+  // any planning runs.
   PlannerOptions planner;
 
   MultilevelOptions partition;
@@ -70,14 +68,14 @@ struct DgclOptions {
 };
 
 // Everything BuildCommInfo produces, in pipeline order. Returned by
-// DgclContext::artifacts() behind a single lifecycle check instead of seven
-// individually-checked accessors.
+// DgclContext::artifacts() behind a single lifecycle check. The class plan
+// is compiled once, straight into `compiled`; no per-vertex plan is kept
+// (ExpandClassPlan rebuilds one from class_plan and classes on demand).
 struct PlanArtifacts {
   Partitioning partitioning;  // device assignment per vertex
   CommRelation relation;      // who needs which vertices
   CommClasses classes;        // destination-set equivalence classes
   ClassPlan class_plan;       // class trees from the selected strategy
-  CommPlan plan;              // per-vertex expansion (validation/ablations)
   CompiledPlan compiled;      // staged transfer ops the runtime executes
   SelectionReport selection;  // strategy scorecards (one entry when forced)
 };
@@ -161,7 +159,7 @@ class DgclContext {
   struct State;
 
   // The planning pipeline downstream of partitioning (relation -> classes ->
-  // strategy planning -> expand/validate -> compile -> arm engine), shared
+  // strategy planning -> compile -> arm engine, which validates), shared
   // by BuildCommInfo and Recover; honors DgclOptions::planner both times.
   static Status PlanAndArm(State& s, const CsrGraph& graph);
 

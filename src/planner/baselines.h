@@ -11,8 +11,9 @@
 //    (its lowest GPU id, standing in for the PCIe-root/host staging buffer)
 //    and fanned out from there, so all of a partition's traffic funnels
 //    through one staging point. Swap's *memory* behaviour is modeled in
-//    src/sim/swap_model.h; this planner gives the registry a link-level
-//    strategy with the same funnel shape for cost-model comparisons.
+//    src/sim/swap_model.h; this planner gives the strategy table a
+//    link-level strategy with the same funnel shape for cost-model
+//    comparisons.
 //
 // All three are oblivious to load, so they plan one tree per equivalence
 // class with no chunking; the expanded per-vertex trees are identical to

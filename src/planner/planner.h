@@ -3,10 +3,10 @@
 // Planners operate on destination-set equivalence classes (CommClasses), not
 // raw vertices: every vertex of a class has the same source and destination
 // set, so one tree serves the whole class and the cost model is charged the
-// class weight in one shot. Per-vertex semantics are recovered by expanding
-// the class plan (ExpandClassPlan) or compiling it directly
-// (CompilePlan(ClassPlan, ...)); both produce byte-identical runtime tables
-// to per-vertex planning with the same trees.
+// class weight in one shot. The runtime form comes from compiling the class
+// plan directly (CompilePlan(ClassPlan, ...)); expanding it to per-vertex
+// trees (ExpandClassPlan) gives the reference form, and compiling that
+// yields byte-identical tables.
 
 #ifndef DGCL_PLANNER_PLANNER_H_
 #define DGCL_PLANNER_PLANNER_H_

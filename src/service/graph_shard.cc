@@ -1,7 +1,6 @@
 #include "service/graph_shard.h"
 
 #include <algorithm>
-#include <sstream>
 
 #include "common/logging.h"
 
@@ -80,16 +79,6 @@ ShardedGraphStore::Resolved ShardedGraphStore::Resolve(VertexId v) const {
   r.shard = partitioning_.assignment[v];
   r.local = shards_[r.shard].LocalRank(v);
   return r;
-}
-
-std::string ShardedGraphStore::DebugString() const {
-  std::ostringstream os;
-  os << "ShardedGraphStore{" << num_shards() << " shards:";
-  for (const GraphShard& s : shards_) {
-    os << " [" << s.id() << "]=" << s.num_local();
-  }
-  os << "}";
-  return os.str();
 }
 
 }  // namespace dgcl

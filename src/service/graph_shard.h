@@ -19,7 +19,6 @@
 #define DGCL_SERVICE_GRAPH_SHARD_H_
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "common/ids.h"
@@ -78,10 +77,6 @@ struct ReplicaSlice {
   // Feature row of an owned global id; nullptr when this shard does not own
   // it. Binary search over the sorted locals, like GraphShard::LocalRank.
   const float* RowOf(VertexId global) const;
-
-  uint64_t BytesHeld() const {
-    return rows.size() * sizeof(float) + locals.size() * sizeof(VertexId);
-  }
 };
 
 // Materializes replica `replica` of `shard` by copying its locals' rows out
@@ -114,8 +109,6 @@ class ShardedGraphStore {
     uint32_t local = kInvalidId;
   };
   Resolved Resolve(VertexId v) const;
-
-  std::string DebugString() const;
 
  private:
   const CsrGraph* graph_ = nullptr;

@@ -108,12 +108,13 @@ Result<std::unique_ptr<GraphService>> GraphService::Create(const CsrGraph& graph
   // Remote-feature fetches are point-to-point row pulls, so the serving plan
   // is the P2P baseline over the relation; what matters is the per-pair
   // transport decision table the connections inherit from it.
+  const CommClasses classes = BuildCommClasses(service->relation_);
   PeerToPeerPlanner planner;
   DGCL_ASSIGN_OR_RETURN(
-      CommPlan plan,
-      planner.Plan(service->relation_, service->topology_,
-                   static_cast<double>(options.feature_dim) * sizeof(float)));
-  service->plan_ = CompilePlan(plan, service->topology_);
+      ClassPlan plan,
+      planner.PlanClasses(classes, service->topology_,
+                          static_cast<double>(options.feature_dim) * sizeof(float)));
+  service->plan_ = CompilePlan(plan, classes, service->topology_);
   DGCL_ASSIGN_OR_RETURN(service->connections_,
                         ConnectionTable::Build(service->topology_, service->plan_,
                                                options.transport, options.faults, {}));
@@ -588,17 +589,6 @@ std::vector<std::unique_ptr<GnnLayer>> GraphService::MakeLayerStack() const {
     dim_in = options_.hidden_dim;
   }
   return layers;
-}
-
-std::vector<uint32_t> GraphService::DeadSuspects() const {
-  const DeviceMask alive = AliveMask();
-  std::vector<uint32_t> dead;
-  for (uint32_t s = 0; s < options_.num_shards; ++s) {
-    if (((alive >> s) & 1) == 0) {
-      dead.push_back(s);
-    }
-  }
-  return dead;
 }
 
 SampleResponse GraphService::DeadHomeResponse(const SampleRequest& request) const {

@@ -261,7 +261,6 @@ class GraphService {
                           EmbeddingMatrix& slots, SampleResponse& response);
   std::vector<std::unique_ptr<GnnLayer>> MakeLayerStack() const;
   DeviceMask AliveMask() const { return alive_.load(std::memory_order_acquire); }
-  std::vector<uint32_t> DeadSuspects() const;
   // kUnavailable response for a request whose home shard is dead.
   SampleResponse DeadHomeResponse(const SampleRequest& request) const;
   // Kills one replica with kill_mutex_ held: commits the death, closes the

@@ -2,6 +2,7 @@
 
 #include <cinttypes>
 #include <cstdio>
+#include <iterator>
 #include <utility>
 
 #include "comm/compiled_plan.h"
@@ -18,13 +19,13 @@ uint64_t ClassPlanTraffic(const ClassPlan& plan) {
   return traffic;
 }
 
-// Plans with one strategy and fills in its scorecard; returns the plan so
-// the winner does not have to be re-planned.
-Result<ClassPlan> ScoreCandidate(const std::string& strategy, const PlannerOptions& options,
-                                 const CommClasses& classes, const Topology& topo,
-                                 double bytes_per_unit, PlannerCandidateScore& score) {
+// Plans with one strategy and fills in the planner-side fields of its
+// scorecard; returns the plan so the winner does not have to be re-planned.
+Result<ClassPlan> PlanCandidate(const std::string& strategy, const PlannerOptions& options,
+                                const CommClasses& classes, const Topology& topo,
+                                double bytes_per_unit, PlannerCandidateScore& score) {
   score.strategy = strategy;
-  auto planner = PlannerRegistry::Global().Create(strategy, options);
+  auto planner = MakePlanner(strategy, options);
   if (!planner.ok()) {
     score.error = planner.status().message();
     return planner.status();
@@ -38,16 +39,24 @@ Result<ClassPlan> ScoreCandidate(const std::string& strategy, const PlannerOptio
   score.planned_cost_seconds = plan->planned_cost_seconds;
   score.num_stages = plan->NumStages();
   score.total_traffic = ClassPlanTraffic(*plan);
-  CompiledPlan compiled = CompilePlan(*plan, classes, topo);
-  NetworkSimOptions sim;
-  sim.bytes_per_unit = bytes_per_unit;
-  score.simulated_seconds = SimulateTransfer(compiled, topo, sim).total_seconds;
-  DGCL_TCOUNT("planner", PlannerRegistry::InternedName("auto." + strategy + ".cost_us"),
-              score.planned_cost_seconds * 1e6);
-  DGCL_TCOUNT("planner", PlannerRegistry::InternedName("auto." + strategy + ".sim_us"),
-              score.simulated_seconds * 1e6);
   return plan;
 }
+
+// Auto's candidates in PlannerNames() order, with the telemetry counters
+// each one emits. The names are literals because the lock-free trace ring
+// keeps the pointer; dgcl_trace parses them back.
+struct AutoCandidate {
+  const char* strategy;
+  const char* cost_us;
+  const char* sim_us;
+  const char* selected;
+};
+constexpr AutoCandidate kAutoCandidates[] = {
+    {"p2p", "auto.p2p.cost_us", "auto.p2p.sim_us", "auto.selected.p2p"},
+    {"ring", "auto.ring.cost_us", "auto.ring.sim_us", "auto.selected.ring"},
+    {"spst", "auto.spst.cost_us", "auto.spst.sim_us", "auto.selected.spst"},
+    {"swap", "auto.swap.cost_us", "auto.swap.sim_us", "auto.selected.swap"},
+};
 
 }  // namespace
 
@@ -80,8 +89,8 @@ Result<ClassPlan> PlanWithStrategy(const PlannerOptions& options, const CommClas
   if (!options.IsAuto()) {
     rep.candidates.emplace_back();
     Result<ClassPlan> plan =
-        ScoreCandidate(options.strategy, options, classes, topo, bytes_per_unit,
-                       rep.candidates.back());
+        PlanCandidate(options.strategy, options, classes, topo, bytes_per_unit,
+                      rep.candidates.back());
     if (plan.ok()) {
       rep.candidates.back().selected = true;
       rep.selected_strategy = options.strategy;
@@ -89,18 +98,23 @@ Result<ClassPlan> PlanWithStrategy(const PlannerOptions& options, const CommClas
     return plan;
   }
 
-  const std::vector<std::string> names = PlannerRegistry::Global().Names();
-  DGCL_TSPAN1("planner", "select_strategy", "candidates", names.size());
-  Result<ClassPlan> best = Status::FailedPrecondition("no registered planner strategies");
+  DGCL_TSPAN1("planner", "select_strategy", "candidates", std::size(kAutoCandidates));
+  Result<ClassPlan> best = Status::FailedPrecondition("no planner strategies");
   size_t best_index = 0;
-  for (const std::string& name : names) {
+  for (const AutoCandidate& candidate : kAutoCandidates) {
     rep.candidates.emplace_back();
     PlannerCandidateScore& score = rep.candidates.back();
     Result<ClassPlan> plan =
-        ScoreCandidate(name, options, classes, topo, bytes_per_unit, score);
+        PlanCandidate(candidate.strategy, options, classes, topo, bytes_per_unit, score);
     if (!plan.ok()) {
       continue;  // recorded in the report; auto skips unplannable strategies
     }
+    const CompiledPlan compiled = CompilePlan(*plan, classes, topo);
+    NetworkSimOptions sim;
+    sim.bytes_per_unit = bytes_per_unit;
+    score.simulated_seconds = SimulateTransfer(compiled, topo, sim).total_seconds;
+    DGCL_TCOUNT("planner", candidate.cost_us, score.planned_cost_seconds * 1e6);
+    DGCL_TCOUNT("planner", candidate.sim_us, score.simulated_seconds * 1e6);
     if (!best.ok() || score.planned_cost_seconds <
                           rep.candidates[best_index].planned_cost_seconds) {
       best = std::move(plan);
@@ -117,8 +131,7 @@ Result<ClassPlan> PlanWithStrategy(const PlannerOptions& options, const CommClas
   }
   rep.candidates[best_index].selected = true;
   rep.selected_strategy = rep.candidates[best_index].strategy;
-  DGCL_TCOUNT("planner",
-              PlannerRegistry::InternedName("auto.selected." + rep.selected_strategy), 1);
+  DGCL_TCOUNT("planner", kAutoCandidates[best_index].selected, 1);
   return best;
 }
 

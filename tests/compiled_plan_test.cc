@@ -116,6 +116,58 @@ TEST(ValidateCompiledPlanTest, CatchesMissedDelivery) {
   EXPECT_FALSE(ValidateCompiledPlan(compiled, f.relation, f.topo).ok());
 }
 
+// A vertex may enter a device only once: the engine sends a device's slot
+// gradient home over every op that delivered the vertex there.
+TEST(ValidateCompiledPlanTest, RejectsVertexDeliveredTwice) {
+  Fixture f = Fixture::Make(4, 30, 9);
+  PeerToPeerPlanner p2p;
+  const CompiledPlan valid = CompilePlan(*p2p.Plan(f.relation, f.topo, 1024), f.topo);
+  ASSERT_FALSE(valid.ops.empty());
+  ASSERT_EQ(valid.num_stages, 1u);
+  const TransferOp& first = valid.ops.front();
+  ASSERT_FALSE(first.vertices.empty());
+  {  // delivered again in a later stage over the same link
+    CompiledPlan twice = valid;
+    TransferOp again = first;
+    again.stage = 1;
+    again.vertices = {first.vertices.front()};
+    twice.ops.push_back(again);
+    twice.num_stages = 2;
+    const Status s = ValidateCompiledPlan(twice, f.relation, f.topo);
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << s.ToString();
+  }
+  {  // delivered twice by one op in one stage
+    CompiledPlan twice = valid;
+    TransferOp& op = twice.ops.front();
+    op.vertices.insert(op.vertices.begin(), op.vertices.front());
+    const Status s = ValidateCompiledPlan(twice, f.relation, f.topo);
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << s.ToString();
+  }
+}
+
+TEST(ValidateCompiledPlanTest, RejectsVertexDeliveredToItsOwner) {
+  Fixture f = Fixture::Make(4, 30, 10);
+  PeerToPeerPlanner p2p;
+  CompiledPlan compiled = CompilePlan(*p2p.Plan(f.relation, f.topo, 1024), f.topo);
+  ASSERT_FALSE(compiled.ops.empty());
+  // Stage 0 moved v from its owner to `dst`; at stage 1 `dst` sends it back.
+  const TransferOp& first = compiled.ops.front();
+  ASSERT_FALSE(first.vertices.empty());
+  const VertexId v = first.vertices.front();
+  ASSERT_EQ(f.relation.source[v], first.src);
+  TransferOp back;
+  back.link = f.topo.LinkBetween(first.dst, first.src);
+  ASSERT_NE(back.link, kInvalidId);
+  back.src = first.dst;
+  back.dst = first.src;
+  back.stage = 1;
+  back.vertices = {v};
+  compiled.ops.push_back(back);
+  compiled.num_stages = 2;
+  const Status s = ValidateCompiledPlan(compiled, f.relation, f.topo);
+  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << s.ToString();
+}
+
 // §6.2 invariant: after sub-stage assignment, within each (receiving device,
 // stage, substage) no vertex appears in two ops.
 class SubstageSweep : public ::testing::TestWithParam<uint64_t> {};

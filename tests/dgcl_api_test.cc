@@ -90,7 +90,6 @@ TEST(DgclApiTest, PlanIsValidatedAndCompiled) {
   auto ctx = DgclContext::Init(BuildPaperTopology(8));
   ASSERT_TRUE(ctx.ok());
   ASSERT_TRUE(ctx->BuildCommInfo(graph).ok());
-  EXPECT_TRUE(ValidatePlan(ctx->artifacts().plan, ctx->artifacts().relation, ctx->topology()).ok());
   EXPECT_TRUE(ValidateCompiledPlan(ctx->artifacts().compiled, ctx->artifacts().relation, ctx->topology()).ok());
   EXPECT_GT(ctx->artifacts().compiled.TableBytes(), 0u);
 }
@@ -163,7 +162,7 @@ TEST(DgclApiTest, InitValidatesOptions) {
     options.planner.strategy = "no-such-strategy";
     auto ctx = DgclContext::Init(BuildPaperTopology(4), options);
     EXPECT_EQ(ctx.status().code(), StatusCode::kInvalidArgument);
-    // Actionable: the message lists what *is* registered.
+    // Actionable: the message lists the valid strategies.
     EXPECT_NE(ctx.status().message().find("spst"), std::string::npos);
   }
   {
@@ -185,7 +184,7 @@ TEST(DgclApiTest, PlannerStrategyFlowsThroughThePipeline) {
   const PlanArtifacts& a = ctx->artifacts();
   EXPECT_EQ(a.class_plan.planner_name, "swap");
   EXPECT_EQ(a.compiled.planner_name, "swap");
-  EXPECT_TRUE(ValidatePlan(a.plan, a.relation, ctx->topology()).ok());
+  EXPECT_TRUE(ValidateCompiledPlan(a.compiled, a.relation, ctx->topology()).ok());
   ASSERT_EQ(a.selection.candidates.size(), 1u);
   EXPECT_EQ(a.selection.selected_strategy, "swap");
 }
@@ -199,7 +198,7 @@ TEST(DgclApiTest, AutoSelectCommitsWinnerAndRecordsScorecard) {
   ASSERT_TRUE(ctx.ok());
   ASSERT_TRUE(ctx->BuildCommInfo(graph).ok());
   const PlanArtifacts& a = ctx->artifacts();
-  EXPECT_EQ(a.selection.candidates.size(), PlannerRegistry::Global().Names().size());
+  EXPECT_EQ(a.selection.candidates.size(), PlannerNames().size());
   EXPECT_EQ(a.class_plan.planner_name, a.selection.selected_strategy);
   double winner_cost = 0.0;
   for (const PlannerCandidateScore& c : a.selection.candidates) {
@@ -243,7 +242,7 @@ TEST(DgclApiTest, ArtifactsBundleAndEngineExposeThePipeline) {
   EXPECT_EQ(a.relation.num_devices, 4u);
   EXPECT_GT(a.classes.classes.size(), 0u);
   EXPECT_GT(a.compiled.ops.size(), 0u);
-  EXPECT_TRUE(ValidatePlan(a.plan, a.relation, ctx->topology()).ok());
+  EXPECT_TRUE(ValidateCompiledPlan(a.compiled, a.relation, ctx->topology()).ok());
 
   // The engine was armed with the options passed at Init.
   EXPECT_EQ(ctx->engine().options().transport.wait_timeout_micros, 123'000u);

@@ -7,7 +7,9 @@
 #include <gtest/gtest.h>
 
 #include "graph/generators.h"
+#include "planner/baselines.h"
 #include "planner/spst.h"
+#include "runtime/allgather_engine.h"
 #include "topology/presets.h"
 
 namespace dgcl {
@@ -173,6 +175,52 @@ TEST(PlanIoTest, RejectsStageCountTheOpsDoNotUse) {
     ASSERT_TRUE(two.ok()) << two.status().ToString();
     EXPECT_EQ(two->num_stages, 2u);
   }
+}
+
+// A file that delivers a vertex to a device twice parses (the format says
+// nothing about delivery), but the engine refuses to arm it: the second
+// arrival would send that device's gradient home twice.
+TEST(PlanIoTest, EngineRejectsLoadedPlanWithDuplicateDelivery) {
+  Rng rng(5);
+  const CsrGraph graph = GenerateErdosRenyi(40, 120, rng);
+  const Topology topo = BuildPaperTopology(4);
+  HashPartitioner hash;
+  const CommRelation relation = *BuildCommRelation(graph, *hash.Partition(graph, 4));
+  PeerToPeerPlanner p2p;
+  const CompiledPlan plan = CompilePlan(*p2p.Plan(relation, topo, 256), topo);
+  ASSERT_EQ(plan.num_stages, 1u);
+  ASSERT_FALSE(plan.ops.empty());
+
+  // The P2P plan's ops as written, then one stage-1 op that repeats the
+  // first op's first vertex over the same link.
+  auto op_bytes = [](LinkId link, uint32_t stage, const std::vector<VertexId>& vertices) {
+    const uint32_t op_fields[3] = {link, stage, 0};
+    const uint64_t count = vertices.size();
+    std::string op(reinterpret_cast<const char*>(op_fields), sizeof(op_fields));
+    op.append(reinterpret_cast<const char*>(&count), sizeof(count));
+    op.append(reinterpret_cast<const char*>(vertices.data()), vertices.size() * sizeof(VertexId));
+    return op;
+  };
+  std::string tail;
+  for (const TransferOp& op : plan.ops) {
+    tail += op_bytes(op.link, op.stage, op.vertices);
+  }
+  {  // as planned: loads and arms
+    const std::string path = WriteCraftedPlan("p2p.bin", topo, plan.ops.size(), tail);
+    auto loaded = LoadCompiledPlan(topo, path);
+    std::remove(path.c_str());
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    EXPECT_TRUE(AllgatherEngine::Create(relation, std::move(*loaded), topo).ok());
+  }
+  const TransferOp& first = plan.ops.front();
+  tail += op_bytes(first.link, 1, {first.vertices.front()});
+  const std::string path =
+      WriteCraftedPlan("duplicate_delivery.bin", topo, plan.ops.size() + 1, tail, 2);
+  auto loaded = LoadCompiledPlan(topo, path);
+  std::remove(path.c_str());
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  auto engine = AllgatherEngine::Create(relation, std::move(*loaded), topo);
+  EXPECT_EQ(engine.status().code(), StatusCode::kInvalidArgument) << engine.status().ToString();
 }
 
 }  // namespace

@@ -1,8 +1,7 @@
-// Conformance suite over every PlannerRegistry strategy: whatever is
-// registered — built-in or added later — must produce valid plans, compile
-// identically via the class and per-vertex paths, be deterministic across
-// runs, and carry its provenance through plan_io. New
-// planners get all of this for free by registering a factory.
+// Conformance suite over every strategy of PlannerNames(): each must
+// produce valid plans, compile identically via the class and per-vertex
+// paths, be deterministic across runs, and carry its provenance through
+// plan_io. A strategy added to the table gets all of this for free.
 
 #include <cstdio>
 #include <filesystem>
@@ -13,7 +12,7 @@
 #include "graph/generators.h"
 #include "partition/partitioner.h"
 #include "planner/cost_model.h"
-#include "planner/registry.h"
+#include "planner/strategy.h"
 #include "sim/planner_select.h"
 #include "topology/presets.h"
 
@@ -82,7 +81,7 @@ class PlannerConformanceTest : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(PlannerConformanceTest, ProducesValidPlans) {
   for (const Workload& w : {MakeWorkload(8), MakeWorkload(4, 2, 3)}) {
-    auto planner = PlannerRegistry::Global().Create(GetParam(), PlannerOptions{});
+    auto planner = MakePlanner(GetParam(), PlannerOptions{});
     ASSERT_TRUE(planner.ok());
     auto plan = (*planner)->PlanClasses(w.classes, w.topo, 1024);
     ASSERT_TRUE(plan.ok()) << plan.status().ToString();
@@ -96,7 +95,7 @@ TEST_P(PlannerConformanceTest, ProducesValidPlans) {
 
 TEST_P(PlannerConformanceTest, ClassCompileMatchesExpandedCompile) {
   Workload w = MakeWorkload(8, 1, 7);
-  auto planner = PlannerRegistry::Global().Create(GetParam(), PlannerOptions{});
+  auto planner = MakePlanner(GetParam(), PlannerOptions{});
   ASSERT_TRUE(planner.ok());
   auto plan = (*planner)->PlanClasses(w.classes, w.topo, 1024);
   ASSERT_TRUE(plan.ok());
@@ -110,7 +109,7 @@ TEST_P(PlannerConformanceTest, ClassCompileMatchesExpandedCompile) {
 TEST_P(PlannerConformanceTest, DeterministicAcrossRuns) {
   Workload w = MakeWorkload(8, 1, 11);
   auto plan_once = [&] {
-    auto planner = PlannerRegistry::Global().Create(GetParam(), PlannerOptions{});
+    auto planner = MakePlanner(GetParam(), PlannerOptions{});
     EXPECT_TRUE(planner.ok());
     auto plan = (*planner)->PlanClasses(w.classes, w.topo, 1024);
     EXPECT_TRUE(plan.ok());
@@ -123,7 +122,7 @@ TEST_P(PlannerConformanceTest, DeterministicAcrossRuns) {
 
 TEST_P(PlannerConformanceTest, PlanIoRoundTripPreservesProvenance) {
   Workload w = MakeWorkload(8, 1, 13);
-  auto planner = PlannerRegistry::Global().Create(GetParam(), PlannerOptions{});
+  auto planner = MakePlanner(GetParam(), PlannerOptions{});
   ASSERT_TRUE(planner.ok());
   auto plan = (*planner)->PlanClasses(w.classes, w.topo, 1024);
   ASSERT_TRUE(plan.ok());
@@ -149,21 +148,23 @@ std::string SafeName(const ::testing::TestParamInfo<std::string>& info) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllStrategies, PlannerConformanceTest,
-                         ::testing::ValuesIn(PlannerRegistry::Global().Names()), SafeName);
+                         ::testing::ValuesIn(PlannerNames()), SafeName);
 
-TEST(PlannerRegistryTest, BuiltinsRegistered) {
-  EXPECT_EQ(PlannerRegistry::Global().Names(),
-            (std::vector<std::string>{"p2p", "ring", "spst", "swap"}));
+TEST(PlannerStrategiesTest, NamesAscending) {
+  EXPECT_EQ(PlannerNames(), (std::vector<std::string>{"p2p", "ring", "spst", "swap"}));
 }
 
-TEST(PlannerRegistryTest, RejectsBadRegistrations) {
-  auto& reg = PlannerRegistry::Global();
-  auto factory = [](const PlannerOptions&) { return std::unique_ptr<Planner>(); };
-  EXPECT_FALSE(reg.Register("", factory).ok());
-  EXPECT_FALSE(reg.Register("auto", factory).ok());
-  EXPECT_FALSE(reg.Register("spst", factory).ok());  // duplicate
-  EXPECT_FALSE(reg.Register("null-factory", nullptr).ok());
-  EXPECT_FALSE(reg.Create("no-such-planner", PlannerOptions{}).ok());
+TEST(PlannerStrategiesTest, MakePlannerBuildsEveryNameAndRejectsOthers) {
+  for (const std::string& name : PlannerNames()) {
+    auto planner = MakePlanner(name, PlannerOptions{});
+    ASSERT_TRUE(planner.ok()) << name;
+    EXPECT_EQ((*planner)->name(), name);
+  }
+  for (const char* bad : {"no-such-planner", "auto", ""}) {
+    auto planner = MakePlanner(bad, PlannerOptions{});
+    EXPECT_EQ(planner.status().code(), StatusCode::kInvalidArgument) << bad;
+    EXPECT_NE(planner.status().message().find("p2p, ring, spst, swap"), std::string::npos);
+  }
 }
 
 TEST(PlannerOptionsTest, ValidateRejectsBadConfigs) {
@@ -177,18 +178,18 @@ TEST(PlannerOptionsTest, ValidateRejectsBadConfigs) {
 
   // Unknown names, the removed peer-to-peer alias and the deleted
   // broadcast strategies all fail, naming the input and listing exactly the
-  // registered strategies.
+  // strategies.
   for (const char* bad : {"does-not-exist", "peer-to-peer", "broadcast-1d", "broadcast-1.5d"}) {
     o.strategy = bad;
     s = o.Validate();
     EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << bad;
     EXPECT_NE(s.message().find(std::string("\"") + bad + "\""), std::string::npos) << bad;
-    EXPECT_NE(s.message().find("registered strategies: p2p, ring, spst, swap, or \"auto\""),
+    EXPECT_NE(s.message().find("strategies: p2p, ring, spst, swap, or \"auto\""),
               std::string::npos)
         << s.message();
   }
 
-  for (const std::string& good : PlannerRegistry::Global().Names()) {
+  for (const std::string& good : PlannerNames()) {
     o.strategy = good;
     EXPECT_TRUE(o.Validate().ok()) << good;
     EXPECT_FALSE(o.IsAuto());
@@ -205,7 +206,10 @@ TEST(AutoSelectTest, PicksCostModelWinnerAndReportsAllCandidates) {
   SelectionReport report;
   auto plan = PlanWithStrategy(o, w.classes, w.topo, 1024, &report);
   ASSERT_TRUE(plan.ok());
-  EXPECT_EQ(report.candidates.size(), PlannerRegistry::Global().Names().size());
+  ASSERT_EQ(report.candidates.size(), PlannerNames().size());
+  for (size_t i = 0; i < report.candidates.size(); ++i) {
+    EXPECT_EQ(report.candidates[i].strategy, PlannerNames()[i]);
+  }
   EXPECT_EQ(plan->planner_name, report.selected_strategy);
 
   double best = 0.0;
@@ -237,6 +241,8 @@ TEST(AutoSelectTest, ForcedStrategyReportsOneCandidate) {
   EXPECT_EQ(plan->planner_name, "swap");
   ASSERT_EQ(report.candidates.size(), 1u);
   EXPECT_TRUE(report.candidates[0].selected);
+  EXPECT_EQ(report.candidates[0].planned_cost_seconds, plan->planned_cost_seconds);
+  EXPECT_EQ(report.candidates[0].simulated_seconds, 0.0);  // only auto simulates
   EXPECT_EQ(report.selected_strategy, "swap");
 }
 

@@ -11,11 +11,11 @@
 //             [--list-planners] [--list-samplers] [--save-plan path]
 //             [--seed S]
 //
-// --planner resolves through the PlannerRegistry, so any registered strategy
-// works by name; "auto" plans with every strategy and commits the cost-model
-// winner, printing the per-candidate scorecard. --list-planners prints the
-// registered planner names and exits; --list-samplers prints the serving
-// tier's sampling strategies (the names ServiceOptions::sampler takes).
+// --planner takes any strategy of PlannerNames() by name; "auto" plans with
+// every strategy and commits the cost-model winner, printing the
+// per-candidate scorecard. --list-planners prints the planner strategy
+// names and exits; --list-samplers prints the serving tier's sampling
+// strategies (the names ServiceOptions::sampler takes).
 
 #include <cstdio>
 #include <cstring>
@@ -30,7 +30,7 @@
 #include "partition/hierarchical.h"
 #include "partition/multilevel.h"
 #include "planner/cost_model.h"
-#include "planner/registry.h"
+#include "planner/strategy.h"
 #include "sim/network_sim.h"
 #include "sim/planner_select.h"
 #include "service/sampler.h"
@@ -156,8 +156,8 @@ int main(int argc, char** argv) {
     return 1;
   }
   if (args.list_planners) {
-    std::printf("registered planner strategies:\n");
-    for (const std::string& name : PlannerRegistry::Global().Names()) {
+    std::printf("planner strategies:\n");
+    for (const std::string& name : PlannerNames()) {
       std::printf("  %s\n", name.c_str());
     }
     std::printf("  auto (cost-model selection over the above)\n");
