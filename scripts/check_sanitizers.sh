@@ -35,13 +35,20 @@
 # op's rows into its staging buffer and release-stores pass + 1 into
 # op_done, the receiver acquire-loads it before reading those rows, and the
 # consumed-stage count keeps the next pass's sender off a buffer that is
-# still being read. It is also the gate of the park/wake handshake: a flag
-# wait that outlasts its short spin parks on the writer device's condvar,
-# and the writer, after its flag store and a fence, takes that mutex to
-# notify when a waiter is parked; Fail wakes every condvar. coordination_test
-# drives it across GPU counts and with a dead peer; device_program_test lets
-# fast devices run into the next pass while a straggler still reads the last
-# one's staging buffers, and kills a device with a busy thread per core.
+# still being read. TSan is NOT the gate of the park/wake handshake (a flag
+# wait that outlasts its short spin parks on the writer device's condvar;
+# the writer, after its flag store and a seq_cst fence, takes that mutex to
+# notify when a waiter is parked; Fail wakes every condvar). Its
+# no-lost-wake-up argument rests on the seq_cst fences in
+# ProgramState::Await and ProgramState::Wake, and TSan does not model
+# atomic_thread_fence (GCC warns -Wtsan while building allgather_engine.cc),
+# so TSan checks the done-flag acquire/release pairs but would not report a
+# lost wake-up. That argument is covered by stress: a lost wake-up shows as
+# a wait that runs out its deadline, and coordination_test (across GPU
+# counts and with a dead peer) and device_program_test under load (fast
+# devices run into the next pass while a straggler still reads the last
+# one's staging buffers; a device is killed with a busy thread per core)
+# would fail on it, in this script's trees and in the plain build.
 # ASan is also the gate of the compiled-plan check (compiled_plan_test) and
 # the plan-file loader (plan_io_test): AllgatherEngine::Create runs that
 # check on every plan it arms, including plans read from files.

@@ -9,7 +9,7 @@
 #                             on planners)
 #   3. serving tier           ctest -L serving (the graph service tier:
 #                             sharded store, bounded-queue backpressure,
-#                             LRU/LFU cache conformance, shard-death
+#                             the LRU cache's reference model, shard-death
 #                             fail-fast, and sampler determinism across pool
 #                             widths — a subset of `unit`, runnable alone
 #                             when iterating on src/service/)

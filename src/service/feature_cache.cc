@@ -1,122 +1,82 @@
 #include "service/feature_cache.h"
 
-#include "common/logging.h"
-#include "telemetry/trace.h"
+#include <algorithm>
 
 namespace dgcl {
 
-// ---- LRU --------------------------------------------------------------------
+FeatureCache::FeatureCache(size_t capacity_rows, uint32_t dim)
+    : capacity_(capacity_rows == 0 ? 1 : capacity_rows), dim_(dim) {}
 
-void LruPolicy::OnInsert(VertexId v) {
-  DGCL_CHECK(where_.find(v) == where_.end());
-  order_.push_front(v);
-  where_[v] = order_.begin();
+void FeatureCache::Unlink(uint32_t slot) {
+  (prev_[slot] == kNone ? head_ : next_[prev_[slot]]) = next_[slot];
+  (next_[slot] == kNone ? tail_ : prev_[next_[slot]]) = prev_[slot];
 }
 
-void LruPolicy::OnAccess(VertexId v) {
-  auto it = where_.find(v);
-  DGCL_CHECK(it != where_.end());
-  order_.splice(order_.begin(), order_, it->second);
+void FeatureCache::PushFront(uint32_t slot) {
+  prev_[slot] = kNone;
+  next_[slot] = head_;
+  (head_ == kNone ? tail_ : prev_[head_]) = slot;
+  head_ = slot;
 }
 
-VertexId LruPolicy::ChooseVictim() {
-  DGCL_CHECK(!order_.empty());
-  return order_.back();
-}
-
-void LruPolicy::OnErase(VertexId v) {
-  auto it = where_.find(v);
-  DGCL_CHECK(it != where_.end());
-  order_.erase(it->second);
-  where_.erase(it);
-}
-
-// ---- LFU --------------------------------------------------------------------
-
-void LfuPolicy::OnInsert(VertexId v) {
-  DGCL_CHECK(entries_.find(v) == entries_.end());
-  Entry e{0, next_tick_++};
-  entries_[v] = e;
-  by_freq_[{e.freq, e.tick}] = v;
-}
-
-void LfuPolicy::OnAccess(VertexId v) {
-  auto it = entries_.find(v);
-  DGCL_CHECK(it != entries_.end());
-  by_freq_.erase({it->second.freq, it->second.tick});
-  ++it->second.freq;
-  by_freq_[{it->second.freq, it->second.tick}] = v;
-}
-
-VertexId LfuPolicy::ChooseVictim() {
-  DGCL_CHECK(!by_freq_.empty());
-  return by_freq_.begin()->second;
-}
-
-void LfuPolicy::OnErase(VertexId v) {
-  auto it = entries_.find(v);
-  DGCL_CHECK(it != entries_.end());
-  by_freq_.erase({it->second.freq, it->second.tick});
-  entries_.erase(it);
-}
-
-Result<std::unique_ptr<EvictionPolicy>> MakeEvictionPolicy(const std::string& name) {
-  if (name == "lru") {
-    return std::unique_ptr<EvictionPolicy>(new LruPolicy());
-  }
-  if (name == "lfu") {
-    return std::unique_ptr<EvictionPolicy>(new LfuPolicy());
-  }
-  // Same unknown-name contract as the planner/sampler registries: the error
-  // lists every valid name.
-  return Status::InvalidArgument("eviction policy \"" + name +
-                                 "\" not registered (have: lfu, lru)");
-}
-
-// ---- FeatureCache -----------------------------------------------------------
-
-FeatureCache::FeatureCache(size_t capacity_rows, std::unique_ptr<EvictionPolicy> policy)
-    : capacity_(capacity_rows == 0 ? 1 : capacity_rows), policy_(std::move(policy)) {
-  DGCL_CHECK(policy_ != nullptr);
-}
-
-bool FeatureCache::Lookup(VertexId v, std::vector<float>& row) {
+bool FeatureCache::Lookup(VertexId v, float* out) {
   std::lock_guard<std::mutex> lock(mutex_);
-  auto it = rows_.find(v);
-  if (it == rows_.end()) {
+  const auto it = slot_of_.find(v);
+  if (it == slot_of_.end()) {
     ++stats_.misses;
-    DGCL_TCOUNT("service", "cache.miss", 1);
     return false;
   }
   ++stats_.hits;
-  DGCL_TCOUNT("service", "cache.hit", 1);
-  policy_->OnAccess(v);
-  row = it->second;
+  const uint32_t slot = it->second;
+  std::copy_n(RowOf(slot), dim_, out);
+  if (slot != head_) {
+    Unlink(slot);
+    PushFront(slot);
+  }
   return true;
 }
 
-void FeatureCache::Insert(VertexId v, std::vector<float> row) {
+bool FeatureCache::Insert(VertexId v, const float* row) {
   std::lock_guard<std::mutex> lock(mutex_);
-  auto it = rows_.find(v);
-  if (it != rows_.end()) {
-    it->second = std::move(row);
-    policy_->OnAccess(v);
-    return;
-  }
-  if (rows_.size() >= capacity_) {
-    const VertexId victim = policy_->ChooseVictim();
-    policy_->OnErase(victim);
-    rows_.erase(victim);
+  uint32_t slot;
+  bool evicted = false;
+  if (const auto it = slot_of_.find(v); it != slot_of_.end()) {
+    slot = it->second;
+    Unlink(slot);
+  } else if (vertex_.size() < capacity_) {
+    // Grow toward capacity, doubling but never past it.
+    if (vertex_.size() == vertex_.capacity()) {
+      const size_t slots = std::min(capacity_, std::max<size_t>(16, 2 * vertex_.size()));
+      vertex_.reserve(slots);
+      prev_.reserve(slots);
+      next_.reserve(slots);
+      arena_.reserve(slots * dim_);
+    }
+    slot = static_cast<uint32_t>(vertex_.size());
+    vertex_.push_back(v);
+    prev_.push_back(kNone);
+    next_.push_back(kNone);
+    arena_.resize(arena_.size() + dim_);
+    slot_of_.emplace(v, slot);
+  } else {
+    // Full: the least recent row gives up its slot and its map node.
+    slot = tail_;
+    Unlink(slot);
+    auto node = slot_of_.extract(vertex_[slot]);
+    node.key() = v;
+    slot_of_.insert(std::move(node));
+    vertex_[slot] = v;
     ++stats_.evictions;
-    DGCL_TCOUNT("service", "cache.evict", 1);
+    evicted = true;
   }
-  rows_.emplace(v, std::move(row));
-  policy_->OnInsert(v);
+  std::copy_n(row, dim_, RowOf(slot));
+  PushFront(slot);
+  return evicted;
 }
 
 size_t FeatureCache::size() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return rows_.size();
+  return vertex_.size();
 }
 
 FeatureCache::Stats FeatureCache::stats() const {

@@ -5,90 +5,33 @@
 // this cache — every remote layer-0 feature pinned locally. The serving tier
 // needs the real thing: a bounded row cache in front of the remote-fetch
 // path whose *measured* hit rate feeds back into that estimate
-// (EpochOptions::cache_hit_rate). Eviction is pluggable behind one
-// interface; LRU (recency, the GraphMix default) and LFU (frequency, better
-// for power-law access skew where hub vertices are resampled constantly)
-// ship built in, and the conformance contract both must satisfy is tested in
-// service_test.cc.
+// (EpochOptions::cache_hit_rate).
+//
+// One LRU over one row arena: rows sit in `dim`-wide slots of a single float
+// array that grows as rows arrive (never past capacity, never allocated up
+// front), one hash map takes a vertex to its slot, and recency is a doubly
+// linked list of slot ids whose tail is the victim. A lookup is one hash find
+// and a row copy; once the arena is full an insert reuses the victim's slot
+// and its map node, so neither allocates.
 //
 // Thread model: the cache is shared by every sampler worker; one mutex
-// guards map + policy (row copies happen under the lock — rows are small,
-// feature_dim floats). Hits and misses are DGCL_TCOUNT'd under the
-// "service" category so a trace shows the hit rate the bench reports.
+// guards map, list and arena (row copies happen under the lock — rows are
+// small, feature_dim floats). The cache records no trace events; the
+// service counts hits, misses and evictions per request.
 
 #ifndef DGCL_SERVICE_FEATURE_CACHE_H_
 #define DGCL_SERVICE_FEATURE_CACHE_H_
 
 #include <cstdint>
-#include <list>
-#include <map>
-#include <memory>
 #include <mutex>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
-#include "common/status.h"
 #include "graph/csr_graph.h"
 
 namespace dgcl {
 
-// Eviction bookkeeping for one cache. Implementations are NOT thread-safe;
-// FeatureCache calls them under its lock. The contract (conformance-tested):
-//  * OnInsert(v) registers a resident key (v was not resident).
-//  * OnAccess(v) records a hit on a resident key.
-//  * ChooseVictim() names a resident key to evict (cache erases it and then
-//    calls OnErase). Deterministic: ties broken by oldest insertion.
-//  * OnErase(v) forgets a resident key.
-class EvictionPolicy {
- public:
-  virtual ~EvictionPolicy() = default;
-  virtual void OnInsert(VertexId v) = 0;
-  virtual void OnAccess(VertexId v) = 0;
-  virtual VertexId ChooseVictim() = 0;  // precondition: at least one resident key
-  virtual void OnErase(VertexId v) = 0;
-  virtual const char* name() const = 0;
-};
-
-// Least-recently-used: victim is the key untouched the longest.
-class LruPolicy final : public EvictionPolicy {
- public:
-  void OnInsert(VertexId v) override;
-  void OnAccess(VertexId v) override;
-  VertexId ChooseVictim() override;
-  void OnErase(VertexId v) override;
-  const char* name() const override { return "lru"; }
-
- private:
-  std::list<VertexId> order_;  // front = most recent
-  std::unordered_map<VertexId, std::list<VertexId>::iterator> where_;
-};
-
-// Least-frequently-used with FIFO tie-break: victim is the key with the
-// fewest accesses since insertion; among equals, the earliest inserted.
-class LfuPolicy final : public EvictionPolicy {
- public:
-  void OnInsert(VertexId v) override;
-  void OnAccess(VertexId v) override;
-  VertexId ChooseVictim() override;
-  void OnErase(VertexId v) override;
-  const char* name() const override { return "lfu"; }
-
- private:
-  struct Entry {
-    uint64_t freq = 0;
-    uint64_t tick = 0;  // insertion order, the tie-break
-  };
-  // (freq, tick) -> v, ordered so begin() is the victim.
-  std::map<std::pair<uint64_t, uint64_t>, VertexId> by_freq_;
-  std::unordered_map<VertexId, Entry> entries_;
-  uint64_t next_tick_ = 0;
-};
-
-// "lru" | "lfu"; error on anything else.
-Result<std::unique_ptr<EvictionPolicy>> MakeEvictionPolicy(const std::string& name);
-
-// Bounded cache of feature rows keyed by global vertex id.
+// Bounded LRU cache of feature rows keyed by global vertex id.
 class FeatureCache {
  public:
   struct Stats {
@@ -101,26 +44,39 @@ class FeatureCache {
     }
   };
 
-  // `capacity_rows` > 0; the cache never holds more rows than that.
-  FeatureCache(size_t capacity_rows, std::unique_ptr<EvictionPolicy> policy);
+  // Holds at most `capacity_rows` rows (0 counts as 1) of `dim` floats each.
+  FeatureCache(size_t capacity_rows, uint32_t dim);
 
-  // Copies v's row into `row` and returns true on a hit; false (row
-  // untouched) on a miss. Both outcomes are counted.
-  bool Lookup(VertexId v, std::vector<float>& row);
+  // Copies v's row into out[0, dim) and returns true on a hit, making v the
+  // most recent; false (out untouched) on a miss. Both outcomes are counted.
+  bool Lookup(VertexId v, float* out);
 
-  // Inserts (or refreshes) v's row, evicting per policy when full.
-  void Insert(VertexId v, std::vector<float> row);
+  // Stores row[0, dim) as v's row and makes v the most recent: refreshes a
+  // resident row, or takes a free slot, or evicts the least recent row.
+  // Returns true when it evicted.
+  bool Insert(VertexId v, const float* row);
 
   size_t size() const;
   size_t capacity() const { return capacity_; }
   Stats stats() const;
-  const char* policy_name() const { return policy_->name(); }
 
  private:
+  static constexpr uint32_t kNone = ~uint32_t{0};
+
+  void Unlink(uint32_t slot);
+  void PushFront(uint32_t slot);
+  float* RowOf(uint32_t slot) { return arena_.data() + static_cast<size_t>(slot) * dim_; }
+
   const size_t capacity_;
-  std::unique_ptr<EvictionPolicy> policy_;
+  const uint32_t dim_;
   mutable std::mutex mutex_;
-  std::unordered_map<VertexId, std::vector<float>> rows_;
+  std::unordered_map<VertexId, uint32_t> slot_of_;
+  std::vector<VertexId> vertex_;  // slot -> resident vertex
+  std::vector<uint32_t> prev_;    // toward the head (more recent)
+  std::vector<uint32_t> next_;    // toward the tail (less recent)
+  std::vector<float> arena_;      // slot s at [s * dim, (s + 1) * dim)
+  uint32_t head_ = kNone;         // most recent
+  uint32_t tail_ = kNone;         // least recent: the victim
   Stats stats_;
 };
 

@@ -50,8 +50,8 @@ Status ServiceOptions::Validate() const {
   if (cache_capacity_rows < 1) {
     return Status::InvalidArgument("cache_capacity_rows must be >= 1");
   }
-  if (cache_policy != "lru" && cache_policy != "lfu") {
-    return Status::InvalidArgument("unknown cache_policy '" + cache_policy + "' (want lru|lfu)");
+  if (cache_policy != "lru") {
+    return Status::InvalidArgument("unknown cache_policy '" + cache_policy + "' (want lru)");
   }
   if (feature_dim < 1) {
     return Status::InvalidArgument("feature_dim must be >= 1");
@@ -143,10 +143,8 @@ Result<std::unique_ptr<GraphService>> GraphService::Create(const CsrGraph& graph
       options.num_shards, static_cast<uint64_t>(options.feature_dim) * sizeof(float),
       options.request_deadline_micros, options.fetch);
 
-  DGCL_ASSIGN_OR_RETURN(std::unique_ptr<EvictionPolicy> policy,
-                        MakeEvictionPolicy(options.cache_policy));
   service->cache_ =
-      std::make_unique<FeatureCache>(options.cache_capacity_rows, std::move(policy));
+      std::make_unique<FeatureCache>(options.cache_capacity_rows, options.feature_dim);
 
   // Replica slices are copied out of the (now final) feature matrix, so
   // every replica of a shard answers local reads from byte-identical rows.
@@ -515,7 +513,6 @@ Status GraphService::AssembleFeatures(uint32_t home, uint32_t replica,
   const ReplicaSlice* slice =
       replica < options_.replication.replicas ? &replicas_->slice(home, replica) : nullptr;
 
-  std::vector<float> row(dim);
   // owner shard -> slot rows still needing its feature rows.
   std::map<uint32_t, std::vector<size_t>> missing_by_owner;
   for (size_t i = 0; i < nodes.size(); ++i) {
@@ -530,20 +527,31 @@ Status GraphService::AssembleFeatures(uint32_t home, uint32_t replica,
       continue;
     }
     ++response.remote_rows;
-    if (cache_->Lookup(v, row)) {
+    if (cache_->Lookup(v, slots.Row(static_cast<uint32_t>(i)))) {
       ++response.cache_hits;
-      std::copy_n(row.data(), dim, slots.Row(static_cast<uint32_t>(i)));
       continue;
     }
     ++response.cache_misses;
     missing_by_owner[owner].push_back(i);
   }
+  // One event per request and outcome, carrying the request's totals: the
+  // trace's counter sums equal the cache's Stats without a ring entry per
+  // lookup.
+  if (response.cache_hits > 0) {
+    DGCL_TCOUNT("service", "cache.hit", response.cache_hits);
+  }
+  if (response.cache_misses > 0) {
+    DGCL_TCOUNT("service", "cache.miss", response.cache_misses);
+  }
 
   const DeviceMask alive = AliveMask();
+  Status status = Status::Ok();
+  uint64_t evictions = 0;
   for (const auto& [owner, slots_needed] : missing_by_owner) {
     if (((alive >> owner) & 1) == 0) {
       response.suspects.push_back(owner);
-      return Status::Unavailable("feature owner shard " + std::to_string(owner) + " is dead");
+      status = Status::Unavailable("feature owner shard " + std::to_string(owner) + " is dead");
+      break;
     }
     // The fetch is priced on the pair's connection (transport selection,
     // faults, retry) when the P2P plan routed traffic owner->home; pairs the
@@ -562,7 +570,8 @@ Status GraphService::AssembleFeatures(uint32_t home, uint32_t replica,
           });
       if (!transmitted.ok()) {
         response.suspects.push_back(owner);
-        return transmitted;
+        status = transmitted;
+        break;
       }
     } else {
       DGCL_TCOUNT1("service", "fetch.unplanned", 1, "owner", owner);
@@ -570,10 +579,13 @@ Status GraphService::AssembleFeatures(uint32_t home, uint32_t replica,
     for (const size_t i : slots_needed) {
       const VertexId v = nodes[i];
       std::copy_n(features_.Row(v), dim, slots.Row(static_cast<uint32_t>(i)));
-      cache_->Insert(v, std::vector<float>(features_.Row(v), features_.Row(v) + dim));
+      evictions += cache_->Insert(v, features_.Row(v)) ? 1 : 0;
     }
   }
-  return Status::Ok();
+  if (evictions > 0) {
+    DGCL_TCOUNT("service", "cache.evict", evictions);
+  }
+  return status;
 }
 
 std::vector<std::unique_ptr<GnnLayer>> GraphService::MakeLayerStack() const {

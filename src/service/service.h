@@ -97,9 +97,9 @@ struct ServiceOptions {
   // "multilevel" (METIS-substitute, the serving default) or "hash".
   std::string partitioner = "multilevel";
 
-  // Feature cache in front of remote-row fetches.
+  // LRU feature cache in front of remote-row fetches (feature_cache.h).
   size_t cache_capacity_rows = 4096;
-  std::string cache_policy = "lru";  // "lru" | "lfu"
+  std::string cache_policy = "lru";  // the only eviction policy; anything else fails Validate
 
   // Node features are generated deterministically at Create (stand-in for a
   // real feature store, like the dataset generators elsewhere).

@@ -1,12 +1,18 @@
-// Graph service tier: shard resolution, cache eviction conformance, queue
-// backpressure and the shard-death failure contract.
+// Graph service tier: shard resolution, the LRU feature cache against a
+// reference model, queue backpressure, per-request cache counters and the
+// shard-death failure contract.
 
 #include "service/service.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <list>
+#include <map>
 #include <set>
+#include <string>
 #include <thread>
 
 #include "common/ids.h"
@@ -16,6 +22,7 @@
 #include "service/feature_cache.h"
 #include "service/graph_shard.h"
 #include "service/request_queue.h"
+#include "telemetry/trace.h"
 
 namespace dgcl {
 namespace {
@@ -104,106 +111,162 @@ TEST(GraphShardTest, RemoteEdgeCountMatchesBruteForce) {
   }
 }
 
-// ---- eviction conformance --------------------------------------------------
+// ---- LRU feature cache -----------------------------------------------------
 
-std::vector<float> RowOf(float x) { return {x, x}; }
+constexpr uint32_t kRowDim = 3;
 
-// The contract every policy must satisfy: bounded size, victims are resident,
-// hits refresh, stats add up.
-class EvictionConformanceTest : public ::testing::TestWithParam<const char*> {};
-
-TEST_P(EvictionConformanceTest, BoundedSizeAndCountedStats) {
-  auto policy = MakeEvictionPolicy(GetParam());
-  ASSERT_TRUE(policy.ok());
-  FeatureCache cache(4, std::move(*policy));
-  std::vector<float> row;
-  for (VertexId v = 0; v < 32; ++v) {
-    EXPECT_FALSE(cache.Lookup(v, row));
-    cache.Insert(v, RowOf(static_cast<float>(v)));
-    EXPECT_LE(cache.size(), 4u);
+// Row bytes that name both the vertex and the insert that wrote them, so a
+// stale or torn row cannot compare equal.
+std::vector<float> RowOf(VertexId v, uint32_t version = 0) {
+  std::vector<float> row(kRowDim);
+  for (uint32_t j = 0; j < kRowDim; ++j) {
+    row[j] = static_cast<float>(v) * 1000.0f + static_cast<float>(version) + 0.25f * j;
   }
-  const auto stats = cache.stats();
-  EXPECT_EQ(stats.misses, 32u);
-  EXPECT_EQ(stats.hits, 0u);
-  EXPECT_EQ(stats.evictions, 32u - 4u);
-  // The four youngest inserts are resident under both LRU and LFU (all
-  // frequencies equal => FIFO tie-break == recency order here).
-  for (VertexId v = 28; v < 32; ++v) {
-    EXPECT_TRUE(cache.Lookup(v, row)) << GetParam() << " evicted resident key " << v;
-    EXPECT_EQ(row, RowOf(static_cast<float>(v)));
+  return row;
+}
+
+TEST(LruCacheTest, EvictsLeastRecentlyUsed) {
+  FeatureCache cache(2, kRowDim);
+  std::vector<float> row(kRowDim);
+  EXPECT_FALSE(cache.Insert(1, RowOf(1).data()));
+  EXPECT_FALSE(cache.Insert(2, RowOf(2).data()));
+  ASSERT_TRUE(cache.Lookup(1, row.data()));  // 1 becomes most recent
+  EXPECT_TRUE(cache.Insert(3, RowOf(3).data()));  // evicts 2
+  EXPECT_TRUE(cache.Lookup(1, row.data()));
+  EXPECT_EQ(row, RowOf(1));
+  EXPECT_FALSE(cache.Lookup(2, row.data()));
+  EXPECT_TRUE(cache.Lookup(3, row.data()));
+  EXPECT_EQ(row, RowOf(3));
+  EXPECT_EQ(cache.stats().evictions, 1u);
+}
+
+TEST(LruCacheTest, HugeCapacityAllocatesOnlyWhatArrives) {
+  // An options-sized capacity is a bound, not a reservation.
+  FeatureCache cache(~size_t{0}, kRowDim);
+  EXPECT_EQ(cache.capacity(), ~size_t{0});
+  for (VertexId v = 0; v < 100; ++v) {
+    EXPECT_FALSE(cache.Insert(v, RowOf(v).data()));
   }
-  EXPECT_EQ(cache.stats().hits, 4u);
-  EXPECT_DOUBLE_EQ(cache.stats().HitRate(), 4.0 / 36.0);
+  EXPECT_EQ(cache.size(), 100u);
+  std::vector<float> row(kRowDim);
+  ASSERT_TRUE(cache.Lookup(0, row.data()));
+  EXPECT_EQ(row, RowOf(0));
 }
 
-TEST_P(EvictionConformanceTest, ReinsertRefreshesInsteadOfDuplicating) {
-  auto policy = MakeEvictionPolicy(GetParam());
-  ASSERT_TRUE(policy.ok());
-  FeatureCache cache(2, std::move(*policy));
-  cache.Insert(1, RowOf(1));
-  cache.Insert(1, RowOf(10));
-  EXPECT_EQ(cache.size(), 1u);
-  std::vector<float> row;
-  ASSERT_TRUE(cache.Lookup(1, row));
-  EXPECT_EQ(row, RowOf(10));
-}
-
-INSTANTIATE_TEST_SUITE_P(Policies, EvictionConformanceTest, ::testing::Values("lru", "lfu"));
-
-TEST(EvictionPolicyTest, LruEvictsLeastRecentlyUsed) {
-  FeatureCache cache(2, std::make_unique<LruPolicy>());
-  std::vector<float> row;
-  cache.Insert(1, RowOf(1));
-  cache.Insert(2, RowOf(2));
-  ASSERT_TRUE(cache.Lookup(1, row));  // 1 becomes most recent
-  cache.Insert(3, RowOf(3));          // evicts 2
-  EXPECT_TRUE(cache.Lookup(1, row));
-  EXPECT_FALSE(cache.Lookup(2, row));
-  EXPECT_TRUE(cache.Lookup(3, row));
-}
-
-TEST(EvictionPolicyTest, LfuEvictsLeastFrequentlyUsedWithFifoTieBreak) {
-  FeatureCache cache(2, std::make_unique<LfuPolicy>());
-  std::vector<float> row;
-  cache.Insert(1, RowOf(1));
-  cache.Insert(2, RowOf(2));
-  ASSERT_TRUE(cache.Lookup(2, row));  // 2's frequency 1, 1's frequency 0
-  cache.Insert(3, RowOf(3));          // evicts 1 (lowest frequency)
-  EXPECT_FALSE(cache.Lookup(1, row));
-  EXPECT_TRUE(cache.Lookup(2, row));
-  // 2:freq=2, 3:freq=1. Insert 4: evicts 3.
-  cache.Insert(4, RowOf(4));
-  EXPECT_FALSE(cache.Lookup(3, row));
-  // Tie-break: rebuild with equal frequencies; the oldest insertion goes.
-  FeatureCache tie(2, std::make_unique<LfuPolicy>());
-  tie.Insert(7, RowOf(7));
-  tie.Insert(8, RowOf(8));
-  tie.Insert(9, RowOf(9));  // 7 and 8 tied at frequency 0: 7 is older
-  EXPECT_FALSE(tie.Lookup(7, row));
-  EXPECT_TRUE(tie.Lookup(8, row));
-}
-
-TEST(EvictionPolicyTest, DivergeOnScanAfterHotSet) {
-  // The workload that separates the two: a hot key accessed often, then a
-  // scan of cold keys. LRU forgets the hot key; LFU keeps it.
-  auto run = [](std::unique_ptr<EvictionPolicy> policy) {
-    FeatureCache cache(2, std::move(policy));
-    std::vector<float> row;
-    cache.Insert(100, RowOf(100));
-    for (int i = 0; i < 5; ++i) {
-      EXPECT_TRUE(cache.Lookup(100, row));
+// A seeded random Lookup/Insert sequence against a std::list LRU. After
+// every step the hits, misses, evictions, resident set and row bytes must
+// match the model's.
+TEST(LruCacheTest, MatchesReferenceModel) {
+  constexpr VertexId kKeys = 12;
+  for (const size_t capacity : {size_t{1}, size_t{2}, size_t{7}}) {
+    SCOPED_TRACE("capacity " + std::to_string(capacity));
+    FeatureCache cache(capacity, kRowDim);
+    // Front = most recent.
+    std::list<std::pair<VertexId, std::vector<float>>> model;
+    FeatureCache::Stats expected;
+    auto find = [&](VertexId v) {
+      return std::find_if(model.begin(), model.end(),
+                          [v](const auto& entry) { return entry.first == v; });
+    };
+    // Looks v up in both and compares; a hit moves v to the front of both.
+    auto lookup = [&](VertexId v) {
+      std::vector<float> row(kRowDim, -1.0f);
+      const bool hit = cache.Lookup(v, row.data());
+      const auto it = find(v);
+      EXPECT_EQ(hit, it != model.end()) << "vertex " << v;
+      if (it == model.end()) {
+        ++expected.misses;
+        EXPECT_EQ(row, std::vector<float>(kRowDim, -1.0f)) << "a miss wrote the row";
+        return;
+      }
+      ++expected.hits;
+      EXPECT_EQ(row, it->second) << "vertex " << v;
+      model.splice(model.begin(), model, it);
+    };
+    Rng rng(capacity * 101 + 7);
+    for (uint32_t step = 0; step < 400; ++step) {
+      const VertexId v = static_cast<VertexId>(rng.UniformInt(kKeys));
+      if (rng.UniformInt(2) == 0) {
+        lookup(v);
+      } else {
+        const std::vector<float> row = RowOf(v, step);
+        const bool evicted = cache.Insert(v, row.data());
+        bool model_evicted = false;
+        if (const auto it = find(v); it != model.end()) {
+          model.erase(it);
+        } else if (model.size() == capacity) {
+          model.pop_back();
+          model_evicted = true;
+          ++expected.evictions;
+        }
+        model.emplace_front(v, row);
+        EXPECT_EQ(evicted, model_evicted) << "step " << step;
+      }
+      // Resident set and row bytes: every absent key misses, and every
+      // resident key hits with its row. Probing residents from least to
+      // most recent leaves the recency order as it was.
+      ASSERT_EQ(cache.size(), model.size()) << "step " << step;
+      for (VertexId k = 0; k < kKeys; ++k) {
+        if (find(k) == model.end()) {
+          lookup(k);
+        }
+      }
+      std::vector<VertexId> residents;
+      for (auto it = model.rbegin(); it != model.rend(); ++it) {
+        residents.push_back(it->first);
+      }
+      for (const VertexId k : residents) {
+        lookup(k);
+      }
+      const FeatureCache::Stats stats = cache.stats();
+      ASSERT_EQ(stats.hits, expected.hits) << "step " << step;
+      ASSERT_EQ(stats.misses, expected.misses) << "step " << step;
+      ASSERT_EQ(stats.evictions, expected.evictions) << "step " << step;
     }
-    cache.Insert(1, RowOf(1));
-    cache.Insert(2, RowOf(2));
-    cache.Insert(3, RowOf(3));
-    return cache.Lookup(100, row);
-  };
-  EXPECT_FALSE(run(std::make_unique<LruPolicy>()));
-  EXPECT_TRUE(run(std::make_unique<LfuPolicy>()));
+    EXPECT_GT(expected.evictions, 0u);
+    EXPECT_DOUBLE_EQ(cache.stats().HitRate(), expected.HitRate());
+  }
 }
 
-TEST(EvictionPolicyTest, UnknownPolicyNameFails) {
-  EXPECT_FALSE(MakeEvictionPolicy("arc").ok());
+TEST(LruCacheTest, ConcurrentLookupInsertStaysBoundedAndCounted) {
+  constexpr size_t kCapacity = 16;
+  constexpr uint32_t kThreads = 4;
+  constexpr uint32_t kOps = 5000;
+  FeatureCache cache(kCapacity, kRowDim);
+  std::atomic<uint64_t> lookups{0};
+  std::atomic<bool> bad_row{false};
+  std::atomic<bool> over_capacity{false};
+  std::vector<std::thread> threads;
+  for (uint32_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      Rng rng(t + 1);
+      std::vector<float> row(kRowDim);
+      for (uint32_t op = 0; op < kOps; ++op) {
+        const VertexId v = static_cast<VertexId>(rng.UniformInt(48));
+        if (rng.UniformInt(2) == 0) {
+          lookups.fetch_add(1, std::memory_order_relaxed);
+          if (cache.Lookup(v, row.data()) && row != RowOf(v)) {
+            bad_row.store(true);
+          }
+        } else {
+          cache.Insert(v, RowOf(v).data());
+        }
+        if (cache.size() > kCapacity) {
+          over_capacity.store(true);
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+  EXPECT_FALSE(bad_row.load());
+  EXPECT_FALSE(over_capacity.load());
+  EXPECT_LE(cache.size(), kCapacity);
+  const FeatureCache::Stats stats = cache.stats();
+  EXPECT_EQ(stats.hits + stats.misses, lookups.load());
+  EXPECT_GT(stats.hits, 0u);
+  EXPECT_GT(stats.evictions, 0u);
 }
 
 // ---- bounded queue ---------------------------------------------------------
@@ -336,6 +399,61 @@ TEST(GraphServiceTest, SubmitPopRoundTrip) {
   EXPECT_EQ(stats.responses_dropped, 0u);
 }
 
+// The cache's trace counters are one event per request carrying that
+// request's totals, so with a ring that drops nothing they sum to exactly
+// the cache's own stats.
+TEST(GraphServiceTest, CacheCountersInTraceEqualCacheStats) {
+  if (!DGCL_TELEMETRY_ENABLED) {
+    GTEST_SKIP() << "telemetry compiled out";
+  }
+  using telemetry::Telemetry;
+  Telemetry& telem = Telemetry::Get();
+  const bool was_enabled = Telemetry::Enabled();
+  const size_t old_capacity = telem.recorder_capacity();
+  telem.Reset();
+  telem.SetRecorderCapacity(1 << 16);
+  telem.SetEnabled(true);
+
+  CsrGraph graph = TestGraph();
+  ServiceOptions options = SmallOptions();
+  options.cache_capacity_rows = 16;  // well under the remote set: evictions happen
+  auto service = GraphService::Create(graph, options);
+  ASSERT_TRUE(service.ok()) << service.status().ToString();
+  constexpr uint32_t kRequests = 40;
+  for (uint32_t i = 0; i < kRequests; ++i) {
+    SampleRequest request;
+    request.request_id = i;
+    request.shard = i % options.num_shards;
+    request.num_seeds = 4;
+    request.sample = {2, 4, 100 + i % 10};  // repeats, so some rows hit
+    ASSERT_TRUE((*service)->Serve(request).status.ok());
+  }
+  const telemetry::Trace trace = telem.Collect();
+  telem.SetEnabled(was_enabled);
+  telem.Reset();
+  telem.SetRecorderCapacity(old_capacity);
+
+  EXPECT_EQ(trace.dropped_events, 0u);
+  std::map<std::string, double> totals;
+  std::map<std::string, uint64_t> events;
+  for (const telemetry::TraceEvent& ev : trace.events) {
+    if (ev.category == "service" && ev.kind == telemetry::TraceEventKind::kCounter) {
+      totals[ev.name] += ev.value;
+      ++events[ev.name];
+    }
+  }
+  const FeatureCache::Stats stats = (*service)->cache().stats();
+  EXPECT_GT(stats.hits, 0u);
+  EXPECT_GT(stats.evictions, 0u);
+  EXPECT_EQ(totals["cache.hit"], static_cast<double>(stats.hits));
+  EXPECT_EQ(totals["cache.miss"], static_cast<double>(stats.misses));
+  EXPECT_EQ(totals["cache.evict"], static_cast<double>(stats.evictions));
+  // At most one event of each per request, not one per lookup.
+  EXPECT_LE(events["cache.hit"], kRequests);
+  EXPECT_LE(events["cache.miss"], kRequests);
+  EXPECT_LE(events["cache.evict"], kRequests);
+}
+
 // ---- shard death -----------------------------------------------------------
 
 TEST(ShardDeathTest, KilledShardFailsFastWithSuspect) {
@@ -427,6 +545,8 @@ TEST(ServiceOptionsTest, ValidateRejectsBadKnobs) {
   EXPECT_FALSE(GraphService::Create(graph, options).ok());
   options = ServiceOptions();
   options.cache_policy = "mru";
+  EXPECT_FALSE(GraphService::Create(graph, options).ok());
+  options.cache_policy = "lfu";  // LRU is the only policy
   EXPECT_FALSE(GraphService::Create(graph, options).ok());
   options = ServiceOptions();
   options.partitioner = "metis";
