@@ -35,6 +35,7 @@ void RunTransportBreakdown() {
       std::move(BuildCommRelation(graph, *metis.Partition(graph, 16))).value();
   SpstPlanner spst;
   CompiledPlan plan = CompilePlan(*spst.Plan(rel, topo, 64), topo);
+  AssignBackwardSubstages(plan);
 
   // Within-machine pairs forced onto pinned-host (a cross-machine pair must
   // stay on the NIC — ValidateTransportOverrides enforces the physics).
@@ -79,13 +80,11 @@ void RunTransportBreakdown() {
       double bytes = 0.0;
       const ConnectionTable& connections = engine->connections();
       for (size_t i = 0; i < connections.size(); ++i) {
-        const Connection& conn = connections.connection(i);
-        if (conn.transport() != t) {
-          continue;
-        }
-        ++pairs;
-        ops += conn.op_ids().size();
-        for (uint32_t op_id : conn.op_ids()) {
+        pairs += connections.connection(i).transport() == t ? 1 : 0;
+      }
+      for (uint32_t op_id = 0; op_id < plan.ops.size(); ++op_id) {
+        if (connections.ForOp(op_id).transport() == t) {
+          ++ops;
           bytes += static_cast<double>(plan.ops[op_id].vertices.size()) * kDim * sizeof(float);
         }
       }

@@ -125,6 +125,7 @@ int main() {
     const double cost_ms = EvaluatePlanCost(*plan, topo, bytes) * 1e3;
     // Execute on the threaded runtime to prove the plan actually delivers.
     CompiledPlan compiled = CompilePlan(*plan, topo);
+    AssignBackwardSubstages(compiled);
     auto engine = AllgatherEngine::Create(*rel, compiled, topo);
     std::vector<EmbeddingMatrix> local;
     for (uint32_t d = 0; d < 4; ++d) {

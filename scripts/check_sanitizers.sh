@@ -31,24 +31,25 @@
 # put the lock-free router (alive-mask/cursor/routed atomics) under
 # concurrent Submit while KillReplica drains queues onto survivors, and
 # fetch_batcher_test hammers the gap-close leader loop directly.
-# TSan is the gate for the engine's done-flag protocol: a sender packs an
-# op's rows into its staging buffer and release-stores pass + 1 into
-# op_done, the receiver acquire-loads it before reading those rows, and the
-# consumed-stage count keeps the next pass's sender off a buffer that is
-# still being read. TSan is NOT the gate of the park/wake handshake (a flag
-# wait that outlasts its short spin parks on the writer device's condvar;
-# the writer, after its flag store and a seq_cst fence, takes that mutex to
-# notify when a waiter is parked; Fail wakes every condvar). Its
-# no-lost-wake-up argument rests on the seq_cst fences in
-# ProgramState::Await and ProgramState::Wake, and TSan does not model
-# atomic_thread_fence (GCC warns -Wtsan while building allgather_engine.cc),
-# so TSan checks the done-flag acquire/release pairs but would not report a
-# lost wake-up. That argument is covered by stress: a lost wake-up shows as
-# a wait that runs out its deadline, and coordination_test (across GPU
-# counts and with a dead peer) and device_program_test under load (fast
-# devices run into the next pass while a straggler still reads the last
-# one's staging buffers; a device is killed with a busy thread per core)
-# would fail on it, in this script's trees and in the plain build.
+# TSan is the gate for the engine's flag protocol. There are no staging
+# buffers: a sender writes an op's rows straight into the receiver's slot
+# rows, after its ready wait saw the receiver's progress (the receiver has
+# entered the pass, published its slot matrix and finished the earlier
+# rounds), and then stores pass + 1 into op_done, which the receiver loads
+# before it reads those rows. TSan also gates the park/wake handshake (a
+# flag wait that outlasts its short spin parks on the writer device's
+# condvar; the writer, after its flag store, reads the parked count and
+# takes that mutex to notify when a waiter is parked; Fail wakes every
+# condvar): the flag stores, the parked-count increment and both re-checks
+# are seq_cst atomics with no atomic_thread_fence, which TSan models. Both
+# trees configure with -Werror, as scripts/ci.sh does, so a -Wtsan warning
+# (GCC's note that TSan cannot model a fence) fails the build. Stress
+# covers the handshake too: a lost wake-up shows as a wait that runs out its
+# deadline, and coordination_test (across GPU counts and with a dead peer)
+# and device_program_test under load (fast devices run into the next pass
+# while a straggler is still in the last one; a device is killed with a busy
+# thread per core) would fail on it, in this script's trees and in the
+# plain build.
 # ASan is also the gate of the compiled-plan check (compiled_plan_test) and
 # the plan-file loader (plan_io_test): AllgatherEngine::Create runs that
 # check on every plan it arms, including plans read from files.
@@ -69,7 +70,7 @@ run_one() {
   local dir="build-${kind/thread/tsan}"
   dir="${dir/address/asan}"
   echo "=== ${kind} sanitizer: configuring ${dir} ==="
-  cmake -B "$dir" -S . -DDGCL_SANITIZE="$kind" >/dev/null
+  cmake -B "$dir" -S . -DDGCL_SANITIZE="$kind" -DCMAKE_CXX_FLAGS=-Werror >/dev/null
   cmake --build "$dir" -j "$(nproc)" --target \
     compiled_plan_test plan_io_test \
     thread_pool_test multilevel_test hierarchical_test \

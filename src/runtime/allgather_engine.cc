@@ -8,6 +8,7 @@
 #include <exception>
 #include <memory>
 #include <thread>
+#include <utility>
 
 #include "common/logging.h"
 #include "telemetry/trace.h"
@@ -22,13 +23,6 @@ Status AbortedStatus() { return Status::Unavailable("pass aborted by peer failur
 
 bool IsAborted(const Status& s) {
   return s.code() == StatusCode::kUnavailable && s.message() == "pass aborted by peer failure";
-}
-
-// Copies embedding rows in 16-byte chunks where possible (§6.2 data packing:
-// one CUDA thread fetches 16 bytes per instruction; memcpy vectorizes the
-// same way on CPU).
-void PackRow(float* dst, const float* src, uint32_t dim) {
-  std::memcpy(dst, src, static_cast<size_t>(dim) * sizeof(float));
 }
 
 // Span category for a transfer: the link type of its bottleneck hop
@@ -199,29 +193,27 @@ class DeviceThreads {
   std::vector<std::thread> threads_;  // last: started once the state above exists
 };
 
-// Shared flag state for one program. Staging buffers live in the engine's
-// ConnectionTable; this holds the coordination state only. Both flag arrays
-// count across the program's passes, so neither is reset between passes.
+// Shared flag state for one program. Both flag arrays count across the
+// program's passes, so neither is reset between passes.
 struct ProgramState {
-  // consumed[d]: stages device d has finished receiving, counted across the
-  // program's passes (pass p's step s done is p * S + s + 1). This is the
-  // §6.1 ready flag, made monotone so that a sender in pass p can wait until
-  // the receiver has read the rows an earlier pass staged in the same buffer.
-  std::unique_ptr<std::atomic<uint64_t>[]> consumed;
-  // op_done[op]: passes whose rows of the op are staged — the §6.1 per-op
-  // done flag, made monotone. The sender of pass p writes the op's rows into
-  // the connection-owned staging buffer, then release-stores p + 1; the
-  // receiver waits until it reads more than p (acquire) before reading those
-  // rows. Each op is sent once per pass (forward by its src, backward by its
-  // dst), so the count only grows.
+  // progress[d]: the §6.1 ready flag. Device d stores base_p on entering
+  // pass p and base_p + r + 1 after its round r, with base_0 = 1 and
+  // base_{p+1} = base_p + rounds_p + 1. A round-r sender of pass p waits for
+  // base_p + r: the receiver's rows are this pass's, and every add of an
+  // earlier round into them is done.
+  std::unique_ptr<std::atomic<uint64_t>[]> progress;
+  // rows[d]: device d's slot matrix in its current pass, set before base_p.
+  std::vector<float*> rows;
+  // op_done[op]: the §6.1 per-op done flag, p + 1 once the op's rows are
+  // written in pass p (each op is sent once per pass).
   std::unique_ptr<std::atomic<uint64_t>[]> op_done;
   // Raised by the first failing device; every other device bails out of its
   // waits with the aborted sentinel instead of running to its own deadline,
   // whichever pass it is in.
   std::atomic<bool> abort{false};
   // Where waiters park, one per device: a wait parks on the device whose
-  // flag store releases it (the receiver for a ready wait on its consumed
-  // count, the sender for a done wait on its op), and that device wakes it.
+  // flag store releases it (the receiver for a ready wait on its progress,
+  // the sender for a done wait on its op), and that device wakes it.
   struct Parking {
     std::mutex mutex;
     std::condition_variable wake;
@@ -248,10 +240,11 @@ struct ProgramState {
 
   ProgramState(uint32_t num_devices, const CompiledPlan& plan) : num_devices(num_devices) {
     parking = std::make_unique<Parking[]>(num_devices);
-    consumed = std::make_unique<std::atomic<uint64_t>[]>(num_devices);
+    progress = std::make_unique<std::atomic<uint64_t>[]>(num_devices);
     for (uint32_t d = 0; d < num_devices; ++d) {
-      consumed[d].store(0, std::memory_order_relaxed);
+      progress[d].store(0, std::memory_order_relaxed);
     }
+    rows.assign(num_devices, nullptr);
     op_done = std::make_unique<std::atomic<uint64_t>[]>(plan.ops.size());
     for (uint32_t i = 0; i < plan.ops.size(); ++i) {
       op_done[i].store(0, std::memory_order_relaxed);
@@ -275,13 +268,13 @@ struct ProgramState {
     }
   }
 
-  // Device `device` waits until `ready()` holds, a device fails the program,
-  // or `timeout_micros` (0: never) pass by the clock. It spins for kFlagSpin,
-  // then parks on the condvar of `writer`, the device whose flag store makes
-  // `ready()` hold and which then calls Wake(writer).
-  template <typename Ready>
-  Status Await(uint32_t device, uint32_t writer, uint64_t timeout_micros, const char* what,
-               uint32_t stage, Ready&& ready) {
+  // Device `device` waits until `flag`, which `writer` Publishes, reaches
+  // `target`, a device fails the program, or `timeout_micros` (0: never)
+  // pass by the clock. It spins for kFlagSpin, then parks on `writer`'s
+  // condvar.
+  Status Await(uint32_t device, uint32_t writer, const std::atomic<uint64_t>& flag,
+               uint64_t target, uint64_t timeout_micros, const char* what, uint32_t stage) {
+    auto ready = [&] { return flag.load(std::memory_order_seq_cst) >= target; };
     using Clock = std::chrono::steady_clock;
     const Clock::time_point start = Clock::now();
     const Clock::time_point deadline = start + std::chrono::microseconds(timeout_micros);
@@ -308,12 +301,12 @@ struct ProgramState {
 #endif
       } else if (!lock.owns_lock()) {
         // Count this waiter, then check `ready()` again before sleeping.
-        // Wake's fence and this one are totally ordered: either that check
-        // sees the writer's flag, or the writer sees the count and notifies
-        // under the mutex, which this thread gives up only inside wait.
+        // This increment, the flag store and the loads of both are seq_cst,
+        // so they are totally ordered: either that check sees the writer's
+        // flag, or the writer sees the count and notifies under the mutex,
+        // which this thread gives up only inside wait.
         lock.lock();
-        p.parked.fetch_add(1, std::memory_order_relaxed);
-        std::atomic_thread_fence(std::memory_order_seq_cst);
+        p.parked.fetch_add(1, std::memory_order_seq_cst);
       } else if (timeout_micros == 0) {
         p.wake.wait(lock);
       } else {
@@ -326,12 +319,12 @@ struct ProgramState {
     return status;
   }
 
-  // Called by `writer` after each release-store of a flag that a waiter may
-  // be parked on; notifies only when one is.
-  void Wake(uint32_t writer) {
-    std::atomic_thread_fence(std::memory_order_seq_cst);
+  // Stores `value` into `flag`, a flag of `writer` that a waiter may be
+  // parked on, and notifies only when one is.
+  void Publish(std::atomic<uint64_t>& flag, uint64_t value, uint32_t writer) {
+    flag.store(value, std::memory_order_seq_cst);
     Parking& p = parking[writer];
-    if (p.parked.load(std::memory_order_relaxed) > 0) {
+    if (p.parked.load(std::memory_order_seq_cst) > 0) {
       std::lock_guard<std::mutex> lock(p.mutex);
       p.wake.notify_all();
     }
@@ -404,28 +397,57 @@ Result<AllgatherEngine> AllgatherEngine::Create(const CommRelation& relation, Co
     }
   }
 
-  // Ops each device sends/receives, grouped by stage. The backward pass
-  // reverses every op: gradients flow dst -> src, and receives are consumed
-  // in ascending sub-stage order (§6.2 non-atomic aggregation).
+  // Rounds: forward, round r is stage r; backward runs the stages in reverse,
+  // each split into its §6.2 sub-stages (at least one round per stage). A
+  // vertex leaves a device for at most num_devices - 1 peers in a stage, so
+  // no split needs a sub-stage beyond that; a plan file may claim any.
   const uint32_t num_stages = engine.plan_.num_stages;
-  engine.forward_ops_.resize(relation.num_devices);
-  for (DeviceOps& ops : engine.forward_ops_) {
-    ops.sends.resize(num_stages);
-    ops.recvs.resize(num_stages);
+  std::vector<uint32_t> substages(num_stages, 1);
+  for (const TransferOp& op : engine.plan_.ops) {
+    if (op.substage >= relation.num_devices) {
+      return Status::InvalidArgument("op sub-stage " + std::to_string(op.substage) +
+                                     " is not below the device count");
+    }
+    substages[op.stage] = std::max(substages[op.stage], op.substage + 1);
+  }
+  Rounds& fwd = engine.forward_;
+  Rounds& bwd = engine.backward_;
+  fwd.first_round.assign(1, 0);
+  bwd.first_round.assign(1, 0);
+  for (uint32_t step = 0; step < num_stages; ++step) {
+    fwd.first_round.push_back(step + 1);
+    bwd.first_round.push_back(bwd.first_round.back() + substages[num_stages - 1 - step]);
+  }
+  for (Rounds* rounds : {&fwd, &bwd}) {
+    rounds->devices.assign(relation.num_devices,
+                           {std::vector<std::vector<uint32_t>>(rounds->count()),
+                            std::vector<std::vector<uint32_t>>(rounds->count())});
   }
   for (uint32_t i = 0; i < engine.plan_.ops.size(); ++i) {
     const TransferOp& op = engine.plan_.ops[i];
-    engine.forward_ops_[op.src].sends[op.stage].push_back(i);
-    engine.forward_ops_[op.dst].recvs[op.stage].push_back(i);
+    fwd.devices[op.src].sends[op.stage].push_back(i);
+    fwd.devices[op.dst].recvs[op.stage].push_back(i);
+    // Backward, gradients flow dst -> src.
+    const uint32_t r = bwd.first_round[num_stages - 1 - op.stage] + op.substage;
+    bwd.devices[op.dst].sends[r].push_back(i);
+    bwd.devices[op.src].recvs[r].push_back(i);
   }
-  engine.backward_ops_.resize(relation.num_devices);
+  // A backward round's senders add into their receivers' rows at once, so
+  // no two ops of a round may add into one row. (Forward, the plan check
+  // above lets each vertex reach a device by one op only.)
+  std::vector<uint32_t> added_in;  // per slot: 1 + the last round adding into it
   for (uint32_t d = 0; d < relation.num_devices; ++d) {
-    engine.backward_ops_[d].sends = engine.forward_ops_[d].recvs;
-    engine.backward_ops_[d].recvs = engine.forward_ops_[d].sends;
-    for (auto& ids : engine.backward_ops_[d].recvs) {
-      std::sort(ids.begin(), ids.end(), [&engine](uint32_t a, uint32_t b) {
-        return engine.plan_.ops[a].substage < engine.plan_.ops[b].substage;
-      });
+    added_in.assign(engine.slot_counts_[d], 0);
+    for (uint32_t r = 0; r < bwd.count(); ++r) {
+      for (uint32_t op_id : bwd.devices[d].recvs[r]) {
+        for (uint32_t slot : engine.op_slots_[op_id].src) {
+          if (std::exchange(added_in[slot], r + 1) == r + 1) {
+            return Status::InvalidArgument(
+                "two ops add into one row of device " + std::to_string(d) +
+                " in one backward sub-stage; split the plan with AssignBackwardSubstages");
+          }
+        }
+      }
     }
   }
   engine.threads_ = std::make_unique<DeviceThreads>(relation.num_devices);
@@ -447,39 +469,43 @@ uint32_t AllgatherEngine::NumContractSlots(uint32_t device) const {
                                relation_->remote_vertices[device].size());
 }
 
-Status AllgatherEngine::RunDevice(uint32_t device, uint32_t pass, bool backward,
+Status AllgatherEngine::RunDevice(uint32_t device, uint32_t pass, uint64_t base, bool backward,
                                   EmbeddingMatrix& mine, ProgramState& state) const {
   const uint32_t num_stages = plan_.num_stages;
   const uint32_t dim = state.dim;
+  const size_t row_bytes = static_cast<size_t>(dim) * sizeof(float);
   const uint64_t timeout_micros = options_.transport.wait_timeout_micros;
-  // Consumed-stage count of the passes before this one.
-  const uint64_t stages_before = static_cast<uint64_t>(pass) * num_stages;
 
   if (state.abort.load(std::memory_order_acquire)) {
     // A peer failed an earlier pass while this device computed.
     return AbortedStatus();
   }
   if (state.DeviceIsDead(device, pass, options_)) {
-    // The killed peer: never publishes readiness, never sends, never
-    // consumes. Its peers' deadline-bounded waits turn this into a timeout
-    // Status for the whole collective.
+    // The killed peer: never enters the pass, so nobody writes into it and
+    // it never sends. Its peers' deadline-bounded waits turn this into a
+    // timeout Status for the whole collective.
     state.self_dead.fetch_or(DeviceMask{1} << device, std::memory_order_release);
     return Status::Unavailable("device " + std::to_string(device) + " is dead (injected fault)");
   }
 
-  const DeviceOps& ops = backward ? backward_ops_[device] : forward_ops_[device];
-  const std::vector<std::vector<uint32_t>>& sends = ops.sends;
-  const std::vector<std::vector<uint32_t>>& recvs = ops.recvs;
+  const Rounds& rounds = backward ? backward_ : forward_;
+  const Rounds::DeviceOps& ops = rounds.devices[device];
+  state.rows[device] = mine.data.data();
+  state.Publish(state.progress[device], base, device);
 
   for (uint32_t step = 0; step < num_stages; ++step) {
     if (device == options_.straggler_device && options_.straggler_micros > 0) {
       std::this_thread::sleep_for(std::chrono::microseconds(options_.straggler_micros));
     }
     const uint32_t stage = backward ? num_stages - 1 - step : step;
+    const uint32_t first = rounds.first_round[step];
+    const uint32_t end = rounds.first_round[step + 1];
     uint64_t stage_bytes = 0;
     if (telemetry::Telemetry::Enabled()) {
-      for (uint32_t op_id : sends[stage]) {
-        stage_bytes += plan_.ops[op_id].vertices.size() * static_cast<size_t>(dim) * sizeof(float);
+      for (uint32_t r = first; r < end; ++r) {
+        for (uint32_t op_id : ops.sends[r]) {
+          stage_bytes += plan_.ops[op_id].vertices.size() * row_bytes;
+        }
       }
     }
     // Spans the whole stage on this device, waits included — the max over
@@ -487,85 +513,66 @@ Status AllgatherEngine::RunDevice(uint32_t device, uint32_t pass, bool backward,
     // cost model's per-stage prediction).
     DGCL_TSPAN2("runtime", backward ? "bwd.stage" : "fwd.stage", "stage", stage, "bytes",
                 stage_bytes);
-    // The §6.1 send gate, on the receiver's consumed-stage count. Forward
-    // waits until the receiver has consumed this pass's earlier stages;
-    // backward only waits for the receiver to finish the previous pass. Both
-    // keep the staging buffers safe across passes: an op's buffer was last
-    // read by its receiver in an earlier pass, which this count covers.
-    const uint64_t consumed_before_send = backward ? stages_before : stages_before + step;
-    for (uint32_t op_id : sends[stage]) {
-      const TransferOp& op = plan_.ops[op_id];
-      const uint32_t receiver = backward ? op.src : op.dst;
-      Connection& conn = connections_.ForOp(op_id);
-      if (!backward || consumed_before_send > 0) {
+    for (uint32_t r = first; r < end; ++r) {
+      for (uint32_t op_id : ops.sends[r]) {
+        const TransferOp& op = plan_.ops[op_id];
+        const uint32_t receiver = backward ? op.src : op.dst;
+        Connection& conn = connections_.ForOp(op_id);
         Status status;
         {
           DGCL_TSPAN3(conn.name(), backward ? "bwd.wait.ready" : "fwd.wait.ready", "peer",
                       receiver, "stage", stage, "op", op_id);
-          status = state.Await(device, receiver, timeout_micros, "ready-flag", stage, [&] {
-            return state.consumed[receiver].load(std::memory_order_acquire) >= consumed_before_send;
-          });
+          status = state.Await(device, receiver, state.progress[receiver], base + r,
+                               timeout_micros, "ready-flag", stage);
+        }
+        if (status.ok()) {
+          status = conn.Transmit(op.vertices.size() * row_bytes);
+        }
+        if (!status.ok()) {
+          state.Fail();
+          return status;
+        }
+        {
+          DGCL_TSPAN2(LinkCategory(*topo_, op.link), backward ? "bwd.send" : "fwd.send", "stage",
+                      stage, "bytes", op.vertices.size() * row_bytes);
+          // No other op of this round writes these rows (Create checks it).
+          const OpSlots& slots = op_slots_[op_id];
+          const std::vector<uint32_t>& from = backward ? slots.dst : slots.src;
+          const std::vector<uint32_t>& to = backward ? slots.src : slots.dst;
+          float* theirs = state.rows[receiver];
+          for (size_t i = 0; i < from.size(); ++i) {
+            const float* in = mine.Row(from[i]);
+            float* out = theirs + static_cast<size_t>(to[i]) * dim;
+            if (backward) {
+              for (uint32_t c = 0; c < dim; ++c) {
+                out[c] += in[c];
+              }
+            } else {
+              std::memcpy(out, in, row_bytes);
+            }
+          }
+        }
+        state.Publish(state.op_done[op_id], pass + 1, device);
+      }
+      // This device's rows of the round are its senders' to write.
+      for (uint32_t op_id : ops.recvs[r]) {
+        const TransferOp& op = plan_.ops[op_id];
+        const uint32_t sender = backward ? op.dst : op.src;
+        Status status;
+        {
+          DGCL_TSPAN3(connections_.ForOp(op_id).name(),
+                      backward ? "bwd.wait.done" : "fwd.wait.done", "peer", sender, "stage", stage,
+                      "op", op_id);
+          status = state.Await(device, sender, state.op_done[op_id], pass + 1, timeout_micros,
+                               "done-flag", stage);
         }
         if (!status.ok()) {
           state.Fail();
           return status;
         }
       }
-      const uint64_t bytes = op.vertices.size() * static_cast<size_t>(dim) * sizeof(float);
-      if (Status status = conn.Transmit(bytes); !status.ok()) {
-        state.Fail();
-        return status;
-      }
-      {
-        DGCL_TSPAN2(LinkCategory(*topo_, op.link), backward ? "bwd.send" : "fwd.send", "stage",
-                    stage, "bytes", bytes);
-        std::vector<float>& staging = connections_.OpStaging(op_id);
-        const std::vector<uint32_t>& slots = backward ? op_slots_[op_id].dst : op_slots_[op_id].src;
-        for (size_t i = 0; i < slots.size(); ++i) {
-          PackRow(staging.data() + i * dim, mine.Row(slots[i]), dim);
-        }
-      }
-      state.op_done[op_id].store(pass + 1, std::memory_order_release);
-      state.Wake(device);
+      state.Publish(state.progress[device], base + r + 1, device);
     }
-
-    // Receives of this stage, in order: forward ops write disjoint slot rows
-    // (each vertex reaches a device by exactly one op per pass); backward
-    // ops accumulate in ascending §6.2 sub-stage order, as Create sorted
-    // them.
-    for (uint32_t op_id : recvs[stage]) {
-      const TransferOp& op = plan_.ops[op_id];
-      const uint32_t sender = backward ? op.dst : op.src;
-      Status status;
-      {
-        DGCL_TSPAN3(connections_.ForOp(op_id).name(),
-                    backward ? "bwd.wait.done" : "fwd.wait.done", "peer", sender, "stage", stage,
-                    "op", op_id);
-        status = state.Await(device, sender, timeout_micros, "done-flag", stage, [&] {
-          return state.op_done[op_id].load(std::memory_order_acquire) > pass;
-        });
-      }
-      if (!status.ok()) {
-        state.Fail();
-        return status;
-      }
-      const std::vector<float>& staging = connections_.OpStaging(op_id);
-      const std::vector<uint32_t>& slots = backward ? op_slots_[op_id].src : op_slots_[op_id].dst;
-      for (size_t i = 0; i < slots.size(); ++i) {
-        const float* incoming = staging.data() + i * dim;
-        if (backward) {
-          // Gradient accumulation at the forwarding/owning device.
-          float* row = mine.Row(slots[i]);
-          for (uint32_t c = 0; c < dim; ++c) {
-            row[c] += incoming[c];
-          }
-        } else {
-          PackRow(mine.Row(slots[i]), incoming, dim);
-        }
-      }
-    }
-    state.consumed[device].store(stages_before + step + 1, std::memory_order_release);
-    state.Wake(device);
   }
   return Status::Ok();
 }
@@ -576,6 +583,8 @@ Status DevicePasses::Backward(EmbeddingMatrix& slots) { return Pass(/*backward=*
 
 Status DevicePasses::Pass(bool backward, EmbeddingMatrix& slots) {
   const uint32_t pass = next_pass_++;
+  const uint64_t base = next_base_;
+  next_base_ += (backward ? engine_.backward_ : engine_.forward_).count() + 1;
   ProgramState::Outcome& outcome = state_.outcome[device_];
   outcome.passes = next_pass_;
   Status status;
@@ -584,7 +593,7 @@ Status DevicePasses::Pass(bool backward, EmbeddingMatrix& slots) {
     status = Status::InvalidArgument("device " + std::to_string(device_) +
                                      " slot matrix is not NumSlots x the program's dim");
   } else {
-    status = engine_.RunDevice(device_, pass, backward, slots, state_);
+    status = engine_.RunDevice(device_, pass, base, backward, slots, state_);
   }
   if (!status.ok() && outcome.failed_pass == kNoPass) {
     outcome.failed_pass = pass;
@@ -603,9 +612,7 @@ Status AllgatherEngine::RunProgram(uint32_t dim, const DeviceProgram& program) c
   if (dim == 0) {
     return Status::InvalidArgument("program embedding dim must be at least 1");
   }
-  // Connection staging buffers are shared engine state; programs serialize.
   std::lock_guard<std::mutex> lock(*program_mutex_);
-  connections_.PrepareBuffers(dim);
   ProgramState state(relation_->num_devices, plan_);
   state.dim = dim;
   state.first_pass = pass_count_;

@@ -1,33 +1,33 @@
 // Threaded graphAllgather execution engine.
 //
 // Runs a compiled communication plan on real embedding data, one thread per
-// simulated device, coordinated with the decentralized ready/done flag
-// protocol of §6.1: a sender waits on the receiver's published progress
-// before writing into the op's staging buffer, then raises the op's done
-// flag; the receiver consumes buffers as done flags appear and publishes its
-// progress. There is no central coordinator. A wait spins briefly, then
-// parks until the device whose flag it awaits wakes it.
+// simulated device, coordinated with the decentralized ready/done flags of
+// §6.1 and no central coordinator. Each row crosses once: the sender writes
+// it from its own slot row straight into the receiver's slot row (a copy
+// forward, an add backward), then raises the op's done flag, which is all
+// the receiver waits on. A wait spins briefly, then parks until the device
+// whose flag it awaits wakes it.
+//
+// A pass is a sequence of *rounds*: the stages forward, and (stage
+// descending, §6.2 sub-stage ascending) backward. A device does its sends of
+// a round, then its receives, then publishes its progress; a sender of a
+// round-r op waits until the receiver has entered the pass and finished
+// rounds < r. So backward adds land in round order, and Create rejects a
+// plan in which two ops of one round add into the same row.
 //
 // Work reaches the devices as *programs* (RunProgram): each device runs its
 // own program once, device 0 on the calling thread and device d > 0 on the
 // engine's persistent thread d, and the program runs the engine's passes in
-// place on a slot matrix the device keeps (DevicePasses). A program may run
-// any number of passes between its own compute, so a trainer runs a whole
-// epoch as one program and devices meet only through the flags. Flags count
-// across the program's passes: a sender in pass p waits until the receiver
-// has consumed every earlier pass's rows of the staging buffer it is about
-// to overwrite. Forward and Backward are one-pass programs.
+// place on a slot matrix the device keeps (DevicePasses), between its own
+// compute. A trainer runs a whole epoch as one program; the flags count
+// across its passes. Forward and Backward are one-pass programs.
 //
-// Every transfer rides a per-pair Connection (transport.h): the engine asks
-// the connection to Transmit (which emulates the wire — injected
-// latency/jitter/drops with bounded exponential-backoff retry, optional
-// bandwidth emulation for cost-model calibration) before copying the payload
-// into the connection-owned staging buffer. Every coordination wait is
-// deadline-bounded (TransportPolicy::wait_timeout_micros) and recorded as a
-// telemetry span tagged {peer, stage, op} with the transport as category, so
-// a dead peer fails the collective with a kDeadlineExceeded Status instead
-// of waiting forever, and coordination stalls are visible per wait in a
-// recorded trace (`tools/dgcl_trace summarize --waits`).
+// Every transfer rides a per-pair Connection (transport.h), whose Transmit
+// emulates the wire (injected latency/jitter/drops with bounded retry,
+// optional bandwidth emulation) before the rows are written. Every wait is
+// deadline-bounded (TransportPolicy::wait_timeout_micros), so a dead peer
+// fails the collective with kDeadlineExceeded, and is recorded as a span
+// tagged {peer, stage, op} (`tools/dgcl_trace summarize --waits`).
 //
 // The forward pass delivers, for every device, the embeddings of its local
 // plus required remote vertices; the backward pass routes gradient
@@ -118,13 +118,16 @@ class DevicePasses {
 
   // `slots` has NumSlots(device()) rows of the program's dim, its first
   // num_local rows holding the device's local embeddings. On success every
-  // other row the plan delivers holds its vertex's embedding.
+  // other row the plan delivers holds its vertex's embedding. Peers write
+  // into `slots` while the pass runs; after a failed pass one may still be
+  // writing, so the program must not touch `slots` again, and `slots` must
+  // outlive RunProgram, which returns once every device has stopped.
   Status Forward(EmbeddingMatrix& slots);
 
   // `slots` has NumSlots(device()) rows of the program's dim: the slot
   // gradients, with the forwarded-only extra rows zero. On success the first
   // num_local rows hold the accumulated gradients of the local vertices; the
-  // other rows are scratch.
+  // other rows are scratch. A failed pass leaves `slots` as Forward's does.
   Status Backward(EmbeddingMatrix& slots);
 
  private:
@@ -138,6 +141,7 @@ class DevicePasses {
   ProgramState& state_;
   const uint32_t device_;
   uint32_t next_pass_ = 0;  // index of the next pass within the program
+  uint64_t next_base_ = 1;  // progress this device stores on entering it
 };
 
 // A device's part of a program. Runs once per device, concurrently; returns
@@ -148,9 +152,11 @@ class AllgatherEngine {
  public:
   // Validates the plan against the relation (delivery and causality),
   // precomputes per-device slot tables, each op's slots on both ends and
-  // each device's per-stage op lists, builds the per-pair connection table
-  // and starts the device threads. The relation, plan and topology must
-  // outlive the engine.
+  // each device's per-round op lists, builds the per-pair connection table
+  // and starts the device threads. Returns InvalidArgument for a plan in
+  // which two ops of one backward round add into the same row (an unsplit
+  // plan: run AssignBackwardSubstages first). The relation, plan and
+  // topology must outlive the engine.
   static Result<AllgatherEngine> Create(const CommRelation& relation, CompiledPlan plan,
                                         const Topology& topo, EngineOptions options = {});
 
@@ -194,8 +200,8 @@ class AllgatherEngine {
   // up to and including the first one that failed.
   uint64_t pass_count() const;
 
-  // Per-pair connections (transport kind, fault/retry counters, staging
-  // ownership). Read-only for callers; counters accumulate across passes.
+  // Per-pair connections (transport kind, fault/retry counters). Read-only
+  // for callers; counters accumulate across passes.
   const ConnectionTable& connections() const { return connections_; }
 
   // Slot index of a global vertex on a device; kInvalidId if the device
@@ -211,9 +217,10 @@ class AllgatherEngine {
 
   AllgatherEngine();
 
-  // Device `device`'s side of pass `pass` of the running program.
-  Status RunDevice(uint32_t device, uint32_t pass, bool backward, EmbeddingMatrix& mine,
-                   ProgramState& state) const;
+  // Device `device`'s side of pass `pass` of the running program; `base` is
+  // the progress it stores on entering the pass.
+  Status RunDevice(uint32_t device, uint32_t pass, uint64_t base, bool backward,
+                   EmbeddingMatrix& mine, ProgramState& state) const;
   // Folds the devices' outcomes into the program's verdict.
   Status Verdict(const ProgramState& state) const;
 
@@ -221,11 +228,10 @@ class AllgatherEngine {
   const Topology* topo_ = nullptr;
   EngineOptions options_;
   CompiledPlan plan_;
-  // Mutable: connections own per-op staging buffers that are resized at
-  // program start, so programs on one engine are serialized by
-  // program_mutex_ (concurrent calls are safe, they just queue). Heap-held
-  // so the engine stays movable.
+  // Mutable: Transmit advances a connection's fault and retry state.
   mutable ConnectionTable connections_;
+  // Programs on one engine serialize (concurrent calls are safe, they just
+  // queue). Heap-held so the engine stays movable.
   std::unique_ptr<std::mutex> program_mutex_;
   // Threads of devices 1..N-1, parked between programs. Heap-held: the
   // threads keep its address.
@@ -237,21 +243,26 @@ class AllgatherEngine {
   std::vector<std::unordered_map<VertexId, uint32_t>> slots_;  // per device
   std::vector<uint32_t> slot_counts_;
 
-  // Per op: the slot of vertices[i] on op.src and on op.dst, so passes pack
-  // and unpack rows without a hash lookup.
+  // Per op: the slot of vertices[i] on op.src and on op.dst, so passes read
+  // and write rows without a hash lookup.
   struct OpSlots {
     std::vector<uint32_t> src;
     std::vector<uint32_t> dst;
   };
   std::vector<OpSlots> op_slots_;
-  // The ops one device sends and receives in one direction, by stage.
-  // Backward receives are in ascending sub-stage order (§6.2).
-  struct DeviceOps {
-    std::vector<std::vector<uint32_t>> sends;
-    std::vector<std::vector<uint32_t>> recvs;
+  // One direction's rounds: first_round[step] is the first round of the
+  // step-th stage it runs, then the round count; per device, each round's ops.
+  struct Rounds {
+    struct DeviceOps {
+      std::vector<std::vector<uint32_t>> sends;
+      std::vector<std::vector<uint32_t>> recvs;
+    };
+    std::vector<uint32_t> first_round;
+    std::vector<DeviceOps> devices;
+    uint32_t count() const { return first_round.back(); }
   };
-  std::vector<DeviceOps> forward_ops_;   // per device
-  std::vector<DeviceOps> backward_ops_;  // per device
+  Rounds forward_;
+  Rounds backward_;
 };
 
 }  // namespace dgcl

@@ -210,7 +210,6 @@ Result<ConnectionTable> ConnectionTable::Build(const Topology& topo, const Compi
 
   ConnectionTable table;
   table.op_conn_.assign(plan.ops.size(), 0);
-  table.op_slot_.assign(plan.ops.size(), 0);
 
   // Deterministic connection order: sorted ordered pairs.
   std::vector<std::pair<DeviceId, DeviceId>> pairs;
@@ -230,25 +229,9 @@ Result<ConnectionTable> ConnectionTable::Build(const Topology& topo, const Compi
   for (uint32_t i = 0; i < plan.ops.size(); ++i) {
     const TransferOp& op = plan.ops[i];
     const auto it = std::lower_bound(pairs.begin(), pairs.end(), std::make_pair(op.src, op.dst));
-    const uint32_t conn = static_cast<uint32_t>(it - pairs.begin());
-    Connection& c = *table.connections_[conn];
-    table.op_conn_[i] = conn;
-    table.op_slot_[i] = static_cast<uint32_t>(c.op_ids_.size());
-    c.op_ids_.push_back(i);
-    c.op_units_.push_back(op.vertices.size());
-  }
-  for (auto& c : table.connections_) {
-    c->staging_.resize(c->op_ids_.size());
+    table.op_conn_[i] = static_cast<uint32_t>(it - pairs.begin());
   }
   return table;
-}
-
-void ConnectionTable::PrepareBuffers(uint32_t dim) {
-  for (auto& c : connections_) {
-    for (size_t i = 0; i < c->op_units_.size(); ++i) {
-      c->staging_[i].resize(c->op_units_[i] * static_cast<size_t>(dim));
-    }
-  }
 }
 
 const Connection* ConnectionTable::Find(DeviceId src, DeviceId dst) const {

@@ -7,12 +7,13 @@
 // *selection logic* is preserved and the transport is a first-class object,
 // not a bare enum: every device pair that appears in a compiled plan gets a
 // `Connection` created from the `SelectTransport` decision table (optionally
-// overridden per pair for ablations). A connection owns the staging buffers
-// of the transfer ops routed over it and carries per-connection state —
+// overridden per pair for ablations). A connection holds only wire state —
 // injectable latency/jitter/drop for the emulated NIC path, bounded retry
-// with exponential backoff, and wall-clock bandwidth emulation used to
-// calibrate the runtime against the planner's cost model (see
-// EpochSimulator::AuditAllgatherFromEngine).
+// with exponential backoff, wall-clock bandwidth emulation used to calibrate
+// the runtime against the planner's cost model (see
+// EpochSimulator::AuditAllgatherFromEngine), and their counters. The rows
+// themselves never pass through it: the engine's sender writes them straight
+// into the receiver's slot rows once Transmit succeeds.
 
 #ifndef DGCL_RUNTIME_TRANSPORT_H_
 #define DGCL_RUNTIME_TRANSPORT_H_
@@ -112,11 +113,9 @@ struct TransportPolicy {
 };
 
 // One device pair's channel. Created by ConnectionTable from the transport
-// decision table; owns the staging buffers of the ops routed over it (one
-// buffer per op, sized at pass start) and the per-connection fault/retry
-// state. Transmit may be called by one thread at a time per connection (the
-// pair's sender for the current pass); stats are atomics and readable from
-// any thread.
+// decision table; holds the per-connection fault/retry state. Transmit may
+// be called by one thread at a time per connection (the pair's sender for
+// the current pass); stats are atomics and readable from any thread.
 class Connection {
  public:
   struct Stats {
@@ -148,14 +147,7 @@ class Connection {
 
   Stats stats() const;
 
-  // Op ids (forward direction src -> dst) staged through this connection and
-  // their staging buffers, parallel vectors. Buffers are (re)sized by
-  // ConnectionTable::PrepareBuffers.
-  const std::vector<uint32_t>& op_ids() const { return op_ids_; }
-
  private:
-  friend class ConnectionTable;
-
   DeviceId src_;
   DeviceId dst_;
   Transport transport_;
@@ -164,10 +156,6 @@ class Connection {
   TransportPolicy policy_;
   FaultInjection faults_;
   bool faults_apply_;
-
-  std::vector<uint32_t> op_ids_;
-  std::vector<size_t> op_units_;              // vertices per op (buffer rows)
-  std::vector<std::vector<float>> staging_;   // one buffer per op
 
   std::atomic<uint64_t> transmits_{0};
   std::atomic<uint64_t> attempts_{0};
@@ -189,19 +177,9 @@ class ConnectionTable {
                                        const FaultInjection& faults,
                                        std::span<const TransportOverride> overrides);
 
-  // (Re)sizes every op staging buffer for embedding dimension `dim`. Must be
-  // called before a pass, with no pass in flight.
-  void PrepareBuffers(uint32_t dim);
-
+  // The connection an op (forward direction src -> dst) is routed over.
   Connection& ForOp(uint32_t op_id) { return *connections_[op_conn_[op_id]]; }
   const Connection& ForOp(uint32_t op_id) const { return *connections_[op_conn_[op_id]]; }
-
-  // The op's staging buffer (written by the pass's sender, read by its
-  // receiver after the done flag is raised).
-  std::vector<float>& OpStaging(uint32_t op_id) {
-    Connection& c = ForOp(op_id);
-    return c.staging_[op_slot_[op_id]];
-  }
 
   size_t size() const { return connections_.size(); }
   const Connection& connection(size_t i) const { return *connections_[i]; }
@@ -216,7 +194,6 @@ class ConnectionTable {
  private:
   std::vector<std::unique_ptr<Connection>> connections_;  // sorted by (src, dst)
   std::vector<uint32_t> op_conn_;  // op id -> index into connections_
-  std::vector<uint32_t> op_slot_;  // op id -> index into its connection's staging_
 };
 
 }  // namespace dgcl

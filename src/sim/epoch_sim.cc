@@ -159,6 +159,7 @@ Result<telemetry::CostAuditReport> EpochSimulator::AuditAllgatherFromEngine(
   const std::vector<double> predicted =
       ReplayClassPlanStageSeconds(class_plan, *topo_, bytes_per_unit);
   CompiledPlan compiled = CompilePlan(class_plan, classes, *topo_);
+  AssignBackwardSubstages(compiled);
 
   EngineOptions engine_options;
   engine_options.transport.emulate_bandwidth = true;

@@ -61,26 +61,27 @@ void TraceRecorder::Push(const char* category, const char* name, TraceEventKind 
                          const char* key0, uint64_t val0, const char* key1, uint64_t val1,
                          const char* key2, uint64_t val2) {
   const uint64_t index = head_.load(std::memory_order_relaxed);
-  // Announce the overwrite before touching the slot: a concurrent Drain that
-  // reads any of the words below is guaranteed to also see this reserve_
-  // value (its acquire fence pairs with this release fence) and discards the
-  // slot's previous occupant, event index - capacity.
+  // Announce the overwrite before touching the slot: every word store below
+  // is a release store, so a concurrent Drain whose acquire load reads any
+  // of them also sees this reserve_ value and discards the slot's previous
+  // occupant, event index - capacity. (Release stores and acquire loads,
+  // not fences: ThreadSanitizer checks these, and on x86 they are plain
+  // moves.)
   reserve_.store(index + 1, std::memory_order_relaxed);
-  std::atomic_thread_fence(std::memory_order_release);
   std::atomic<uint64_t>* slot = &words_[(index & (capacity_ - 1)) * kWordsPerEvent];
-  slot[kWordName].store(PtrBits(name), std::memory_order_relaxed);
-  slot[kWordCategory].store(PtrBits(category), std::memory_order_relaxed);
+  slot[kWordName].store(PtrBits(name), std::memory_order_release);
+  slot[kWordCategory].store(PtrBits(category), std::memory_order_release);
   slot[kWordMeta].store(static_cast<uint64_t>(kind) | (static_cast<uint64_t>(tid_) << 8),
-                        std::memory_order_relaxed);
-  slot[kWordStart].store(start_ns, std::memory_order_relaxed);
-  slot[kWordDur].store(dur_ns, std::memory_order_relaxed);
-  slot[kWordValue].store(value_bits, std::memory_order_relaxed);
-  slot[kWordKey0].store(PtrBits(key0), std::memory_order_relaxed);
-  slot[kWordVal0].store(val0, std::memory_order_relaxed);
-  slot[kWordKey1].store(PtrBits(key1), std::memory_order_relaxed);
-  slot[kWordVal1].store(val1, std::memory_order_relaxed);
-  slot[kWordKey2].store(PtrBits(key2), std::memory_order_relaxed);
-  slot[kWordVal2].store(val2, std::memory_order_relaxed);
+                        std::memory_order_release);
+  slot[kWordStart].store(start_ns, std::memory_order_release);
+  slot[kWordDur].store(dur_ns, std::memory_order_release);
+  slot[kWordValue].store(value_bits, std::memory_order_release);
+  slot[kWordKey0].store(PtrBits(key0), std::memory_order_release);
+  slot[kWordVal0].store(val0, std::memory_order_release);
+  slot[kWordKey1].store(PtrBits(key1), std::memory_order_release);
+  slot[kWordVal1].store(val1, std::memory_order_release);
+  slot[kWordKey2].store(PtrBits(key2), std::memory_order_release);
+  slot[kWordVal2].store(val2, std::memory_order_release);
   // Publish: a reader that observes head > index sees every word above.
   head_.store(index + 1, std::memory_order_release);
 }
@@ -112,10 +113,10 @@ void TraceRecorder::Drain(std::vector<TraceEvent>& out) const {
   // Snapshot-and-validate: copy candidate slots, then re-read the writer's
   // reserve cursor and keep only indices whose slot no overwrite can have
   // touched (index >= reserve_after - capacity). The writer advances
-  // reserve_ (release fence) before scribbling a slot, so if the copy below
-  // read even one word of an in-progress overwrite, the acquire fence
-  // guarantees the subsequent reserve_ load observes that advance and the
-  // torn entry is discarded — never emitted.
+  // reserve_ before scribbling a slot with release stores, so if the copy
+  // below read (acquire) even one word of an in-progress overwrite, the
+  // subsequent reserve_ load observes that advance and the torn entry is
+  // discarded — never emitted.
   const uint64_t head_before = head_.load(std::memory_order_acquire);
   const uint64_t first =
       head_before > capacity_ ? head_before - capacity_ : 0;
@@ -131,11 +132,10 @@ void TraceRecorder::Drain(std::vector<TraceEvent>& out) const {
     e.index = index;
     const std::atomic<uint64_t>* slot = &words_[(index & (capacity_ - 1)) * kWordsPerEvent];
     for (size_t w = 0; w < kWordsPerEvent; ++w) {
-      e.words[w] = slot[w].load(std::memory_order_relaxed);
+      e.words[w] = slot[w].load(std::memory_order_acquire);
     }
     raw.push_back(e);
   }
-  std::atomic_thread_fence(std::memory_order_acquire);
   const uint64_t reserve_after = reserve_.load(std::memory_order_relaxed);
   const uint64_t still_valid_from =
       reserve_after > capacity_ ? reserve_after - capacity_ : 0;

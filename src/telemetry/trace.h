@@ -99,10 +99,10 @@ class TraceRecorder {
   uint32_t tid_;
   size_t capacity_;  // power of two
   std::unique_ptr<std::atomic<uint64_t>[]> words_;
-  // Seqlock pair: reserve_ advances (with a release fence) BEFORE a slot's
-  // words are overwritten, head_ after. A reader that copied any word of an
-  // in-progress overwrite is guaranteed (fence synchronization) to observe
-  // the advanced reserve_ and discards the entry; see Drain.
+  // Seqlock pair: reserve_ advances BEFORE a slot's words are overwritten
+  // (each with a release store), head_ after. A reader that copied any word
+  // of an in-progress overwrite (acquire load) is guaranteed to observe the
+  // advanced reserve_ and discards the entry; see Drain.
   std::atomic<uint64_t> reserve_{0};
   std::atomic<uint64_t> head_{0};  // next event index; published with release
 };

@@ -1,7 +1,9 @@
 #include "runtime/allgather_engine.h"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstring>
 #include <map>
 #include <tuple>
 
@@ -23,7 +25,8 @@ struct Fixture {
   CommRelation relation;
   CompiledPlan plan;
 
-  static Fixture Make(uint32_t gpus, uint32_t vertices, uint64_t seed, bool use_spst) {
+  static Fixture Make(uint32_t gpus, uint32_t vertices, uint64_t seed, bool use_spst,
+                      bool split = true) {
     Fixture f;
     Rng rng(seed);
     f.graph = GenerateErdosRenyi(vertices, vertices * 3, rng);
@@ -36,7 +39,9 @@ struct Fixture {
     Planner& planner = use_spst ? static_cast<Planner&>(spst) : static_cast<Planner&>(p2p);
     CommPlan comm_plan = *planner.Plan(f.relation, f.topo, 64);
     f.plan = CompilePlan(comm_plan, f.topo);
-    AssignBackwardSubstages(f.plan);
+    if (split) {
+      AssignBackwardSubstages(f.plan);
+    }
     return f;
   }
 
@@ -124,6 +129,48 @@ TEST_P(EngineSweep, BackwardAccumulatesAllContributions) {
             << "vertex " << locals[i] << " on device " << d;
       }
     }
+  }
+
+  // Seeded non-integer gradients of mixed magnitude, whose sums depend on
+  // the order of the adds: every local row must equal, bit for bit, a serial
+  // replay that adds each op's sender row into its receiver row in (stage
+  // descending, sub-stage ascending) order.
+  Rng rng(seed * 7 + gpus);
+  std::vector<EmbeddingMatrix> reference;
+  for (uint32_t d = 0; d < f.relation.num_devices; ++d) {
+    EmbeddingMatrix& g = slot_grads[d];
+    for (float& x : g.data) {
+      x = std::ldexp(rng.UniformFloat(-1.0f, 1.0f), static_cast<int>(rng.UniformInt(24)) - 12);
+    }
+    EmbeddingMatrix full = EmbeddingMatrix::Zero(engine->NumSlots(d), dim);
+    std::copy(g.data.begin(), g.data.end(), full.data.begin());
+    reference.push_back(std::move(full));
+  }
+  std::vector<const TransferOp*> order;
+  for (const TransferOp& op : engine->plan().ops) {
+    order.push_back(&op);
+  }
+  std::stable_sort(order.begin(), order.end(), [](const TransferOp* a, const TransferOp* b) {
+    return a->stage != b->stage ? a->stage > b->stage : a->substage < b->substage;
+  });
+  for (const TransferOp* op : order) {
+    for (VertexId v : op->vertices) {
+      float* to = reference[op->src].Row(engine->SlotOf(op->src, v));
+      const float* from = reference[op->dst].Row(engine->SlotOf(op->dst, v));
+      for (uint32_t c = 0; c < dim; ++c) {
+        to[c] += from[c];
+      }
+    }
+  }
+  auto mixed = engine->Backward(slot_grads);
+  ASSERT_TRUE(mixed.ok()) << mixed.status().ToString();
+  for (uint32_t d = 0; d < f.relation.num_devices; ++d) {
+    const EmbeddingMatrix& got = (*mixed)[d];
+    ASSERT_EQ(got.data.size(), f.relation.local_vertices[d].size() * dim);
+    EXPECT_EQ(std::memcmp(got.data.data(), reference[d].data.data(),
+                          got.data.size() * sizeof(float)),
+              0)
+        << "device " << d;
   }
 }
 
@@ -213,6 +260,20 @@ TEST(AllgatherEngineTest, RejectsBrokenPlan) {
   ASSERT_FALSE(f.plan.ops.empty());
   f.plan.ops.front().vertices.pop_back();  // undelivered vertex
   EXPECT_FALSE(AllgatherEngine::Create(f.relation, f.plan, f.topo).ok());
+}
+
+// An unsplit plan in which a device sends one vertex to two peers in a
+// stage would have both peers add its gradient into that device's row at
+// once in the backward pass; Create refuses it, and arms the split plan.
+TEST(AllgatherEngineTest, RejectsUnsplitPlanWithCollidingAdds) {
+  Fixture f = Fixture::Make(8, 60, 303, /*use_spst=*/true, /*split=*/false);
+  CompiledPlan split = f.plan;
+  AssignBackwardSubstages(split);
+  ASSERT_GT(split.MaxSubstages(), 1u) << "the plan needs a vertex sent to two peers in a stage";
+  ASSERT_TRUE(ValidateCompiledPlan(f.plan, f.relation, f.topo).ok());
+  auto unsplit = AllgatherEngine::Create(f.relation, f.plan, f.topo);
+  EXPECT_EQ(unsplit.status().code(), StatusCode::kInvalidArgument) << unsplit.status().ToString();
+  EXPECT_TRUE(AllgatherEngine::Create(f.relation, split, f.topo).ok());
 }
 
 TEST(AllgatherEngineTest, SlotLayoutLocalsFirst) {

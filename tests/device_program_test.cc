@@ -1,8 +1,9 @@
 // Device programs across passes: a whole epoch runs as one program per
 // device, so fast devices run ahead into the next pass while slow ones are
-// still in the previous one. The staging buffers an op reuses across passes
-// must not be overwritten before their receiver has read them, and a failure
-// in one pass must abort peers that are already in the next.
+// still in the previous one. Senders write straight into their receivers'
+// slot rows, so no sender may write a device's rows before that device has
+// entered the pass, and a failure in one pass must abort peers that are
+// already in the next.
 
 #include <gtest/gtest.h>
 
@@ -111,8 +112,8 @@ class CrossPassRace : public ::testing::TestWithParam<GnnModel> {};
 // A 3-layer epoch runs two forward passes back to back, then two backward
 // passes, with little compute between them. A straggler (it sleeps before
 // every stage of every pass) lets the fast devices run into the next pass
-// while it still reads the previous one's staging buffers; the losses and
-// every replica's weights must stay bitwise equal to the run without it.
+// while it is still in the previous one; the losses and every replica's
+// weights must stay bitwise equal to the run without it.
 TEST_P(CrossPassRace, StragglerLeavesLossesAndWeightsBitwiseEqual) {
   const GnnModel model = GetParam();
   const World w = World::Make(57);
@@ -150,18 +151,75 @@ TEST_P(CrossPassRace, StragglerLeavesLossesAndWeightsBitwiseEqual) {
 INSTANTIATE_TEST_SUITE_P(GcnAndGin, CrossPassRace,
                          ::testing::Values(GnnModel::kGcn, GnnModel::kGin));
 
+// Value of vertex v's column c in forward pass `pass` of SleeperBetweenPasses.
+float PassValue(VertexId v, uint32_t c, uint32_t pass) {
+  return static_cast<float>(v * 1000 + c) + (pass == 0 ? 0.0f : 0.5f);
+}
+
+// A program of two forward passes in which one device, between them, keeps
+// reading its slot rows for a while: its peers finish the first pass and
+// enter the second at once, but none may write into the sleeper's rows
+// before it enters the second pass too. Both passes must then deliver their
+// own values everywhere.
+TEST(DeviceProgramTest, SleeperBetweenForwardPassesKeepsItsRowsUntilItEnters) {
+  const World w = World::Make(57);
+  auto engine = AllgatherEngine::Create(w.relation, w.plan, w.topo);
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  constexpr uint32_t kDim = 4;
+  constexpr uint32_t kSleeper = 1;  // an inner device of the line: two peers write into it
+  std::vector<EmbeddingMatrix> slots;
+  for (uint32_t d = 0; d < kDevices; ++d) {
+    slots.push_back(EmbeddingMatrix::Zero(engine->NumSlots(d), kDim));
+  }
+  bool sleeper_rows_unchanged = false;
+  auto fill_locals = [&](uint32_t d, uint32_t pass) {
+    const std::vector<VertexId>& locals = w.relation.local_vertices[d];
+    for (uint32_t i = 0; i < locals.size(); ++i) {
+      for (uint32_t c = 0; c < kDim; ++c) {
+        slots[d].Row(i)[c] = PassValue(locals[i], c, pass);
+      }
+    }
+  };
+  const Status status = engine->RunProgram(kDim, [&](DevicePasses& passes) {
+    const uint32_t d = passes.device();
+    fill_locals(d, 0);
+    DGCL_RETURN_IF_ERROR(passes.Forward(slots[d]));
+    if (d == kSleeper) {
+      const std::vector<float> seen = slots[d].data;
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+      sleeper_rows_unchanged = seen == slots[d].data;
+    }
+    fill_locals(d, 1);
+    return passes.Forward(slots[d]);
+  });
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  EXPECT_TRUE(sleeper_rows_unchanged)
+      << "a peer wrote into the sleeper's rows before it entered the second pass";
+  for (uint32_t d = 0; d < kDevices; ++d) {
+    const std::vector<VertexId>& remotes = w.relation.remote_vertices[d];
+    ASSERT_FALSE(remotes.empty());
+    for (VertexId v : remotes) {
+      const float* row = slots[d].Row(engine->SlotOf(d, v));
+      for (uint32_t c = 0; c < kDim; ++c) {
+        ASSERT_EQ(row[c], PassValue(v, c, 1)) << "device " << d << ", vertex " << v;
+      }
+    }
+  }
+}
+
 // Devices that finish one forward pass although `victim` never takes part:
-// replays the flag protocol (a sender passes its gate once every receiver
-// finished the earlier stages; a receiver finishes a stage once every sender
-// of it has sent) with the victim silent.
+// replays the flag protocol (a sender passes its gate once its receiver has
+// entered the pass and finished the earlier stages; a receiver finishes a
+// stage once every sender of it has sent) with the victim silent: it never
+// enters, so nothing is sent to it either.
 std::vector<uint32_t> FinishWithout(const AllgatherEngine& engine, uint32_t victim) {
   const CompiledPlan& plan = engine.plan();
   std::vector<uint32_t> finished(kDevices, 0);  // stages finished
   for (uint32_t stage = 0; stage < plan.num_stages; ++stage) {
     std::vector<bool> sends(kDevices, true);
     for (const TransferOp& op : plan.ops) {
-      if (op.stage == stage && (op.src == victim || finished[op.src] < stage ||
-                                finished[op.dst] < stage)) {
+      if (op.stage == stage && (op.src == victim || op.dst == victim ||
+                                finished[op.src] < stage || finished[op.dst] < stage)) {
         sends[op.src] = false;
       }
     }

@@ -92,6 +92,7 @@ TEST(NvSwitchTest, PlansExecuteOnTheRuntime) {
   CommRelation rel = *BuildCommRelation(graph, *hash.Partition(graph, 16));
   SpstPlanner spst;
   CompiledPlan plan = CompilePlan(*spst.Plan(rel, topo, 64), topo);
+  AssignBackwardSubstages(plan);
   auto engine = AllgatherEngine::Create(rel, plan, topo);
   ASSERT_TRUE(engine.ok());
   std::vector<EmbeddingMatrix> local;

@@ -187,14 +187,16 @@ TEST(PlanIoTest, EngineRejectsLoadedPlanWithDuplicateDelivery) {
   HashPartitioner hash;
   const CommRelation relation = *BuildCommRelation(graph, *hash.Partition(graph, 4));
   PeerToPeerPlanner p2p;
-  const CompiledPlan plan = CompilePlan(*p2p.Plan(relation, topo, 256), topo);
+  CompiledPlan plan = CompilePlan(*p2p.Plan(relation, topo, 256), topo);
+  AssignBackwardSubstages(plan);
   ASSERT_EQ(plan.num_stages, 1u);
   ASSERT_FALSE(plan.ops.empty());
 
   // The P2P plan's ops as written, then one stage-1 op that repeats the
   // first op's first vertex over the same link.
-  auto op_bytes = [](LinkId link, uint32_t stage, const std::vector<VertexId>& vertices) {
-    const uint32_t op_fields[3] = {link, stage, 0};
+  auto op_bytes = [](LinkId link, uint32_t stage, const std::vector<VertexId>& vertices,
+                     uint32_t substage = 0) {
+    const uint32_t op_fields[3] = {link, stage, substage};
     const uint64_t count = vertices.size();
     std::string op(reinterpret_cast<const char*>(op_fields), sizeof(op_fields));
     op.append(reinterpret_cast<const char*>(&count), sizeof(count));
@@ -203,7 +205,7 @@ TEST(PlanIoTest, EngineRejectsLoadedPlanWithDuplicateDelivery) {
   };
   std::string tail;
   for (const TransferOp& op : plan.ops) {
-    tail += op_bytes(op.link, op.stage, op.vertices);
+    tail += op_bytes(op.link, op.stage, op.vertices, op.substage);
   }
   {  // as planned: loads and arms
     const std::string path = WriteCraftedPlan("p2p.bin", topo, plan.ops.size(), tail);
@@ -221,6 +223,45 @@ TEST(PlanIoTest, EngineRejectsLoadedPlanWithDuplicateDelivery) {
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   auto engine = AllgatherEngine::Create(relation, std::move(*loaded), topo);
   EXPECT_EQ(engine.status().code(), StatusCode::kInvalidArgument) << engine.status().ToString();
+}
+
+// A file whose sub-stages were lost (every op at sub-stage 0) parses and
+// passes the delivery check, but its backward pass would have two peers add
+// into one row at once, so the engine refuses to arm it with a Status.
+TEST(PlanIoTest, EngineRejectsLoadedPlanWithZeroedSubstages) {
+  Fixture f = Fixture::Make(8, 4);
+  ASSERT_GT(f.plan.MaxSubstages(), 1u) << "the plan needs a vertex sent to two peers in a stage";
+  const std::string split_path = TempPath("split.bin");
+  ASSERT_TRUE(SaveCompiledPlan(f.plan, f.topo, split_path).ok());
+  auto split = LoadCompiledPlan(f.topo, split_path);
+  std::remove(split_path.c_str());
+  ASSERT_TRUE(split.ok()) << split.status().ToString();
+  EXPECT_TRUE(AllgatherEngine::Create(f.relation, std::move(*split), f.topo).ok());
+
+  CompiledPlan zeroed = f.plan;
+  for (TransferOp& op : zeroed.ops) {
+    op.substage = 0;
+  }
+  const std::string path = TempPath("zeroed_substages.bin");
+  ASSERT_TRUE(SaveCompiledPlan(zeroed, f.topo, path).ok());
+  auto loaded = LoadCompiledPlan(f.topo, path);
+  std::remove(path.c_str());
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_TRUE(ValidateCompiledPlan(*loaded, f.relation, f.topo).ok());
+  auto engine = AllgatherEngine::Create(f.relation, std::move(*loaded), f.topo);
+  EXPECT_EQ(engine.status().code(), StatusCode::kInvalidArgument) << engine.status().ToString();
+  EXPECT_NE(engine.status().message().find("AssignBackwardSubstages"), std::string::npos)
+      << engine.status().ToString();
+
+  // A sub-stage no split produces sizes nothing: Create answers with a
+  // Status before building its per-round tables.
+  for (uint32_t substage : {8u, 1'000'000u, 0xFFFFFFFFu}) {
+    CompiledPlan wild = f.plan;
+    wild.ops.back().substage = substage;
+    auto armed = AllgatherEngine::Create(f.relation, std::move(wild), f.topo);
+    EXPECT_EQ(armed.status().code(), StatusCode::kInvalidArgument) << substage;
+    EXPECT_NE(armed.status().message().find("device count"), std::string::npos) << substage;
+  }
 }
 
 }  // namespace

@@ -201,12 +201,6 @@ TEST(TransportTest, ConnectionTableMapsEveryOpToItsPair) {
   EXPECT_NE(table->Find(plan.ops[0].src, plan.ops[0].dst), nullptr);
   EXPECT_EQ(table->Find(0, 0), nullptr);
 
-  // Staging buffers size to op_units * dim on PrepareBuffers.
-  table->PrepareBuffers(4);
-  for (uint32_t i = 0; i < plan.ops.size(); ++i) {
-    EXPECT_EQ(table->OpStaging(i).size(), plan.ops[i].vertices.size() * 4);
-  }
-
   // dead_device out of range is rejected at Build.
   FaultInjection dead;
   dead.dead_device = 1000;
