@@ -15,8 +15,10 @@
 # drives and their local graphs (ASan+UBSan is the gate for the caches a
 # layer keeps between SetInput, Update and Backward, and for the indexing of
 # the reader lists the backward scatter pulls through), the
-# dense kernels (nn_test: ASan is the gate for the register-blocked bodies'
-# row and column tails), the engine-trace cost audit, the lock-free
+# dense kernels (nn_test and layers_test run their bitwise sweeps on every
+# kernel table the CPU supports: ASan is the gate for each table's row and
+# column tails, the wide bodies' vector loads and stores included), the
+# engine-trace cost audit, the lock-free
 # telemetry recorder, and the elastic-recovery protocol (engine
 # post-mortems, mid-epoch kills, re-plan + resume) including a reduced-budget slice of the
 # fault-schedule fuzz suite (DGCL_FUZZ_SEEDS below; the full 200-seed sweep

@@ -27,10 +27,15 @@
 #                             kill-schedule fuzz — a subset of serving+fuzz,
 #                             runnable alone when iterating on replica_set
 #                             or the kill/drain paths)
-#   6. fuzz tier              ctest -L fuzz   (fault-schedule fuzzing, fixed
+#   6. kernels tier           ctest -L kernels (the bitwise kernel contract:
+#                             nn_test, layers_test and trainer_test's pinned
+#                             loss trajectory, each on every kernel table the
+#                             CPU supports — a subset of `unit`, runnable
+#                             alone when iterating on src/gnn/kernel_isa.cc)
+#   7. fuzz tier              ctest -L fuzz   (fault-schedule fuzzing, fixed
 #                             seed budget so wall time is bounded and every
 #                             run covers the same schedules)
-#   7. sanitizers             scripts/check_sanitizers.sh (TSan + ASan trees
+#   8. sanitizers             scripts/check_sanitizers.sh (TSan + ASan trees
 #                             over the concurrency-sensitive suites, with a
 #                             reduced fuzz budget; TSan is the gate for the
 #                             engine's ready/done-flag protocol, the serving
@@ -38,7 +43,7 @@
 #                             kill/drain handoff, and the fetch-batching
 #                             window's leader/joiner handoff)
 #
-# Usage: scripts/ci.sh [unit|planner|serving|sampling|replicas|fuzz|sanitizers|all]   (default: all)
+# Usage: scripts/ci.sh [unit|planner|serving|sampling|replicas|kernels|fuzz|sanitizers|all]   (default: all)
 # Env:   DGCL_CI_FUZZ_SEEDS  fuzz-tier seed budget (default 200)
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -76,6 +81,11 @@ replicas_tier() {
     ctest --test-dir build -L replicas --output-on-failure -j "$(nproc)"
 }
 
+kernels_tier() {
+  echo "=== CI tier: kernels ==="
+  ctest --test-dir build -L kernels --output-on-failure -j "$(nproc)"
+}
+
 fuzz_tier() {
   echo "=== CI tier: fuzz (DGCL_CI_FUZZ_SEEDS=${DGCL_CI_FUZZ_SEEDS:-200}) ==="
   DGCL_FUZZ_SEEDS="${DGCL_CI_FUZZ_SEEDS:-200}" \
@@ -108,6 +118,10 @@ case "$TIER" in
     build
     replicas_tier
     ;;
+  kernels)
+    build
+    kernels_tier
+    ;;
   fuzz)
     build
     fuzz_tier
@@ -120,7 +134,7 @@ case "$TIER" in
     sanitizer_tier
     ;;
   *)
-    echo "usage: $0 [unit|planner|serving|sampling|replicas|fuzz|sanitizers|all]" >&2
+    echo "usage: $0 [unit|planner|serving|sampling|replicas|kernels|fuzz|sanitizers|all]" >&2
     exit 2
     ;;
 esac

@@ -15,6 +15,7 @@ for b in build/bench/*; do
     bench_serving) "$b" --json BENCH_serving.json ;;
     bench_minibatch) "$b" --json BENCH_minibatch.json ;;
     bench_planner_family) "$b" --json BENCH_planner_family.json ;;
+    bench_kernels) "$b" --json BENCH_kernels.json ;;
     bench_fig7_main_results) "$b" --trace TRACE_fig7.json ;;
     *) "$b" ;;
   esac
@@ -31,6 +32,7 @@ echo "throughput vs shard count, the mid-load shard-kill contract, the"
 echo "replica read-scaling sweep — throughput vs R with byte-identical"
 echo "digests — and the kill-one-replica-per-shard-under-load contract),"
 echo "BENCH_minibatch.json (batched vs unbatched remote-fetch p99 and"
-echo "bytes-on-wire, plus sampled mini-batch training per sampler strategy)"
+echo "bytes-on-wire, plus sampled mini-batch training per sampler strategy),"
+echo "BENCH_kernels.json (the epoch kernels per ISA table next to peaks)"
 echo "and TRACE_fig7.json (Chrome-trace; load it at"
 echo "ui.perfetto.dev or summarize with build/tools/dgcl_trace)."

@@ -5,68 +5,19 @@
 #include <optional>
 
 #include "common/logging.h"
+#include "gnn/kernel_isa.h"
 
 namespace dgcl {
-
-namespace {
-
-// AggregateMeanWithSelf at a fixed width: the row's running sum stays in W
-// registers instead of going back to memory after every neighbor. Same adds
-// in the same order as the plain loop, so bitwise equal to it.
-template <uint32_t W>
-void AggregateMeanWithSelfFixed(const LocalGraph& graph, const EmbeddingMatrix& slots,
-                                EmbeddingMatrix& out) {
-  for (uint32_t i = 0; i < graph.num_compute; ++i) {
-    const float* self = slots.Row(i);  // local vertex i occupies slot i
-    auto nbrs = graph.Neighbors(i);
-    float acc[W];
-    for (uint32_t c = 0; c < W; ++c) {
-      acc[c] = self[c];
-    }
-    for (uint32_t nbr : nbrs) {
-      const float* nrow = slots.Row(nbr);
-      for (uint32_t c = 0; c < W; ++c) {
-        acc[c] += nrow[c];
-      }
-    }
-    const float inv = 1.0f / (1.0f + nbrs.size());
-    float* orow = out.Row(i);
-    for (uint32_t c = 0; c < W; ++c) {
-      orow[c] = acc[c] * inv;
-    }
-  }
-}
-
-// out[s] = sum of `rows` over the compute rows that read slot s, in reader
-// order from +0, at a fixed width: the sum stays in W registers.
-template <uint32_t W>
-void SumReadersFixed(const LocalGraph& graph, const EmbeddingMatrix& rows, EmbeddingMatrix& out) {
-  for (uint32_t s = 0; s < graph.num_slots; ++s) {
-    float acc[W] = {};
-    for (uint32_t i : graph.Readers(s)) {
-      const float* row = rows.Row(i);
-      for (uint32_t c = 0; c < W; ++c) {
-        acc[c] += row[c];
-      }
-    }
-    float* orow = out.Row(s);
-    for (uint32_t c = 0; c < W; ++c) {
-      orow[c] = acc[c];
-    }
-  }
-}
-
-}  // namespace
 
 EmbeddingMatrix AggregateMeanWithSelf(const LocalGraph& graph, const EmbeddingMatrix& slots) {
   DGCL_CHECK_EQ(slots.rows, graph.num_slots);
   EmbeddingMatrix out = EmbeddingMatrix::Zero(graph.num_compute, slots.dim);
   switch (slots.dim) {
     case 16:
-      AggregateMeanWithSelfFixed<16>(graph, slots, out);
+      ActiveKernels().aggregate_mean_with_self16(graph, slots.data.data(), out.data.data());
       return out;
     case 8:
-      AggregateMeanWithSelfFixed<8>(graph, slots, out);
+      ActiveKernels().aggregate_mean_with_self8(graph, slots.data.data(), out.data.data());
       return out;
     default:
       break;
@@ -149,10 +100,10 @@ EmbeddingMatrix ScatterMeanWithSelfBackward(const LocalGraph& graph, EmbeddingMa
   EmbeddingMatrix out = EmbeddingMatrix::Zero(graph.num_slots, grad_agg.dim);
   switch (grad_agg.dim) {
     case 16:
-      SumReadersFixed<16>(g, grad_agg, out);
+      ActiveKernels().sum_readers16(g, grad_agg.data.data(), out.data.data());
       return out;
     case 8:
-      SumReadersFixed<8>(g, grad_agg, out);
+      ActiveKernels().sum_readers8(g, grad_agg.data.data(), out.data.data());
       return out;
     default:
       break;

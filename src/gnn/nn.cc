@@ -2,120 +2,27 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 
 #include "common/ids.h"
 #include "common/logging.h"
+#include "gnn/kernel_isa.h"
 
 namespace dgcl {
 
 namespace {
-
-// Every dense product below adds each output's terms in one fixed order
-// (ascending over the summed index, starting from +0) whatever its loop
-// shape, so the blocked bodies are bitwise equal to the plain loops. The
-// blocked bodies keep a tile of outputs in registers: R rows of a W-wide
-// column block, sized so the R * W / 4 SSE accumulators plus the operands
-// fit in the 16 vector registers of baseline x86-64.
-
-// out[r][j] = sum over k ascending of a[r][k] * b[k][j], for R rows of `a`
-// (row stride `kdim`) against b [kdim x W]; writes R rows of `out` (stride W).
-template <uint32_t W, uint32_t R>
-void GemmRowTile(const float* a, uint32_t kdim, const float* b, float* out) {
-  float acc[R][W] = {};
-  for (uint32_t k = 0; k < kdim; ++k) {
-    // Operands are copied into locals first: written straight against a
-    // and b, the same loop is vectorized over k as an in-order reduction,
-    // which is several times slower than this form's lanes over j.
-    float ak[R];
-    for (uint32_t r = 0; r < R; ++r) {
-      ak[r] = a[static_cast<size_t>(r) * kdim + k];
-    }
-    float bk[W];
-    std::memcpy(bk, b + static_cast<size_t>(k) * W, sizeof(bk));
-    for (uint32_t r = 0; r < R; ++r) {
-      for (uint32_t j = 0; j < W; ++j) {
-        acc[r][j] += ak[r] * bk[j];
-      }
-    }
-  }
-  for (uint32_t r = 0; r < R; ++r) {
-    for (uint32_t j = 0; j < W; ++j) {
-      out[static_cast<size_t>(r) * W + j] = acc[r][j];
-    }
-  }
-}
-
-// out [n x W] = a [n x kdim] * b [kdim x W], R rows at a time.
-template <uint32_t W, uint32_t R>
-void GemmBlocked(const float* a, uint32_t n, uint32_t kdim, const float* b, float* out) {
-  uint32_t i = 0;
-  for (; i + R <= n; i += R) {
-    GemmRowTile<W, R>(a + static_cast<size_t>(i) * kdim, kdim, b, out + static_cast<size_t>(i) * W);
-  }
-  for (; i < n; ++i) {
-    GemmRowTile<W, 1>(a + static_cast<size_t>(i) * kdim, kdim, b, out + static_cast<size_t>(i) * W);
-  }
-}
 
 // Gemm's width dispatch: true when `out` was computed by a blocked body.
 bool GemmDispatch(const float* a, uint32_t n, uint32_t kdim, const float* b, uint32_t width,
                   float* out) {
   switch (width) {
     case 16:
-      GemmBlocked<16, 2>(a, n, kdim, b, out);
+      ActiveKernels().gemm16(a, n, kdim, b, out);
       return true;
     case 8:
-      GemmBlocked<8, 4>(a, n, kdim, b, out);
+      ActiveKernels().gemm8(a, n, kdim, b, out);
       return true;
     default:
       return false;
-  }
-}
-
-// Output rows [i, i + R) of out += a^T b over rows [r0, r1) of a and b, r
-// ascending; the tile is read from and written back to `out`, so blocks of
-// rows carry it in ascending order.
-template <uint32_t W, uint32_t R>
-void GemmTransposeATile(const EmbeddingMatrix& a, const EmbeddingMatrix& b, uint32_t i,
-                        uint32_t r0, uint32_t r1, float* out) {
-  float acc[R][W];
-  for (uint32_t t = 0; t < R; ++t) {
-    for (uint32_t j = 0; j < W; ++j) {
-      acc[t][j] = out[static_cast<size_t>(i + t) * W + j];
-    }
-  }
-  for (uint32_t r = r0; r < r1; ++r) {
-    const float* arow = a.Row(r) + i;
-    const float* brow = b.Row(r);
-    for (uint32_t t = 0; t < R; ++t) {
-      const float ari = arow[t];
-      for (uint32_t j = 0; j < W; ++j) {
-        acc[t][j] += ari * brow[j];
-      }
-    }
-  }
-  for (uint32_t t = 0; t < R; ++t) {
-    for (uint32_t j = 0; j < W; ++j) {
-      out[static_cast<size_t>(i + t) * W + j] = acc[t][j];
-    }
-  }
-}
-
-// out [a.dim x W] (zeroed) += a^T b, in blocks of kRowBlock rows of a and b
-// that stay in cache while every output tile passes over them.
-template <uint32_t W, uint32_t R>
-void GemmTransposeABlocked(const EmbeddingMatrix& a, const EmbeddingMatrix& b, float* out) {
-  constexpr uint32_t kRowBlock = 64;
-  for (uint32_t r0 = 0; r0 < a.rows; r0 += kRowBlock) {
-    const uint32_t r1 = std::min(a.rows, r0 + kRowBlock);
-    uint32_t i = 0;
-    for (; i + R <= a.dim; i += R) {
-      GemmTransposeATile<W, R>(a, b, i, r0, r1, out);
-    }
-    for (; i < a.dim; ++i) {
-      GemmTransposeATile<W, 1>(a, b, i, r0, r1, out);
-    }
   }
 }
 
@@ -151,10 +58,12 @@ void GemmTransposeA(const EmbeddingMatrix& a, const EmbeddingMatrix& b, Embeddin
   out = EmbeddingMatrix::Zero(a.dim, b.dim);
   switch (b.dim) {
     case 16:
-      GemmTransposeABlocked<16, 2>(a, b, out.data.data());
+      ActiveKernels().gemm_transpose_a16(a.data.data(), b.data.data(), a.rows, a.dim,
+                                         out.data.data());
       return;
     case 8:
-      GemmTransposeABlocked<8, 4>(a, b, out.data.data());
+      ActiveKernels().gemm_transpose_a8(a.data.data(), b.data.data(), a.rows, a.dim,
+                                        out.data.data());
       return;
     default:
       break;
@@ -309,6 +218,8 @@ double SoftmaxCrossEntropy(const EmbeddingMatrix& logits, const std::vector<uint
   }
   return loss / counted;
 }
+
+const char* KernelIsaName() { return ActiveKernels().name; }
 
 double Accuracy(const EmbeddingMatrix& logits, const std::vector<uint32_t>& labels) {
   DGCL_CHECK_EQ(logits.rows, labels.size());

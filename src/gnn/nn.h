@@ -46,6 +46,11 @@ double SoftmaxCrossEntropy(const EmbeddingMatrix& logits, const std::vector<uint
 // Argmax-accuracy of `logits` rows against labels (masked rows skipped).
 double Accuracy(const EmbeddingMatrix& logits, const std::vector<uint32_t>& labels);
 
+// The instruction set of the kernel bodies in use: "avx512", "avx2" or
+// "baseline". Picked once per process, the widest the CPU supports; every
+// choice gives bitwise equal results.
+const char* KernelIsaName();
+
 }  // namespace dgcl
 
 #endif  // DGCL_GNN_NN_H_

@@ -8,6 +8,7 @@
 
 #include "comm/relation.h"
 #include "graph/generators.h"
+#include "kernel_tables.h"
 #include "partition/partitioner.h"
 
 namespace dgcl {
@@ -74,9 +75,14 @@ LocalGraph RandomLocalGraph(uint32_t compute, uint32_t remote, Rng& rng) {
   return g;
 }
 
+// Row counts of the bitwise sweeps: small graphs, tails around the wide
+// bodies' vector widths, and one large graph.
+constexpr uint32_t kContractRows[] = {0, 1, 2, 3, 5, 7, 9, 15, 17, 33, 1031};
+
+// On every kernel table this CPU supports.
 TEST(AggregateTest, MeanWithSelfMatchesPlainLoopBitwise) {
   Rng rng(43);
-  for (uint32_t rows : {0u, 1u, 2u, 3u, 5u, 17u, 1031u}) {
+  for (uint32_t rows : kContractRows) {
     const LocalGraph g = RandomLocalGraph(rows, rows / 2 + 1, rng);
     for (uint32_t width : {1u, 3u, 8u, 16u, 17u, 64u}) {
       EmbeddingMatrix slots = EmbeddingMatrix::Zero(g.num_slots, width);
@@ -84,15 +90,17 @@ TEST(AggregateTest, MeanWithSelfMatchesPlainLoopBitwise) {
         const uint64_t pick = rng.UniformInt(8);
         x = pick < 2 ? 0.0f : pick == 2 ? -0.0f : static_cast<float>(rng.Normal());
       }
-      const EmbeddingMatrix got = AggregateMeanWithSelf(g, slots);
       const EmbeddingMatrix want = ReferenceAggregateMeanWithSelf(g, slots);
-      ASSERT_EQ(got.rows, want.rows);
-      ASSERT_EQ(got.dim, want.dim);
-      // Bit patterns: an isolated row of -0s must stay -0.
-      for (size_t i = 0; i < got.data.size(); ++i) {
-        ASSERT_EQ(std::bit_cast<uint32_t>(got.data[i]), std::bit_cast<uint32_t>(want.data[i]))
-            << rows << " rows, width " << width << ", element " << i;
-      }
+      ForEachKernelTable([&](const std::string& table) {
+        const EmbeddingMatrix got = AggregateMeanWithSelf(g, slots);
+        ASSERT_EQ(got.rows, want.rows);
+        ASSERT_EQ(got.dim, want.dim);
+        // Bit patterns: an isolated row of -0s must stay -0.
+        for (size_t i = 0; i < got.data.size(); ++i) {
+          ASSERT_EQ(std::bit_cast<uint32_t>(got.data[i]), std::bit_cast<uint32_t>(want.data[i]))
+              << table << ": " << rows << " rows, width " << width << ", element " << i;
+        }
+      });
     }
   }
 }
@@ -121,10 +129,11 @@ EmbeddingMatrix ReferenceScatterMeanWithSelfBackward(const LocalGraph& graph,
 }
 
 // With readers built (as BuildLocalGraph does) and without (built per call),
-// on graphs with remote slots, repeated neighbors and isolated rows.
+// on graphs with remote slots, repeated neighbors and isolated rows, on
+// every kernel table this CPU supports.
 TEST(ScatterTest, MeanWithSelfMatchesPushLoopBitwise) {
   Rng rng(47);
-  for (uint32_t rows : {0u, 1u, 2u, 3u, 5u, 17u, 1031u}) {
+  for (uint32_t rows : kContractRows) {
     LocalGraph g = RandomLocalGraph(rows, rows / 2 + 1, rng);
     for (bool readers : {false, true}) {
       if (readers) {
@@ -136,15 +145,18 @@ TEST(ScatterTest, MeanWithSelfMatchesPushLoopBitwise) {
           const uint64_t pick = rng.UniformInt(8);
           x = pick < 2 ? 0.0f : pick == 2 ? -0.0f : static_cast<float>(rng.Normal());
         }
-        const EmbeddingMatrix got = ScatterMeanWithSelfBackward(g, grad);
         const EmbeddingMatrix want = ReferenceScatterMeanWithSelfBackward(g, grad);
-        ASSERT_EQ(got.rows, want.rows);
-        ASSERT_EQ(got.dim, want.dim);
-        for (size_t i = 0; i < got.data.size(); ++i) {
-          ASSERT_EQ(std::bit_cast<uint32_t>(got.data[i]), std::bit_cast<uint32_t>(want.data[i]))
-              << rows << " rows, width " << width << ", readers " << readers << ", element "
-              << i;
-        }
+        ForEachKernelTable([&](const std::string& table) {
+          const EmbeddingMatrix got = ScatterMeanWithSelfBackward(g, grad);
+          ASSERT_EQ(got.rows, want.rows);
+          ASSERT_EQ(got.dim, want.dim);
+          for (size_t i = 0; i < got.data.size(); ++i) {
+            ASSERT_EQ(std::bit_cast<uint32_t>(got.data[i]),
+                      std::bit_cast<uint32_t>(want.data[i]))
+                << table << ": " << rows << " rows, width " << width << ", readers " << readers
+                << ", element " << i;
+          }
+        });
       }
     }
   }

@@ -12,6 +12,8 @@
 #include <gtest/gtest.h>
 
 #include "common/ids.h"
+#include "gnn/kernel_isa.h"
+#include "kernel_tables.h"
 
 namespace dgcl {
 namespace {
@@ -130,7 +132,9 @@ double SoftmaxCrossEntropy(const EmbeddingMatrix& logits, const std::vector<uint
 
 }  // namespace reference
 
-constexpr uint32_t kContractRows[] = {0, 1, 2, 3, 5, 17, 1031};
+// Rows around every table's tile heights (2 and 4 baseline; 6, 8 and 12
+// AVX2; 8 and 12 AVX-512), so full tiles and every tail run.
+constexpr uint32_t kContractRows[] = {0, 1, 2, 3, 5, 7, 9, 11, 13, 15, 17, 25, 33, 1031};
 constexpr uint32_t kContractWidths[] = {1, 3, 8, 16, 17, 64};
 constexpr uint32_t kMaxK = 64;
 
@@ -180,7 +184,7 @@ using Product = void (*)(const EmbeddingMatrix&, const EmbeddingMatrix&, Embeddi
 using Shape = std::pair<uint32_t, uint32_t>;
 
 // `kernel` against `ref` for a [n x k] and b of shape b_shape(n, k, m), over
-// every n, k and m of the contract.
+// every n, k and m of the contract, on every kernel table.
 void ExpectProductMatchesPlainLoop(const std::string& name, Product kernel, Product ref,
                                    Shape (*b_shape)(uint32_t n, uint32_t k, uint32_t m),
                                    uint64_t seed) {
@@ -191,12 +195,15 @@ void ExpectProductMatchesPlainLoop(const std::string& name, Product kernel, Prod
         const auto [b_rows, b_cols] = b_shape(n, k, m);
         const EmbeddingMatrix a = ContractInput(n, k, rng);
         const EmbeddingMatrix b = ContractInput(b_rows, b_cols, rng);
-        EmbeddingMatrix got;
         EmbeddingMatrix want;
-        kernel(a, b, got);
         ref(a, b, want);
-        ExpectBitwiseEqual(got, want, name + " n=" + std::to_string(n) + " k=" +
-                                          std::to_string(k) + " m=" + std::to_string(m));
+        ForEachKernelTable([&](const std::string& table) {
+          EmbeddingMatrix got;
+          kernel(a, b, got);
+          ExpectBitwiseEqual(got, want,
+                             name + " (" + table + ") n=" + std::to_string(n) +
+                                 " k=" + std::to_string(k) + " m=" + std::to_string(m));
+        });
       }
     }
   }
@@ -260,6 +267,81 @@ TEST(KernelContractTest, SoftmaxCrossEntropyMatchesPlainLoop) {
       EXPECT_EQ(std::bit_cast<uint64_t>(got_loss), std::bit_cast<uint64_t>(want_loss)) << where;
       ExpectBitwiseEqual(got, want, where);
     }
+  }
+}
+
+// A fused multiply-add rounds a * b + c once where the contract rounds the
+// product and then the sum. With a = [-(1 + 2^-11), 1 + 2^-12] and
+// b = [1, 1 + 2^-12] every output is +0 unfused, but 2^-24 fused: the last
+// product, (1 + 2^-12)^2 = 1 + 2^-11 + 2^-24, rounds to 1 + 2^-11 (a tie,
+// to even) and then cancels exactly. Checked for every product kernel at the
+// blocked widths and one plain width, on every table.
+TEST(KernelContractTest, NoFusedMultiplyAdd) {
+  const float lo = -(1.0f + std::ldexp(1.0f, -11));
+  const float hi = 1.0f + std::ldexp(1.0f, -12);
+  for (uint32_t n : kContractRows) {
+    for (uint32_t m : {3u, 8u, 16u}) {
+      // Gemm: a [n x 2] * b [2 x m]; GemmTransposeB: a [n x 2] * (b [m x 2])^T.
+      EmbeddingMatrix a = EmbeddingMatrix::Zero(n, 2);
+      for (uint32_t r = 0; r < n; ++r) {
+        a.Row(r)[0] = lo;
+        a.Row(r)[1] = hi;
+      }
+      EmbeddingMatrix b = EmbeddingMatrix::Zero(2, m);
+      std::fill(b.Row(0), b.Row(0) + m, 1.0f);
+      std::fill(b.Row(1), b.Row(1) + m, hi);
+      EmbeddingMatrix bt = EmbeddingMatrix::Zero(m, 2);
+      for (uint32_t j = 0; j < m; ++j) {
+        bt.Row(j)[0] = 1.0f;
+        bt.Row(j)[1] = hi;
+      }
+      // GemmTransposeA: (at [2 x n])^T * b [2 x m].
+      EmbeddingMatrix at = EmbeddingMatrix::Zero(2, n);
+      std::fill(at.Row(0), at.Row(0) + n, lo);
+      std::fill(at.Row(1), at.Row(1) + n, hi);
+      const std::vector<uint32_t> zeros(static_cast<size_t>(n) * m, 0);
+      ForEachKernelTable([&](const std::string& table) {
+        const std::string where = " (" + table + ") n=" + std::to_string(n) +
+                                  " m=" + std::to_string(m);
+        EmbeddingMatrix out;
+        Gemm(a, b, out);
+        EXPECT_TRUE(Bits(out) == zeros) << "Gemm" << where;
+        GemmTransposeA(at, b, out);
+        EXPECT_TRUE(Bits(out) == zeros) << "GemmTransposeA" << where;
+        GemmTransposeB(a, bt, out);
+        EXPECT_TRUE(Bits(out) == zeros) << "GemmTransposeB" << where;
+      });
+    }
+  }
+}
+
+// The dispatch picks the widest table this CPU runs, and KernelIsaName
+// names it.
+TEST(KernelIsaTest, DispatchesWidestSupportedTable) {
+  const std::vector<Isa> isas = SupportedIsas();
+  ASSERT_FALSE(isas.empty());
+  EXPECT_EQ(isas.front(), Isa::kBaseline);
+  EXPECT_EQ(DispatchedIsa(), isas.back());
+  EXPECT_STREQ(KernelIsaName(), KernelTable(DispatchedIsa()).name);
+  PinKernelIsa(Isa::kBaseline);
+  EXPECT_STREQ(KernelIsaName(), "baseline");
+  PinKernelIsa(DispatchedIsa());
+  EXPECT_STREQ(KernelIsaName(), KernelTable(DispatchedIsa()).name);
+}
+
+// The contract tests run every table this CPU supports; this one reports
+// the tables they could not run here.
+TEST(KernelIsaTest, EveryTableRunsOnThisCpu) {
+  std::string missing;
+  const std::vector<Isa> isas = SupportedIsas();
+  for (Isa isa : {Isa::kAvx2, Isa::kAvx512}) {
+    if (std::find(isas.begin(), isas.end(), isa) == isas.end()) {
+      missing += std::string(missing.empty() ? "" : ", ") + KernelTable(isa).name;
+    }
+  }
+  if (!missing.empty()) {
+    GTEST_SKIP() << "this CPU lacks the ISA of the " << missing
+                 << " kernel table; the contract tests did not run it";
   }
 }
 

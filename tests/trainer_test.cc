@@ -7,6 +7,7 @@
 
 #include "common/ids.h"
 #include "graph/generators.h"
+#include "kernel_tables.h"
 #include "partition/multilevel.h"
 #include "partition/partitioner.h"
 #include "planner/spst.h"
@@ -200,6 +201,8 @@ TEST(TrainerTest, EightDeviceReplicasStayBitwiseEqual) {
 // promise every output element adds its terms in one fixed order; any change
 // to that order (a blocked loop that reassociates, a skipped zero term that
 // is not a no-op, a contracted multiply-add) moves these literals.
+// Runs on every kernel table this CPU supports (the dispatched one and the
+// baseline among them): all must reach the same bits.
 TEST(TrainerTest, PinnedLossTrajectory) {
   World w = World::Make(4, 61);
   auto engine = AllgatherEngine::Create(w.relation, w.plan, w.topo);
@@ -209,16 +212,18 @@ TEST(TrainerTest, PinnedLossTrajectory) {
   opts.num_layers = 2;
   opts.hidden_dim = 16;
   opts.learning_rate = 0.5f;
-  auto trainer = DistributedTrainer::Create(w.graph, w.relation, *engine, w.features, w.labels,
-                                            w.num_classes, opts);
-  ASSERT_TRUE(trainer.ok());
   const double want[] = {0x1.765e16f80a1cep+0, 0x1.0e1fa4773bb9dp+0, 0x1.cdc27791aa15cp-1,
                          0x1.8d1dde6128051p-1, 0x1.4bd5fbb047084p-1};
-  for (int epoch = 0; epoch < 5; ++epoch) {
-    auto r = trainer->TrainEpoch();
-    ASSERT_TRUE(r.ok()) << r.status().ToString();
-    EXPECT_EQ(r->loss, want[epoch]) << "epoch " << epoch;
-  }
+  ForEachKernelTable([&](const std::string& table) {
+    auto trainer = DistributedTrainer::Create(w.graph, w.relation, *engine, w.features,
+                                              w.labels, w.num_classes, opts);
+    ASSERT_TRUE(trainer.ok());
+    for (int epoch = 0; epoch < 5; ++epoch) {
+      auto r = trainer->TrainEpoch();
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      EXPECT_EQ(r->loss, want[epoch]) << table << " table, epoch " << epoch;
+    }
+  });
 }
 
 // A moved trainer keeps training like one never moved (its device programs
