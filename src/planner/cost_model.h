@@ -15,7 +15,11 @@
 //
 // AddTransfer/IncrementalCost are O(hops of the link): the "on-demand" cost
 // evaluation the paper sketches at the end of §5.2, rather than the O(|V'|
-// × |E'|) full matrix of Algorithm 2.
+// × |E'|) full matrix of Algorithm 2. IncrementalCost(link, stage, units)
+// reads only the stage's bottleneck and the loads of the link's hops at that
+// stage, so the SPST search caches it per (stage, link) and recomputes an
+// entry only after a commit raised that stage's bottleneck or loaded one of
+// the link's hops at that stage.
 
 #ifndef DGCL_PLANNER_COST_MODEL_H_
 #define DGCL_PLANNER_COST_MODEL_H_

@@ -1,23 +1,30 @@
 // Shortest Path Spanning Tree planner — the paper's core contribution (§5.2),
 // batched over destination-set equivalence classes.
 //
-// The seed algorithm processed one vertex at a time (in shuffled order),
-// growing a communication tree rooted at the source device: every iteration
-// runs a multi-source shortest-path search from the devices already in the
-// tree to the uncovered destinations, using the *incremental* cost model
-// blow-up as edge weights (an edge used at tree depth k is charged at stage
-// k), then commits the cheapest path. Committed traffic updates the shared
-// cost model, so later work items see the load created by earlier ones —
-// this is what yields load balancing, fast-link preference, communication
-// fusion and contention avoidance simultaneously.
+// Each work item's tree is grown from its source device one destination at a
+// time: a shortest-path search over the (device, depth) layered graph runs
+// from the devices already in the tree to the uncovered destinations, using
+// the *incremental* cost-model blow-up as edge weights (an edge used at tree
+// depth k is charged at stage k), and the cheapest path is committed.
+// Committed traffic updates the shared cost model, so later work items see
+// the load created by earlier ones — this is what yields load balancing,
+// fast-link preference, communication fusion and contention avoidance
+// simultaneously.
 //
-// Batched planning exploits that every vertex of a (source, dest_mask)
-// equivalence class has the same feasible trees: the work items are class
-// *chunks* (bounded at max_class_units vertices) rather than vertices, each
-// chunk's tree is grown once, and the chunk's weight is committed to the
-// cost model in one weighted AddTransfer. Planning time drops from
-// O(|V| · dijkstra) to O(#chunks · dijkstra) while the expanded per-vertex
-// plan stays structurally identical in the max_class_units = 0 limit.
+// The layered graph only has edges one depth deeper, so the search relaxes it
+// depth by depth with no heap, in scratch memory allocated once per
+// PlanClasses call, and reads edge weights from a per-call [stage][link]
+// cache that a commit invalidates only where it changed the cost model. It
+// returns exactly the path a Dijkstra search would: the target of least
+// (distance, node id) key, and among equally short parents the one Dijkstra
+// pops first (spst.cc states the rules).
+//
+// The work items are class *chunks* (bounded at max_class_units vertices)
+// rather than vertices: every vertex of a (source, dest_mask) equivalence
+// class has the same feasible trees, so each chunk's tree is grown once and
+// its weight is committed to the cost model in one weighted AddTransfer. In
+// the max_class_units = 0 limit the expanded per-vertex plan is the seed
+// per-vertex algorithm's.
 
 #ifndef DGCL_PLANNER_SPST_H_
 #define DGCL_PLANNER_SPST_H_
@@ -26,6 +33,14 @@
 #include "planner/planner.h"
 
 namespace dgcl {
+
+// Per-edge tie-break cost of the path search, as a fraction of the time one
+// embedding takes on the fastest connection (so plans stay invariant under
+// feature-dimension scaling, §5.1 corollary), charged once per unit routed.
+// It makes zero-blow-up paths prefer fewer hops and keeps every edge weight
+// above zero and far above the rounding error of any path distance, which
+// the search relies on to reproduce Dijkstra's pop order.
+inline constexpr double kHopEpsilonFraction = 1e-6;
 
 struct SpstOptions {
   // Shuffle the work-item processing order (Algorithm 1 preamble). Turning
@@ -38,12 +53,6 @@ struct SpstOptions {
   // relays are never profitable on real topologies and a small cap speeds
   // planning. 0 means no cap.
   uint32_t max_tree_depth = 4;
-
-  // Tiny per-edge cost added during path search so zero-blow-up paths still
-  // prefer fewer hops (tie-breaking; keeps paths loop-free). Expressed as a
-  // fraction of the time one embedding takes on the fastest connection, so
-  // plans stay invariant under feature-dimension scaling (§5.1 corollary).
-  double hop_epsilon_fraction = 1e-6;
 
   // Upper bound on the vertex units a single class tree may carry. Classes
   // larger than this are split into evenly sized chunks so skewed classes

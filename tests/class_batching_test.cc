@@ -2,6 +2,9 @@
 //  * max_class_units = 0 reproduces the seed per-vertex SPST planner exactly
 //    (the reference implementation below is the pre-refactor algorithm,
 //    kept verbatim so the equivalence stays checkable);
+//  * the planner's heap-free search grows every class tree exactly as that
+//    reference Dijkstra search does, chunk weights included, on random
+//    topologies with multi-hop links and skewed bandwidths;
 //  * batched plans at the default chunk size pass plan validation, compile
 //    byte-identically via either CompilePlan overload, and deliver correct
 //    embeddings through the allgather engine;
@@ -10,8 +13,10 @@
 #include "planner/spst.h"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 #include <queue>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -19,8 +24,10 @@
 #include "common/rng.h"
 #include "graph/generators.h"
 #include "partition/multilevel.h"
+#include "partition/partitioner.h"
 #include "planner/cost_model.h"
 #include "runtime/allgather_engine.h"
+#include "random_topology.h"
 #include "topology/presets.h"
 
 namespace dgcl {
@@ -31,7 +38,7 @@ namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
 uint32_t SeedGrowTreeOneStep(const Topology& topo, CostModel& model, double hop_epsilon,
-                             uint32_t max_depth, DeviceMask remaining,
+                             uint32_t max_depth, DeviceMask remaining, uint64_t units,
                              std::vector<uint32_t>& depth_in_tree,
                              std::vector<TreeEdge>& tree_edges) {
   const uint32_t num_devices = topo.num_devices();
@@ -52,6 +59,8 @@ uint32_t SeedGrowTreeOneStep(const Topology& topo, CostModel& model, double hop_
       queue.push({0.0, node});
     }
   }
+
+  const double edge_epsilon = hop_epsilon * static_cast<double>(units);
 
   uint32_t target_node = kInvalidId;
   while (!queue.empty()) {
@@ -75,7 +84,7 @@ uint32_t SeedGrowTreeOneStep(const Topology& topo, CostModel& model, double hop_
         continue;
       }
       const uint32_t next = node_of(link.dst, depth + 1);
-      const double weight = model.IncrementalCost(link_id, depth) + hop_epsilon;
+      const double weight = model.IncrementalCost(link_id, depth, units) + edge_epsilon;
       if (dist[node] + weight < dist[next]) {
         dist[next] = dist[node] + weight;
         parent_node[next] = node;
@@ -123,9 +132,44 @@ uint32_t SeedGrowTreeOneStep(const Topology& topo, CostModel& model, double hop_
     ++depth;
     depth_in_tree[device] = depth;
     tree_edges.push_back(TreeEdge{link_id, depth - 1});
-    model.AddTransfer(link_id, depth - 1);
+    model.AddTransfer(link_id, depth - 1, units);
   }
   return walk.back().first;
+}
+
+// The seed planner's tree loop: grows one tree from `source` to every device
+// of `mask`, retrying a search at full depth when the cap is too tight.
+// False when a destination is unreachable.
+bool SeedGrowTree(const Topology& topo, CostModel& model, double hop_epsilon,
+                  uint32_t max_tree_depth, uint32_t source, DeviceMask mask, uint64_t units,
+                  std::vector<TreeEdge>& tree_edges) {
+  const uint32_t full_depth = topo.num_devices() - 1;
+  const uint32_t capped_depth =
+      max_tree_depth == 0 ? full_depth : std::min(max_tree_depth, full_depth);
+  std::vector<uint32_t> depth_in_tree(topo.num_devices(), kInvalidId);
+  depth_in_tree[source] = 0;
+  DeviceMask remaining = mask;
+  while (remaining != 0) {
+    uint32_t reached = SeedGrowTreeOneStep(topo, model, hop_epsilon, capped_depth, remaining,
+                                           units, depth_in_tree, tree_edges);
+    if (reached == kInvalidId && capped_depth < full_depth) {
+      reached = SeedGrowTreeOneStep(topo, model, hop_epsilon, full_depth, remaining, units,
+                                    depth_in_tree, tree_edges);
+    }
+    if (reached == kInvalidId) {
+      return false;
+    }
+    remaining &= ~(DeviceMask{1} << reached);
+  }
+  return true;
+}
+
+double SeedHopEpsilon(const Topology& topo, double bytes_per_unit) {
+  double max_bandwidth = 0.0;
+  for (ConnId c = 0; c < topo.num_connections(); ++c) {
+    max_bandwidth = std::max(max_bandwidth, topo.connection(c).bandwidth_gbps * 1e9);
+  }
+  return max_bandwidth > 0.0 ? kHopEpsilonFraction * bytes_per_unit / max_bandwidth : 0.0;
 }
 
 Result<CommPlan> SeedSpstPlan(const CommRelation& relation, const Topology& topo,
@@ -139,17 +183,8 @@ Result<CommPlan> SeedSpstPlan(const CommRelation& relation, const Topology& topo
     return plan;
   }
 
-  const uint32_t full_depth = relation.num_devices - 1;
-  uint32_t capped_depth =
-      options.max_tree_depth == 0 ? full_depth : std::min(options.max_tree_depth, full_depth);
-  CostModel model(topo, full_depth, bytes_per_unit);
-
-  double max_bandwidth = 0.0;
-  for (ConnId c = 0; c < topo.num_connections(); ++c) {
-    max_bandwidth = std::max(max_bandwidth, topo.connection(c).bandwidth_gbps * 1e9);
-  }
-  const double hop_epsilon =
-      max_bandwidth > 0.0 ? options.hop_epsilon_fraction * bytes_per_unit / max_bandwidth : 0.0;
+  CostModel model(topo, relation.num_devices - 1, bytes_per_unit);
+  const double hop_epsilon = SeedHopEpsilon(topo, bytes_per_unit);
 
   std::vector<VertexId> order = relation.VerticesWithDestinations();
   if (options.shuffle) {
@@ -158,27 +193,39 @@ Result<CommPlan> SeedSpstPlan(const CommRelation& relation, const Topology& topo
   }
   plan.trees.reserve(order.size());
 
-  std::vector<uint32_t> depth_in_tree(relation.num_devices, kInvalidId);
   for (VertexId u : order) {
     CommTree tree;
     tree.vertex = u;
-    std::fill(depth_in_tree.begin(), depth_in_tree.end(), kInvalidId);
-    depth_in_tree[relation.source[u]] = 0;
-    DeviceMask remaining = relation.dest_mask[u];
-    while (remaining != 0) {
-      uint32_t reached = SeedGrowTreeOneStep(topo, model, hop_epsilon, capped_depth, remaining,
-                                             depth_in_tree, tree.edges);
-      if (reached == kInvalidId && capped_depth < full_depth) {
-        reached = SeedGrowTreeOneStep(topo, model, hop_epsilon, full_depth, remaining,
-                                      depth_in_tree, tree.edges);
-      }
-      if (reached == kInvalidId) {
-        return Status::Internal("destination unreachable in communication topology");
-      }
-      remaining &= ~(DeviceMask{1} << reached);
+    if (!SeedGrowTree(topo, model, hop_epsilon, options.max_tree_depth, relation.source[u],
+                      relation.dest_mask[u], 1, tree.edges)) {
+      return Status::Internal("destination unreachable in communication topology");
     }
     plan.trees.push_back(std::move(tree));
   }
+  return plan;
+}
+
+// The reference search applied to a class plan's work list: regrows each
+// tree of `work` (same class, same chunk weight, same order) against a fresh
+// cost model, and reports the model's total like PlanClasses does.
+ClassPlan SeedRegrowClassPlan(const CommClasses& classes, const Topology& topo,
+                              double bytes_per_unit, uint32_t max_tree_depth,
+                              const ClassPlan& work) {
+  ClassPlan plan;
+  plan.num_devices = work.num_devices;
+  CostModel model(topo, topo.num_devices() - 1, bytes_per_unit);
+  const double hop_epsilon = SeedHopEpsilon(topo, bytes_per_unit);
+  for (const ClassTree& item : work.trees) {
+    const CommClass& cls = classes.classes[item.class_id];
+    ClassTree tree;
+    tree.class_id = item.class_id;
+    tree.first = item.first;
+    tree.count = item.count;
+    EXPECT_TRUE(SeedGrowTree(topo, model, hop_epsilon, max_tree_depth, cls.source, cls.mask,
+                             item.count, tree.edges));
+    plan.trees.push_back(std::move(tree));
+  }
+  plan.planned_cost_seconds = model.TotalSeconds();
   return plan;
 }
 
@@ -232,6 +279,68 @@ TEST(ClassBatchingTest, PerVertexChunkingReproducesSeedPlanner) {
       }
       EXPECT_DOUBLE_EQ(EvaluatePlanCost(*batched_plan, w.topo, 256.0),
                        EvaluatePlanCost(*seed_plan, w.topo, 256.0));
+    }
+  }
+}
+
+uint64_t Bits(double x) { return std::bit_cast<uint64_t>(x); }
+
+// The planner's search against the reference Dijkstra search, tree by tree
+// and bit by bit, over the options that change what a search sees: the depth
+// cap (1 forces the full-depth retry on ring-like topologies, 0 is no cap)
+// and the chunk bound (0 per vertex, 4 fixed, default adaptive).
+TEST(ClassBatchingTest, SearchMatchesReferenceDijkstra) {
+  struct Case {
+    std::string name;
+    Topology topo;
+  };
+  std::vector<Case> cases;
+  for (uint32_t devices : {2u, 3u, 5u, 8u, 12u, 16u}) {
+    for (uint64_t seed : {1u, 2u}) {
+      Rng rng(devices * 100 + seed);
+      Case c{"random" + std::to_string(devices) + "_" + std::to_string(seed), Topology{}};
+      BuildRandomTopology(devices, rng, c.topo, /*bandwidth_ratio=*/100.0);
+      cases.push_back(std::move(c));
+    }
+  }
+  for (uint32_t gpus : {4u, 8u, 16u}) {
+    cases.push_back({"paper" + std::to_string(gpus), BuildPaperTopology(gpus)});
+  }
+
+  constexpr uint32_t kDefaultBound = SpstOptions{}.max_class_units;
+  for (const Case& c : cases) {
+    const uint32_t devices = c.topo.num_devices();
+    Rng rng(devices);
+    CsrGraph graph = GenerateErdosRenyi(1200, 4800, rng);
+    RandomPartitioner partitioner(devices);
+    CommRelation relation = *BuildCommRelation(graph, *partitioner.Partition(graph, devices));
+    CommClasses classes = BuildCommClasses(relation);
+    for (uint32_t depth : {1u, 2u, 4u, 0u}) {
+      for (uint32_t bound : {0u, 4u, kDefaultBound}) {
+        SCOPED_TRACE(c.name + " depth " + std::to_string(depth) + " bound " +
+                     std::to_string(bound));
+        SpstOptions options;
+        options.max_tree_depth = depth;
+        options.max_class_units = bound;
+        if (bound != kDefaultBound) {
+          options.min_chunks = 0;
+        }
+        auto plan = SpstPlanner(options).PlanClasses(classes, c.topo, 256.0);
+        ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+        const ClassPlan reference =
+            SeedRegrowClassPlan(classes, c.topo, 256.0, depth, *plan);
+        ASSERT_EQ(plan->trees.size(), reference.trees.size());
+        for (size_t t = 0; t < reference.trees.size(); ++t) {
+          const ClassTree& got = plan->trees[t];
+          const ClassTree& want = reference.trees[t];
+          ASSERT_EQ(got.edges.size(), want.edges.size()) << "tree " << t;
+          for (size_t e = 0; e < want.edges.size(); ++e) {
+            ASSERT_EQ(got.edges[e].link, want.edges[e].link) << "tree " << t << " edge " << e;
+            ASSERT_EQ(got.edges[e].stage, want.edges[e].stage) << "tree " << t << " edge " << e;
+          }
+        }
+        EXPECT_EQ(Bits(plan->planned_cost_seconds), Bits(reference.planned_cost_seconds));
+      }
     }
   }
 }

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <string>
 #include <vector>
 
@@ -35,8 +36,12 @@ inline std::string ConnName(uint32_t i, uint32_t j) {
 
 // A random topology: a directed ring guarantees strong connectivity; random
 // extra direct links with random media create shortcuts and contention.
+// Connections get their medium's bandwidth, or with `bandwidth_ratio` > 1 a
+// bandwidth drawn log-uniformly from [1, bandwidth_ratio] GB/s (the default
+// draws nothing extra, so existing seeds keep their topologies).
 // (void return so gtest ASSERTs can be used inside.)
-inline void BuildRandomTopology(uint32_t devices, Rng& rng, Topology& topo) {
+inline void BuildRandomTopology(uint32_t devices, Rng& rng, Topology& topo,
+                                double bandwidth_ratio = 1.0) {
   for (uint32_t d = 0; d < devices; ++d) {
     topo.AddDevice({Numbered("d", d), 0, d % 2, d / 2});
   }
@@ -45,17 +50,19 @@ inline void BuildRandomTopology(uint32_t devices, Rng& rng, Topology& topo) {
                                    LinkType::kQpi, LinkType::kInfiniBand, LinkType::kEthernet};
     return kTypes[rng.UniformInt(6)];
   };
+  auto random_bandwidth = [&rng, bandwidth_ratio]() {
+    return bandwidth_ratio > 1.0 ? std::pow(bandwidth_ratio, rng.UniformDouble()) : 0.0;
+  };
   // Shared contention domains: a handful of "buses" some links pass through.
   std::vector<ConnId> buses;
   for (uint32_t b = 0; b < 3; ++b) {
-    buses.push_back(topo.AddConnection({Numbered("bus", b), random_type(), 0.0}));
+    buses.push_back(topo.AddConnection({Numbered("bus", b), random_type(), random_bandwidth()}));
   }
   auto add_link = [&](uint32_t i, uint32_t j) {
     if (topo.LinkBetween(i, j) != kInvalidId) {
       return;
     }
-    ConnId direct = topo.AddConnection(
-        {ConnName(i, j), random_type(), 0.0});
+    ConnId direct = topo.AddConnection({ConnName(i, j), random_type(), random_bandwidth()});
     std::vector<ConnId> hops = {direct};
     if (rng.UniformDouble() < 0.4) {
       hops.push_back(buses[rng.UniformInt(buses.size())]);  // multi-hop link
