@@ -143,10 +143,12 @@ void PrintSummaryTable(const std::optional<std::string>& json_path) {
               ? (batched.plan_cost_ms - per_vertex.plan_cost_ms) / per_vertex.plan_cost_ms
               : 0.0;
       const CommClasses& classes = ClassesFor(id, gpus);
+      // With no classes both planners plan nothing, and their ratio is noise.
+      const bool empty = classes.classes.empty();
       compare.AddRow({bench::BenchDataset(id).name, TablePrinter::FmtInt(gpus),
                       TablePrinter::Fmt(batched.planning_ms, 2),
                       TablePrinter::Fmt(per_vertex.planning_ms, 2),
-                      TablePrinter::Fmt(speedup, 1) + "x",
+                      empty ? "—" : TablePrinter::Fmt(speedup, 1) + "x",
                       TablePrinter::Fmt(cost_delta * 100.0, 2) + "%",
                       TablePrinter::FmtInt(classes.classes.size()),
                       TablePrinter::FmtInt(rel.VerticesWithDestinations().size())});
@@ -157,7 +159,9 @@ void PrintSummaryTable(const std::optional<std::string>& json_path) {
       rec.AddNumber("plan_cost_ms", batched.plan_cost_ms);
       rec.AddNumber("planning_ms_per_vertex", per_vertex.planning_ms);
       rec.AddNumber("plan_cost_ms_per_vertex", per_vertex.plan_cost_ms);
-      rec.AddNumber("speedup", speedup);
+      if (!empty) {
+        rec.AddNumber("speedup", speedup);
+      }
       rec.AddNumber("cost_delta", cost_delta);
       rec.AddInt("num_classes", classes.classes.size());
       rec.AddInt("num_vertices", rel.VerticesWithDestinations().size());

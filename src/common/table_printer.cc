@@ -6,6 +6,16 @@
 #include <sstream>
 
 namespace dgcl {
+namespace {
+
+// Columns are padded by code point, not byte, so that cells holding UTF-8
+// such as "—" or "×" line up: every byte but a continuation byte starts one.
+size_t DisplayWidth(const std::string& cell) {
+  return std::count_if(cell.begin(), cell.end(),
+                       [](char c) { return (static_cast<unsigned char>(c) & 0xC0) != 0x80; });
+}
+
+}  // namespace
 
 TablePrinter::TablePrinter(std::vector<std::string> headers) : headers_(std::move(headers)) {}
 
@@ -17,11 +27,11 @@ void TablePrinter::AddRow(std::vector<std::string> cells) {
 std::string TablePrinter::Render(const std::string& title) const {
   std::vector<size_t> widths(headers_.size());
   for (size_t c = 0; c < headers_.size(); ++c) {
-    widths[c] = headers_[c].size();
+    widths[c] = DisplayWidth(headers_[c]);
   }
   for (const auto& row : rows_) {
     for (size_t c = 0; c < row.size(); ++c) {
-      widths[c] = std::max(widths[c], row[c].size());
+      widths[c] = std::max(widths[c], DisplayWidth(row[c]));
     }
   }
 
@@ -33,7 +43,7 @@ std::string TablePrinter::Render(const std::string& title) const {
     for (size_t c = 0; c < row.size(); ++c) {
       out << (c == 0 ? "| " : " | ");
       out << row[c];
-      out << std::string(widths[c] - row[c].size(), ' ');
+      out << std::string(widths[c] - DisplayWidth(row[c]), ' ');
     }
     out << " |\n";
   };

@@ -182,48 +182,61 @@ uint64_t AssignmentHash(const Partitioning& parts) {
 // files, loss trajectories and serving digests all sit on these assignments,
 // and the golden plans only cover symmetric community graphs. Change a value
 // only with a change that means to move the partitioner's output.
-TEST(MultilevelTest, AssignmentFingerprintsArePinned) {
-  auto fingerprint = [](const CsrGraph& g, uint32_t k, MultilevelOptions opts = {}) {
-    MultilevelPartitioner p(opts);
-    auto parts = p.Partition(g, k);
-    if (!parts.ok()) {
-      ADD_FAILURE() << parts.status().ToString();
-      return uint64_t{0};
-    }
-    EXPECT_TRUE(ValidatePartitioning(g, *parts).ok());
-    return AssignmentHash(*parts);
-  };
+uint64_t Fingerprint(const CsrGraph& g, uint32_t k, MultilevelOptions opts = {}) {
+  MultilevelPartitioner p(opts);
+  auto parts = p.Partition(g, k);
+  if (!parts.ok()) {
+    ADD_FAILURE() << parts.status().ToString();
+    return 0;
+  }
+  EXPECT_TRUE(ValidatePartitioning(g, *parts).ok());
+  return AssignmentHash(*parts);
+}
 
-  Rng community_rng(31);
-  CsrGraph community = GenerateCommunityGraph(6000, 8, 12.0, 0.5, community_rng);
-  EXPECT_EQ(fingerprint(community, 8), 0x9485eb7c673ff325ULL);
+CsrGraph PinnedCommunityGraph() {
+  Rng rng(31);
+  return GenerateCommunityGraph(6000, 8, 12.0, 0.5, rng);
+}
 
-  Rng rmat_rng(32);
+CsrGraph PinnedRmatGraph() {
+  Rng rng(32);
   RmatParams params;
   params.scale = 13;
   params.num_edges = 60000;
-  CsrGraph rmat = GenerateRmat(params, rmat_rng);
-  EXPECT_EQ(fingerprint(rmat, 8), 0x84a6378879557c49ULL);
+  return GenerateRmat(params, rng);
+}
 
-  // Directed: each community edge kept in one direction only, so a coarse
-  // row cannot be recovered from the rows that point at it.
+// Each edge of a symmetric graph kept in one direction only, so a coarse row
+// cannot be recovered from the rows that point at it.
+CsrGraph OneWay(const CsrGraph& symmetric) {
   Rng coin(33);
   std::vector<Edge> directed;
-  for (VertexId v = 0; v < community.num_vertices(); ++v) {
-    for (VertexId u : community.Neighbors(v)) {
+  for (VertexId v = 0; v < symmetric.num_vertices(); ++v) {
+    for (VertexId u : symmetric.Neighbors(v)) {
       if (v < u) {
         directed.push_back(coin.UniformInt(2) == 0 ? Edge{v, u} : Edge{u, v});
       }
     }
   }
-  auto one_way = CsrGraph::FromEdges(community.num_vertices(), std::move(directed),
+  auto one_way = CsrGraph::FromEdges(symmetric.num_vertices(), std::move(directed),
                                      /*symmetrize=*/false);
-  ASSERT_TRUE(one_way.ok());
-  EXPECT_EQ(fingerprint(*one_way, 4), 0xac0cd76b6ca4c841ULL);
+  EXPECT_TRUE(one_way.ok());
+  return std::move(one_way).value();
+}
+
+TEST(MultilevelTest, AssignmentFingerprintsArePinned) {
+  CsrGraph community = PinnedCommunityGraph();
+  EXPECT_EQ(Fingerprint(community, 8), 0x9485eb7c673ff325ULL);
+
+  CsrGraph rmat = PinnedRmatGraph();
+  EXPECT_EQ(Fingerprint(rmat, 8), 0x84a6378879557c49ULL);
+
+  CsrGraph one_way = OneWay(community);
+  EXPECT_EQ(Fingerprint(one_way, 4), 0xac0cd76b6ca4c841ULL);
 
   MultilevelOptions by_degree;
   by_degree.balance_by_degree = true;
-  EXPECT_EQ(fingerprint(rmat, 8, by_degree), 0xe30b9638293a89b6ULL);
+  EXPECT_EQ(Fingerprint(rmat, 8, by_degree), 0xe30b9638293a89b6ULL);
 
   Rng orkut_rng(34);
   CsrGraph orkut_like = GenerateCommunityGraph(12000, 16, 14.0, 0.6, orkut_rng);
@@ -232,6 +245,46 @@ TEST(MultilevelTest, AssignmentFingerprintsArePinned) {
   ASSERT_TRUE(sixteen.ok());
   ASSERT_TRUE(ValidatePartitioning(orkut_like, *sixteen).ok());
   EXPECT_EQ(AssignmentHash(*sixteen), 0x416a393b22627648ULL);
+}
+
+// More pins over the same graphs: part counts that are and are not powers of
+// two, a one-way graph at 8 parts, degree balance at 2 parts, and a graph in
+// which every fifth vertex is isolated. Refinement's tie break (toward the
+// lighter part) and the order of each coarse row both decide assignments
+// here, so a change to either shows up as a moved fingerprint.
+TEST(MultilevelTest, AssignmentSweepIsPinned) {
+  CsrGraph community = PinnedCommunityGraph();
+  CsrGraph rmat = PinnedRmatGraph();
+  const uint32_t ks[] = {2, 3, 5, 16};
+  const uint64_t community_pins[] = {0x6d366555f6a2866dULL, 0x00853893761a3a3bULL,
+                                     0x13ecc4ef8956d885ULL, 0x31e0a535b557809bULL};
+  const uint64_t rmat_pins[] = {0xd52cd11cdc62d11fULL, 0x0811ce47067c7e39ULL,
+                                0x425886e039fb72efULL, 0xdae00c3c8837dbceULL};
+  for (size_t i = 0; i < std::size(ks); ++i) {
+    EXPECT_EQ(Fingerprint(community, ks[i]), community_pins[i]) << "community k=" << ks[i];
+    EXPECT_EQ(Fingerprint(rmat, ks[i]), rmat_pins[i]) << "rmat k=" << ks[i];
+  }
+
+  EXPECT_EQ(Fingerprint(OneWay(community), 8), 0x745020e2764634eeULL);
+
+  MultilevelOptions by_degree;
+  by_degree.balance_by_degree = true;
+  EXPECT_EQ(Fingerprint(rmat, 2, by_degree), 0x137a32c1b60937bbULL);
+
+  // Vertex v of a community graph becomes v + v / 4, leaving every fifth id
+  // without edges.
+  Rng rng(35);
+  CsrGraph dense = GenerateCommunityGraph(4000, 8, 10.0, 0.5, rng);
+  std::vector<Edge> spread;
+  for (VertexId v = 0; v < dense.num_vertices(); ++v) {
+    for (VertexId u : dense.Neighbors(v)) {
+      spread.push_back({v + v / 4, u + u / 4});
+    }
+  }
+  auto isolated = CsrGraph::FromEdges(5000, std::move(spread), /*symmetrize=*/false);
+  ASSERT_TRUE(isolated.ok());
+  EXPECT_EQ(Fingerprint(*isolated, 4), 0x004814869fa17049ULL);
+  EXPECT_EQ(Fingerprint(*isolated, 16), 0x13b67dc48f31aa7bULL);
 }
 
 // Balanced by degree, a star's hub alone outweighs the part cap, and a star

@@ -50,6 +50,15 @@ TEST(TablePrinterTest, ColumnsAlign) {
   }
 }
 
+TEST(TablePrinterTest, MultiByteCellsAlignByCodePoint) {
+  TablePrinter table({"speedup", "shape"});
+  table.AddRow({"—", "n×16"});
+  table.AddRow({"3.3x", "n*16"});
+  std::string out = table.Render();
+  EXPECT_NE(out.find("| —       | n×16  |\n"), std::string::npos) << out;
+  EXPECT_NE(out.find("| 3.3x    | n*16  |\n"), std::string::npos) << out;
+}
+
 TEST(TablePrinterTest, FmtFormatsPrecision) {
   EXPECT_EQ(TablePrinter::Fmt(3.14159, 2), "3.14");
   EXPECT_EQ(TablePrinter::Fmt(2.0, 0), "2");
