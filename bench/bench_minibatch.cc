@@ -13,8 +13,8 @@
 // envelopes on the wire (bytes win) and fewer serialized per-connection
 // waits (p50/p99 win). The wider window shows the regression direction:
 // stalling longer than the burst's natural arrival spread just adds
-// latency. The batched/unbatched bytes ratio is the number EXPERIMENTS.md
-// feeds back into EpochOptions::fetch_batch_bytes_factor.
+// latency. The run ends with the batched/unbatched bytes-on-wire ratio
+// (EXPERIMENTS.md records it).
 //
 // Phase 2 (trainer loop): MiniBatchTrainer over the serving tier on the
 // community fixture, once per sampling strategy (a fresh service with
@@ -213,14 +213,12 @@ int Run(int argc, char** argv) {
     records.push_back(std::move(record));
   }
   std::printf("%s", table.Render("remote feature fetches, batched vs unbatched").c_str());
-  std::printf(
-      "bytes-on-wire factor (batched-200us / unbatched): %.4f — feed this into\n"
-      "EpochOptions::fetch_batch_bytes_factor for the kDgclCache simulation.\n\n",
-      batched_bytes_factor);
+  std::printf("bytes-on-wire factor (batched-200us / unbatched): %.4f\n\n",
+              batched_bytes_factor);
   {
     bench::JsonRecord record;
     record.AddString("phase", "fetch-summary");
-    record.AddNumber("fetch_batch_bytes_factor", batched_bytes_factor);
+    record.AddNumber("bytes_on_wire_factor", batched_bytes_factor);
     records.push_back(std::move(record));
   }
 

@@ -10,11 +10,11 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-cmake -B build -G Ninja
-cmake --build build
+cmake -B build
+cmake --build build --parallel "$(nproc)"
 ctest --test-dir build 2>&1 | tee test_output.txt
-cmake -B build-release -G Ninja -DCMAKE_BUILD_TYPE=Release
-cmake --build build-release
+cmake -B build-release -DCMAKE_BUILD_TYPE=Release
+cmake --build build-release --parallel "$(nproc)"
 for b in build-release/bench/*; do
   case "$(basename "$b")" in
     bench_table8_spst_runtime) "$b" --json BENCH_table8.json ;;

@@ -73,55 +73,6 @@ Result<MembershipView> MembershipService::CommitFailure(DeviceMask suspects) {
   return view_;
 }
 
-ReplicaMembershipService::ReplicaMembershipService(uint32_t num_devices,
-                                                   uint32_t replicas_per_device)
-    : devices_(num_devices),
-      replicas_per_device_(replicas_per_device == 0 ? 1 : replicas_per_device) {
-  const uint32_t full = replicas_per_device_ >= 32
-                            ? ~uint32_t{0}
-                            : (uint32_t{1} << replicas_per_device_) - 1;
-  alive_replicas_.assign(num_devices, full);
-}
-
-bool ReplicaMembershipService::IsReplicaAlive(uint32_t device, uint32_t replica) const {
-  if (device >= alive_replicas_.size() || replica >= replicas_per_device_) {
-    return false;
-  }
-  return (alive_replicas_[device] >> replica) & 1;
-}
-
-uint32_t ReplicaMembershipService::AliveReplicas(uint32_t device) const {
-  if (device >= alive_replicas_.size()) {
-    return 0;
-  }
-  return static_cast<uint32_t>(std::popcount(alive_replicas_[device]));
-}
-
-uint32_t ReplicaMembershipService::AliveReplicaMask(uint32_t device) const {
-  return device < alive_replicas_.size() ? alive_replicas_[device] : 0;
-}
-
-Result<MembershipView> ReplicaMembershipService::CommitReplicaFailure(uint32_t device,
-                                                                      uint32_t replica) {
-  if (device >= alive_replicas_.size() || replica >= replicas_per_device_) {
-    return Status::OutOfRange("CommitReplicaFailure: replica (" + std::to_string(device) +
-                              ", " + std::to_string(replica) + ") out of range");
-  }
-  if (!IsReplicaAlive(device, replica)) {
-    return Status::InvalidArgument("CommitReplicaFailure: replica (" + std::to_string(device) +
-                                   ", " + std::to_string(replica) + ") is already dead");
-  }
-  if (AliveReplicas(device) == 1) {
-    // Last replica: the device dies with it. Commit the device FIRST so its
-    // failure rules (at least one device must survive) can veto the replica
-    // kill without leaving the views inconsistent.
-    DGCL_RETURN_IF_ERROR(devices_.CommitFailure(DeviceMask{1} << device).status());
-  }
-  alive_replicas_[device] &= ~(uint32_t{1} << replica);
-  ++replica_epoch_;
-  return devices_.view();
-}
-
 Result<SurvivingTopology> BuildSurvivingTopology(const Topology& topo,
                                                  const MembershipView& view) {
   const uint32_t n = topo.num_devices();

@@ -16,6 +16,10 @@
 // and ElasticTrainingSession (src/dgcl/elastic.h). Every phase is a
 // DGCL_TSPAN under the "recovery" category, so `dgcl_trace summarize
 // --recovery` breaks MTTR down per phase.
+//
+// The serving tier does not commit through MembershipService: its liveness
+// is the ReplicaSet's per-shard replica masks (service/replica_set.h), and
+// it only reports a MembershipView derived from them.
 
 #ifndef DGCL_RUNTIME_RECOVERY_H_
 #define DGCL_RUNTIME_RECOVERY_H_
@@ -68,48 +72,6 @@ class MembershipService {
  private:
   uint32_t num_devices_ = 0;
   MembershipView view_;
-};
-
-// Replica-aware membership over the same epoch discipline. The serving tier
-// runs `replicas_per_device` read replicas of every device (shard); replica r
-// of device d is one routable serving home. Replica failures commit through
-// this service — every commit bumps the replica epoch — and when a device's
-// last replica dies the device itself is committed dead through the wrapped
-// MembershipService, so device-level consumers (alive masks, suspect naming,
-// surviving-topology derivation) observe replica exhaustion exactly as they
-// observe a whole-device kill. Not thread-safe; callers serialize commits
-// (GraphService holds its kill mutex across a commit + queue handoff).
-class ReplicaMembershipService {
- public:
-  // replicas_per_device in [1, 32] (replica liveness is a uint32_t mask).
-  ReplicaMembershipService(uint32_t num_devices, uint32_t replicas_per_device);
-
-  uint32_t num_devices() const { return devices_.num_devices(); }
-  uint32_t replicas_per_device() const { return replicas_per_device_; }
-
-  // Device-level view: a device is alive while >= 1 of its replicas is.
-  const MembershipView& view() const { return devices_.view(); }
-  // Replica-commit epoch; >= view().epoch (device commits are a subset).
-  uint64_t replica_epoch() const { return replica_epoch_; }
-
-  bool IsReplicaAlive(uint32_t device, uint32_t replica) const;
-  uint32_t AliveReplicas(uint32_t device) const;
-  // Bit r = replica r of `device` alive.
-  uint32_t AliveReplicaMask(uint32_t device) const;
-
-  // Commits replica (device, replica) dead and bumps the replica epoch.
-  // Killing the device's last replica also commits the device failure under
-  // MembershipService's rules — notably, the last replica of the last alive
-  // device cannot be killed. Out-of-range ids and already-dead replicas fail
-  // without touching either view. Returns the (possibly updated)
-  // device-level view.
-  Result<MembershipView> CommitReplicaFailure(uint32_t device, uint32_t replica);
-
- private:
-  MembershipService devices_;
-  uint32_t replicas_per_device_ = 1;
-  uint64_t replica_epoch_ = 0;
-  std::vector<uint32_t> alive_replicas_;  // per device; bit r = replica r alive
 };
 
 // The surviving topology after a membership commit: dead devices removed and

@@ -19,41 +19,6 @@ uint32_t GraphShard::LocalRank(VertexId global) const {
   return static_cast<uint32_t>(it - locals_.begin());
 }
 
-uint64_t GraphShard::CountRemoteEdges(const Partitioning& partitioning) const {
-  uint64_t remote = 0;
-  for (VertexId v : locals_) {
-    for (VertexId nbr : graph_->Neighbors(v)) {
-      if (partitioning.assignment[nbr] != id_) {
-        ++remote;
-      }
-    }
-  }
-  return remote;
-}
-
-const float* ReplicaSlice::RowOf(VertexId global) const {
-  auto it = std::lower_bound(locals.begin(), locals.end(), global);
-  if (it == locals.end() || *it != global) {
-    return nullptr;
-  }
-  return rows.data() + static_cast<size_t>(it - locals.begin()) * dim;
-}
-
-ReplicaSlice MakeReplicaSlice(const GraphShard& shard, uint32_t replica, uint32_t dim,
-                              const float* features) {
-  ReplicaSlice slice;
-  slice.shard = shard.id();
-  slice.replica = replica;
-  slice.dim = dim;
-  slice.locals = shard.local_vertices();
-  slice.rows.resize(slice.locals.size() * static_cast<size_t>(dim));
-  for (size_t i = 0; i < slice.locals.size(); ++i) {
-    const float* src = features + static_cast<size_t>(slice.locals[i]) * dim;
-    std::copy_n(src, dim, slice.rows.data() + i * static_cast<size_t>(dim));
-  }
-  return slice;
-}
-
 Result<ShardedGraphStore> ShardedGraphStore::Build(const CsrGraph& graph,
                                                    const Partitioning& partitioning) {
   DGCL_RETURN_IF_ERROR(ValidatePartitioning(graph, partitioning));

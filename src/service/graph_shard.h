@@ -10,10 +10,13 @@
 // table (see service.h) and that a dead shard turns into kUnavailable.
 //
 // All shards share one in-memory CsrGraph (this is a single-process
-// reproduction; the paper's NIC transport is already emulated elsewhere).
-// What is honest about the sharding is the *information boundary*: every
-// lookup goes through shard-local indices and the ownership map, so the
-// structure ports to a real RPC split without changing callers.
+// reproduction; the paper's NIC transport is already emulated elsewhere),
+// and so do a shard's read replicas (replica_set.h): every replica reads the
+// same adjacency and the service's one feature matrix, so replicas of a
+// shard answer with the same bytes by construction. What is honest about
+// the sharding is the *information boundary*: every lookup goes through
+// shard-local indices and the ownership map, so the structure ports to a
+// real RPC split without changing callers.
 
 #ifndef DGCL_SERVICE_GRAPH_SHARD_H_
 #define DGCL_SERVICE_GRAPH_SHARD_H_
@@ -51,39 +54,11 @@ class GraphShard {
   // Neighbors (global ids, ascending) of an owned vertex.
   std::span<const VertexId> Neighbors(VertexId global) const { return graph_->Neighbors(global); }
 
-  // Directed edges from this shard's locals whose target is owned elsewhere
-  // (the shard's remote frontier size; sizing signal for the feature cache).
-  uint64_t CountRemoteEdges(const Partitioning& partitioning) const;
-
  private:
   uint32_t id_ = 0;
   const CsrGraph* graph_ = nullptr;  // not owned; outlives the shard
   std::vector<VertexId> locals_;     // ascending
 };
-
-// One read replica's copy of a shard's serving data: the shard's local
-// vertex ids (its CSR slice index) and their feature rows, materialized per
-// replica so every replica answers local reads from its own storage — the
-// information boundary a real multi-server deployment would have. Replicas
-// of a shard are byte-identical copies by construction, which is what lets
-// the router pick any of them without perturbing response payloads.
-struct ReplicaSlice {
-  uint32_t shard = 0;
-  uint32_t replica = 0;
-  uint32_t dim = 0;
-  std::vector<VertexId> locals;  // == the shard's locals, ascending
-  std::vector<float> rows;       // locals.size() * dim; row i = features of locals[i]
-
-  // Feature row of an owned global id; nullptr when this shard does not own
-  // it. Binary search over the sorted locals, like GraphShard::LocalRank.
-  const float* RowOf(VertexId global) const;
-};
-
-// Materializes replica `replica` of `shard` by copying its locals' rows out
-// of the global feature matrix (`features` has one dim-wide row per global
-// vertex id, densely packed).
-ReplicaSlice MakeReplicaSlice(const GraphShard& shard, uint32_t replica, uint32_t dim,
-                              const float* features);
 
 // The full store: every shard plus the global ownership map.
 class ShardedGraphStore {

@@ -54,29 +54,17 @@ Result<EpochResult> MiniBatchTrainer::TrainEpoch() {
   uint64_t total_labeled = 0;
   for (uint32_t b = 0; b < options_.batches_per_epoch; ++b) {
     const uint32_t home = b % num_shards;
-    auto make_request = [&] {
-      SampleRequest request;
-      request.request_id = epochs_ * options_.batches_per_epoch + b;
-      request.shard = home;
-      request.num_seeds = options_.batch_seeds;
-      request.sample = options_.sample;
-      // The per-batch seed schedule: a pure function of (base seed, epoch,
-      // batch), so every epoch visits fresh mini-batches and a retried epoch
-      // re-samples the very same ones.
-      request.sample.seed = MixSeed(options_.sample.seed, epochs_, b);
-      request.return_features = true;
-      return request;
-    };
-    SampleResponse response = service_->Serve(make_request());
-    if (response.status.code() == StatusCode::kUnavailable &&
-        service_->replicas().ShardAlive(home)) {
-      // A replica died under this batch but survivors remain: the batch is a
-      // pure function of the request, so one retry on a survivor reproduces
-      // it byte-identically — the epoch continues, no checkpoint rewind.
-      ++ride_throughs_;
-      DGCL_TCOUNT1("service", "train.ride_through", 1, "shard", home);
-      response = service_->Serve(make_request());
-    }
+    SampleRequest request;
+    request.request_id = epochs_ * options_.batches_per_epoch + b;
+    request.shard = home;
+    request.num_seeds = options_.batch_seeds;
+    request.sample = options_.sample;
+    // The per-batch seed schedule: a pure function of (base seed, epoch,
+    // batch), so every epoch visits fresh mini-batches and a retried epoch
+    // re-samples the very same ones.
+    request.sample.seed = MixSeed(options_.sample.seed, epochs_, b);
+    request.return_features = true;
+    SampleResponse response = service_->Serve(std::move(request));
     if (!response.status.ok()) {
       return response.status;
     }

@@ -64,10 +64,9 @@ class MiniBatchTrainer {
 
   // Runs one epoch of sampled mini-batch SGD. Returns the labeled-row-
   // weighted mean loss/accuracy over the epoch's batches, and snapshots the
-  // epoch-boundary checkpoint on success. A replica dying mid-epoch while
-  // survivors remain is ridden through: the batch retries once on a
-  // survivor and reproduces byte-identically (counted in ride_throughs()),
-  // no rewind. On real failure (shard dead, deadline) the model may be
+  // epoch-boundary checkpoint on success. A dead replica is invisible here
+  // while its shard has survivors: Serve routes each batch to a live
+  // replica. On failure (a batch touched a dead shard) the model may be
   // partially stepped — call RestoreCheckpoint before retrying.
   Result<EpochResult> TrainEpoch();
 
@@ -82,8 +81,6 @@ class MiniBatchTrainer {
   Status RestoreCheckpoint();
 
   uint64_t epochs() const { return epochs_; }
-  // Batches that hit a dying replica and were retried on a survivor.
-  uint64_t ride_throughs() const { return ride_throughs_; }
 
  private:
   explicit MiniBatchTrainer(MiniBatchModel model) : model_(std::move(model)) {}
@@ -94,7 +91,6 @@ class MiniBatchTrainer {
   MiniBatchModel model_;
   ReplicaWeights checkpoint_;
   uint64_t epochs_ = 0;
-  uint64_t ride_throughs_ = 0;
 };
 
 }  // namespace dgcl

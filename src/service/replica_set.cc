@@ -12,41 +12,28 @@ Status ReplicationOptions::Validate() const {
   return Status::Ok();
 }
 
-Result<std::unique_ptr<ReplicaSet>> ReplicaSet::Build(const ShardedGraphStore& store,
-                                                      uint32_t feature_dim,
-                                                      const float* features,
+Result<std::unique_ptr<ReplicaSet>> ReplicaSet::Build(uint32_t num_shards,
                                                       ReplicationOptions options) {
   DGCL_RETURN_IF_ERROR(options.Validate());
-  if (features == nullptr) {
-    return Status::InvalidArgument("ReplicaSet::Build needs the feature matrix");
+  if (num_shards < 1 || num_shards > kMaxDevices) {
+    return Status::InvalidArgument("ReplicaSet needs 1.." + std::to_string(kMaxDevices) +
+                                   " shards, got " + std::to_string(num_shards));
   }
   std::unique_ptr<ReplicaSet> set(new ReplicaSet());
-  set->num_shards_ = store.num_shards();
+  set->num_shards_ = num_shards;
   set->options_ = options;
-  const uint32_t R = options.replicas;
-  const size_t cells = static_cast<size_t>(set->num_shards_) * R;
-  set->slices_.reserve(cells);
-  for (uint32_t s = 0; s < set->num_shards_; ++s) {
-    for (uint32_t r = 0; r < R; ++r) {
-      set->slices_.push_back(MakeReplicaSlice(store.shard(s), r, feature_dim, features));
-    }
-  }
-  set->membership_ = std::make_unique<ReplicaMembershipService>(set->num_shards_, R);
-  set->alive_masks_ = std::vector<std::atomic<uint32_t>>(set->num_shards_);
-  const uint32_t full = R >= 32 ? ~uint32_t{0} : (uint32_t{1} << R) - 1;
+  set->alive_masks_ = std::vector<std::atomic<uint32_t>>(num_shards);
   for (auto& mask : set->alive_masks_) {
-    mask.store(full, std::memory_order_release);
+    mask.store((uint32_t{1} << options.replicas) - 1, std::memory_order_release);
   }
-  set->cursors_ = std::vector<std::atomic<uint64_t>>(set->num_shards_);
-  set->routed_ = std::vector<std::atomic<uint64_t>>(cells);
+  set->cursors_ = std::vector<std::atomic<uint64_t>>(num_shards);
+  set->routed_ = std::vector<std::atomic<uint64_t>>(static_cast<size_t>(num_shards) *
+                                                    options.replicas);
   return set;
 }
 
 bool ReplicaSet::ReplicaAlive(uint32_t shard, uint32_t replica) const {
-  if (shard >= num_shards_ || replica >= options_.replicas) {
-    return false;
-  }
-  return (alive_masks_[shard].load(std::memory_order_acquire) >> replica) & 1;
+  return replica < options_.replicas && ((AliveReplicaMask(shard) >> replica) & 1);
 }
 
 uint32_t ReplicaSet::AliveReplicas(uint32_t shard) const {
@@ -55,6 +42,16 @@ uint32_t ReplicaSet::AliveReplicas(uint32_t shard) const {
 
 uint32_t ReplicaSet::AliveReplicaMask(uint32_t shard) const {
   return shard < num_shards_ ? alive_masks_[shard].load(std::memory_order_acquire) : 0;
+}
+
+DeviceMask ReplicaSet::AliveShards() const {
+  DeviceMask alive = 0;
+  for (uint32_t s = 0; s < num_shards_; ++s) {
+    if (alive_masks_[s].load(std::memory_order_acquire) != 0) {
+      alive |= DeviceMask{1} << s;
+    }
+  }
+  return alive;
 }
 
 Result<uint32_t> ReplicaSet::Route(uint32_t shard) {
@@ -76,37 +73,42 @@ Result<uint32_t> ReplicaSet::Route(uint32_t shard) {
   return chosen;
 }
 
-Result<MembershipView> ReplicaSet::KillReplica(uint32_t shard, uint32_t replica) {
-  std::lock_guard<std::mutex> lock(membership_mutex_);
-  DGCL_ASSIGN_OR_RETURN(MembershipView view, membership_->CommitReplicaFailure(shard, replica));
-  alive_masks_[shard].store(membership_->AliveReplicaMask(shard), std::memory_order_release);
-  replica_kills_.fetch_add(1, std::memory_order_relaxed);
-  if (membership_->AliveReplicas(shard) == 0) {
-    last_replica_deaths_.fetch_add(1, std::memory_order_relaxed);
+Status ReplicaSet::KillReplica(uint32_t shard, uint32_t replica) {
+  const std::string name =
+      "replica (" + std::to_string(shard) + ", " + std::to_string(replica) + ")";
+  if (shard >= num_shards_ || replica >= options_.replicas) {
+    return Status::OutOfRange("KillReplica: " + name + " out of range");
   }
-  return view;
+  const uint32_t mask = alive_masks_[shard].load(std::memory_order_acquire);
+  const uint32_t bit = uint32_t{1} << replica;
+  if ((mask & bit) == 0) {
+    return Status::InvalidArgument("KillReplica: " + name + " is already dead");
+  }
+  if (mask == bit && AliveShards() == (DeviceMask{1} << shard)) {
+    return Status::FailedPrecondition("KillReplica: " + name +
+                                      " is the last replica of the last alive shard");
+  }
+  alive_masks_[shard].store(mask & ~bit, std::memory_order_release);
+  return Status::Ok();
 }
 
 MembershipView ReplicaSet::membership_view() const {
-  std::lock_guard<std::mutex> lock(membership_mutex_);
-  return membership_->view();
-}
-
-uint64_t ReplicaSet::replica_epoch() const {
-  std::lock_guard<std::mutex> lock(membership_mutex_);
-  return membership_->replica_epoch();
+  MembershipView view;
+  view.alive = AliveShards();
+  view.epoch = num_shards_ - view.NumAlive();
+  return view;
 }
 
 ReplicaSet::Stats ReplicaSet::stats() const {
   Stats s;
-  s.replicas_per_shard = options_.replicas;
   s.routed.reserve(routed_.size());
   for (const auto& counter : routed_) {
     s.routed.push_back(counter.load(std::memory_order_relaxed));
   }
   s.failovers = failovers_.load(std::memory_order_relaxed);
-  s.replica_kills = replica_kills_.load(std::memory_order_relaxed);
-  s.last_replica_deaths = last_replica_deaths_.load(std::memory_order_relaxed);
+  for (uint32_t shard = 0; shard < num_shards_; ++shard) {
+    s.replica_kills += options_.replicas - AliveReplicas(shard);
+  }
   return s;
 }
 

@@ -1,29 +1,33 @@
 // Shard replicas for read scaling, with round-robin routing and failover.
 //
-// The serving tier (service.h) shards the graph once; before this layer each
-// shard was a single home — one KillShard turned it kUnavailable and read
-// throughput was capped by one sampler pool per shard. Following DistDGL's
+// The serving tier (service.h) shards the graph once. With one home per
+// shard, one KillShard turns it kUnavailable and read throughput is capped
+// by one sampler pool per shard. Following DistDGL's
 // read-replication, a ReplicaSet gives every shard R routable read replicas:
-// each holds its own copy of the shard's CSR slice index and feature rows
-// (ReplicaSlice, graph_shard.h), runs its own sampler pool, and is a
-// first-class liveness unit — KillReplica folds one replica away, and the
-// shard stays serving until its *last* replica dies (at which point the
-// device-level membership epoch commits, exactly like a whole-shard kill).
+// each runs its own request queue and sampler pool and is a first-class
+// liveness unit — KillReplica folds one replica away, and the shard stays
+// serving until its *last* replica dies.
+//
+// The per-shard replica masks are the serving tier's only liveness record.
+// Everything else is derived from them on read: the shard-alive mask the
+// samplers and feature assembly check (AliveShards), the device-level
+// membership view (epoch = dead shards; replicas never rejoin, so that count
+// only grows), and the replica-kill count (dead replica bits).
 //
 // Routing is round-robin: a per-shard atomic cursor walks the alive
 // replicas, spreading reads evenly.
 //
 // Why routing cannot change payloads: every response is a pure function of
 // (request, graph) — the samplers draw from counter-hashed seeds and every
-// replica's slice is a byte-identical copy — so the byte-identity contract
-// the conformance tests pin (replica_conformance_test) holds for every
-// kill schedule that leaves a survivor. Routing decides latency and
+// replica reads the same feature matrix and adjacency — so the byte-identity
+// contract the conformance tests pin (replica_conformance_test) holds for
+// every kill schedule that leaves a survivor. Routing decides latency and
 // liveness, never bytes.
 //
-// Concurrency: Route and the alive checks are lock-free (atomics); kill
-// commits take the internal mutex and go through the PR-5 epoch machinery
-// (ReplicaMembershipService, runtime/recovery.h). The service serializes
-// kill + queue-handoff sequences with its own kill mutex on top.
+// Concurrency: Route and every liveness read are lock-free (atomics).
+// KillReplica is a read-check-store on the masks and is not thread-safe:
+// callers serialize commits (GraphService holds its kill mutex across a
+// commit and the queue handoff that follows it).
 
 #ifndef DGCL_SERVICE_REPLICA_SET_H_
 #define DGCL_SERVICE_REPLICA_SET_H_
@@ -31,12 +35,10 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "common/status.h"
 #include "runtime/recovery.h"
-#include "service/graph_shard.h"
 
 namespace dgcl {
 
@@ -51,18 +53,13 @@ struct ReplicationOptions {
 class ReplicaSet {
  public:
   struct Stats {
-    uint32_t replicas_per_shard = 1;
-    std::vector<uint64_t> routed;      // [shard * R + r] requests routed there
-    uint64_t failovers = 0;            // requests rerouted off a dying replica
-    uint64_t replica_kills = 0;        // committed replica deaths
-    uint64_t last_replica_deaths = 0;  // kills that exhausted a shard
+    std::vector<uint64_t> routed;  // [shard * R + r] requests routed there
+    uint64_t failovers = 0;        // requests rerouted off a dying replica
+    uint64_t replica_kills = 0;    // committed replica deaths
   };
 
-  // Materializes R replica slices per shard from the global feature matrix
-  // (`features` = num_vertices rows of `feature_dim` floats) and arms the
-  // replica membership. The store must outlive the set.
-  static Result<std::unique_ptr<ReplicaSet>> Build(const ShardedGraphStore& store,
-                                                   uint32_t feature_dim, const float* features,
+  // Arms R live replicas for each of `num_shards` shards.
+  static Result<std::unique_ptr<ReplicaSet>> Build(uint32_t num_shards,
                                                    ReplicationOptions options);
 
   uint32_t num_shards() const { return num_shards_; }
@@ -78,25 +75,23 @@ class ReplicaSet {
   bool ReplicaAlive(uint32_t shard, uint32_t replica) const;
   uint32_t AliveReplicas(uint32_t shard) const;
   uint32_t AliveReplicaMask(uint32_t shard) const;
+  // Bit s = shard s has a live replica.
+  DeviceMask AliveShards() const;
 
-  // Commits replica (shard, replica) dead through the membership epochs and
-  // returns the device-level view after the commit (the caller refreshes its
-  // alive mask from it). Killing a shard's last replica commits the shard
-  // dead; the last replica of the last alive shard cannot be killed.
-  Result<MembershipView> KillReplica(uint32_t shard, uint32_t replica);
+  // Commits replica (shard, replica) dead. OutOfRange for a bad id,
+  // InvalidArgument when the replica is already dead, FailedPrecondition
+  // when it is the last replica of the last alive shard; a refused kill
+  // changes nothing. Killing a shard's last replica kills the shard.
+  Status KillReplica(uint32_t shard, uint32_t replica);
 
-  // Device-level membership (epoch + shard alive mask).
+  // Device-level membership derived from the masks: alive = AliveShards(),
+  // epoch = shards with no live replica.
   MembershipView membership_view() const;
-  uint64_t replica_epoch() const;
 
   // Counts a rerouted request (a failover) — the service calls this when a
   // dead replica's queue is drained onto survivors or a Submit loses the
   // race with a kill and re-routes.
   void CountFailover(uint64_t n = 1) { failovers_.fetch_add(n, std::memory_order_relaxed); }
-
-  const ReplicaSlice& slice(uint32_t shard, uint32_t replica) const {
-    return slices_[Index(shard, replica)];
-  }
 
   Stats stats() const;
 
@@ -109,19 +104,10 @@ class ReplicaSet {
 
   uint32_t num_shards_ = 0;
   ReplicationOptions options_;
-  std::vector<ReplicaSlice> slices_;  // [shard * R + r]
-
-  // Commit path: membership under the mutex, mask mirrored into atomics for
-  // the lock-free route path.
-  mutable std::mutex membership_mutex_;
-  std::unique_ptr<ReplicaMembershipService> membership_;
-  std::vector<std::atomic<uint32_t>> alive_masks_;  // per shard
-
-  std::vector<std::atomic<uint64_t>> cursors_;  // per shard, round-robin
-  std::vector<std::atomic<uint64_t>> routed_;   // per (shard, replica)
+  std::vector<std::atomic<uint32_t>> alive_masks_;  // per shard; bit r = replica r alive
+  std::vector<std::atomic<uint64_t>> cursors_;      // per shard, round-robin
+  std::vector<std::atomic<uint64_t>> routed_;       // per (shard, replica)
   std::atomic<uint64_t> failovers_{0};
-  std::atomic<uint64_t> replica_kills_{0};
-  std::atomic<uint64_t> last_replica_deaths_{0};
 };
 
 }  // namespace dgcl

@@ -21,10 +21,6 @@ namespace {
 // promptly, long enough to not spin.
 constexpr uint64_t kMaxPollMicros = 50'000;
 
-DeviceMask FullAliveMask(uint32_t num_shards) {
-  return num_shards >= 64 ? ~DeviceMask{0} : (DeviceMask{1} << num_shards) - 1;
-}
-
 }  // namespace
 
 Status ServiceOptions::Validate() const {
@@ -146,13 +142,8 @@ Result<std::unique_ptr<GraphService>> GraphService::Create(const CsrGraph& graph
   service->cache_ =
       std::make_unique<FeatureCache>(options.cache_capacity_rows, options.feature_dim);
 
-  // Replica slices are copied out of the (now final) feature matrix, so
-  // every replica of a shard answers local reads from byte-identical rows.
-  DGCL_ASSIGN_OR_RETURN(
-      service->replicas_,
-      ReplicaSet::Build(service->store_, options.feature_dim,
-                        service->features_.data.data(), options.replication));
-  service->alive_.store(FullAliveMask(options.num_shards), std::memory_order_release);
+  DGCL_ASSIGN_OR_RETURN(service->replicas_,
+                        ReplicaSet::Build(options.num_shards, options.replication));
 
   const size_t num_queues =
       static_cast<size_t>(options.num_shards) * options.replication.replicas;
@@ -314,11 +305,10 @@ Status GraphService::KillShard(uint32_t shard) {
   if (mask == 0) {
     return Status::InvalidArgument("shard " + std::to_string(shard) + " is already dead");
   }
-  // Atomicity pre-check: killing this shard's last replica would commit the
-  // device death, which membership vetoes when it is the last shard alive.
-  // Check up front so a doomed KillShard fails before killing ANY replica.
-  const MembershipView view = replicas_->membership_view();
-  if ((view.alive & ~(DeviceMask{1} << shard)) == 0) {
+  // Atomicity pre-check: ReplicaSet refuses to kill the last replica of the
+  // last alive shard. Check up front so a doomed KillShard fails before
+  // killing ANY replica.
+  if (replicas_->AliveShards() == (DeviceMask{1} << shard)) {
     return Status::FailedPrecondition("KillShard(" + std::to_string(shard) +
                                       ") would leave no shard alive");
   }
@@ -332,14 +322,6 @@ Status GraphService::KillShard(uint32_t shard) {
 }
 
 Status GraphService::KillReplica(uint32_t shard, uint32_t replica) {
-  if (shard >= options_.num_shards) {
-    return Status::OutOfRange("shard " + std::to_string(shard) + " >= num_shards " +
-                              std::to_string(options_.num_shards));
-  }
-  if (replica >= options_.replication.replicas) {
-    return Status::OutOfRange("replica " + std::to_string(replica) + " >= replicas " +
-                              std::to_string(options_.replication.replicas));
-  }
   std::lock_guard<std::mutex> lock(kill_mutex_);
   DGCL_RETURN_IF_ERROR(KillReplicaLocked(shard, replica));
   if (!replicas_->ShardAlive(shard)) {
@@ -351,11 +333,9 @@ Status GraphService::KillReplica(uint32_t shard, uint32_t replica) {
 }
 
 Status GraphService::KillReplicaLocked(uint32_t shard, uint32_t replica) {
-  // The membership commit is the atomic decision point: already-dead
-  // replicas and no-survivor kills are rejected there before any state here
-  // mutates.
-  DGCL_ASSIGN_OR_RETURN(MembershipView view, replicas_->KillReplica(shard, replica));
-  alive_.store(view.alive, std::memory_order_release);
+  // The mask commit is the decision point: already-dead replicas and
+  // no-survivor kills are rejected there before any state here mutates.
+  DGCL_RETURN_IF_ERROR(replicas_->KillReplica(shard, replica));
   DGCL_TCOUNT1("service", "replica.killed", 1, "shard", shard);
   const bool survivors = replicas_->ShardAlive(shard);
   // Close the dead replica's queue (its workers drain what they already
@@ -442,7 +422,7 @@ SampleResponse GraphService::Process(SampleRequest& request, uint32_t replica,
 
   Status status;
   do {
-    const DeviceMask alive = AliveMask();
+    const DeviceMask alive = replicas_->AliveShards();
     if (((alive >> home) & 1) == 0) {
       response.suspects.push_back(home);
       status = Status::Unavailable("home shard " + std::to_string(home) + " is dead");
@@ -471,7 +451,7 @@ SampleResponse GraphService::Process(SampleRequest& request, uint32_t replica,
     EmbeddingMatrix slots;
     {
       DGCL_TSPAN2("service", "serve.features", "shard", home, "nodes", response.nodes.size());
-      status = AssembleFeatures(home, replica, response.nodes, slots, response);
+      status = AssembleFeatures(home, response.nodes, slots, response);
     }
     if (!status.ok()) {
       break;
@@ -499,19 +479,12 @@ SampleResponse GraphService::Process(SampleRequest& request, uint32_t replica,
   return response;
 }
 
-Status GraphService::AssembleFeatures(uint32_t home, uint32_t replica,
-                                      const std::vector<VertexId>& nodes,
+Status GraphService::AssembleFeatures(uint32_t home, const std::vector<VertexId>& nodes,
                                       EmbeddingMatrix& slots, SampleResponse& response) {
   const uint32_t dim = options_.feature_dim;
   slots.rows = static_cast<uint32_t>(nodes.size());
   slots.dim = dim;
   slots.data.assign(nodes.size() * static_cast<size_t>(dim), 0.0f);
-
-  // Local rows come out of the serving replica's own slice (byte-identical
-  // to the global matrix by construction); the sync path with a dead home
-  // has no replica and falls back to the global matrix.
-  const ReplicaSlice* slice =
-      replica < options_.replication.replicas ? &replicas_->slice(home, replica) : nullptr;
 
   // owner shard -> slot rows still needing its feature rows.
   std::map<uint32_t, std::vector<size_t>> missing_by_owner;
@@ -519,11 +492,7 @@ Status GraphService::AssembleFeatures(uint32_t home, uint32_t replica,
     const VertexId v = nodes[i];
     const uint32_t owner = store_.OwnerOf(v);
     if (owner == home) {
-      const float* src = slice != nullptr ? slice->RowOf(v) : nullptr;
-      if (src == nullptr) {
-        src = features_.Row(v);
-      }
-      std::copy_n(src, dim, slots.Row(static_cast<uint32_t>(i)));
+      std::copy_n(features_.Row(v), dim, slots.Row(static_cast<uint32_t>(i)));
       continue;
     }
     ++response.remote_rows;
@@ -544,7 +513,7 @@ Status GraphService::AssembleFeatures(uint32_t home, uint32_t replica,
     DGCL_TCOUNT("service", "cache.miss", response.cache_misses);
   }
 
-  const DeviceMask alive = AliveMask();
+  const DeviceMask alive = replicas_->AliveShards();
   Status status = Status::Ok();
   uint64_t evictions = 0;
   for (const auto& [owner, slots_needed] : missing_by_owner) {

@@ -23,19 +23,20 @@
 //          --> [response queue] --> PopResponse          (serve.request = total)
 //
 // Read scaling (replica_set.h): every shard runs R read replicas, each with
-// its own request queue, sampler pool, and copy of the shard's serving data
-// (ReplicaSlice). Submit routes a request round-robin over the shard's alive
+// its own request queue and sampler pool over the shared store and feature
+// matrix. Submit routes a request round-robin over the shard's alive
 // replicas; a response carries the serving replica. KillReplica folds one
 // replica away — its queued requests are rerouted to survivors (counted as
 // failovers), never failed — and the shard keeps serving until its LAST
-// replica dies, which commits the device-level membership epoch exactly like
-// KillShard (which itself now kills all R replicas).
+// replica dies, which kills the shard exactly like KillShard (which itself
+// kills all R replicas).
 //
-// Failure semantics reuse the PR-5 membership machinery: exhausting a
-// shard's replicas commits a membership epoch (ReplicaMembershipService),
-// closes and drains the dead shard's queues, and every request that touches
-// the dead shard — queued on it, routed to it later, or sampling/fetching
-// across it — completes with kUnavailable naming the shard as suspect,
+// Liveness lives in one place: the ReplicaSet's per-shard replica masks.
+// The shard-alive mask every request checks and membership() are derived
+// from them on read. Exhausting a shard's replicas bumps the membership
+// epoch, closes and drains the dead shard's queues, and every request that
+// touches the dead shard — queued on it, routed to it later, or
+// sampling/fetching across it — completes with kUnavailable naming the shard as suspect,
 // within one request deadline, never a hang. Backpressure is explicit:
 // Submit returns kResourceExhausted when the routed replica's queue is full
 // (the open-loop generator counts these as shed).
@@ -214,8 +215,8 @@ class GraphService {
   // and single-request callers. Start() not required.
   SampleResponse Serve(SampleRequest request);
 
-  // Kills every remaining replica of the shard: commits shard death through
-  // the membership epochs, closes the shard's queues and fails everything
+  // Kills every remaining replica of the shard (bumping the membership
+  // epoch), closes the shard's queues and fails everything
   // pending on them with kUnavailable (suspect = `shard`). Requests in
   // flight on its workers and later Submits to it also resolve to
   // kUnavailable. Fails when the shard is already dead or it is the last
@@ -226,17 +227,18 @@ class GraphService {
   // dead replica's queued requests are rerouted to survivors (counted as
   // failovers in stats()), in-flight ones complete, and future Submits
   // route around it. Killing the last replica is KillShard for that shard.
-  // Fails when the replica is already dead or it is the last replica of the
-  // last alive shard.
+  // Fails as ReplicaSet::KillReplica does: out-of-range ids, an already-dead
+  // replica, or the last replica of the last alive shard.
   Status KillReplica(uint32_t shard, uint32_t replica);
 
   const ShardedGraphStore& store() const { return store_; }
   const ReplicaSet& replicas() const { return *replicas_; }
   const FeatureCache& cache() const { return *cache_; }
   const CommRelation& relation() const { return relation_; }
-  // The full feature matrix (row = global vertex id) — read-only; the
-  // mini-batch trainer evaluates against it.
+  // The full feature matrix (row = global vertex id) — read-only; every
+  // replica serves its rows, and the mini-batch trainer evaluates against it.
   const EmbeddingMatrix& features() const { return features_; }
+  // Derived from the replica masks (ReplicaSet::membership_view).
   MembershipView membership() const;
   ServiceStats stats() const;
   const ServiceOptions& options() const { return options_; }
@@ -250,17 +252,15 @@ class GraphService {
 
   void WorkerLoop(uint32_t shard, uint32_t replica);
   // Serves one request on the calling thread. `replica` is the serving
-  // replica (local reads go to its slice); `layers` is that thread's
-  // private inference stack.
+  // replica, stamped on the response; `layers` is that thread's private
+  // inference stack.
   SampleResponse Process(SampleRequest& request, uint32_t replica,
                          std::vector<std::unique_ptr<GnnLayer>>& layers);
-  // Feature assembly: local rows from the serving replica's slice, remote
-  // rows via cache + connection-table fetch. Fails kUnavailable on a dead
-  // owner.
-  Status AssembleFeatures(uint32_t home, uint32_t replica, const std::vector<VertexId>& nodes,
+  // Feature assembly: local rows straight from features_, remote rows via
+  // cache + connection-table fetch. Fails kUnavailable on a dead owner.
+  Status AssembleFeatures(uint32_t home, const std::vector<VertexId>& nodes,
                           EmbeddingMatrix& slots, SampleResponse& response);
   std::vector<std::unique_ptr<GnnLayer>> MakeLayerStack() const;
-  DeviceMask AliveMask() const { return alive_.load(std::memory_order_acquire); }
   // kUnavailable response for a request whose home shard is dead.
   SampleResponse DeadHomeResponse(const SampleRequest& request) const;
   // Kills one replica with kill_mutex_ held: commits the death, closes the
@@ -303,12 +303,11 @@ class GraphService {
   std::unique_ptr<FeatureCache> cache_;
   EmbeddingMatrix features_;  // [num_vertices x feature_dim], read-only
 
-  // Replica slices, routing, and the membership epochs (replica-aware; the
-  // device-level view is derived from replica exhaustion).
+  // Routing and the replica masks, the service's only liveness state.
   std::unique_ptr<ReplicaSet> replicas_;
-  // Serializes kill + queue-handoff sequences (KillShard / KillReplica).
+  // Serializes kill commits and the queue handoff after each (KillShard /
+  // KillReplica); ReplicaSet::KillReplica relies on it.
   std::mutex kill_mutex_;
-  std::atomic<DeviceMask> alive_{0};
 
   // One queue per (shard, replica): request_queues_[QueueIndex(s, r)].
   std::vector<std::unique_ptr<BoundedQueue<SampleRequest>>> request_queues_;

@@ -61,10 +61,6 @@ Result<EpochSimulator> EpochSimulator::Create(const Dataset& dataset, const Topo
     return Status::InvalidArgument("cache_hit_rate must be in [0, 1], got " +
                                    std::to_string(options.cache_hit_rate));
   }
-  if (!(options.fetch_batch_bytes_factor > 0.0 && options.fetch_batch_bytes_factor <= 1.0)) {
-    return Status::InvalidArgument("fetch_batch_bytes_factor must be in (0, 1], got " +
-                                   std::to_string(options.fetch_batch_bytes_factor));
-  }
   EpochSimulator sim;
   sim.dataset_ = &dataset;
   sim.topo_ = &topo;
@@ -255,10 +251,8 @@ Result<EpochReport> EpochSimulator::SimulatePlanned(Method method) const {
   // With the feature cache, layer 1 reads remote inputs locally and skips
   // the hit-rate share of the feature-width allgather (all of it at the
   // idealized default hit rate of 1.0; the serving tier's measured rate can
-  // be plugged in via EpochOptions::cache_hit_rate). The miss share that IS
-  // paid shrinks further by the measured fetch-batching bytes ratio.
-  const double miss_share =
-      (1.0 - options_.cache_hit_rate) * options_.fetch_batch_bytes_factor;
+  // be plugged in via EpochOptions::cache_hit_rate).
+  const double miss_share = 1.0 - options_.cache_hit_rate;
   double comm_seconds = cache_features ? miss_share * feature_pass : feature_pass;
   for (uint32_t layer = 1; layer < options_.num_layers; ++layer) {
     comm_seconds += transfer_seconds(hidden, PassDirection::kForward);

@@ -59,12 +59,6 @@ struct EpochOptions {
   // simulation: a (1 - hit_rate) share of the feature-width allgather is
   // still paid. Must be in [0, 1].
   double cache_hit_rate = 1.0;
-  // Method::kDgclCache only: measured bytes-on-wire ratio of batched vs
-  // unbatched remote feature fetches (bench_minibatch's BENCH_minibatch.json
-  // reports it). Cross-request batching amortizes the per-message envelope,
-  // so the cache-miss share of the feature-width allgather shrinks by this
-  // factor. 1.0 (default) = no batching. Must be in (0, 1].
-  double fetch_batch_bytes_factor = 1.0;
 };
 
 struct EpochReport {

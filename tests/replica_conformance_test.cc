@@ -198,7 +198,6 @@ struct RoutingFixture {
   CsrGraph graph;
   Partitioning partitioning;
   ShardedGraphStore store;
-  std::vector<float> features;
 
   static RoutingFixture Make(uint32_t shards = 2) {
     RoutingFixture f;
@@ -206,14 +205,13 @@ struct RoutingFixture {
     HashPartitioner partitioner;
     f.partitioning = std::move(partitioner.Partition(f.graph, shards)).value();
     f.store = std::move(ShardedGraphStore::Build(f.graph, f.partitioning)).value();
-    f.features.assign(static_cast<size_t>(f.graph.num_vertices()) * 4, 0.5f);
     return f;
   }
 
   std::unique_ptr<ReplicaSet> Set(uint32_t replicas) {
     ReplicationOptions options;
     options.replicas = replicas;
-    return std::move(ReplicaSet::Build(store, 4, features.data(), options)).value();
+    return std::move(ReplicaSet::Build(store.num_shards(), options)).value();
   }
 };
 
@@ -233,11 +231,11 @@ TEST(ReplicaSetTest, MembershipEpochsAndLastReplicaDeath) {
   RoutingFixture f = RoutingFixture::Make();
   auto set = f.Set(2);
   EXPECT_EQ(set->membership_view().epoch, 0u);
-  EXPECT_EQ(set->replica_epoch(), 0u);
+  EXPECT_EQ(set->stats().replica_kills, 0u);
 
-  // Replica death bumps the replica epoch, not the device epoch.
+  // Replica death counts a replica kill, not a device epoch.
   ASSERT_TRUE(set->KillReplica(0, 0).ok());
-  EXPECT_EQ(set->replica_epoch(), 1u);
+  EXPECT_EQ(set->stats().replica_kills, 1u);
   EXPECT_EQ(set->membership_view().epoch, 0u);
   EXPECT_TRUE(set->ShardAlive(0));
   EXPECT_FALSE(set->KillReplica(0, 0).ok());  // already dead
@@ -248,7 +246,7 @@ TEST(ReplicaSetTest, MembershipEpochsAndLastReplicaDeath) {
   EXPECT_EQ(set->membership_view().epoch, 1u);
   EXPECT_FALSE(set->membership_view().IsAlive(0));
   EXPECT_FALSE(set->Route(0).ok());
-  EXPECT_EQ(set->stats().last_replica_deaths, 1u);
+  EXPECT_EQ(set->membership_view().epoch, 1u);
 
   // The last replica of the last alive shard is protected.
   ASSERT_TRUE(set->KillReplica(1, 0).ok());
@@ -341,6 +339,21 @@ TEST(ReplicaFailoverTest, KillShardKillsEveryReplica) {
   EXPECT_FALSE((*service)->KillReplica(2, 1).ok());     // so are its replicas
   EXPECT_EQ((*service)->KillReplica(9, 0).code(), StatusCode::kOutOfRange);
   EXPECT_EQ((*service)->KillReplica(0, 9).code(), StatusCode::kOutOfRange);
+}
+
+TEST(ReplicaFailoverTest, KillShardOfLastAliveShardKillsNoReplica) {
+  CsrGraph graph = TestGraph();
+  ServiceOptions options = BaseOptions(2, 1);
+  options.num_shards = 2;
+  auto service = GraphService::Create(graph, options);
+  ASSERT_TRUE(service.ok()) << service.status().ToString();
+
+  ASSERT_TRUE((*service)->KillShard(0).ok());
+  // Shard 1 is the last alive shard: KillShard must refuse before killing
+  // either of its replicas.
+  EXPECT_FALSE((*service)->KillShard(1).ok());
+  EXPECT_EQ((*service)->replicas().AliveReplicas(1), 2u);
+  EXPECT_EQ((*service)->membership().epoch, 1u);
 }
 
 TEST(ReplicaFailoverTest, TrainerRidesThroughReplicaDeath) {

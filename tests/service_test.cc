@@ -94,23 +94,6 @@ TEST(GraphShardTest, BuildRejectsNonCoveringPartitioning) {
   EXPECT_FALSE(ShardedGraphStore::Build(graph, bad).ok());
 }
 
-TEST(GraphShardTest, RemoteEdgeCountMatchesBruteForce) {
-  CsrGraph graph = TestGraph();
-  HashPartitioner partitioner;
-  Partitioning partitioning = std::move(partitioner.Partition(graph, 3)).value();
-  auto store = ShardedGraphStore::Build(graph, partitioning);
-  ASSERT_TRUE(store.ok());
-  for (uint32_t s = 0; s < 3; ++s) {
-    uint64_t expected = 0;
-    for (VertexId v : store->shard(s).local_vertices()) {
-      for (VertexId nbr : graph.Neighbors(v)) {
-        expected += partitioning.assignment[nbr] != s ? 1 : 0;
-      }
-    }
-    EXPECT_EQ(store->shard(s).CountRemoteEdges(partitioning), expected);
-  }
-}
-
 // ---- LRU feature cache -----------------------------------------------------
 
 constexpr uint32_t kRowDim = 3;

@@ -305,8 +305,7 @@ int SummarizeServing(const telemetry::Trace& trace) {
     std::printf("batched fetches: %.0f transmits carrying %.0f rows (%.1f rows/transmit)\n",
                 flushes, rows, rows / flushes);
   }
-  for (const char* name : {"request.shed", "fetch.unplanned", "shard.killed", "replica.killed",
-                           "train.ride_through"}) {
+  for (const char* name : {"request.shed", "fetch.unplanned", "shard.killed", "replica.killed"}) {
     const auto it = counters.find(name);
     if (it != counters.end() && it->second > 0.0) {
       std::printf("%s: %.0f\n", name, it->second);
