@@ -2,7 +2,7 @@
 // table; see DESIGN.md):
 //  * vertex-order shuffling on/off,
 //  * tree-depth cap 1 (no relaying) / 2 / 4,
-//  * per-vertex trees (SPST) vs one-shot direct sends (P2P) vs ring.
+//  * per-vertex trees (SPST) vs one-shot direct sends (P2P).
 
 #include <cstdio>
 
@@ -57,8 +57,6 @@ void RunDataset(DatasetId id) {
 
   PeerToPeerPlanner p2p;
   add("Peer-to-peer (direct links)", PlanCostMs(p2p, rel, topo, bytes));
-  RingPlanner ring;
-  add("Ring (NCCL-style fixed pattern)", PlanCostMs(ring, rel, topo, bytes));
 
   std::printf("%s\n", table.Render("(" + bench::BenchDataset(id).name + ", 8 GPUs)").c_str());
 }
@@ -72,6 +70,6 @@ int main() {
   dgcl::RunDataset(dgcl::DatasetId::kWebGoogle);
   std::printf(
       "Expected: relaying (depth >= 2) and load-aware incremental costs drive the\n"
-      "win; the fixed ring moves far more traffic; shuffling has a minor effect.\n");
+      "win; shuffling has a minor effect.\n");
   return 0;
 }

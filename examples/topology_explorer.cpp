@@ -78,8 +78,8 @@ void ComparePlanners(const Topology& topo, const char* name) {
   TablePrinter table({"Planner", "stages", "link traversals", "cost (ms)"});
   SpstPlanner spst;
   PeerToPeerPlanner p2p;
-  RingPlanner ring;
-  for (Planner* planner : std::initializer_list<Planner*>{&spst, &p2p, &ring}) {
+  SwapPlanner swap;
+  for (Planner* planner : std::initializer_list<Planner*>{&spst, &p2p, &swap}) {
     auto plan = planner->Plan(*rel, topo, bytes);
     if (!plan.ok()) {
       table.AddRow({planner->name(), "n/a", "n/a", "n/a"});

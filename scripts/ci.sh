@@ -4,9 +4,10 @@
 #   1. build + unit tier      ctest -L unit   (fast; every functional test)
 #   2. planner tier           ctest -L planner (the planner-family suites:
 #                             conformance over every strategy,
-#                             SPST, baselines, determinism, properties — a
-#                             subset of `unit`, runnable alone when iterating
-#                             on planners)
+#                             SPST, baselines, determinism, properties, and
+#                             the dgcl_plan CLI's flag checks and strategy
+#                             list — a subset of `unit`, runnable alone when
+#                             iterating on planners)
 #   3. serving tier           ctest -L serving (the graph service tier:
 #                             sharded store, bounded-queue backpressure,
 #                             the LRU cache's reference model, shard-death

@@ -83,8 +83,8 @@ Status DgclContext::PlanAndArm(State& s, const CsrGraph& graph) {
   {
     DGCL_TSPAN("dgcl", "phase.plan");
     // Plan with the configured strategy ("auto" plans with every strategy
-    // and commits the cost-model winner; the scorecards land in a.selection
-    // either way).
+    // and commits the one that simulates fastest; the scorecards land in
+    // a.selection either way).
     DGCL_ASSIGN_OR_RETURN(a.class_plan,
                           PlanWithStrategy(s.options.planner, a.classes, s.topology,
                                            s.options.bytes_per_unit, &a.selection));

@@ -12,7 +12,7 @@
 // machines), builds the communication relation, groups it into destination-
 // set equivalence classes, runs the configured planning strategy over the
 // classes (DgclOptions::planner — batched SPST by default, any strategy of
-// PlannerNames() by name, or "auto" for cost-model selection) and compiles
+// PlannerNames() by name, or "auto" for simulated-time selection) and compiles
 // the class trees once into the per-vertex send/receive tables the runtime
 // executes. GraphAllgather
 // is the synchronous embedding exchange used before every layer's graph op;
@@ -44,8 +44,8 @@ namespace dgcl {
 
 struct DgclOptions {
   // Strategy selection and SPST planner knobs. planner.strategy names one
-  // of PlannerNames() ("spst" by default; "p2p", "ring", "swap") or "auto"
-  // to plan with every strategy and commit the cost-model winner (the
+  // of PlannerNames() ("spst" by default; "p2p", "swap") or "auto" to plan
+  // with every strategy and commit the one that simulates fastest (the
   // per-candidate scores land in PlanArtifacts::selection). planner.spst
   // carries the SPST knobs, including max_class_units (the class-batching
   // chunk bound; 0 recovers per-vertex planning for ablations). Init

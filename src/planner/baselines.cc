@@ -25,31 +25,6 @@ Result<ClassPlan> PeerToPeerPlanner::PlanClasses(const CommClasses& classes,
       });
 }
 
-Result<ClassPlan> RingPlanner::PlanClasses(const CommClasses& classes, const Topology& topo,
-                                           double bytes_per_unit) {
-  const uint32_t n = classes.num_devices;
-  return internal::PlanEachClass(
-      classes, topo, bytes_per_unit, name(),
-      [&topo, n](const CommClass& cls, ClassTree& tree) {
-        // Walk the ring src -> src+1 -> ... until all destinations are passed.
-        uint32_t current = cls.source;
-        uint32_t stage = 0;
-        DeviceMask remaining = cls.mask;
-        while (remaining != 0) {
-          uint32_t next = (current + 1) % n;
-          LinkId link = topo.LinkBetween(current, next);
-          if (link == kInvalidId) {
-            return Status::FailedPrecondition("ring hop without a link");
-          }
-          tree.edges.push_back(TreeEdge{link, stage});
-          remaining &= ~(DeviceMask{1} << next);
-          current = next;
-          ++stage;
-        }
-        return Status::Ok();
-      });
-}
-
 Result<ClassPlan> SwapPlanner::PlanClasses(const CommClasses& classes, const Topology& topo,
                                            double bytes_per_unit) {
   return internal::PlanEachClass(

@@ -1,11 +1,8 @@
-// Baseline communication planners.
+// Baseline communication planners: the paper's link-level baselines.
 //
 //  * PeerToPeerPlanner ("p2p") — each vertex goes directly from its source to
 //    every destination over the direct link, all in one stage (the scheme of
 //    Lux/ROC that §3 profiles).
-//  * RingPlanner ("ring") — vertices travel along a fixed device ring until
-//    every destination is covered (the NCCL-style regular pattern; an
-//    ablation showing why regular collectives fit GNN traffic poorly).
 //  * SwapPlanner ("swap") — the link-level analogue of NeuGraph's swap
 //    scheme: every transfer is staged through the source socket's hub device
 //    (its lowest GPU id, standing in for the PCIe-root/host staging buffer)
@@ -15,10 +12,11 @@
 //    link-level strategy with the same funnel shape for cost-model
 //    comparisons.
 //
-// All three are oblivious to load, so they plan one tree per equivalence
-// class with no chunking; the expanded per-vertex trees are identical to
-// what per-vertex planning produced. Replication is not a link-level planner (it restructures the
-// computation instead); it is modeled in src/sim/.
+// Both are oblivious to load, so they plan one tree per equivalence class
+// with no chunking; the expanded per-vertex trees are identical to what
+// per-vertex planning produced. The paper's third baseline, Replication, is
+// not a link-level planner (it restructures the computation instead); it is
+// modeled in src/sim/.
 
 #ifndef DGCL_PLANNER_BASELINES_H_
 #define DGCL_PLANNER_BASELINES_H_
@@ -32,13 +30,6 @@ class PeerToPeerPlanner final : public Planner {
   Result<ClassPlan> PlanClasses(const CommClasses& classes, const Topology& topo,
                                 double bytes_per_unit) override;
   std::string name() const override { return "p2p"; }
-};
-
-class RingPlanner final : public Planner {
- public:
-  Result<ClassPlan> PlanClasses(const CommClasses& classes, const Topology& topo,
-                                double bytes_per_unit) override;
-  std::string name() const override { return "ring"; }
 };
 
 class SwapPlanner final : public Planner {

@@ -17,15 +17,12 @@ std::string JoinedNames() {
 
 }  // namespace
 
-std::vector<std::string> PlannerNames() { return {"p2p", "ring", "spst", "swap"}; }
+std::vector<std::string> PlannerNames() { return {"p2p", "spst", "swap"}; }
 
 Result<std::unique_ptr<Planner>> MakePlanner(const std::string& name,
                                              const PlannerOptions& options) {
   if (name == "p2p") {
     return std::unique_ptr<Planner>(new PeerToPeerPlanner());
-  }
-  if (name == "ring") {
-    return std::unique_ptr<Planner>(new RingPlanner());
   }
   if (name == "spst") {
     return std::unique_ptr<Planner>(new SpstPlanner(options.spst));

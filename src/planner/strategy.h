@@ -1,8 +1,8 @@
 // Planner strategies by name: a fixed table.
 //
 // Callers pick a communication-planning algorithm with
-// PlannerOptions::strategy ("p2p", "ring", "spst", "swap", or "auto" for
-// cost-model-driven selection — see sim/planner_select.h) instead of
+// PlannerOptions::strategy ("p2p", "spst", "swap", or "auto" for selection
+// by simulated time — see sim/planner_select.h) instead of
 // instantiating a concrete planner class. DgclContext::BuildCommInfo,
 // Recover and tools/dgcl_plan all build strategies through MakePlanner.
 // A planner outside this table plugs in through the Planner interface
@@ -23,9 +23,9 @@ namespace dgcl {
 
 // The strategy selection block of DgclOptions (and of any front end that
 // plans — tools/dgcl_plan takes the same struct). `strategy` names one of
-// PlannerNames(), or "auto" to plan with every strategy and commit the
-// cost-model winner (sim/planner_select.h records the per-candidate scores
-// as a SelectionReport).
+// PlannerNames(), or "auto" to plan with every strategy and commit the one
+// whose compiled plan simulates fastest (sim/planner_select.h records the
+// per-candidate scores as a SelectionReport).
 struct PlannerOptions {
   std::string strategy = "spst";
   SpstOptions spst;  // consumed by the "spst" strategy
@@ -38,7 +38,7 @@ struct PlannerOptions {
   Status Validate() const;
 };
 
-// The strategy names MakePlanner accepts, ascending: p2p, ring, spst, swap.
+// The strategy names MakePlanner accepts, ascending: p2p, spst, swap.
 // "auto" is not listed — it is a selection mode over these, not a strategy.
 std::vector<std::string> PlannerNames();
 

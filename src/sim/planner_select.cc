@@ -1,6 +1,7 @@
 #include "sim/planner_select.h"
 
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
 #include <iterator>
 #include <utility>
@@ -53,7 +54,6 @@ struct AutoCandidate {
 };
 constexpr AutoCandidate kAutoCandidates[] = {
     {"p2p", "auto.p2p.cost_us", "auto.p2p.sim_us", "auto.selected.p2p"},
-    {"ring", "auto.ring.cost_us", "auto.ring.sim_us", "auto.selected.ring"},
     {"spst", "auto.spst.cost_us", "auto.spst.sim_us", "auto.selected.spst"},
     {"swap", "auto.swap.cost_us", "auto.swap.sim_us", "auto.selected.swap"},
 };
@@ -85,6 +85,9 @@ Result<ClassPlan> PlanWithStrategy(const PlannerOptions& options, const CommClas
   SelectionReport local;
   SelectionReport& rep = report != nullptr ? *report : local;
   rep = SelectionReport{};
+  if (!(bytes_per_unit > 0.0) || !std::isfinite(bytes_per_unit)) {
+    return Status::InvalidArgument("bytes_per_unit must be positive and finite");
+  }
 
   if (!options.IsAuto()) {
     rep.candidates.emplace_back();
@@ -115,8 +118,8 @@ Result<ClassPlan> PlanWithStrategy(const PlannerOptions& options, const CommClas
     score.simulated_seconds = SimulateTransfer(compiled, topo, sim).total_seconds;
     DGCL_TCOUNT("planner", candidate.cost_us, score.planned_cost_seconds * 1e6);
     DGCL_TCOUNT("planner", candidate.sim_us, score.simulated_seconds * 1e6);
-    if (!best.ok() || score.planned_cost_seconds <
-                          rep.candidates[best_index].planned_cost_seconds) {
+    if (!best.ok() ||
+        score.simulated_seconds < rep.candidates[best_index].simulated_seconds) {
       best = std::move(plan);
       best_index = rep.candidates.size() - 1;
     }

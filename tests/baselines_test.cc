@@ -32,68 +32,13 @@ TEST(PeerToPeerTest, OneEdgePerDestinationAllStageZero) {
   EXPECT_EQ(PlanTotalTraffic(*plan), rel.TotalTransfers());
 }
 
-TEST(RingTest, ChainsAlongTheRing) {
-  Rng rng(2);
-  CsrGraph g = GenerateErdosRenyi(40, 120, rng);
-  Topology topo = BuildPaperTopology(4);
-  CommRelation rel = MakeRelation(g, 4);
-  RingPlanner ring;
-  auto plan = ring.Plan(rel, topo, 1024);
-  ASSERT_TRUE(plan.ok());
-  EXPECT_TRUE(ValidatePlan(*plan, rel, topo).ok());
-  // Tree edges follow consecutive devices.
-  for (const CommTree& tree : plan->trees) {
-    uint32_t current = rel.source[tree.vertex];
-    for (const TreeEdge& e : tree.edges) {
-      EXPECT_EQ(topo.link(e.link).src, current);
-      EXPECT_EQ(topo.link(e.link).dst, (current + 1) % 4);
-      current = (current + 1) % 4;
-    }
-  }
-}
-
-TEST(RingTest, WorstCaseUsesAllStages) {
-  // Vertex on device 0 needed only by the ring-predecessor (device 3 of 4):
-  // the ring walks 3 hops.
-  Topology topo = BuildPaperTopology(4);
-  CommRelation rel;
-  rel.num_devices = 4;
-  rel.source.assign(1, 0);
-  rel.dest_mask.assign(1, DeviceMask{1} << 3);
-  rel.local_vertices.resize(4);
-  rel.remote_vertices.resize(4);
-  rel.local_vertices[0].push_back(0);
-  rel.remote_vertices[3].push_back(0);
-  RingPlanner ring;
-  auto plan = ring.Plan(rel, topo, 1024);
-  ASSERT_TRUE(plan.ok());
-  EXPECT_EQ(plan->trees[0].edges.size(), 3u);
-  EXPECT_EQ(plan->NumStages(), 3u);
-}
-
-TEST(BaselinesTest, RingMovesMoreTrafficThanP2PForSparseDest) {
-  Rng rng(3);
-  CsrGraph g = GenerateErdosRenyi(100, 250, rng);
-  Topology topo = BuildPaperTopology(8);
-  CommRelation rel = MakeRelation(g, 8);
-  PeerToPeerPlanner p2p;
-  RingPlanner ring;
-  auto p2p_plan = p2p.Plan(rel, topo, 1024);
-  auto ring_plan = ring.Plan(rel, topo, 1024);
-  ASSERT_TRUE(p2p_plan.ok());
-  ASSERT_TRUE(ring_plan.ok());
-  EXPECT_GE(PlanTotalTraffic(*ring_plan), PlanTotalTraffic(*p2p_plan));
-}
-
 TEST(BaselinesTest, MismatchedDeviceCountsRejected) {
   Rng rng(4);
   CsrGraph g = GenerateErdosRenyi(30, 60, rng);
   CommRelation rel = MakeRelation(g, 4);
   Topology topo = BuildPaperTopology(8);
   PeerToPeerPlanner p2p;
-  RingPlanner ring;
   EXPECT_FALSE(p2p.Plan(rel, topo, 1024).ok());
-  EXPECT_FALSE(ring.Plan(rel, topo, 1024).ok());
 }
 
 }  // namespace

@@ -200,15 +200,15 @@ TEST(DgclApiTest, AutoSelectCommitsWinnerAndRecordsScorecard) {
   const PlanArtifacts& a = ctx->artifacts();
   EXPECT_EQ(a.selection.candidates.size(), PlannerNames().size());
   EXPECT_EQ(a.class_plan.planner_name, a.selection.selected_strategy);
-  double winner_cost = 0.0;
+  double winner_seconds = 0.0;
   for (const PlannerCandidateScore& c : a.selection.candidates) {
     if (c.selected) {
-      winner_cost = c.planned_cost_seconds;
+      winner_seconds = c.simulated_seconds;
     }
   }
   for (const PlannerCandidateScore& c : a.selection.candidates) {
     if (c.planned) {
-      EXPECT_GE(c.planned_cost_seconds, winner_cost);
+      EXPECT_GE(c.simulated_seconds, winner_seconds);
     }
   }
   // The committed plan still runs: exchange a feature matrix end to end.

@@ -1,6 +1,11 @@
 // Randomized property tests: SPST must produce valid, executable plans on
 // *arbitrary* strongly-connected topologies, not just the DGX presets.
 
+#include <initializer_list>
+#include <map>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "graph/generators.h"
@@ -13,18 +18,39 @@
 namespace dgcl {
 namespace {
 
-class FuzzSweep : public ::testing::TestWithParam<uint64_t> {};
+constexpr uint64_t kSeeds[] = {1001u, 1002u, 1003u, 1004u, 1005u,
+                               1006u, 1007u, 1008u, 1009u, 1010u};
 
-TEST_P(FuzzSweep, SpstValidExecutableAndNoWorseThanRing) {
-  Rng rng(GetParam());
-  const uint32_t devices = 2 + static_cast<uint32_t>(rng.UniformInt(9));
+struct FuzzWorkload {
+  uint32_t devices = 0;
   Topology topo;
-  BuildRandomTopology(devices, rng, topo);
+  CommRelation rel;
+};
 
+// `fully_connected` draws a link for every device pair
+// (BuildRandomFullyConnectedTopology) instead of the sweep's random ring
+// with shortcuts, so peer-to-peer can plan.
+FuzzWorkload MakeWorkload(uint64_t seed, bool fully_connected = false) {
+  FuzzWorkload w;
+  Rng rng(seed);
+  w.devices = 2 + static_cast<uint32_t>(rng.UniformInt(9));
+  if (fully_connected) {
+    BuildRandomFullyConnectedTopology(w.devices, rng, w.topo);
+  } else {
+    BuildRandomTopology(w.devices, rng, w.topo);
+  }
   CsrGraph graph = GenerateErdosRenyi(40 + static_cast<VertexId>(rng.UniformInt(60)),
                                       200 + rng.UniformInt(200), rng);
-  RandomPartitioner partitioner(GetParam());
-  CommRelation rel = *BuildCommRelation(graph, *partitioner.Partition(graph, devices));
+  RandomPartitioner partitioner(seed);
+  w.rel = *BuildCommRelation(graph, *partitioner.Partition(graph, w.devices));
+  return w;
+}
+
+class FuzzSweep : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(FuzzSweep, SpstValidAndExecutable) {
+  const FuzzWorkload w = MakeWorkload(GetParam());
+  const auto& [devices, topo, rel] = w;
 
   SpstPlanner spst;
   auto plan = spst.Plan(rel, topo, 512);
@@ -56,18 +82,40 @@ TEST_P(FuzzSweep, SpstValidExecutableAndNoWorseThanRing) {
       ASSERT_EQ((*slots)[d].Row(locals.size() + i)[0], static_cast<float>(remotes[i]));
     }
   }
-
-  // SPST should never lose to the oblivious ring on its own cost model.
-  RingPlanner ring;
-  auto ring_plan = ring.Plan(rel, topo, 512);
-  ASSERT_TRUE(ring_plan.ok());
-  EXPECT_LE(EvaluatePlanCost(*plan, topo, 512),
-            EvaluatePlanCost(*ring_plan, topo, 512) * 1.02);
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, FuzzSweep,
-                         ::testing::Values(1001u, 1002u, 1003u, 1004u, 1005u, 1006u, 1007u,
-                                           1008u, 1009u, 1010u));
+INSTANTIATE_TEST_SUITE_P(Seeds, FuzzSweep, ::testing::ValuesIn(kSeeds));
+
+// SPST should never lose to a load-oblivious baseline on its own cost model.
+// Peer-to-peer and swap need links that the sweep's random topologies may
+// lack, so each seed also draws a fully connected topology; each bound holds
+// where that baseline plans, and each baseline must plan on at least one
+// seed so the bound cannot pass vacuously.
+TEST(FuzzBaselinesTest, SpstNoWorseThanP2PAndSwap) {
+  PeerToPeerPlanner p2p;
+  SwapPlanner swap;
+  std::map<std::string, int> planned_seeds;
+  for (uint64_t seed : kSeeds) {
+    for (bool fully_connected : {false, true}) {
+      SCOPED_TRACE(testing::Message() << seed << (fully_connected ? " fully connected" : ""));
+      const FuzzWorkload w = MakeWorkload(seed, fully_connected);
+      SpstPlanner spst;
+      auto plan = spst.Plan(w.rel, w.topo, 512);
+      ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+      const double spst_cost = EvaluatePlanCost(*plan, w.topo, 512);
+      for (Planner* baseline : std::initializer_list<Planner*>{&p2p, &swap}) {
+        auto base_plan = baseline->Plan(w.rel, w.topo, 512);
+        if (base_plan.ok()) {
+          ++planned_seeds[baseline->name()];
+          EXPECT_LE(spst_cost, EvaluatePlanCost(*base_plan, w.topo, 512) * 1.02)
+              << baseline->name();
+        }
+      }
+    }
+  }
+  EXPECT_GE(planned_seeds["p2p"], 1);
+  EXPECT_GE(planned_seeds["swap"], 1);
+}
 
 }  // namespace
 }  // namespace dgcl

@@ -5,6 +5,7 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -151,7 +152,7 @@ INSTANTIATE_TEST_SUITE_P(AllStrategies, PlannerConformanceTest,
                          ::testing::ValuesIn(PlannerNames()), SafeName);
 
 TEST(PlannerStrategiesTest, NamesAscending) {
-  EXPECT_EQ(PlannerNames(), (std::vector<std::string>{"p2p", "ring", "spst", "swap"}));
+  EXPECT_EQ(PlannerNames(), (std::vector<std::string>{"p2p", "spst", "swap"}));
 }
 
 TEST(PlannerStrategiesTest, MakePlannerBuildsEveryNameAndRejectsOthers) {
@@ -163,7 +164,7 @@ TEST(PlannerStrategiesTest, MakePlannerBuildsEveryNameAndRejectsOthers) {
   for (const char* bad : {"no-such-planner", "auto", ""}) {
     auto planner = MakePlanner(bad, PlannerOptions{});
     EXPECT_EQ(planner.status().code(), StatusCode::kInvalidArgument) << bad;
-    EXPECT_NE(planner.status().message().find("p2p, ring, spst, swap"), std::string::npos);
+    EXPECT_NE(planner.status().message().find("p2p, spst, swap"), std::string::npos);
   }
 }
 
@@ -176,15 +177,16 @@ TEST(PlannerOptionsTest, ValidateRejectsBadConfigs) {
   EXPECT_FALSE(s.ok());
   EXPECT_NE(s.message().find("spst"), std::string::npos);  // lists strategies
 
-  // Unknown names, the removed peer-to-peer alias and the deleted
+  // Unknown names, the removed peer-to-peer alias and the deleted ring and
   // broadcast strategies all fail, naming the input and listing exactly the
   // strategies.
-  for (const char* bad : {"does-not-exist", "peer-to-peer", "broadcast-1d", "broadcast-1.5d"}) {
+  for (const char* bad :
+       {"does-not-exist", "peer-to-peer", "ring", "broadcast-1d", "broadcast-1.5d"}) {
     o.strategy = bad;
     s = o.Validate();
     EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << bad;
     EXPECT_NE(s.message().find(std::string("\"") + bad + "\""), std::string::npos) << bad;
-    EXPECT_NE(s.message().find("strategies: p2p, ring, spst, swap, or \"auto\""),
+    EXPECT_NE(s.message().find("strategies: p2p, spst, swap, or \"auto\""),
               std::string::npos)
         << s.message();
   }
@@ -199,7 +201,7 @@ TEST(PlannerOptionsTest, ValidateRejectsBadConfigs) {
   EXPECT_TRUE(o.IsAuto());
 }
 
-TEST(AutoSelectTest, PicksCostModelWinnerAndReportsAllCandidates) {
+TEST(AutoSelectTest, PicksSimulatedWinnerAndReportsAllCandidates) {
   Workload w = MakeWorkload(8, 1, 17);
   PlannerOptions o;
   o.strategy = "auto";
@@ -217,18 +219,51 @@ TEST(AutoSelectTest, PicksCostModelWinnerAndReportsAllCandidates) {
   for (const PlannerCandidateScore& c : report.candidates) {
     if (c.selected) {
       found_selected = true;
-      best = c.planned_cost_seconds;
+      best = c.simulated_seconds;
       EXPECT_EQ(c.strategy, report.selected_strategy);
     }
   }
   ASSERT_TRUE(found_selected);
   for (const PlannerCandidateScore& c : report.candidates) {
     if (c.planned) {
-      EXPECT_GE(c.planned_cost_seconds, best);
+      EXPECT_GE(c.simulated_seconds, best);
       EXPECT_GT(c.simulated_seconds, 0.0);
     }
   }
   EXPECT_FALSE(report.Table().empty());
+}
+
+// The first planned candidate with the least `key`, as a strict-< scan in
+// PlannerNames() order.
+std::string Argmin(const SelectionReport& report,
+                   double PlannerCandidateScore::*key) {
+  const PlannerCandidateScore* best = nullptr;
+  for (const PlannerCandidateScore& c : report.candidates) {
+    if (c.planned && (best == nullptr || c.*key < best->*key)) {
+      best = &c;
+    }
+  }
+  return best == nullptr ? "" : best->strategy;
+}
+
+// A latency-bound exchange: a sparse graph on two 8-GPU machines at dim 16.
+// SPST's relay trees win the bandwidth-only cost model, but every extra
+// sub-stage round costs per-op latency in the simulator, where p2p's single
+// round wins. Auto must commit the simulated winner.
+TEST(AutoSelectTest, CommitsSimulatedWinnerWhenCostModelDisagrees) {
+  Workload w = MakeWorkload(8, 2, 23);
+  PlannerOptions o;
+  o.strategy = "auto";
+  SelectionReport report;
+  const double bytes = 16 * sizeof(float);
+  auto plan = PlanWithStrategy(o, w.classes, w.topo, bytes, &report);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  ASSERT_EQ(Argmin(report, &PlannerCandidateScore::planned_cost_seconds), "spst")
+      << report.Table();
+  ASSERT_EQ(Argmin(report, &PlannerCandidateScore::simulated_seconds), "p2p")
+      << report.Table();
+  EXPECT_EQ(report.selected_strategy, "p2p") << report.Table();
+  EXPECT_EQ(plan->planner_name, "p2p");
 }
 
 TEST(AutoSelectTest, ForcedStrategyReportsOneCandidate) {
@@ -244,6 +279,24 @@ TEST(AutoSelectTest, ForcedStrategyReportsOneCandidate) {
   EXPECT_EQ(report.candidates[0].planned_cost_seconds, plan->planned_cost_seconds);
   EXPECT_EQ(report.candidates[0].simulated_seconds, 0.0);  // only auto simulates
   EXPECT_EQ(report.selected_strategy, "swap");
+}
+
+// A non-positive or non-finite embedding size is an InvalidArgument from
+// PlanWithStrategy itself, forced or auto, never a CostModel CHECK abort.
+TEST(AutoSelectTest, RejectsBadBytesPerUnit) {
+  Workload w = MakeWorkload(4, 1, 19);
+  for (const char* strategy : {"spst", "auto"}) {
+    PlannerOptions o;
+    o.strategy = strategy;
+    for (double bytes : {0.0, -1.0, std::numeric_limits<double>::quiet_NaN(),
+                         std::numeric_limits<double>::infinity()}) {
+      SelectionReport report;
+      auto plan = PlanWithStrategy(o, w.classes, w.topo, bytes, &report);
+      EXPECT_EQ(plan.status().code(), StatusCode::kInvalidArgument) << strategy << " " << bytes;
+      EXPECT_NE(plan.status().message().find("bytes_per_unit"), std::string::npos);
+      EXPECT_TRUE(report.candidates.empty());
+    }
+  }
 }
 
 }  // namespace

@@ -12,17 +12,22 @@
 //             [--seed S]
 //
 // --planner takes any strategy of PlannerNames() by name; "auto" plans with
-// every strategy and commits the cost-model winner, printing the
-// per-candidate scorecard. --list-planners prints the planner strategy
-// names and exits; --list-samplers prints the serving tier's sampling
-// strategies (the names ServiceOptions::sampler takes).
+// every strategy and commits the one that simulates fastest, printing the
+// per-candidate scorecard. Numeric flags take unsigned decimals: --dim at
+// least 1, --gpus 1..8 (1..16 with --nvswitch), --machines at least 1 with
+// machines x gpus at most kMaxDevices; a bad value prints why and exits 1.
+// --list-planners prints the planner strategy names and exits;
+// --list-samplers prints the serving tier's sampling strategies (the names
+// ServiceOptions::sampler takes).
 
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <string>
 
 #include "comm/plan_io.h"
 #include "comm/plan_stats.h"
+#include "comm/relation.h"
 #include "common/table_printer.h"
 #include "graph/generators.h"
 #include "graph/graph_io.h"
@@ -62,6 +67,46 @@ void PrintUsage() {
       "                 [--seed S]\n");
 }
 
+// Parses all of `text` as an unsigned decimal that fits T (no sign, no
+// spaces, no range wrap); prints why and returns false otherwise.
+template <typename T>
+bool ParseUnsigned(const char* flag, const char* text, T& out) {
+  const char* end = text + std::strlen(text);
+  const auto [ptr, ec] = std::from_chars(text, end, out);
+  if (ec != std::errc() || ptr != end) {
+    std::fprintf(stderr, "%s takes an unsigned %zu-bit integer, got \"%s\"\n", flag,
+                 sizeof(T) * 8, text);
+    return false;
+  }
+  return true;
+}
+
+// The ranges BuildCluster and the planner accept, checked once every flag
+// is known (--nvswitch may follow --gpus).
+bool CheckRanges(const Args& args) {
+  if (args.dim < 1) {
+    std::fprintf(stderr, "--dim must be at least 1, got %u\n", args.dim);
+    return false;
+  }
+  const uint32_t max_gpus = args.nvswitch ? 16 : 8;
+  if (args.gpus < 1 || args.gpus > max_gpus) {
+    std::fprintf(stderr, "--gpus must be 1..%u%s, got %u\n", max_gpus,
+                 args.nvswitch ? " with --nvswitch" : " (1..16 with --nvswitch)", args.gpus);
+    return false;
+  }
+  if (args.machines < 1) {
+    std::fprintf(stderr, "--machines must be at least 1, got %u\n", args.machines);
+    return false;
+  }
+  const uint64_t devices = uint64_t{args.machines} * args.gpus;
+  if (devices > kMaxDevices) {
+    std::fprintf(stderr, "--machines x --gpus must be at most %u devices, got %llu\n",
+                 kMaxDevices, static_cast<unsigned long long>(devices));
+    return false;
+  }
+  return true;
+}
+
 bool Parse(int argc, char** argv, Args& args) {
   for (int i = 1; i < argc; ++i) {
     const std::string flag = argv[i];
@@ -71,6 +116,10 @@ bool Parse(int argc, char** argv, Args& args) {
         return nullptr;
       }
       return argv[++i];
+    };
+    auto number = [&](const char* name, auto& out) {
+      const char* v = next(name);
+      return v != nullptr && ParseUnsigned(name, v, out);
     };
     if (flag == "--graph") {
       const char* v = next("--graph");
@@ -91,29 +140,21 @@ bool Parse(int argc, char** argv, Args& args) {
       }
       args.planner = v;
     } else if (flag == "--gpus") {
-      const char* v = next("--gpus");
-      if (v == nullptr) {
+      if (!number("--gpus", args.gpus)) {
         return false;
       }
-      args.gpus = static_cast<uint32_t>(std::stoul(v));
     } else if (flag == "--machines") {
-      const char* v = next("--machines");
-      if (v == nullptr) {
+      if (!number("--machines", args.machines)) {
         return false;
       }
-      args.machines = static_cast<uint32_t>(std::stoul(v));
     } else if (flag == "--dim") {
-      const char* v = next("--dim");
-      if (v == nullptr) {
+      if (!number("--dim", args.dim)) {
         return false;
       }
-      args.dim = static_cast<uint32_t>(std::stoul(v));
     } else if (flag == "--seed") {
-      const char* v = next("--seed");
-      if (v == nullptr) {
+      if (!number("--seed", args.seed)) {
         return false;
       }
-      args.seed = std::stoull(v);
     } else if (flag == "--list-planners") {
       args.list_planners = true;
     } else if (flag == "--list-samplers") {
@@ -131,7 +172,7 @@ bool Parse(int argc, char** argv, Args& args) {
       return false;
     }
   }
-  return true;
+  return CheckRanges(args);
 }
 
 Result<CsrGraph> LoadGraph(const Args& args) {
@@ -160,7 +201,7 @@ int main(int argc, char** argv) {
     for (const std::string& name : PlannerNames()) {
       std::printf("  %s\n", name.c_str());
     }
-    std::printf("  auto (cost-model selection over the above)\n");
+    std::printf("  auto (simulated-time selection over the above)\n");
     return 0;
   }
   if (args.list_samplers) {
