@@ -7,8 +7,7 @@
 // as shed requests and fat tails, not as a silently slowed generator), round-
 // robin across shards, while a drain thread collects responses. For each
 // (shard count, cache capacity) the bench reports p50/p99/p999 end-to-end
-// latency, the feature cache's measured hit rate (the number EXPERIMENTS.md
-// feeds back into EpochOptions::cache_hit_rate), and completed throughput.
+// latency, the feature cache's measured hit rate, and completed throughput.
 // Capacity 1 defeats the cache (every remote row is fetched), so the two
 // capacities measure what the cache buys.
 // The shard-kill phase kills one shard mid-load and checks the failure

@@ -9,7 +9,7 @@
 #                             list — a subset of `unit`, runnable alone when
 #                             iterating on planners)
 #   3. serving tier           ctest -L serving (the graph service tier:
-#                             sharded store, bounded-queue backpressure,
+#                             the relation as shard map, bounded-queue backpressure,
 #                             the LRU cache's reference model, shard-death
 #                             fail-fast, and sampler determinism across pool
 #                             widths — a subset of `unit`, runnable alone

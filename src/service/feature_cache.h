@@ -4,8 +4,7 @@
 // The epoch simulator's Method::kDgclCache prices the idealized version of
 // this cache — every remote layer-0 feature pinned locally. The serving tier
 // needs the real thing: a bounded row cache in front of the remote-fetch
-// path whose *measured* hit rate feeds back into that estimate
-// (EpochOptions::cache_hit_rate).
+// path, whose hit rate bench_serving measures.
 //
 // One LRU over one row arena: rows sit in `dim`-wide slots of a single float
 // array that grows as rows arrive (never past capacity, never allocated up

@@ -29,7 +29,7 @@ Result<std::unique_ptr<MiniBatchTrainer>> MiniBatchTrainer::Create(
     return Status::InvalidArgument("MiniBatchTrainer needs a service");
   }
   DGCL_RETURN_IF_ERROR(options.Validate());
-  if (labels.size() != service->store().graph().num_vertices()) {
+  if (labels.size() != service->graph().num_vertices()) {
     return Status::InvalidArgument("labels must cover every vertex");
   }
   DGCL_RETURN_IF_ERROR(ValidateLabels(labels, num_classes));
@@ -47,7 +47,7 @@ Result<std::unique_ptr<MiniBatchTrainer>> MiniBatchTrainer::Create(
 Result<EpochResult> MiniBatchTrainer::TrainEpoch() {
   DGCL_TSPAN2("service", "train.epoch", "epoch", epochs_, "batches",
               options_.batches_per_epoch);
-  const CsrGraph& graph = service_->store().graph();
+  const CsrGraph& graph = service_->graph();
   const uint32_t num_shards = service_->options().num_shards;
   double loss = 0.0;
   double accuracy = 0.0;
@@ -105,7 +105,7 @@ Result<EpochResult> MiniBatchTrainer::TrainEpoch() {
 }
 
 Result<EpochResult> MiniBatchTrainer::Evaluate() {
-  LocalGraph block = FullLocalGraph(service_->store().graph());
+  LocalGraph block = FullLocalGraph(service_->graph());
   return model_.Evaluate(block, service_->features(), labels_);
 }
 

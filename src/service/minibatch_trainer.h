@@ -55,8 +55,8 @@ struct MiniBatchTrainerOptions {
 class MiniBatchTrainer {
  public:
   // `service` must outlive the trainer (Start() not required — batches go
-  // through the synchronous Serve path). `labels` has one entry per global
-  // vertex, kInvalidId = unlabeled.
+  // through the synchronous Serve path). `labels` has one entry per vertex
+  // of service->graph(), kInvalidId = unlabeled.
   static Result<std::unique_ptr<MiniBatchTrainer>> Create(GraphService* service,
                                                           std::vector<uint32_t> labels,
                                                           uint32_t num_classes,
@@ -70,9 +70,9 @@ class MiniBatchTrainer {
   // partially stepped — call RestoreCheckpoint before retrying.
   Result<EpochResult> TrainEpoch();
 
-  // Full-graph evaluation of the current weights over the service's feature
-  // matrix (the measuring stick the loss-trajectory test compares against
-  // full-graph training).
+  // Full-graph evaluation of the current weights over service->graph() and
+  // the service's feature matrix (the measuring stick the loss-trajectory
+  // test compares against full-graph training).
   Result<EpochResult> Evaluate();
 
   // Last epoch-boundary weights (the initial weights before any epoch).

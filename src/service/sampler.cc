@@ -18,11 +18,10 @@ using NeighborPick = std::vector<VertexId> (*)(const CsrGraph&, VertexId, uint32
 // Mirrors SampleKHop (graph/khop.cc) exactly, with ownership resolution on
 // every expansion — keep the hop numbering and visit order in lockstep or
 // the all-alive byte-identity contract (uniform vs SampleKHop) breaks.
-Result<SampleResult> FrontierSample(const ShardedGraphStore& store, uint32_t home_shard,
-                                    std::span<const VertexId> seeds,
+Result<SampleResult> FrontierSample(const CsrGraph& graph, const CommRelation& relation,
+                                    uint32_t home_shard, std::span<const VertexId> seeds,
                                     const SampleKHopOptions& options, DeviceMask alive,
                                     uint32_t* dead_shard, NeighborPick pick) {
-  const CsrGraph& graph = store.graph();
   SampleResult result;
   std::vector<uint8_t> visited(graph.num_vertices(), 0);
   std::vector<VertexId> frontier;
@@ -41,7 +40,7 @@ Result<SampleResult> FrontierSample(const ShardedGraphStore& store, uint32_t hom
   for (uint32_t hop = 0; hop < options.hops && !frontier.empty(); ++hop) {
     next.clear();
     for (VertexId v : frontier) {
-      const uint32_t owner = store.OwnerOf(v);
+      const uint32_t owner = relation.source[v];
       if (((alive >> owner) & 1) == 0) {
         if (dead_shard != nullptr) {
           *dead_shard = owner;
@@ -70,13 +69,13 @@ Result<SampleResult> FrontierSample(const ShardedGraphStore& store, uint32_t hom
 
 }  // namespace
 
-std::vector<VertexId> SampleLocalNodes(const GraphShard& shard, uint32_t count, uint64_t seed) {
-  const std::vector<VertexId>& locals = shard.local_vertices();
+std::vector<VertexId> SampleLocalNodes(std::span<const VertexId> locals, uint32_t shard,
+                                       uint32_t count, uint64_t seed) {
   const uint64_t n = locals.size();
   if (count >= n) {
-    return locals;
+    return {locals.begin(), locals.end()};
   }
-  Rng rng(MixSeed(seed, shard.id(), 0));
+  Rng rng(MixSeed(seed, shard, 0));
   std::unordered_map<uint64_t, uint64_t> swapped;
   std::vector<VertexId> chosen;
   chosen.reserve(count);
@@ -97,7 +96,8 @@ std::vector<VertexId> SampleLocalNodes(const GraphShard& shard, uint32_t count, 
 Result<SampleResult> NeighborSampler::Sample(uint32_t home_shard, std::span<const VertexId> seeds,
                                              const SampleKHopOptions& options, DeviceMask alive,
                                              uint32_t* dead_shard) const {
-  return FrontierSample(*store_, home_shard, seeds, options, alive, dead_shard, &SampleNeighbors);
+  return FrontierSample(*graph_, *relation_, home_shard, seeds, options, alive, dead_shard,
+                        &SampleNeighbors);
 }
 
 Result<SampleResult> WeightedNeighborSampler::Sample(uint32_t home_shard,
@@ -105,7 +105,7 @@ Result<SampleResult> WeightedNeighborSampler::Sample(uint32_t home_shard,
                                                      const SampleKHopOptions& options,
                                                      DeviceMask alive,
                                                      uint32_t* dead_shard) const {
-  return FrontierSample(*store_, home_shard, seeds, options, alive, dead_shard,
+  return FrontierSample(*graph_, *relation_, home_shard, seeds, options, alive, dead_shard,
                         &SampleNeighborsWeighted);
 }
 
@@ -113,7 +113,7 @@ Result<SampleResult> RandomWalkSampler::Sample(uint32_t home_shard,
                                                std::span<const VertexId> seeds,
                                                const SampleKHopOptions& options, DeviceMask alive,
                                                uint32_t* dead_shard) const {
-  const CsrGraph& graph = store_->graph();
+  const CsrGraph& graph = *graph_;
   SampleResult result;
   std::vector<uint8_t> visited(graph.num_vertices(), 0);
   std::vector<VertexId> starts;
@@ -140,7 +140,7 @@ Result<SampleResult> RandomWalkSampler::Sample(uint32_t home_shard,
       const bool completed = path.size() == static_cast<size_t>(options.hops) + 1;
       const size_t expanded = completed ? path.size() - 1 : path.size();
       for (size_t i = 0; i < expanded; ++i) {
-        const uint32_t owner = store_->OwnerOf(path[i]);
+        const uint32_t owner = relation_->source[path[i]];
         if (((alive >> owner) & 1) == 0) {
           if (dead_shard != nullptr) {
             *dead_shard = owner;
@@ -167,16 +167,16 @@ Result<SampleResult> RandomWalkSampler::Sample(uint32_t home_shard,
 
 std::vector<std::string> SamplerNames() { return {"random-walk", "uniform", "weighted"}; }
 
-Result<std::unique_ptr<Sampler>> MakeSampler(const std::string& name,
-                                             const ShardedGraphStore* store) {
+Result<std::unique_ptr<Sampler>> MakeSampler(const std::string& name, const CsrGraph* graph,
+                                             const CommRelation* relation) {
   if (name == "uniform") {
-    return std::unique_ptr<Sampler>(new NeighborSampler(store));
+    return std::unique_ptr<Sampler>(new NeighborSampler(graph, relation));
   }
   if (name == "weighted") {
-    return std::unique_ptr<Sampler>(new WeightedNeighborSampler(store));
+    return std::unique_ptr<Sampler>(new WeightedNeighborSampler(graph, relation));
   }
   if (name == "random-walk") {
-    return std::unique_ptr<Sampler>(new RandomWalkSampler(store));
+    return std::unique_ptr<Sampler>(new RandomWalkSampler(graph, relation));
   }
   std::string names;
   for (const std::string& n : SamplerNames()) {

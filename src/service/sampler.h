@@ -1,4 +1,4 @@
-// Seeded, deterministic samplers over the sharded store.
+// Seeded, deterministic samplers over the partitioned graph.
 //
 // The sampler layer is a strategy family: every strategy derives from
 // `Sampler`, and MakeSampler builds one by name. A GraphService builds
@@ -8,7 +8,8 @@
 //    selection; every training step starts here).
 //  * "uniform" (NeighborSampler) — GraphSAGE-style fanout-capped k-hop
 //    expansion from the seeds, uniform without replacement per frontier
-//    vertex, walking shard boundaries through the store's ownership map.
+//    vertex, walking shard boundaries through the communication relation's
+//    owner map (CommRelation::source, comm/relation.h).
 //  * "weighted" (WeightedNeighborSampler) — same frontier walk, but each
 //    vertex keeps its fanout neighbors degree-biased (importance sampling
 //    toward hubs; the graph carries no edge weights, so a neighbor's weight
@@ -43,15 +44,17 @@
 
 #include "comm/relation.h"
 #include "common/status.h"
+#include "graph/csr_graph.h"
 #include "graph/khop.h"
-#include "service/graph_shard.h"
 
 namespace dgcl {
 
-// `count` distinct local vertices of `shard`, ascending global ids, drawn
-// uniformly without replacement from Rng(MixSeed(seed, shard.id(), 0)).
-// count >= num_local returns all locals.
-std::vector<VertexId> SampleLocalNodes(const GraphShard& shard, uint32_t count, uint64_t seed);
+// `count` distinct vertices of `locals` (shard `shard`'s owned vertices,
+// ascending: CommRelation::local_vertices[shard]), ascending global ids,
+// drawn uniformly without replacement from Rng(MixSeed(seed, shard, 0)).
+// count >= locals.size() returns all locals.
+std::vector<VertexId> SampleLocalNodes(std::span<const VertexId> locals, uint32_t shard,
+                                       uint32_t count, uint64_t seed);
 
 struct SampleResult {
   std::vector<VertexId> nodes;    // sampled set, ascending global ids
@@ -59,9 +62,9 @@ struct SampleResult {
   DeviceMask shards_touched = 0;  // every shard that owned an expanded vertex
 };
 
-// Strategy interface. Implementations are stateless over a const store, so
-// one instance is shared by every worker of a service (Sample is const and
-// must be thread-safe).
+// Strategy interface. Implementations are stateless over a const graph and
+// relation, so one instance is shared by every worker of a service (Sample
+// is const and must be thread-safe).
 class Sampler {
  public:
   virtual ~Sampler() = default;
@@ -80,19 +83,21 @@ class Sampler {
   // literal: the trace ring stores the pointer.
   virtual const char* span_name() const = 0;
 
-  const ShardedGraphStore& store() const { return *store_; }
-
  protected:
-  explicit Sampler(const ShardedGraphStore* store) : store_(store) {}
+  Sampler(const CsrGraph* graph, const CommRelation* relation)
+      : graph_(graph), relation_(relation) {}
 
-  const ShardedGraphStore* store_;  // not owned; outlives the sampler
+  // Not owned; both outlive the sampler. relation_->source[v] is v's shard.
+  const CsrGraph* graph_;
+  const CommRelation* relation_;
 };
 
 // "uniform": fanout-capped k-hop, uniform per frontier vertex. All-alive
 // output equals SampleKHop(graph, seeds, opts) byte for byte.
 class NeighborSampler : public Sampler {
  public:
-  explicit NeighborSampler(const ShardedGraphStore* store) : Sampler(store) {}
+  NeighborSampler(const CsrGraph* graph, const CommRelation* relation)
+      : Sampler(graph, relation) {}
 
   Result<SampleResult> Sample(uint32_t home_shard, std::span<const VertexId> seeds,
                               const SampleKHopOptions& options, DeviceMask alive,
@@ -106,7 +111,8 @@ class NeighborSampler : public Sampler {
 // "uniform"; only the per-vertex pick differs.
 class WeightedNeighborSampler : public Sampler {
  public:
-  explicit WeightedNeighborSampler(const ShardedGraphStore* store) : Sampler(store) {}
+  WeightedNeighborSampler(const CsrGraph* graph, const CommRelation* relation)
+      : Sampler(graph, relation) {}
 
   Result<SampleResult> Sample(uint32_t home_shard, std::span<const VertexId> seeds,
                               const SampleKHopOptions& options, DeviceMask alive,
@@ -121,7 +127,8 @@ class WeightedNeighborSampler : public Sampler {
 // frontier strategies' dead-shard rule.
 class RandomWalkSampler : public Sampler {
  public:
-  explicit RandomWalkSampler(const ShardedGraphStore* store) : Sampler(store) {}
+  RandomWalkSampler(const CsrGraph* graph, const CommRelation* relation)
+      : Sampler(graph, relation) {}
 
   Result<SampleResult> Sample(uint32_t home_shard, std::span<const VertexId> seeds,
                               const SampleKHopOptions& options, DeviceMask alive,
@@ -133,10 +140,11 @@ class RandomWalkSampler : public Sampler {
 // The strategy names MakeSampler accepts, ascending.
 std::vector<std::string> SamplerNames();
 
-// Builds the named strategy over `store`, which must outlive it. An unknown
-// name fails with kInvalidArgument listing SamplerNames().
-Result<std::unique_ptr<Sampler>> MakeSampler(const std::string& name,
-                                             const ShardedGraphStore* store);
+// Builds the named strategy over `graph` and its partition's `relation`,
+// which must outlive it. An unknown name fails with kInvalidArgument listing
+// SamplerNames().
+Result<std::unique_ptr<Sampler>> MakeSampler(const std::string& name, const CsrGraph* graph,
+                                             const CommRelation* relation);
 
 }  // namespace dgcl
 

@@ -81,25 +81,22 @@ Result<std::unique_ptr<GraphService>> GraphService::Create(const CsrGraph& graph
 
   std::unique_ptr<GraphService> service(new GraphService());
   // Resolved before the expensive set-up so an unknown name fails fast; the
-  // sampler only keeps the store's address, filled in below.
-  DGCL_ASSIGN_OR_RETURN(service->sampler_, MakeSampler(options.sampler, &service->store_));
+  // sampler only keeps the relation's address, filled in below.
+  DGCL_ASSIGN_OR_RETURN(service->sampler_,
+                        MakeSampler(options.sampler, &graph, &service->relation_));
   service->options_ = options;
   service->graph_ = &graph;
 
+  Partitioning partitioning;
   if (options.partitioner == "hash") {
     HashPartitioner partitioner;
-    DGCL_ASSIGN_OR_RETURN(service->partitioning_,
-                          partitioner.Partition(graph, options.num_shards));
+    DGCL_ASSIGN_OR_RETURN(partitioning, partitioner.Partition(graph, options.num_shards));
   } else {
     MultilevelPartitioner partitioner;
-    DGCL_ASSIGN_OR_RETURN(service->partitioning_,
-                          partitioner.Partition(graph, options.num_shards));
+    DGCL_ASSIGN_OR_RETURN(partitioning, partitioner.Partition(graph, options.num_shards));
   }
-  DGCL_ASSIGN_OR_RETURN(service->store_,
-                        ShardedGraphStore::Build(graph, service->partitioning_));
-  DGCL_ASSIGN_OR_RETURN(service->relation_,
-                        BuildCommRelation(graph, service->partitioning_));
-  service->topology_ = BuildPaperTopology(options.num_shards);
+  DGCL_ASSIGN_OR_RETURN(service->relation_, BuildCommRelation(graph, partitioning));
+  const Topology topology = BuildPaperTopology(options.num_shards);
 
   // Remote-feature fetches are point-to-point row pulls, so the serving plan
   // is the P2P baseline over the relation; what matters is the per-pair
@@ -108,11 +105,10 @@ Result<std::unique_ptr<GraphService>> GraphService::Create(const CsrGraph& graph
   PeerToPeerPlanner planner;
   DGCL_ASSIGN_OR_RETURN(
       ClassPlan plan,
-      planner.PlanClasses(classes, service->topology_,
+      planner.PlanClasses(classes, topology,
                           static_cast<double>(options.feature_dim) * sizeof(float)));
-  service->plan_ = CompilePlan(plan, classes, service->topology_);
   DGCL_ASSIGN_OR_RETURN(service->connections_,
-                        ConnectionTable::Build(service->topology_, service->plan_,
+                        ConnectionTable::Build(topology, CompilePlan(plan, classes, topology),
                                                options.transport, options.faults, {}));
   service->connection_mutexes_.reserve(static_cast<size_t>(options.num_shards) *
                                        options.num_shards);
@@ -431,7 +427,8 @@ SampleResponse GraphService::Process(SampleRequest& request, uint32_t replica,
 
     std::vector<VertexId> seeds = std::move(request.seeds);
     if (seeds.empty()) {
-      seeds = SampleLocalNodes(store_.shard(home), request.num_seeds, request.sample.seed);
+      seeds = SampleLocalNodes(relation_.local_vertices[home], home, request.num_seeds,
+                               request.sample.seed);
     }
 
     uint32_t dead_shard = kInvalidId;
@@ -490,7 +487,7 @@ Status GraphService::AssembleFeatures(uint32_t home, const std::vector<VertexId>
   std::map<uint32_t, std::vector<size_t>> missing_by_owner;
   for (size_t i = 0; i < nodes.size(); ++i) {
     const VertexId v = nodes[i];
-    const uint32_t owner = store_.OwnerOf(v);
+    const uint32_t owner = relation_.source[v];
     if (owner == home) {
       std::copy_n(features_.Row(v), dim, slots.Row(static_cast<uint32_t>(i)));
       continue;

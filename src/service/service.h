@@ -3,8 +3,8 @@
 // Turns the batch-training machinery into a traffic-serving system (the
 // DistDGL architecture, scaled to this reproduction): a request names a home
 // shard and seed vertices; a sampler worker of that shard's pool pops it
-// from a bounded queue, draws a deterministic sample over the sharded store
-// with the service's one strategy (ServiceOptions::sampler, sampler.h),
+// from a bounded queue, draws a deterministic sample over the partitioned
+// graph with the service's one strategy (ServiceOptions::sampler, sampler.h),
 // assembles the sampled nodes' feature rows — local rows read directly,
 // remote rows through the feature cache, cache misses priced on the engine's
 // per-pair Connection objects (the same transport decision table and fault
@@ -17,13 +17,13 @@
 // `--waits` reports coordination waits):
 //
 //   Submit --> [shard request queue] --> worker pop      (serve.queue)
-//          --> sample over the store                     (serve.sample.<sampler>)
+//          --> sample over the graph                     (serve.sample.<sampler>)
 //          --> feature assembly via cache + connections  (serve.features)
 //          --> optional mini-batch forward               (serve.infer)
 //          --> [response queue] --> PopResponse          (serve.request = total)
 //
 // Read scaling (replica_set.h): every shard runs R read replicas, each with
-// its own request queue and sampler pool over the shared store and feature
+// its own request queue and sampler pool over the shared graph and feature
 // matrix. Submit routes a request round-robin over the shard's alive
 // replicas; a response carries the serving replica. KillReplica folds one
 // replica away — its queued requests are rerouted to survivors (counted as
@@ -66,11 +66,9 @@
 #include "runtime/transport.h"
 #include "service/feature_cache.h"
 #include "service/fetch_batcher.h"
-#include "service/graph_shard.h"
 #include "service/replica_set.h"
 #include "service/request_queue.h"
 #include "service/sampler.h"
-#include "topology/topology.h"
 
 namespace dgcl {
 
@@ -177,10 +175,12 @@ struct ServiceStats {
 
 class GraphService {
  public:
-  // The graph must outlive the service. Partitions, builds the store, the
-  // connection table (P2P plan over the serving relation), the cache, and
-  // the sampler named by options.sampler; does not start workers — call
-  // Start().
+  // The graph must outlive the service. Partitions, builds the
+  // communication relation (the one ownership record: relation().source[v]
+  // is v's shard, relation().local_vertices[s] shard s's vertices), the
+  // connection table (from a P2P plan over that relation, built and dropped
+  // here), the cache, and the sampler named by options.sampler; does not
+  // start workers — call Start().
   static Result<std::unique_ptr<GraphService>> Create(const CsrGraph& graph,
                                                       ServiceOptions options);
   // Same, but serve `features` (one row per vertex, dim must equal
@@ -231,9 +231,11 @@ class GraphService {
   // replica, or the last replica of the last alive shard.
   Status KillReplica(uint32_t shard, uint32_t replica);
 
-  const ShardedGraphStore& store() const { return store_; }
+  const CsrGraph& graph() const { return *graph_; }
   const ReplicaSet& replicas() const { return *replicas_; }
   const FeatureCache& cache() const { return *cache_; }
+  // Ownership: source[v] is v's shard, local_vertices[s] shard s's
+  // vertices (ascending).
   const CommRelation& relation() const { return relation_; }
   // The full feature matrix (row = global vertex id) — read-only; every
   // replica serves its rows, and the mini-batch trainer evaluates against it.
@@ -287,11 +289,7 @@ class GraphService {
 
   ServiceOptions options_;
   const CsrGraph* graph_ = nullptr;
-  Partitioning partitioning_;
-  ShardedGraphStore store_;
   CommRelation relation_;
-  Topology topology_;
-  CompiledPlan plan_;
   ConnectionTable connections_;
   // Serializes Transmit per connection (the engine's single-sender-per-pass
   // contract, upheld here across concurrent sampler workers).

@@ -57,10 +57,6 @@ Result<EpochSimulator> EpochSimulator::Create(const Dataset& dataset, const Topo
   if (options.num_layers == 0) {
     return Status::InvalidArgument("num_layers must be positive");
   }
-  if (!(options.cache_hit_rate >= 0.0 && options.cache_hit_rate <= 1.0)) {
-    return Status::InvalidArgument("cache_hit_rate must be in [0, 1], got " +
-                                   std::to_string(options.cache_hit_rate));
-  }
   EpochSimulator sim;
   sim.dataset_ = &dataset;
   sim.topo_ = &topo;
@@ -249,11 +245,8 @@ Result<EpochReport> EpochSimulator::SimulatePlanned(Method method) const {
   report.simulated_allgather_ms = feature_pass * 1e3;
   report.estimated_allgather_ms = EvaluatePlanCost(plan, *topo_, feature_bytes) * 1e3;
   // With the feature cache, layer 1 reads remote inputs locally and skips
-  // the hit-rate share of the feature-width allgather (all of it at the
-  // idealized default hit rate of 1.0; the serving tier's measured rate can
-  // be plugged in via EpochOptions::cache_hit_rate).
-  const double miss_share = 1.0 - options_.cache_hit_rate;
-  double comm_seconds = cache_features ? miss_share * feature_pass : feature_pass;
+  // the feature-width allgather.
+  double comm_seconds = cache_features ? 0.0 : feature_pass;
   for (uint32_t layer = 1; layer < options_.num_layers; ++layer) {
     comm_seconds += transfer_seconds(hidden, PassDirection::kForward);
     comm_seconds += transfer_seconds(hidden, PassDirection::kBackward);
@@ -262,18 +255,9 @@ Result<EpochReport> EpochSimulator::SimulatePlanned(Method method) const {
   report.compute_ms = MaxComputeSeconds() * 1e3;
 
   const uint64_t hidden_dims = 2ull * (options_.num_layers - 1) * hidden;
-  if (cache_features) {
-    // Fractional hit rates need double math; the cast truncates like the
-    // integer division below, so hit_rate == 1.0 matches it bit for bit.
-    const double feature_dims = miss_share * dataset_->feature_dim;
-    report.avg_comm_bytes_per_gpu = static_cast<uint64_t>(
-        static_cast<double>(relation_.TotalTransfers()) * (feature_dims + hidden_dims) * 4.0 *
-        options_.inverse_scale / relation_.num_devices);
-  } else {
-    const uint64_t epoch_dims = dataset_->feature_dim + hidden_dims;
-    report.avg_comm_bytes_per_gpu = relation_.TotalTransfers() * epoch_dims * 4ull *
-                                    options_.inverse_scale / relation_.num_devices;
-  }
+  const uint64_t epoch_dims = (cache_features ? 0 : dataset_->feature_dim) + hidden_dims;
+  report.avg_comm_bytes_per_gpu = relation_.TotalTransfers() * epoch_dims * 4ull *
+                                  options_.inverse_scale / relation_.num_devices;
   return report;
 }
 

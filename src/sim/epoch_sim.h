@@ -51,14 +51,6 @@ struct EpochOptions {
   // Per-machine topology for kDgclR planning on multi-machine clusters
   // (e.g. the 8-GPU preset when the cluster is 2x8). Ignored otherwise.
   const Topology* machine_topology = nullptr;
-  // Method::kDgclCache only: fraction of remote layer-0 feature reads served
-  // by the feature cache. 1.0 (the default) is the idealized pinned-remotes
-  // cache the paper's option (1) describes; the serving tier's FeatureCache
-  // measures the real value under a bounded cache (bench_serving reports it,
-  // EXPERIMENTS.md records it) and this knob feeds it back into the
-  // simulation: a (1 - hit_rate) share of the feature-width allgather is
-  // still paid. Must be in [0, 1].
-  double cache_hit_rate = 1.0;
 };
 
 struct EpochReport {

@@ -11,6 +11,9 @@
 namespace dgcl {
 namespace {
 
+// Volume multiplier of an atomic-reduction backward stage (§6.2, Table 9).
+constexpr double kAtomicOverheadFactor = 1.35;
+
 struct Flow {
   std::vector<ConnId> hops;
   double bytes_left = 0.0;
@@ -146,16 +149,6 @@ std::vector<ConnId> OpHops(const TransferOp& op, const Topology& topo,
   return topo.link(op.link).hops;  // symmetric-medium approximation
 }
 
-bool CrossesNic(const std::vector<ConnId>& hops, const Topology& topo) {
-  for (ConnId c : hops) {
-    const LinkType t = topo.connection(c).type;
-    if (t == LinkType::kInfiniBand || t == LinkType::kEthernet) {
-      return true;
-    }
-  }
-  return false;
-}
-
 }  // namespace
 
 double NetworkSimResult::TypeBusySeconds(const Topology& topo, LinkType type) const {
@@ -173,7 +166,6 @@ NetworkSimResult SimulateTransfer(const CompiledPlan& plan, const Topology& topo
   DGCL_TSPAN2("sim", direction == PassDirection::kBackward ? "sim.bwd.transfer"
                                                            : "sim.fwd.transfer",
               "ops", plan.ops.size(), "stages", plan.num_stages);
-  DGCL_CHECK(options.nic_drop_rate >= 0.0 && options.nic_drop_rate < 1.0);
   NetworkSimResult result;
   result.conn_busy_seconds.assign(topo.num_connections(), 0.0);
   result.stage_seconds.assign(plan.num_stages, 0.0);
@@ -185,8 +177,9 @@ NetworkSimResult SimulateTransfer(const CompiledPlan& plan, const Topology& topo
   for (const TransferOp& op : plan.ops) {
     stage_map[op.stage].push_back(&op);
   }
-  // Execution order matters once a death can cut the pass short: the
-  // backward pass runs the stages in reverse.
+  // The backward pass runs the stages in reverse. Stage times are summed in
+  // execution order, so keep that order: floating-point addition is not
+  // associative, and any other order changes the simulated doubles.
   std::vector<std::pair<uint32_t, const std::vector<const TransferOp*>*>> stages;
   stages.reserve(stage_map.size());
   for (const auto& [stage, ops] : stage_map) {
@@ -198,25 +191,6 @@ NetworkSimResult SimulateTransfer(const CompiledPlan& plan, const Topology& topo
   }
   for (const auto& [stage, ops_ptr] : stages) {
     const std::vector<const TransferOp*>& ops = *ops_ptr;
-    if (options.dead_device != kInvalidId) {
-      // Death mirror: the first executed stage with an op touching the dead
-      // device never completes — survivors sit out the detection wait and
-      // the pass aborts, exactly what the engine's deadline-bounded waits do.
-      bool touches_dead = false;
-      for (const TransferOp* op : ops) {
-        if (op->src == options.dead_device || op->dst == options.dead_device) {
-          touches_dead = true;
-          break;
-        }
-      }
-      if (touches_dead) {
-        result.stage_seconds[stage] += options.failure_detect_s;
-        result.total_seconds += options.failure_detect_s;
-        result.completed = false;
-        result.failed_stage = stage;
-        break;
-      }
-    }
     // Backward aggregation cost model (§6.2, Table 9): with atomic
     // reductions every received gradient byte pays the atomic penalty; with
     // the non-atomic sub-stage split the receive tables are partitioned so
@@ -230,28 +204,19 @@ NetworkSimResult SimulateTransfer(const CompiledPlan& plan, const Topology& topo
           substage_rounds = std::max(substage_rounds, op->substage + 1);
         }
       } else {
-        volume_factor = options.atomic_overhead_factor;
+        volume_factor = kAtomicOverheadFactor;
       }
     }
-    const double nic_volume_factor =
-        options.nic_drop_rate > 0.0 ? 1.0 / (1.0 - options.nic_drop_rate) : 1.0;
-    double fault_latency = 0.0;
     std::vector<Flow> flows(ops.size());
     for (size_t i = 0; i < ops.size(); ++i) {
       flows[i].hops = OpHops(*ops[i], topo, direction);
-      double op_volume_factor = volume_factor;
-      if ((options.nic_extra_latency_s > 0.0 || options.nic_drop_rate > 0.0) &&
-          CrossesNic(flows[i].hops, topo)) {
-        op_volume_factor *= nic_volume_factor;
-        fault_latency = std::max(fault_latency, options.nic_extra_latency_s);
-      }
-      flows[i].bytes_left = static_cast<double>(ops[i]->vertices.size()) *
-                            options.bytes_per_unit * op_volume_factor;
+      flows[i].bytes_left =
+          static_cast<double>(ops[i]->vertices.size()) * options.bytes_per_unit * volume_factor;
       result.total_bytes +=
           static_cast<uint64_t>(ops[i]->vertices.size() * options.bytes_per_unit);
     }
     const double flow_time = RunFlows(flows, topo, &result.conn_busy_seconds, nullptr);
-    double stage_time = flow_time + options.per_op_latency_s * substage_rounds + fault_latency;
+    const double stage_time = flow_time + options.per_op_latency_s * substage_rounds;
     result.stage_seconds[stage] += stage_time;
     result.total_seconds += stage_time;
   }

@@ -28,26 +28,9 @@ struct NetworkSimOptions {
   double per_op_latency_s = 20e-6;    // fixed startup cost per transfer op
   // Backward pass only: with non_atomic=true, sub-stages within a stage run
   // sequentially so gradient aggregation is conflict-free (§6.2); with
-  // false, everything in a stage runs concurrently but aggregation pays the
-  // atomic-reduction penalty below.
+  // false, everything in a stage runs concurrently but every received
+  // gradient byte pays the atomic-reduction penalty (1.35x its volume).
   bool non_atomic = true;
-  double atomic_overhead_factor = 1.35;
-  // Mirror of the runtime's FaultInjection for the NIC path (transport.h),
-  // in expectation rather than per-draw: flows whose route crosses an
-  // IB/Ethernet hop pay `nic_extra_latency_s` once per op and carry
-  // 1 / (1 - nic_drop_rate) times their volume (the mean retransmission
-  // count of a Bernoulli-dropped wire). Lets the simulator predict what a
-  // faulted engine run will measure.
-  double nic_extra_latency_s = 0.0;
-  double nic_drop_rate = 0.0;  // in [0, 1)
-  // Mirror of FaultInjection::dead_device: a device that stops participating
-  // mid-epoch. The first stage with an op touching it never completes —
-  // survivors detect the death after `failure_detect_s` (the simulator's
-  // stand-in for TransportPolicy::wait_timeout_micros) and the pass reports
-  // completed = false at that stage. Lets the simulator predict the detect
-  // phase of a recovery's MTTR.
-  uint32_t dead_device = kInvalidId;
-  double failure_detect_s = 0.0;
 };
 
 struct NetworkSimResult {
@@ -55,10 +38,6 @@ struct NetworkSimResult {
   std::vector<double> stage_seconds;       // per stage
   std::vector<double> conn_busy_seconds;   // per physical connection
   uint64_t total_bytes = 0;
-  // Death mirror: false when NetworkSimOptions::dead_device aborted the pass
-  // at `failed_stage` (total_seconds then ends with the detection wait).
-  bool completed = true;
-  uint32_t failed_stage = kInvalidId;
 
   // Busy time summed over connections of a link type (Table 2 / Table 7).
   double TypeBusySeconds(const Topology& topo, LinkType type) const;

@@ -76,49 +76,6 @@ TEST(FeatureCacheTest, SingleLayerGnnNeedsNoCommunicationWithCache) {
   EXPECT_DOUBLE_EQ(cached->comm_ms, 0.0);
 }
 
-TEST(FeatureCacheTest, MeasuredHitRateScalesTheSaving) {
-  // The serving tier measures a real (bounded-cache) hit rate; plugged in
-  // here, the cache saves exactly hit_rate * feature pass.
-  Dataset ds = SmallDataset(128);
-  Topology topo = BuildPaperTopology(8);
-  auto ideal_sim = EpochSimulator::Create(ds, topo, FastOptions());
-  ASSERT_TRUE(ideal_sim.ok());
-  auto plain = ideal_sim->Simulate(Method::kDgcl);
-  auto ideal = ideal_sim->Simulate(Method::kDgclCache);
-  ASSERT_TRUE(plain.ok());
-  ASSERT_TRUE(ideal.ok());
-
-  EpochOptions measured_opts = FastOptions();
-  measured_opts.cache_hit_rate = 0.25;
-  auto measured_sim = EpochSimulator::Create(ds, topo, measured_opts);
-  ASSERT_TRUE(measured_sim.ok());
-  auto measured = measured_sim->Simulate(Method::kDgclCache);
-  ASSERT_TRUE(measured.ok());
-
-  // A 25% hit rate saves a quarter of what the ideal cache saves.
-  const double ideal_saving = plain->comm_ms - ideal->comm_ms;
-  const double measured_saving = plain->comm_ms - measured->comm_ms;
-  EXPECT_NEAR(measured_saving, 0.25 * ideal_saving, 1e-6);
-  // Volume interpolates the same way: worse than ideal, better than none.
-  EXPECT_GT(measured->avg_comm_bytes_per_gpu, ideal->avg_comm_bytes_per_gpu);
-  EXPECT_LT(measured->avg_comm_bytes_per_gpu, plain->avg_comm_bytes_per_gpu);
-
-  // hit_rate 0: the cache saves nothing — identical to plain DGCL.
-  EpochOptions cold_opts = FastOptions();
-  cold_opts.cache_hit_rate = 0.0;
-  auto cold_sim = EpochSimulator::Create(ds, topo, cold_opts);
-  ASSERT_TRUE(cold_sim.ok());
-  auto cold = cold_sim->Simulate(Method::kDgclCache);
-  ASSERT_TRUE(cold.ok());
-  EXPECT_DOUBLE_EQ(cold->comm_ms, plain->comm_ms);
-  EXPECT_EQ(cold->avg_comm_bytes_per_gpu, plain->avg_comm_bytes_per_gpu);
-
-  // Out-of-range rates are rejected at Create.
-  EpochOptions bad = FastOptions();
-  bad.cache_hit_rate = 1.5;
-  EXPECT_FALSE(EpochSimulator::Create(ds, topo, bad).ok());
-}
-
 TEST(FeatureCacheTest, ReportsReducedVolume) {
   Dataset ds = SmallDataset(256);
   Topology topo = BuildPaperTopology(8);

@@ -53,32 +53,6 @@ TEST(NetworkSimTest, LatencyAddsPerRound) {
   EXPECT_LT(result.total_seconds, 1.1e-3);
 }
 
-TEST(NetworkSimTest, DeadDeviceAbortsAtFirstTouchingStage) {
-  Topology topo = BuildPaperTopology(2);
-  CommRelation rel = SingleFlowRelation(2, 0, 1, 100);
-  PeerToPeerPlanner p2p;
-  CompiledPlan plan = CompileFor(rel, topo, p2p);
-  NetworkSimOptions opts;
-  opts.bytes_per_unit = 1024.0;
-  opts.per_op_latency_s = 0.0;
-  opts.dead_device = 1;
-  opts.failure_detect_s = 0.25;  // the simulator's stand-in for wait_timeout
-  NetworkSimResult result = SimulateTransfer(plan, topo, opts);
-  EXPECT_FALSE(result.completed);
-  EXPECT_NE(result.failed_stage, kInvalidId);
-  // The aborted pass costs exactly the detection wait: the stage touching
-  // the dead device never transfers its bytes.
-  EXPECT_NEAR(result.total_seconds, 0.25, 1e-12);
-
-  // A dead device not touched by any op changes nothing.
-  NetworkSimOptions unrelated = opts;
-  unrelated.dead_device = kInvalidId;
-  NetworkSimResult healthy = SimulateTransfer(plan, topo, unrelated);
-  EXPECT_TRUE(healthy.completed);
-  EXPECT_EQ(healthy.failed_stage, kInvalidId);
-  EXPECT_GT(healthy.total_seconds, 0.0);
-}
-
 TEST(NetworkSimTest, FairSharingOnSharedHop) {
   // Two equal flows crossing the same QPI finish together in 2x single time.
   Topology topo = BuildPaperTopology(8);
@@ -198,36 +172,6 @@ TEST(NetworkSimTest, ConnBusyTimeIsBounded) {
   for (double busy : result.conn_busy_seconds) {
     EXPECT_LE(busy, result.total_seconds + 1e-9);
   }
-}
-
-TEST(NetworkSimTest, NicFaultMirrorSlowsCrossMachineFlowsOnly) {
-  // The simulator mirrors the runtime's NIC fault injection in expectation:
-  // drop_rate inflates cross-NIC flow volume by 1/(1-p) and nic_extra_latency
-  // adds per-stage latency — but only for flows that actually cross a NIC.
-  Rng rng(12);
-  CsrGraph g = GenerateErdosRenyi(60, 200, rng);
-  SpstPlanner spst;
-
-  // 16 GPUs = 2 machines: the plan crosses InfiniBand, faults must bite.
-  Topology multi = BuildPaperTopology(16);
-  HashPartitioner hash;
-  CommRelation rel16 = *BuildCommRelation(g, *hash.Partition(g, 16));
-  CompiledPlan plan16 = CompileFor(rel16, multi, spst);
-  NetworkSimOptions clean;
-  clean.per_op_latency_s = 0.0;
-  NetworkSimOptions faulty = clean;
-  faulty.nic_drop_rate = 0.5;        // doubles expected cross-NIC volume
-  faulty.nic_extra_latency_s = 1e-3;
-  const double t_clean = SimulateTransfer(plan16, multi, clean).total_seconds;
-  const double t_faulty = SimulateTransfer(plan16, multi, faulty).total_seconds;
-  EXPECT_GT(t_faulty, t_clean);
-
-  // 8 GPUs = one machine: no flow crosses a NIC, the knobs are inert.
-  Topology single = BuildPaperTopology(8);
-  CommRelation rel8 = *BuildCommRelation(g, *hash.Partition(g, 8));
-  CompiledPlan plan8 = CompileFor(rel8, single, spst);
-  EXPECT_DOUBLE_EQ(SimulateTransfer(plan8, single, faulty).total_seconds,
-                   SimulateTransfer(plan8, single, clean).total_seconds);
 }
 
 TEST(NetworkSimTest, BackwardUsesReverseLinks) {

@@ -18,6 +18,7 @@
 #include <gtest/gtest.h>
 
 #include <initializer_list>
+#include <iterator>
 #include <map>
 #include <string>
 #include <vector>
@@ -40,11 +41,18 @@ struct RandomWorkload {
   uint32_t devices = 0;
 };
 
-RandomWorkload MakeWorkload(uint64_t seed) {
+// `fully_connected` draws a link for every device pair
+// (BuildRandomFullyConnectedTopology) instead of the random ring with
+// shortcuts, so the baselines can plan.
+RandomWorkload MakeWorkload(uint64_t seed, bool fully_connected = false) {
   RandomWorkload w;
   Rng rng(seed);
   w.devices = 2 + static_cast<uint32_t>(rng.UniformInt(9));
-  BuildRandomTopology(w.devices, rng, w.topo);
+  if (fully_connected) {
+    BuildRandomFullyConnectedTopology(w.devices, rng, w.topo);
+  } else {
+    BuildRandomTopology(w.devices, rng, w.topo);
+  }
   CsrGraph graph = GenerateErdosRenyi(60 + static_cast<VertexId>(rng.UniformInt(80)),
                                       300 + rng.UniformInt(300), rng);
   RandomPartitioner partitioner(seed);
@@ -143,27 +151,34 @@ TEST_P(PlannerPropertySweep, SpstInvariantsAcrossOptionSpace) {
 INSTANTIATE_TEST_SUITE_P(Seeds, PlannerPropertySweep, ::testing::ValuesIn(kSeeds));
 
 // Peer-to-peer needs a direct link to every destination and swap a link to
-// and from the source socket's hub, so neither plans on every random
-// topology: each is checked wherever it plans, and must plan on at least one
-// seed so the check cannot pass vacuously.
+// and from the source socket's hub, so on the random ring with shortcuts
+// each is checked wherever it plans. Every seed also draws a fully connected
+// topology, where both must plan, so the check cannot pass vacuously.
 TEST(PlannerPropertyTest, BaselineInvariants) {
   const double bytes = 256.0;
   PeerToPeerPlanner p2p;
   SwapPlanner swap;
-  std::map<std::string, int> planned_seeds;
+  std::map<std::string, size_t> fully_connected_plans;
   for (uint64_t seed : kSeeds) {
     SCOPED_TRACE(seed);
-    RandomWorkload w = MakeWorkload(seed ^ 0xBA5Eu);
+    const RandomWorkload ring = MakeWorkload(seed ^ 0xBA5Eu);
+    const RandomWorkload full = MakeWorkload(seed ^ 0xBA5Eu, /*fully_connected=*/true);
     for (Planner* planner : std::initializer_list<Planner*>{&p2p, &swap}) {
-      auto plan = planner->PlanClasses(w.classes, w.topo, bytes);
-      if (plan.ok()) {
-        ++planned_seeds[planner->name()];
-        CheckClassPlan(*plan, w.classes, w.topo, bytes);
+      SCOPED_TRACE(planner->name());
+      auto ring_plan = planner->PlanClasses(ring.classes, ring.topo, bytes);
+      if (ring_plan.ok()) {
+        CheckClassPlan(*ring_plan, ring.classes, ring.topo, bytes);
+      }
+      auto full_plan = planner->PlanClasses(full.classes, full.topo, bytes);
+      EXPECT_TRUE(full_plan.ok()) << full_plan.status().ToString();
+      if (full_plan.ok()) {
+        ++fully_connected_plans[planner->name()];
+        CheckClassPlan(*full_plan, full.classes, full.topo, bytes);
       }
     }
   }
-  EXPECT_GE(planned_seeds["p2p"], 1);
-  EXPECT_GE(planned_seeds["swap"], 1);
+  EXPECT_EQ(fully_connected_plans["p2p"], std::size(kSeeds));
+  EXPECT_EQ(fully_connected_plans["swap"], std::size(kSeeds));
 }
 
 }  // namespace

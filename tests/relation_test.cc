@@ -127,6 +127,12 @@ TEST(RelationTest, RejectsInvalidPartitioning) {
   bad.num_parts = 2;
   bad.assignment = {0, 1};  // wrong size
   EXPECT_FALSE(BuildCommRelation(g, bad).ok());
+
+  Partitioning out_of_range;
+  out_of_range.num_parts = 2;
+  out_of_range.assignment.assign(g.num_vertices(), 0);
+  out_of_range.assignment[3] = 9;  // no such part
+  EXPECT_FALSE(BuildCommRelation(g, out_of_range).ok());
 }
 
 TEST(RelationTest, RejectsTooManyDevices) {

@@ -19,8 +19,6 @@
 #include "common/ids.h"
 #include "common/rng.h"
 #include "graph/generators.h"
-#include "partition/partitioner.h"
-#include "service/graph_shard.h"
 #include "service/minibatch_trainer.h"
 #include "service/replica_set.h"
 #include "service/service.h"
@@ -194,30 +192,14 @@ TEST(ReplicaTrainingConformanceTest, TrainedWeightsBitwiseEqualAcrossReplication
 
 // ---- routing behavior (ReplicaSet directly) ---------------------------------
 
-struct RoutingFixture {
-  CsrGraph graph;
-  Partitioning partitioning;
-  ShardedGraphStore store;
-
-  static RoutingFixture Make(uint32_t shards = 2) {
-    RoutingFixture f;
-    f.graph = TestGraph(64, 400, 7);
-    HashPartitioner partitioner;
-    f.partitioning = std::move(partitioner.Partition(f.graph, shards)).value();
-    f.store = std::move(ShardedGraphStore::Build(f.graph, f.partitioning)).value();
-    return f;
-  }
-
-  std::unique_ptr<ReplicaSet> Set(uint32_t replicas) {
-    ReplicationOptions options;
-    options.replicas = replicas;
-    return std::move(ReplicaSet::Build(store.num_shards(), options)).value();
-  }
-};
+std::unique_ptr<ReplicaSet> RoutingSet(uint32_t replicas, uint32_t shards = 2) {
+  ReplicationOptions options;
+  options.replicas = replicas;
+  return std::move(ReplicaSet::Build(shards, options)).value();
+}
 
 TEST(ReplicaSetTest, RoundRobinSpreadsOverAliveReplicas) {
-  RoutingFixture f = RoutingFixture::Make();
-  auto set = f.Set(3);
+  auto set = RoutingSet(3);
   for (int i = 0; i < 9; ++i) {
     ASSERT_TRUE(set->Route(0).ok());
   }
@@ -228,8 +210,7 @@ TEST(ReplicaSetTest, RoundRobinSpreadsOverAliveReplicas) {
 }
 
 TEST(ReplicaSetTest, MembershipEpochsAndLastReplicaDeath) {
-  RoutingFixture f = RoutingFixture::Make();
-  auto set = f.Set(2);
+  auto set = RoutingSet(2);
   EXPECT_EQ(set->membership_view().epoch, 0u);
   EXPECT_EQ(set->stats().replica_kills, 0u);
 

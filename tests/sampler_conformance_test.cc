@@ -32,15 +32,15 @@ CsrGraph TestGraph() {
 
 struct Shards {
   CsrGraph graph;
-  Partitioning partitioning;
-  ShardedGraphStore store;
+  CommRelation relation;  // relation.source[v] is v's shard
 
   static Shards Make(uint32_t num_shards = 4) {
     Shards s;
     s.graph = TestGraph();
     HashPartitioner partitioner;
-    s.partitioning = std::move(partitioner.Partition(s.graph, num_shards)).value();
-    s.store = std::move(ShardedGraphStore::Build(s.graph, s.partitioning)).value();
+    const Partitioning partitioning =
+        std::move(partitioner.Partition(s.graph, num_shards)).value();
+    s.relation = std::move(BuildCommRelation(s.graph, partitioning)).value();
     return s;
   }
 };
@@ -51,7 +51,7 @@ class SamplerConformanceTest : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(SamplerConformanceTest, SampleIsSortedDedupedAndContainsSeeds) {
   Shards s = Shards::Make();
-  auto sampler = MakeSampler(GetParam(), &s.store);
+  auto sampler = MakeSampler(GetParam(), &s.graph, &s.relation);
   ASSERT_TRUE(sampler.ok()) << sampler.status().ToString();
   std::vector<VertexId> seeds = {5, 42, 42, 250};  // duplicate on purpose
   SampleKHopOptions options{2, 3, 7};
@@ -71,7 +71,7 @@ TEST_P(SamplerConformanceTest, SampleIsSortedDedupedAndContainsSeeds) {
 
 TEST_P(SamplerConformanceTest, SeedRoundTrip) {
   Shards s = Shards::Make();
-  auto sampler = MakeSampler(GetParam(), &s.store);
+  auto sampler = MakeSampler(GetParam(), &s.graph, &s.relation);
   ASSERT_TRUE(sampler.ok());
   std::vector<VertexId> seeds = {3, 50, 200};
   SampleKHopOptions options{2, 3, 77};
@@ -92,14 +92,14 @@ TEST_P(SamplerConformanceTest, SeedRoundTrip) {
 
 TEST_P(SamplerConformanceTest, DeadShardFailsFastWithSuspect) {
   Shards s = Shards::Make();
-  auto sampler = MakeSampler(GetParam(), &s.store);
+  auto sampler = MakeSampler(GetParam(), &s.graph, &s.relation);
   ASSERT_TRUE(sampler.ok());
   // A seed owned by the dead shard: every strategy must check the owner of
   // a vertex before reading its adjacency, so the failure is immediate.
   const uint32_t dead = 2;
   VertexId seed_on_dead = kInvalidId;
   for (VertexId v = 0; v < s.graph.num_vertices(); ++v) {
-    if (s.partitioning.assignment[v] == dead && s.graph.Degree(v) > 0) {
+    if (s.relation.source[v] == dead && s.graph.Degree(v) > 0) {
       seed_on_dead = v;
       break;
     }
@@ -173,7 +173,7 @@ TEST(MakeSamplerTest, BuildsEveryNamedStrategy) {
   const std::vector<std::string> names = SamplerNames();
   EXPECT_EQ(names, (std::vector<std::string>{"random-walk", "uniform", "weighted"}));
   for (const std::string& name : names) {
-    auto sampler = MakeSampler(name, &s.store);
+    auto sampler = MakeSampler(name, &s.graph, &s.relation);
     ASSERT_TRUE(sampler.ok()) << name << ": " << sampler.status().ToString();
     EXPECT_EQ((*sampler)->name(), name);
     EXPECT_EQ((*sampler)->span_name(), "serve.sample." + name);
@@ -182,7 +182,7 @@ TEST(MakeSamplerTest, BuildsEveryNamedStrategy) {
 
 TEST(MakeSamplerTest, UnknownNameErrorListsEveryStrategy) {
   Shards s = Shards::Make();
-  auto result = MakeSampler("no-such-sampler", &s.store);
+  auto result = MakeSampler("no-such-sampler", &s.graph, &s.relation);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
   const std::string& message = result.status().message();
@@ -229,7 +229,7 @@ TEST(ServiceSamplerSelectionTest, ConfiguredSamplerMatchesDirectSampler) {
   const SampleResponse weighted = serve("weighted");
   ASSERT_TRUE(weighted.status.ok()) << weighted.status.ToString();
 
-  WeightedNeighborSampler direct(&s.store);
+  WeightedNeighborSampler direct(&s.graph, &s.relation);
   std::vector<VertexId> seeds = {3, 50, 200};
   auto expected = direct.Sample(1, seeds, SampleKHopOptions{2, 3, 77}, 0xF);
   ASSERT_TRUE(expected.ok());
@@ -307,7 +307,7 @@ TEST(RandomWalkSamplerTest, WalksAreEdgesAndStopAtDeadEnds) {
 
 TEST(RandomWalkSamplerTest, SampledSetIsUnionOfWalkVisits) {
   Shards s = Shards::Make();
-  RandomWalkSampler sampler(&s.store);
+  RandomWalkSampler sampler(&s.graph, &s.relation);
   std::vector<VertexId> seeds = {3, 50};
   SampleKHopOptions options{4, 3, 99};  // 3 walks of 4 steps per seed
   auto result = sampler.Sample(0, seeds, options, 0xF);

@@ -75,19 +75,21 @@ TEST(SampleLocalNodesTest, DeterministicSortedAndBounded) {
   CsrGraph graph = TestGraph();
   HashPartitioner partitioner;
   Partitioning partitioning = std::move(partitioner.Partition(graph, 4)).value();
-  auto store = ShardedGraphStore::Build(graph, partitioning);
-  ASSERT_TRUE(store.ok());
-  const GraphShard& shard = store->shard(1);
-  const auto once = SampleLocalNodes(shard, 10, 5);
-  EXPECT_EQ(SampleLocalNodes(shard, 10, 5), once);
+  auto relation = BuildCommRelation(graph, partitioning);
+  ASSERT_TRUE(relation.ok());
+  const std::vector<VertexId>& locals = relation->local_vertices[1];
+  const auto once = SampleLocalNodes(locals, 1, 10, 5);
+  EXPECT_EQ(SampleLocalNodes(locals, 1, 10, 5), once);
   EXPECT_EQ(once.size(), 10u);
   EXPECT_TRUE(std::is_sorted(once.begin(), once.end()));
   for (VertexId v : once) {
-    EXPECT_TRUE(shard.Owns(v));
+    EXPECT_EQ(relation->source[v], 1u);
   }
-  EXPECT_NE(SampleLocalNodes(shard, 10, 6), once);
+  EXPECT_NE(SampleLocalNodes(locals, 1, 10, 6), once);
+  // The shard id keys the draw as well as the seed.
+  EXPECT_NE(SampleLocalNodes(locals, 2, 10, 5), once);
   // count >= locals returns every local vertex.
-  EXPECT_EQ(SampleLocalNodes(shard, shard.num_local() + 5, 5), shard.local_vertices());
+  EXPECT_EQ(SampleLocalNodes(locals, 1, static_cast<uint32_t>(locals.size()) + 5, 5), locals);
 }
 
 // ---- sampler vs single-machine reference -----------------------------------
@@ -96,9 +98,9 @@ TEST(NeighborSamplerTest, AllAliveMatchesSampleKHopByteForByte) {
   CsrGraph graph = TestGraph();
   HashPartitioner partitioner;
   Partitioning partitioning = std::move(partitioner.Partition(graph, 4)).value();
-  auto store = ShardedGraphStore::Build(graph, partitioning);
-  ASSERT_TRUE(store.ok());
-  NeighborSampler sampler(&*store);
+  auto relation = BuildCommRelation(graph, partitioning);
+  ASSERT_TRUE(relation.ok());
+  NeighborSampler sampler(&graph, &*relation);
   const DeviceMask all_alive = 0xF;
   for (uint64_t seed : {1ull, 2ull, 99ull}) {
     std::vector<VertexId> seeds = {5, 42, 250};

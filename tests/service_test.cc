@@ -1,4 +1,4 @@
-// Graph service tier: shard resolution, the LRU feature cache against a
+// Graph service tier: the ownership record, the LRU feature cache against a
 // reference model, queue backpressure, per-request cache counters and the
 // shard-death failure contract.
 
@@ -20,7 +20,6 @@
 #include "graph/generators.h"
 #include "graph/khop.h"
 #include "service/feature_cache.h"
-#include "service/graph_shard.h"
 #include "service/request_queue.h"
 #include "telemetry/trace.h"
 
@@ -44,54 +43,26 @@ ServiceOptions SmallOptions(uint32_t shards = 4) {
   return options;
 }
 
-// ---- sharded store ---------------------------------------------------------
+// ---- ownership: the communication relation is the shard map ---------------
 
-TEST(GraphShardTest, ResolutionRoundTrips) {
+TEST(GraphServiceTest, RelationRecordsEveryVertexOwner) {
   CsrGraph graph = TestGraph();
-  HashPartitioner partitioner;
-  Partitioning partitioning = std::move(partitioner.Partition(graph, 4)).value();
-  auto store = ShardedGraphStore::Build(graph, partitioning);
-  ASSERT_TRUE(store.ok()) << store.status().ToString();
-
-  uint32_t total = 0;
-  for (uint32_t s = 0; s < store->num_shards(); ++s) {
-    const GraphShard& shard = store->shard(s);
-    total += shard.num_local();
-    for (uint32_t rank = 0; rank < shard.num_local(); ++rank) {
-      const VertexId v = shard.GlobalOf(rank);
-      EXPECT_EQ(shard.LocalRank(v), rank);
-      EXPECT_TRUE(shard.Owns(v));
-      EXPECT_EQ(store->OwnerOf(v), s);
-      const auto resolved = store->Resolve(v);
-      EXPECT_EQ(resolved.shard, s);
-      EXPECT_EQ(resolved.local, rank);
+  auto service = GraphService::Create(graph, SmallOptions());
+  ASSERT_TRUE(service.ok()) << service.status().ToString();
+  EXPECT_EQ(&(*service)->graph(), &graph);
+  const CommRelation& relation = (*service)->relation();
+  ASSERT_EQ(relation.num_devices, 4u);
+  ASSERT_EQ(relation.source.size(), graph.num_vertices());
+  size_t total = 0;
+  for (uint32_t s = 0; s < relation.num_devices; ++s) {
+    const std::vector<VertexId>& locals = relation.local_vertices[s];
+    EXPECT_TRUE(std::is_sorted(locals.begin(), locals.end()));
+    for (VertexId v : locals) {
+      EXPECT_EQ(relation.source[v], s);
     }
+    total += locals.size();
   }
   EXPECT_EQ(total, graph.num_vertices());
-}
-
-TEST(GraphShardTest, ForeignAndOutOfRangeIdsResolveInvalid) {
-  CsrGraph graph = TestGraph();
-  HashPartitioner partitioner;
-  Partitioning partitioning = std::move(partitioner.Partition(graph, 4)).value();
-  auto store = ShardedGraphStore::Build(graph, partitioning);
-  ASSERT_TRUE(store.ok());
-
-  // Hash partitioning: vertex 1 belongs to shard 1, so shard 0 must not own it.
-  EXPECT_EQ(store->shard(0).LocalRank(1), kInvalidId);
-  EXPECT_FALSE(store->shard(0).Owns(1));
-  const auto resolved = store->Resolve(graph.num_vertices() + 7);
-  EXPECT_EQ(resolved.shard, kInvalidId);
-  EXPECT_EQ(resolved.local, kInvalidId);
-}
-
-TEST(GraphShardTest, BuildRejectsNonCoveringPartitioning) {
-  CsrGraph graph = TestGraph(10, 20);
-  Partitioning bad;
-  bad.num_parts = 2;
-  bad.assignment.assign(10, 0);
-  bad.assignment[3] = 9;  // out of range part
-  EXPECT_FALSE(ShardedGraphStore::Build(graph, bad).ok());
 }
 
 // ---- LRU feature cache -----------------------------------------------------

@@ -30,11 +30,13 @@ using namespace dgcl;
 
 namespace {
 
+// Only a usage error prints this, so it goes to stderr.
 void PrintUsage() {
-  std::printf(
+  std::fputs(
       "usage: dgcl_trace summarize [--waits|--recovery|--serving] <trace.json>...\n"
       "       dgcl_trace merge -o <out.json> <in.json>...\n"
-      "       dgcl_trace convert <in.json> <out.json>\n");
+      "       dgcl_trace convert <in.json> <out.json>\n",
+      stderr);
 }
 
 Result<telemetry::Trace> LoadMerged(const std::vector<std::string>& paths) {
